@@ -66,7 +66,6 @@ from .matrix import (
     write_matrix_dump,
 )
 from .textpipe import (
-    CandidateTagger,
     LemmaPos,
     LemmaTable,
     VocabularyFilter,

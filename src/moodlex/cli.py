@@ -4,8 +4,7 @@ Subcommands: ``build``, ``eval``, ``score``, ``stats``. Logs go to standard
 error; data goes to files or standard output. Every output file starts with
 metadata lines sufficient to re-run the exact command (a config echo plus
 input content hashes). Nothing here samples randomness, so identical inputs
-always produce byte-identical outputs; the worker count never changes a
-result and is therefore left out of the config echo.
+always produce byte-identical outputs.
 """
 
 from __future__ import annotations
@@ -19,15 +18,9 @@ from contextlib import nullcontext
 from . import __version__
 from .corpus import EmotionSet, corpus_stats, load_corpus
 from .errors import MoodlexError
-from .evaluate import (
-    EmotionMapping,
-    batch_score,
-    evaluate_all,
-    load_gold,
-    load_labels,
-)
-from .lexicon import build_lexicon, read_lexicon, write_lexicon
-from .textpipe import CandidateTagger, LemmaTable, VocabularyFilter, lemmatize, tokenize
+from .evaluate import EmotionMapping, evaluate_all, load_gold, load_labels, score_headline
+from .lexicon import _fmt, build_lexicon, read_lexicon, write_lexicon
+from .textpipe import LemmaTable, VocabularyFilter, lemmatize, tokenize
 
 logger = logging.getLogger(__name__)
 
@@ -56,13 +49,9 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-def _fmt(value: float) -> str:
-    return format(float(value), ".9g")
-
-
 # Flag order used when echoing the resolved command into output metadata.
-# --workers is deliberately absent: it never affects results, and outputs
-# must be byte-identical across worker counts.
+# --workers is deliberately absent: it has no effect, and outputs must not
+# depend on it.
 _ECHO_FLAGS = {
     "build": (
         "corpus",
@@ -167,7 +156,6 @@ def cmd_build(args: argparse.Namespace) -> int:
             col_norm=args.col_norm,
             nf_length=args.nf_length,
             min_df=args.min_df,
-            workers=args.workers,
             matrix_dump_sink=dump_fh,
         )
     finally:
@@ -210,7 +198,6 @@ def cmd_eval(args: argparse.Namespace) -> int:
         uncovered=args.uncovered,
         minmax=args.minmax,
         with_classification=bool(args.labels),
-        workers=args.workers,
     )
 
     inputs = [("lexicon", args.lexicon), ("gold", args.gold)]
@@ -282,9 +269,12 @@ def cmd_score(args: argparse.Namespace) -> int:
     if args.lemma_table:
         table = _stage("load-lemma-table", LemmaTable.from_file, args.lemma_table)
     entries = _stage("read-input", _read_score_input, args.input)
-    tagger = CandidateTagger(vocab=VocabularyFilter(lex.words), policy=args.ambiguity)
-    token_streams = [lemmatize(tokenize(text), table, tagger) for _, text in entries]
-    scored = batch_score(token_streams, lex, args.workers)
+    vocab = VocabularyFilter(lex.words)
+    token_streams = [
+        lemmatize(tokenize(text), table, vocab=vocab, policy=args.ambiguity)
+        for _, text in entries
+    ]
+    scored = [score_headline(tokens, lex) for tokens in token_streams]
 
     inputs = [("lexicon", args.lexicon), ("input", args.input)]
     metadata = _metadata("score", args, inputs)
@@ -331,7 +321,10 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     def add_common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--workers", type=int, default=1, help="worker count (never changes results)")
+        # Kept so existing command lines still parse; the pipeline is serial.
+        p.add_argument(
+            "--workers", type=int, default=1, help="accepted for compatibility; has no effect"
+        )
 
     build = sub.add_parser("build", help="build an emotion lexicon from a corpus")
     build.add_argument("--corpus", required=True, help="corpus file, one JSON record per line")

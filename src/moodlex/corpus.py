@@ -146,7 +146,7 @@ def validate_votes(
             label = str(key).strip().upper()
             try:
                 numeric = float(value)
-            except (TypeError, ValueError):
+            except (TypeError, ValueError, OverflowError):
                 raise VoteError(f"non-numeric vote for {label}: {value!r}") from None
             # EmotionSet.index raises CorpusError for unknown labels: that is
             # a hard error, not a per-record validation failure.
@@ -154,7 +154,7 @@ def validate_votes(
     else:
         try:
             seq = np.asarray(list(raw), dtype=np.float64)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise VoteError("non-numeric vote value") from None
         if seq.shape != (len(emotions),):
             raise VoteError(
@@ -192,6 +192,9 @@ def _record_fields(obj: object) -> tuple[str, list | None, str | None, Mapping]:
     doc_id = obj["id"]
     if not isinstance(doc_id, str) or not doc_id:
         raise _MalformedRecord("'id' must be a non-empty string")
+    # Ids become fields of tab-separated, line-oriented outputs.
+    if any(c in doc_id for c in "\t\r\n"):
+        raise _MalformedRecord("'id' must not contain a tab, CR or LF")
     has_tokens = "tokens" in obj
     has_text = "text" in obj
     if has_tokens == has_text:
@@ -258,7 +261,10 @@ def parse_corpus(
                 )
             seen[doc_id] = lineno
             if min_votes_sum is not None:
-                raw_sum = sum(float(v) for v in votes_raw.values())
+                try:
+                    raw_sum = sum(float(v) for v in votes_raw.values())
+                except (TypeError, ValueError, OverflowError):
+                    raise _MalformedRecord("non-numeric vote value") from None
                 if raw_sum < min_votes_sum:
                     dropped_low_votes += 1
                     continue

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import logging
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
@@ -182,36 +181,16 @@ def _check_mapping(
     return targets
 
 
-def batch_score(
-    token_streams: Sequence[Sequence[str]], lex: EmotionLexicon, workers: int = 1
-) -> list[tuple[np.ndarray, int]]:
-    """Score many headlines; chunks may run on worker threads but results are
-    reassembled in input order, so the output is identical at any worker count."""
-    if workers <= 1 or len(token_streams) < 2 * workers:
-        return [score_headline(tokens, lex) for tokens in token_streams]
-    chunk_size = -(-len(token_streams) // workers)
-    chunks = [
-        token_streams[i : i + chunk_size]
-        for i in range(0, len(token_streams), chunk_size)
-    ]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(
-            pool.map(lambda chunk: [score_headline(t, lex) for t in chunk], chunks)
-        )
-    return [entry for chunk in results for entry in chunk]
-
-
 def _scored_headlines(
     headlines: Sequence[GoldHeadline],
     lex: EmotionLexicon,
     uncovered: str,
-    workers: int = 1,
 ) -> tuple[list[GoldHeadline], np.ndarray]:
     if uncovered not in UNCOVERED_POLICIES:
         raise EvaluationError(f"unknown uncovered policy {uncovered!r}")
     # Aggregation runs in headline-id order regardless of input order.
     ordered = sorted(headlines, key=lambda h: h.headline_id)
-    scored = batch_score([h.tokens for h in ordered], lex, workers)
+    scored = [score_headline(h.tokens, lex) for h in ordered]
     kept: list[GoldHeadline] = []
     scores: list[np.ndarray] = []
     for headline, (vec, covered) in zip(ordered, scored):
@@ -230,12 +209,11 @@ def evaluate_regression(
     mapping: EmotionMapping,
     *,
     uncovered: str = "zero",
-    workers: int = 1,
 ) -> dict[str, float]:
     """Per mapped target emotion, the Pearson correlation between predicted
     headline scores (the mapped lexicon column) and gold scores."""
     targets = _check_mapping(mapping, gold.emotions, lex)
-    kept, scores = _scored_headlines(gold.headlines, lex, uncovered, workers)
+    kept, scores = _scored_headlines(gold.headlines, lex, uncovered)
     results: dict[str, float] = {}
     for target in targets:
         source_col = lex.emotions.index(mapping.pairs[target])
@@ -262,7 +240,6 @@ def evaluate_classification(
     threshold: float = 0.5,
     uncovered: str = "zero",
     minmax: str = "per-emotion",
-    workers: int = 1,
 ) -> dict[str, ClassificationMetrics]:
     """Binary decisions per emotion after min-max normalizing predicted scores
     over all test headlines: positive iff the normalized score exceeds the
@@ -271,7 +248,7 @@ def evaluate_classification(
     if minmax not in MINMAX_SCOPES:
         raise EvaluationError(f"unknown minmax scope {minmax!r}")
     targets = _check_mapping(mapping, gold.emotions, lex)
-    kept, scores = _scored_headlines(gold.headlines, lex, uncovered, workers)
+    kept, scores = _scored_headlines(gold.headlines, lex, uncovered)
     raw = np.stack(
         [scores[:, lex.emotions.index(mapping.pairs[t])] for t in targets], axis=1
     )
@@ -327,13 +304,10 @@ def evaluate_all(
     uncovered: str = "zero",
     minmax: str = "per-emotion",
     with_classification: bool = True,
-    workers: int = 1,
 ) -> EvalReport:
     """Full report: regression, optional classification, coverage, and the
     list of discarded target emotions."""
-    regression = evaluate_regression(
-        gold, lex, mapping, uncovered=uncovered, workers=workers
-    )
+    regression = evaluate_regression(gold, lex, mapping, uncovered=uncovered)
     classification = None
     if with_classification:
         classification = evaluate_classification(
@@ -343,7 +317,6 @@ def evaluate_all(
             threshold=threshold,
             uncovered=uncovered,
             minmax=minmax,
-            workers=workers,
         )
     coverage = coverage_stats(gold.headlines, lex)
     discarded = tuple(
@@ -372,9 +345,7 @@ def load_gold(
     rejected.
     """
     table = lemma_table if lemma_table is not None else textpipe.LemmaTable()
-    tagger = textpipe.CandidateTagger(
-        vocab=textpipe.VocabularyFilter(lex.words), policy=ambiguity
-    )
+    vocab = textpipe.VocabularyFilter(lex.words)
     emotions: tuple[str, ...] | None = None
     parsed: list[tuple[str, str, list[float]]] = []
     with open(path, encoding="utf-8") as fh:
@@ -418,7 +389,9 @@ def load_gold(
         logger.info("gold scores detected on a 0-100 scale; dividing by 100")
     headlines = []
     for headline_id, text, values in parsed:
-        tokens = tuple(textpipe.lemmatize(textpipe.tokenize(text), table, tagger))
+        tokens = tuple(
+            textpipe.lemmatize(textpipe.tokenize(text), table, vocab=vocab, policy=ambiguity)
+        )
         gold = {e: v / scale for e, v in zip(emotions, values)}
         headlines.append(
             GoldHeadline(headline_id=headline_id, tokens=tokens, gold=gold)

@@ -3,9 +3,8 @@
 The lexicon is the words-by-documents matrix multiplied into the
 documents-by-emotions vote matrix, normalized column-wise (each emotion
 column divided by its own sum, so a globally over-voted emotion's advantage
-divides out) and then scaled row-wise to unit sums. Per-row inner products
-run in ascending document order, so results are identical at any parallelism
-level; the built lexicon is immutable and freely shareable.
+divides out) and then scaled row-wise to unit sums. The built lexicon is
+immutable.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ from .corpus import (
     EmotionSet,
     vote_matrix,
 )
-from .errors import LexiconError
+from .errors import LexiconError, TextPipeError
 from .matrix import (
     SCHEMES,
     TermDocumentMatrix,
@@ -169,7 +168,6 @@ def build_lexicon(
     col_norm: str = "sum",
     nf_length: str = "filtered",
     min_df: int = 1,
-    workers: int = 1,
     extra_provenance: Sequence[tuple[str, str]] = (),
     matrix_dump_sink=None,
 ) -> EmotionLexicon:
@@ -182,9 +180,14 @@ def build_lexicon(
     """
     if scheme not in SCHEMES:
         raise LexiconError(f"unknown weighting scheme {scheme!r}: expected one of {SCHEMES}")
+    # Checked up front: token-only corpora never reach lemmatize.
+    if ambiguity not in textpipe.AMBIGUITY_POLICIES:
+        raise TextPipeError(
+            f"unknown ambiguity policy {ambiguity!r}: "
+            f"expected one of {textpipe.AMBIGUITY_POLICIES}"
+        )
     emotions = emotions if emotions is not None else EmotionSet.default()
     table = lemma_table if lemma_table is not None else textpipe.LemmaTable()
-    tagger = textpipe.CandidateTagger(vocab=vocab, policy=ambiguity)
 
     prepared: list[DocumentRecord] = []
     raw_lengths: dict[str, int] = {}
@@ -193,7 +196,7 @@ def build_lexicon(
             candidates: Sequence[str] = record.tokens
         else:
             candidates = textpipe.lemmatize(
-                textpipe.tokenize(record.text or ""), table, tagger
+                textpipe.tokenize(record.text or ""), table, vocab=vocab, policy=ambiguity
             )
         raw_lengths[record.doc_id] = len(candidates)
         filtered = textpipe.filter_vocabulary(candidates, vocab)
@@ -211,7 +214,7 @@ def build_lexicon(
             empty,
         )
 
-    counted = count_terms(kept, raw_lengths=raw_lengths, workers=workers)
+    counted = count_terms(kept, raw_lengths=raw_lengths)
     counted = filter_min_df(counted, min_df)
     weighted = apply_weighting(counted, scheme, nf_length=nf_length)
     if matrix_dump_sink is not None:

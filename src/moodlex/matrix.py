@@ -1,9 +1,8 @@
 """Sparse term-by-document matrices under raw, normalized, and tf-idf weights.
 
-Counting is parallelizable across documents: workers count contiguous chunks
-and the results are reassembled in ascending document order, so the matrix is
-identical at any worker count (counting itself is integer arithmetic and the
-row order is sorted afterwards). No explicit zeros are ever stored.
+Counting is integer arithmetic and rows are sorted by word afterwards, so the
+matrix does not depend on the order words are first seen. No explicit zeros
+are ever stored.
 """
 
 from __future__ import annotations
@@ -11,7 +10,6 @@ from __future__ import annotations
 import dataclasses
 import logging
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from functools import cached_property
 from typing import Mapping, Sequence
 
@@ -58,37 +56,11 @@ class TermDocumentMatrix:
     def row_index(self) -> dict[str, int]:
         return {word: i for i, word in enumerate(self.words)}
 
-    @cached_property
-    def col_index(self) -> dict[str, int]:
-        return {doc_id: j for j, doc_id in enumerate(self.doc_ids)}
-
-
-def _per_doc_counts(
-    token_streams: Sequence[tuple[str, ...]], workers: int
-) -> list[tuple[list[str], np.ndarray]]:
-    def one(tokens: tuple[str, ...]) -> tuple[list[str], np.ndarray]:
-        counts = Counter(tokens)
-        return list(counts.keys()), np.fromiter(
-            counts.values(), dtype=np.float64, count=len(counts)
-        )
-
-    if workers <= 1 or len(token_streams) < 2 * workers:
-        return [one(tokens) for tokens in token_streams]
-    chunk_size = -(-len(token_streams) // workers)
-    chunks = [
-        token_streams[i : i + chunk_size]
-        for i in range(0, len(token_streams), chunk_size)
-    ]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        chunk_results = list(pool.map(lambda chunk: [one(t) for t in chunk], chunks))
-    return [entry for chunk in chunk_results for entry in chunk]
-
 
 def count_terms(
     records: Sequence[DocumentRecord],
     *,
     raw_lengths: Mapping[str, int] | None = None,
-    workers: int = 1,
 ) -> TermDocumentMatrix:
     """Count raw term occurrences into a sparse words-by-documents matrix.
 
@@ -104,23 +76,25 @@ def count_terms(
     if len(set(doc_ids)) != len(doc_ids):
         raise MatrixError("duplicate document ids in corpus")
 
-    per_doc = _per_doc_counts([record.tokens for record in kept], max(1, workers))
-
     # First-seen temporary word ids, remapped to sorted order below so the
     # result does not depend on document order of discovery.
     word_id: dict[str, int] = {}
     row_parts: list[np.ndarray] = []
     col_parts: list[np.ndarray] = []
     data_parts: list[np.ndarray] = []
-    for col, (keys, counts) in enumerate(per_doc):
-        ids = np.fromiter(
-            (word_id.setdefault(word, len(word_id)) for word in keys),
-            dtype=np.int64,
-            count=len(keys),
+    for col, record in enumerate(kept):
+        counts = Counter(record.tokens)
+        row_parts.append(
+            np.fromiter(
+                (word_id.setdefault(word, len(word_id)) for word in counts),
+                dtype=np.int64,
+                count=len(counts),
+            )
         )
-        row_parts.append(ids)
-        col_parts.append(np.full(len(keys), col, dtype=np.int64))
-        data_parts.append(counts)
+        col_parts.append(np.full(len(counts), col, dtype=np.int64))
+        data_parts.append(
+            np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
+        )
 
     unsorted_words = list(word_id)
     order = sorted(range(len(unsorted_words)), key=unsorted_words.__getitem__)

@@ -4,7 +4,7 @@ Raw text is reduced to lower-cased runs of letters, every surface token is
 expanded into lemma#pos candidates through an exception table plus per-pos
 suffix rules, and candidate streams are filtered against a reference
 vocabulary (for example, a WordNet lemma inventory). All tables are
-immutable after load, so distinct documents can be processed concurrently.
+immutable after load.
 """
 
 from __future__ import annotations
@@ -185,34 +185,15 @@ class LemmaTable:
             raise TextPipeError(f"{path}: {exc}") from exc
 
 
-@dataclass(frozen=True)
-class CandidateTagger:
-    """Pos-assignment strategy: vocabulary-licensed candidates per surface form.
-
-    Under the default ``all`` policy every licensed (lemma, pos) pair is
-    emitted once per occurrence; ``first`` keeps only the first candidate in
-    the fixed POS_TAGS scan order. Without a vocabulary only exception-table
-    hits can be licensed.
-    """
-
-    vocab: VocabularyFilter | None = None
-    policy: str = "all"
-
-    def __post_init__(self) -> None:
-        if self.policy not in AMBIGUITY_POLICIES:
-            raise TextPipeError(
-                f"unknown ambiguity policy {self.policy!r}: expected one of {AMBIGUITY_POLICIES}"
-            )
-
-
 def tokenize(text: str) -> list[str]:
     """Split text into lower-cased maximal runs of Unicode letters."""
     return [t.lower() for t in _TOKEN_RE.findall(text)]
 
 
-def _candidates(surface: str, table: LemmaTable, tagger: CandidateTagger) -> list[str]:
+def _candidates(
+    surface: str, table: LemmaTable, vocab: VocabularyFilter | None, policy: str
+) -> list[str]:
     licensed: list[str] = []
-    vocab = tagger.vocab
     for pos in POS_TAGS:
         hit = table.entry(surface, pos)
         if hit is not None:
@@ -233,7 +214,7 @@ def _candidates(surface: str, table: LemmaTable, tagger: CandidateTagger) -> lis
         # Unmapped surface forms pass through as nouns; downstream
         # vocabulary filtering decides whether they survive.
         return [f"{surface}#n"]
-    if tagger.policy == "first":
+    if policy == "first":
         return licensed[:1]
     return licensed
 
@@ -241,17 +222,25 @@ def _candidates(surface: str, table: LemmaTable, tagger: CandidateTagger) -> lis
 def lemmatize(
     tokens: Iterable[str],
     table: LemmaTable,
-    tagger: CandidateTagger = CandidateTagger(),
+    *,
+    vocab: VocabularyFilter | None = None,
+    policy: str = "all",
 ) -> list[str]:
     """Map surface tokens to lemma#pos candidate tokens.
 
     Each occurrence of a surface form yields every candidate licensed by the
-    exception table or the tagger's vocabulary (identity form first, then
-    suffix-rule rewrites), scanned in POS_TAGS order.
+    exception table or ``vocab`` (identity form first, then suffix-rule
+    rewrites), scanned in POS_TAGS order. Without a vocabulary only
+    exception-table hits can be licensed. Under the default ``all`` policy
+    every licensed candidate is emitted; ``first`` keeps only the first.
     """
+    if policy not in AMBIGUITY_POLICIES:
+        raise TextPipeError(
+            f"unknown ambiguity policy {policy!r}: expected one of {AMBIGUITY_POLICIES}"
+        )
     out: list[str] = []
     for surface in tokens:
-        out.extend(_candidates(surface, table, tagger))
+        out.extend(_candidates(surface, table, vocab, policy))
     return out
 
 

@@ -377,7 +377,7 @@ def test_scale_target(tmp_path, emotions):
         vocab = VocabularyFilter(vocab_words)
 
         start = time.perf_counter()
-        lex = build_lexicon(records, vocab, "normalized", workers=1)
+        lex = build_lexicon(records, vocab, "normalized")
         write_lexicon(lex, tmp_path / "scale.tsv")
         elapsed = time.perf_counter() - start
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -174,6 +175,14 @@ class TestBuild:
         messages = [r.message for r in caplog.records if r.levelname == "ERROR"]
         assert any("load-corpus" in m and "malformed" in m for m in messages)
 
+    def test_non_numeric_vote_with_min_votes_sum_exits_one(self, workdir, caplog):
+        bad = {"id": "x", "tokens": ["awe#n"], "votes": {"AFRAID": "x"}}
+        with open(workdir / "corpus.jsonl", "a", encoding="utf-8") as fh:
+            fh.write(json.dumps(bad) + "\n")
+        assert main(build_args(workdir, min_votes_sum=0.5)) == 1
+        messages = [r.message for r in caplog.records if r.levelname == "ERROR"]
+        assert any("load-corpus" in m and "line 6: non-numeric vote" in m for m in messages)
+
 
 @pytest.fixture()
 def built(workdir):
@@ -327,12 +336,12 @@ class TestScore:
             if not l.startswith("#") and not l.startswith("id\t")
         ]
         assert len(rows) == 10
-        from moodlex import CandidateTagger, LemmaTable, VocabularyFilter, lemmatize, tokenize
+        from moodlex import LemmaTable, VocabularyFilter, lemmatize, tokenize
 
-        tagger = CandidateTagger(vocab=VocabularyFilter(lex.words))
+        vocab = VocabularyFilter(lex.words)
         for row, text in zip(rows, texts):
             fields = row.split("\t")
-            tokens = lemmatize(tokenize(text), LemmaTable(), tagger)
+            tokens = lemmatize(tokenize(text), LemmaTable(), vocab=vocab)
             expected_vec, expected_covered = score_headline(tokens, lex)
             got = np.asarray([float(v) for v in fields[1:9]])
             np.testing.assert_allclose(got, expected_vec, atol=1e-9)
@@ -345,6 +354,54 @@ class TestScore:
         args[2] = str(built / "absent.tsv")
         assert main(args) == 1
         assert any("read-lexicon" in r.message for r in caplog.records)
+
+
+GOLDEN_DIR = Path(__file__).parent / "data"
+GOLDEN_HEADLINES = [
+    "Awe kill war", "happy game", "Sad awe kill", "war war war", "",
+    "unknown words only", "awe happy", "Kill", "GAME game fun", "sad",
+]
+
+
+def run_golden_commands():
+    """Build, score and eval on the fixture corpus in the current directory,
+    with relative paths so the metadata echo is stable; returns the score and
+    report paths."""
+    Path("corpus.jsonl").write_text(
+        "".join(json.dumps(rec) + "\n" for rec in CORPUS_LINES), encoding="utf-8"
+    )
+    Path("vocab.txt").write_text(VOCAB, encoding="utf-8")
+    Path("headlines.tsv").write_text(
+        "".join(f"s{i}\t{t}\n" for i, t in enumerate(GOLDEN_HEADLINES)), encoding="utf-8"
+    )
+    Path("gold.tsv").write_text(
+        "id\ttext\tFEAR\tJOY\tDISGUST\n"
+        "h1\tWar kill awe\t0.9\t0.1\t0.3\n"
+        "h2\tHappy game fun\t0.1\t0.8\t0.0\n"
+        "h3\tSad awe\t0.4\t0.2\t0.1\n"
+        "h4\tZebra quark\t0.3\t0.3\t0.2\n",
+        encoding="utf-8",
+    )
+    Path("labels.tsv").write_text("h1\tFEAR\nh2\tJOY\n", encoding="utf-8")
+    Path("mapping.tsv").write_text("FEAR\tAFRAID\nJOY\tHAPPY\nDISGUST\t-\n", encoding="utf-8")
+    assert main(["build", "--corpus", "corpus.jsonl", "--vocab", "vocab.txt", "--output", "lex.tsv"]) == 0
+    assert main(
+        ["score", "--lexicon", "lex.tsv", "--input", "headlines.tsv", "--output", "scores.tsv"]
+    ) == 0
+    assert main(
+        [
+            "eval", "--lexicon", "lex.tsv", "--gold", "gold.tsv", "--labels", "labels.tsv",
+            "--mapping", "mapping.tsv", "--output", "report.tsv",
+        ]
+    ) == 0
+    return Path("scores.tsv"), Path("report.tsv")
+
+
+def test_score_and_eval_bytes_match_golden_files(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    scores, report = run_golden_commands()
+    assert scores.read_bytes() == (GOLDEN_DIR / "golden_scores.tsv").read_bytes()
+    assert report.read_bytes() == (GOLDEN_DIR / "golden_report.tsv").read_bytes()
 
 
 class TestStats:

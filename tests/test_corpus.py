@@ -94,6 +94,11 @@ class TestValidateVotes:
             validate_votes({"AFRAID": "lots"}, emotions)
         with pytest.raises(VoteError, match="non-numeric"):
             validate_votes({"AFRAID": None}, emotions)
+        # json.loads yields unbounded ints; float() overflows on this one.
+        with pytest.raises(VoteError, match="non-numeric"):
+            validate_votes({"AFRAID": 10**400}, emotions)
+        with pytest.raises(VoteError, match="non-numeric"):
+            validate_votes([10**400] + [0.0] * (len(emotions.labels) - 1), emotions)
         # json.loads accepts NaN literals, and NaN comparisons are all false,
         # so the tolerance check alone would let NaN through.
         with pytest.raises(VoteError, match="finite"):
@@ -191,6 +196,20 @@ class TestParseCorpus:
         ]
         records = parse_corpus(stream, emotions, min_votes_sum=0.9)
         assert [r.doc_id for r in records] == ["b"]
+
+    @pytest.mark.parametrize(
+        "vote", ["x", None, [1], 10**400], ids=["string", "null", "array", "huge-int"]
+    )
+    def test_min_votes_sum_non_numeric_vote_is_malformed_line(self, emotions, vote):
+        stream = [line("a", {"HAPPY": 1.0}), line("b", {"AFRAID": vote})]
+        with pytest.raises(CorpusError, match="1 malformed line.*line 2: non-numeric vote"):
+            parse_corpus(stream, emotions, min_votes_sum=0.5)
+
+    @pytest.mark.parametrize("doc_id", ["a\tb", "a\rb", "a\nb", "\t"])
+    def test_id_with_tab_or_line_break_is_malformed_line(self, emotions, doc_id):
+        stream = [line("ok", {"HAPPY": 1.0}), line(doc_id, {"HAPPY": 1.0})]
+        with pytest.raises(CorpusError, match="1 malformed line.*line 2: 'id' must not contain"):
+            parse_corpus(stream, emotions)
 
     def test_order_preserving_and_deterministic(self, emotions):
         stream = [line(f"d{i}", {"AFRAID": 0.5, "SAD": 0.5}) for i in range(10)]

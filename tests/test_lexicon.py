@@ -13,6 +13,7 @@ from moodlex import (
     DocumentRecord,
     EmotionSet,
     LexiconError,
+    TextPipeError,
     VocabularyFilter,
     build_lexicon,
     column_normalize,
@@ -276,6 +277,10 @@ class TestBuildLexicon:
         records = [doc(emotions, "d0", ["a#n"], {"AFRAID": 1.0})]
         with pytest.raises(Exception, match="no non-empty documents"):
             build_lexicon(records, VocabularyFilter(["zzz#n"]), "raw")
+
+    def test_unknown_ambiguity_rejected_for_token_corpus(self, small_corpus, small_vocab):
+        with pytest.raises(TextPipeError, match="ambiguity policy 'best'"):
+            build_lexicon(small_corpus, small_vocab, "raw", ambiguity="best")
 
     def test_provenance_records_flags(self, emotions, small_corpus, small_vocab):
         lex = build_lexicon(small_corpus, small_vocab, "tfidf", min_df=2, col_norm="max")

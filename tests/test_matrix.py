@@ -73,21 +73,6 @@ class TestCountTerms:
         with pytest.raises(MatrixError, match="no non-empty"):
             count_terms(records_from([[], []]))
 
-    def test_workers_produce_identical_matrix(self):
-        rng = np.random.default_rng(17)
-        streams = [
-            [f"w{int(k)}#n" for k in rng.integers(0, 40, size=int(rng.integers(1, 25)))]
-            for _ in range(37)
-        ]
-        records = records_from(streams)
-        one = count_terms(records, workers=1)
-        four = count_terms(records, workers=4)
-        assert one.words == four.words
-        assert one.doc_ids == four.doc_ids
-        np.testing.assert_array_equal(one.matrix.indptr, four.matrix.indptr)
-        np.testing.assert_array_equal(one.matrix.indices, four.matrix.indices)
-        np.testing.assert_array_equal(one.matrix.data, four.matrix.data)
-
     def test_raw_lengths_passthrough_and_missing(self):
         records = records_from([["a#n"]])
         tdm = count_terms(records, raw_lengths={"d0": 5})

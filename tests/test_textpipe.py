@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from moodlex import (
-    CandidateTagger,
     LemmaPos,
     LemmaTable,
     TextPipeError,
@@ -114,39 +113,33 @@ class TestLemmatize:
     def test_table_hit(self):
         table = LemmaTable(entries=[("bombings", "n", "bombing")])
         vocab = VocabularyFilter(["bombing#n"])
-        tagger = CandidateTagger(vocab=vocab)
-        assert lemmatize(["bombings"], table, tagger) == ["bombing#n"]
+        assert lemmatize(["bombings"], table, vocab=vocab) == ["bombing#n"]
 
     def test_all_licensed_candidates(self):
         vocab = VocabularyFilter(["kill#v", "kill#n"])
-        tagger = CandidateTagger(vocab=vocab)
-        assert lemmatize(["kill"], LemmaTable(), tagger) == ["kill#v", "kill#n"]
+        assert lemmatize(["kill"], LemmaTable(), vocab=vocab) == ["kill#v", "kill#n"]
 
     def test_first_candidate_policy(self):
         vocab = VocabularyFilter(["kill#v", "kill#n"])
-        tagger = CandidateTagger(vocab=vocab, policy="first")
-        assert lemmatize(["kill"], LemmaTable(), tagger) == ["kill#v"]
+        assert lemmatize(["kill"], LemmaTable(), vocab=vocab, policy="first") == ["kill#v"]
 
     def test_unmapped_token_passes_through_as_noun(self):
         vocab = VocabularyFilter(["kill#v"])
-        tagger = CandidateTagger(vocab=vocab)
-        assert lemmatize(["xyzzy"], LemmaTable(), tagger) == ["xyzzy#n"]
+        assert lemmatize(["xyzzy"], LemmaTable(), vocab=vocab) == ["xyzzy#n"]
 
     def test_rule_rewrite_needs_vocabulary_licensing(self):
         table = LemmaTable(rules=[("v", "s", ""), ("n", "s", "")])
         vocab = VocabularyFilter(["kill#v"])
-        tagger = CandidateTagger(vocab=vocab)
         # kills -> rule strips the s; only the verb reading is licensed.
-        assert lemmatize(["kills"], table, tagger) == ["kill#v"]
+        assert lemmatize(["kills"], table, vocab=vocab) == ["kill#v"]
 
     def test_without_vocabulary_only_table_hits(self):
         table = LemmaTable(entries=[("went", "v", "go")])
-        tagger = CandidateTagger(vocab=None)
-        assert lemmatize(["went", "kill"], table, tagger) == ["go#v", "kill#n"]
+        assert lemmatize(["went", "kill"], table, vocab=None) == ["go#v", "kill#n"]
 
     def test_bad_policy(self):
         with pytest.raises(TextPipeError):
-            CandidateTagger(policy="best")
+            lemmatize(["kill"], LemmaTable(), policy="best")
 
     def test_manual_table_walk_oracle(self):
         # Twenty tokens pushed through a small table + vocabulary; the
@@ -171,7 +164,6 @@ class TestLemmatize:
                 "fast#a",
             ]
         )
-        tagger = CandidateTagger(vocab=vocab)
         tokens = [
             "bombings", "kill", "war", "men", "sad", "walked", "cars", "fast",
             "kill", "unknown", "war", "sad", "bombings", "walked", "men",
@@ -199,7 +191,7 @@ class TestLemmatize:
             "war#n",
             "xyzzy#n",              # unmapped pass-through
         ]
-        assert lemmatize(tokens, table, tagger) == expected
+        assert lemmatize(tokens, table, vocab=vocab) == expected
 
 
 class TestFilterVocabulary:
