@@ -71,5 +71,6 @@ from .textpipe import (
     VocabularyFilter,
     filter_vocabulary,
     lemmatize,
+    lemmatize_all,
     tokenize,
 )

@@ -13,14 +13,15 @@ import argparse
 import hashlib
 import logging
 import sys
-from contextlib import nullcontext
+from contextlib import contextmanager, nullcontext
 
 from . import __version__
 from .corpus import EmotionSet, corpus_stats, load_corpus
 from .errors import MoodlexError
 from .evaluate import EmotionMapping, evaluate_all, load_gold, load_labels, score_headline
 from .lexicon import _fmt, build_lexicon, read_lexicon, write_lexicon
-from .textpipe import LemmaTable, VocabularyFilter, lemmatize, tokenize
+from .sink import open_sink
+from .textpipe import LemmaTable, VocabularyFilter, lemmatize_all, tokenize
 
 logger = logging.getLogger(__name__)
 
@@ -34,11 +35,17 @@ class _StageError(Exception):
     """An error already attributed to a pipeline stage."""
 
 
-def _stage(name: str, fn, *args, **kwargs):
+@contextmanager
+def _in_stage(name: str):
     try:
-        return fn(*args, **kwargs)
+        yield
     except (MoodlexError, OSError) as exc:
         raise _StageError(f"{name}: {exc}") from exc
+
+
+def _stage(name: str, fn, *args, **kwargs):
+    with _in_stage(name):
+        return fn(*args, **kwargs)
 
 
 def _sha256(path) -> str:
@@ -105,12 +112,6 @@ def _metadata(subcommand: str, args: argparse.Namespace, inputs: list[tuple[str,
     return lines
 
 
-def _open_output(path):
-    if path is None:
-        return nullcontext(sys.stdout)
-    return open(path, "w", encoding="utf-8", newline="\n")
-
-
 def _write_metadata(fh, metadata) -> None:
     for key, value in metadata:
         fh.write(f"# {key}: {value}\n")
@@ -137,13 +138,12 @@ def cmd_build(args: argparse.Namespace) -> int:
         inputs.append(("lemma-table", args.lemma_table))
     metadata = _metadata("build", args, inputs)
 
-    dump_fh = None
-    if args.dump_matrix:
-        dump_fh = _stage(
-            "dump-matrix", open, args.dump_matrix, "w", encoding="utf-8", newline="\n"
-        )
-        _write_metadata(dump_fh, metadata)
-    try:
+    # The dump is committed only after the lexicon is: a failed build leaves
+    # neither file behind.
+    dump = open_sink(args.dump_matrix) if args.dump_matrix else nullcontext()
+    with _in_stage("dump-matrix"), dump as dump_fh:
+        if dump_fh is not None:
+            _write_metadata(dump_fh, metadata)
         lex = _stage(
             "build-lexicon",
             build_lexicon,
@@ -158,11 +158,8 @@ def cmd_build(args: argparse.Namespace) -> int:
             min_df=args.min_df,
             matrix_dump_sink=dump_fh,
         )
-    finally:
-        if dump_fh is not None:
-            dump_fh.close()
-    lex.provenance = metadata + lex.provenance + [("tool-version", f"{PROG} {__version__}")]
-    _stage("write-lexicon", write_lexicon, lex, args.output)
+        lex.provenance = metadata + lex.provenance + [("tool-version", f"{PROG} {__version__}")]
+        _stage("write-lexicon", write_lexicon, lex, args.output)
     by_key = dict(lex.provenance)
     logger.info(
         "wrote %s: %s entries, scheme %s, %s zero row(s) dropped",
@@ -207,7 +204,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         inputs.append(("mapping", args.mapping))
     metadata = _metadata("eval", args, inputs)
 
-    with _stage("write-report", _open_output, args.output) as fh:
+    with _in_stage("write-report"), open_sink(args.output) as fh:
         _write_metadata(fh, metadata)
         fh.write("section\temotion\tmetric\tvalue\n")
         for target, r in report.regression.items():
@@ -270,15 +267,14 @@ def cmd_score(args: argparse.Namespace) -> int:
         table = _stage("load-lemma-table", LemmaTable.from_file, args.lemma_table)
     entries = _stage("read-input", _read_score_input, args.input)
     vocab = VocabularyFilter(lex.words)
-    token_streams = [
-        lemmatize(tokenize(text), table, vocab=vocab, policy=args.ambiguity)
-        for _, text in entries
-    ]
+    token_streams = lemmatize_all(
+        (tokenize(text) for _, text in entries), table, vocab=vocab, policy=args.ambiguity
+    )
     scored = [score_headline(tokens, lex) for tokens in token_streams]
 
     inputs = [("lexicon", args.lexicon), ("input", args.input)]
     metadata = _metadata("score", args, inputs)
-    with _stage("write-scores", _open_output, args.output) as fh:
+    with _in_stage("write-scores"), open_sink(args.output) as fh:
         _write_metadata(fh, metadata)
         fh.write("id\t" + "\t".join(lex.emotions) + "\tcovered\ttotal\n")
         for (line_id, _), tokens, (vec, covered) in zip(entries, token_streams, scored):
@@ -295,7 +291,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     )
     stats = _stage("corpus-stats", corpus_stats, records)
     metadata = _metadata("stats", args, [("corpus", args.corpus)])
-    with _stage("write-stats", _open_output, args.output) as fh:
+    with _in_stage("write-stats"), open_sink(args.output) as fh:
         _write_metadata(fh, metadata)
         fh.write(f"doc_count\t{stats.doc_count}\n")
         fh.write(f"token_count\t{stats.token_count}\n")

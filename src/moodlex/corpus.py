@@ -213,16 +213,24 @@ def _record_fields(obj: object) -> tuple[str, list | None, str | None, Mapping]:
     return doc_id, tokens, text, votes
 
 
-def _canonical_tokens(tokens: list) -> tuple[str, ...]:
+def _canonical_tokens(tokens: list, valid: dict[str, str]) -> tuple[str, ...]:
+    """Check every token of one record.
+
+    ``valid`` maps each string that already passed in this parse to its first
+    instance, so each distinct string is parsed once and held once.
+    """
     out = []
     for tok in tokens:
         if not isinstance(tok, str):
             raise _MalformedRecord(f"token {tok!r} is not a string")
-        try:
-            textpipe.LemmaPos.parse(tok)
-        except Exception as exc:
-            raise _MalformedRecord(f"bad token {tok!r}: {exc}") from None
-        out.append(tok)
+        canonical = valid.get(tok)
+        if canonical is None:
+            try:
+                textpipe.LemmaPos.parse(tok)
+            except Exception as exc:
+                raise _MalformedRecord(f"bad token {tok!r}: {exc}") from None
+            canonical = valid[tok] = tok
+        out.append(canonical)
     return tuple(out)
 
 
@@ -243,6 +251,7 @@ def parse_corpus(
     emotions = emotions if emotions is not None else EmotionSet.default()
     records: list[DocumentRecord] = []
     seen: dict[str, int] = {}
+    valid_tokens: dict[str, str] = {}
     failures: list[tuple[int, str]] = []
     dropped_low_votes = 0
     for lineno, line in enumerate(stream, start=1):
@@ -272,7 +281,9 @@ def parse_corpus(
                 votes = validate_votes(votes_raw, emotions)
             except VoteError as exc:
                 raise _MalformedRecord(str(exc)) from None
-            record_tokens = _canonical_tokens(tokens) if tokens is not None else None
+            record_tokens = (
+                _canonical_tokens(tokens, valid_tokens) if tokens is not None else None
+            )
             records.append(
                 DocumentRecord(doc_id=doc_id, votes=votes, tokens=record_tokens, text=text)
             )

@@ -181,26 +181,40 @@ def _check_mapping(
     return targets
 
 
-def _scored_headlines(
-    headlines: Sequence[GoldHeadline],
-    lex: EmotionLexicon,
-    uncovered: str,
-) -> tuple[list[GoldHeadline], np.ndarray]:
+#: Headlines in id order, each with its score vector and covered-token count.
+_Scored = Sequence[tuple[GoldHeadline, np.ndarray, int]]
+
+
+def _scored_headlines(headlines: Sequence[GoldHeadline], lex: EmotionLexicon) -> _Scored:
+    """Every headline scored once: (headline, scores, covered count) triples.
+
+    Aggregation runs in headline-id order regardless of input order.
+    """
+    ordered = sorted(headlines, key=lambda h: h.headline_id)
+    return [(h, *score_headline(h.tokens, lex)) for h in ordered]
+
+
+def _kept_scores(scored: _Scored, uncovered: str) -> tuple[list[GoldHeadline], np.ndarray]:
     if uncovered not in UNCOVERED_POLICIES:
         raise EvaluationError(f"unknown uncovered policy {uncovered!r}")
-    # Aggregation runs in headline-id order regardless of input order.
-    ordered = sorted(headlines, key=lambda h: h.headline_id)
-    scored = [score_headline(h.tokens, lex) for h in ordered]
-    kept: list[GoldHeadline] = []
-    scores: list[np.ndarray] = []
-    for headline, (vec, covered) in zip(ordered, scored):
-        if covered == 0 and uncovered == "skip":
-            continue
-        kept.append(headline)
-        scores.append(vec)
+    kept = [(h, vec) for h, vec, covered in scored if covered or uncovered == "zero"]
     if not kept:
         raise EvaluationError("no headlines left to evaluate")
-    return kept, np.stack(scores)
+    return [h for h, _ in kept], np.stack([vec for _, vec in kept])
+
+
+def _regression(
+    gold: GoldSet, lex: EmotionLexicon, mapping: EmotionMapping, scored: _Scored, uncovered: str
+) -> dict[str, float]:
+    targets = _check_mapping(mapping, gold.emotions, lex)
+    kept, scores = _kept_scores(scored, uncovered)
+    results: dict[str, float] = {}
+    for target in targets:
+        source_col = lex.emotions.index(mapping.pairs[target])
+        predicted = scores[:, source_col]
+        actual = [h.gold[target] for h in kept]
+        results[target] = pearson(predicted, actual)
+    return results
 
 
 def evaluate_regression(
@@ -212,15 +226,7 @@ def evaluate_regression(
 ) -> dict[str, float]:
     """Per mapped target emotion, the Pearson correlation between predicted
     headline scores (the mapped lexicon column) and gold scores."""
-    targets = _check_mapping(mapping, gold.emotions, lex)
-    kept, scores = _scored_headlines(gold.headlines, lex, uncovered)
-    results: dict[str, float] = {}
-    for target in targets:
-        source_col = lex.emotions.index(mapping.pairs[target])
-        predicted = scores[:, source_col]
-        actual = [h.gold[target] for h in kept]
-        results[target] = pearson(predicted, actual)
-    return results
+    return _regression(gold, lex, mapping, _scored_headlines(gold.headlines, lex), uncovered)
 
 
 def precision_recall_f1(tp: int, fp: int, fn: int) -> ClassificationMetrics:
@@ -232,23 +238,19 @@ def precision_recall_f1(tp: int, fp: int, fn: int) -> ClassificationMetrics:
     return ClassificationMetrics(precision=precision, recall=recall, f1=f1)
 
 
-def evaluate_classification(
+def _classification(
     gold: GoldSet,
     lex: EmotionLexicon,
     mapping: EmotionMapping,
-    *,
-    threshold: float = 0.5,
-    uncovered: str = "zero",
-    minmax: str = "per-emotion",
+    scored: _Scored,
+    threshold: float,
+    uncovered: str,
+    minmax: str,
 ) -> dict[str, ClassificationMetrics]:
-    """Binary decisions per emotion after min-max normalizing predicted scores
-    over all test headlines: positive iff the normalized score exceeds the
-    threshold (strictly). An emotion with no positive predictions scores 0
-    precision/recall/F1, never an error."""
     if minmax not in MINMAX_SCOPES:
         raise EvaluationError(f"unknown minmax scope {minmax!r}")
     targets = _check_mapping(mapping, gold.emotions, lex)
-    kept, scores = _scored_headlines(gold.headlines, lex, uncovered)
+    kept, scores = _kept_scores(scored, uncovered)
     raw = np.stack(
         [scores[:, lex.emotions.index(mapping.pairs[t])] for t in targets], axis=1
     )
@@ -269,20 +271,32 @@ def evaluate_classification(
     return results
 
 
-def coverage_stats(
-    headlines: Sequence[GoldHeadline], lex: EmotionLexicon
-) -> CoverageStats:
-    """Mean per-headline covered-token fraction; zero-token headlines are
-    skipped and counted."""
+def evaluate_classification(
+    gold: GoldSet,
+    lex: EmotionLexicon,
+    mapping: EmotionMapping,
+    *,
+    threshold: float = 0.5,
+    uncovered: str = "zero",
+    minmax: str = "per-emotion",
+) -> dict[str, ClassificationMetrics]:
+    """Binary decisions per emotion after min-max normalizing predicted scores
+    over all test headlines: positive iff the normalized score exceeds the
+    threshold (strictly). An emotion with no positive predictions scores 0
+    precision/recall/F1, never an error."""
+    scored = _scored_headlines(gold.headlines, lex)
+    return _classification(gold, lex, mapping, scored, threshold, uncovered, minmax)
+
+
+def _coverage(scored: _Scored) -> CoverageStats:
     ratios: list[float] = []
     uncovered = 0
     skipped = 0
-    for headline in sorted(headlines, key=lambda h: h.headline_id):
+    for headline, _, covered in scored:
         total = len(headline.tokens)
         if total == 0:
             skipped += 1
             continue
-        covered = sum(1 for t in headline.tokens if t in lex)
         if covered == 0:
             uncovered += 1
         ratios.append(covered / total)
@@ -293,6 +307,14 @@ def coverage_stats(
         uncovered_headlines=uncovered,
         skipped_empty_headlines=skipped,
     )
+
+
+def coverage_stats(
+    headlines: Sequence[GoldHeadline], lex: EmotionLexicon
+) -> CoverageStats:
+    """Mean per-headline covered-token fraction; zero-token headlines are
+    skipped and counted."""
+    return _coverage(_scored_headlines(headlines, lex))
 
 
 def evaluate_all(
@@ -306,19 +328,15 @@ def evaluate_all(
     with_classification: bool = True,
 ) -> EvalReport:
     """Full report: regression, optional classification, coverage, and the
-    list of discarded target emotions."""
-    regression = evaluate_regression(gold, lex, mapping, uncovered=uncovered)
+    list of discarded target emotions. Every headline is scored once."""
+    scored = _scored_headlines(gold.headlines, lex)
+    regression = _regression(gold, lex, mapping, scored, uncovered)
     classification = None
     if with_classification:
-        classification = evaluate_classification(
-            gold,
-            lex,
-            mapping,
-            threshold=threshold,
-            uncovered=uncovered,
-            minmax=minmax,
+        classification = _classification(
+            gold, lex, mapping, scored, threshold, uncovered, minmax
         )
-    coverage = coverage_stats(gold.headlines, lex)
+    coverage = _coverage(scored)
     discarded = tuple(
         t for t in gold.emotions if t not in mapping.pairs
     )
@@ -387,15 +405,20 @@ def load_gold(
     scale = 100.0 if any(v > 1.0 for _, _, values in parsed for v in values) else 1.0
     if scale != 1.0:
         logger.info("gold scores detected on a 0-100 scale; dividing by 100")
-    headlines = []
-    for headline_id, text, values in parsed:
-        tokens = tuple(
-            textpipe.lemmatize(textpipe.tokenize(text), table, vocab=vocab, policy=ambiguity)
+    streams = textpipe.lemmatize_all(
+        (textpipe.tokenize(text) for _, text, _ in parsed),
+        table,
+        vocab=vocab,
+        policy=ambiguity,
+    )
+    headlines = [
+        GoldHeadline(
+            headline_id=headline_id,
+            tokens=tuple(tokens),
+            gold={e: v / scale for e, v in zip(emotions, values)},
         )
-        gold = {e: v / scale for e, v in zip(emotions, values)}
-        headlines.append(
-            GoldHeadline(headline_id=headline_id, tokens=tokens, gold=gold)
-        )
+        for (headline_id, _, values), tokens in zip(parsed, streams)
+    ]
     return GoldSet(emotions=emotions, headlines=tuple(headlines))
 
 

@@ -30,6 +30,7 @@ from .matrix import (
     filter_min_df,
     write_matrix_dump,
 )
+from .sink import open_sink
 
 logger = logging.getLogger(__name__)
 
@@ -189,25 +190,27 @@ def build_lexicon(
     emotions = emotions if emotions is not None else EmotionSet.default()
     table = lemma_table if lemma_table is not None else textpipe.LemmaTable()
 
-    prepared: list[DocumentRecord] = []
-    raw_lengths: dict[str, int] = {}
-    for record in corpus:
-        if record.tokens is not None:
-            candidates: Sequence[str] = record.tokens
-        else:
-            candidates = textpipe.lemmatize(
-                textpipe.tokenize(record.text or ""), table, vocab=vocab, policy=ambiguity
-            )
-        raw_lengths[record.doc_id] = len(candidates)
-        filtered = textpipe.filter_vocabulary(candidates, vocab)
-        prepared.append(
-            DocumentRecord(
-                doc_id=record.doc_id, votes=record.votes, tokens=tuple(filtered)
-            )
+    lemmatized = iter(
+        textpipe.lemmatize_all(
+            (textpipe.tokenize(record.text or "") for record in corpus if record.tokens is None),
+            table,
+            vocab=vocab,
+            policy=ambiguity,
         )
-
-    kept = [record for record in prepared if record.tokens]
-    empty = len(prepared) - len(kept)
+    )
+    streams = [
+        record.tokens if record.tokens is not None else next(lemmatized) for record in corpus
+    ]
+    # Vocabulary membership is decided once per distinct candidate.
+    in_vocab = {token for token in set().union(*streams) if token in vocab}
+    raw_lengths: dict[str, int] = {}
+    kept: list[DocumentRecord] = []
+    for record, candidates in zip(corpus, streams):
+        raw_lengths[record.doc_id] = len(candidates)
+        filtered = tuple([token for token in candidates if token in in_vocab])
+        if filtered:
+            kept.append(DocumentRecord(doc_id=record.doc_id, votes=record.votes, tokens=filtered))
+    empty = len(corpus) - len(kept)
     if empty:
         logger.warning(
             "%d document(s) had no tokens after vocabulary filtering and were dropped",
@@ -217,8 +220,6 @@ def build_lexicon(
     counted = count_terms(kept, raw_lengths=raw_lengths)
     counted = filter_min_df(counted, min_df)
     weighted = apply_weighting(counted, scheme, nf_length=nf_length)
-    if matrix_dump_sink is not None:
-        write_matrix_dump(weighted, matrix_dump_sink)
     votes = vote_matrix(kept, emotions)
 
     raw_we = emotion_product(weighted, votes)
@@ -228,6 +229,9 @@ def build_lexicon(
         raise LexiconError("empty lexicon: every word row had zero mass")
     if dropped_rows:
         logger.info("dropped %d all-zero lexicon row(s)", dropped_rows)
+    # Written only once the lexicon is known to build.
+    if matrix_dump_sink is not None:
+        write_matrix_dump(weighted, matrix_dump_sink)
 
     provenance = [
         ("scheme", scheme),
@@ -250,20 +254,15 @@ def build_lexicon(
 def write_lexicon(lex: EmotionLexicon, sink) -> None:
     """Serialize a lexicon: ``#`` metadata lines, a header naming the
     emotions, then one tab-separated row per word in lexicographic order with
-    scores at 9 significant digits."""
+    scores at 9 significant digits. ``sink`` is a text stream or a path; a
+    path is written atomically."""
 
-    def _write(fh) -> None:
+    with open_sink(sink) as fh:
         for key, value in lex.provenance:
             fh.write(f"# {key}: {value}\n")
         fh.write(HEADER_KEY + "\t" + "\t".join(lex.emotions) + "\n")
         for word, vec in lex.items():
             fh.write(word + "\t" + "\t".join(_fmt(v) for v in vec) + "\n")
-
-    if hasattr(sink, "write"):
-        _write(sink)
-    else:
-        with open(sink, "w", encoding="utf-8", newline="\n") as fh:
-            _write(fh)
 
 
 def read_lexicon(source) -> EmotionLexicon:

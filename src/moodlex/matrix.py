@@ -1,6 +1,6 @@
 """Sparse term-by-document matrices under raw, normalized, and tf-idf weights.
 
-Counting is integer arithmetic and rows are sorted by word afterwards, so the
+Counting is integer arithmetic and rows follow sorted word order, so the
 matrix does not depend on the order words are first seen. No explicit zeros
 are ever stored.
 """
@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import dataclasses
 import logging
-from collections import Counter
 from functools import cached_property
+from itertools import chain
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -18,6 +18,7 @@ from scipy import sparse
 
 from .corpus import DocumentRecord
 from .errors import MatrixError
+from .sink import open_sink
 
 logger = logging.getLogger(__name__)
 
@@ -76,38 +77,25 @@ def count_terms(
     if len(set(doc_ids)) != len(doc_ids):
         raise MatrixError("duplicate document ids in corpus")
 
-    # First-seen temporary word ids, remapped to sorted order below so the
-    # result does not depend on document order of discovery.
-    word_id: dict[str, int] = {}
-    row_parts: list[np.ndarray] = []
-    col_parts: list[np.ndarray] = []
-    data_parts: list[np.ndarray] = []
-    for col, record in enumerate(kept):
-        counts = Counter(record.tokens)
-        row_parts.append(
-            np.fromiter(
-                (word_id.setdefault(word, len(word_id)) for word in counts),
-                dtype=np.int64,
-                count=len(counts),
-            )
-        )
-        col_parts.append(np.full(len(counts), col, dtype=np.int64))
-        data_parts.append(
-            np.fromiter(counts.values(), dtype=np.float64, count=len(counts))
-        )
-
-    unsorted_words = list(word_id)
-    order = sorted(range(len(unsorted_words)), key=unsorted_words.__getitem__)
-    words = tuple(unsorted_words[i] for i in order)
-    remap = np.empty(len(unsorted_words), dtype=np.int64)
-    remap[np.asarray(order, dtype=np.int64)] = np.arange(len(order), dtype=np.int64)
-
-    rows = remap[np.concatenate(row_parts)]
-    cols = np.concatenate(col_parts)
-    data = np.concatenate(data_parts)
-    mat = sparse.csr_matrix(
-        (data, (rows, cols)), shape=(len(words), len(doc_ids)), dtype=np.float64
+    # Rows are numbered in sorted word order up front, so the matrix does not
+    # depend on the order words are first seen. Every occurrence becomes one
+    # (row, col, 1) entry; the CSR conversion sums duplicates, exactly, since
+    # the counts are integers.
+    words = tuple(sorted(set().union(*(record.tokens for record in kept))))
+    row_of = {word: i for i, word in enumerate(words)}
+    lengths = np.fromiter(
+        (len(record.tokens) for record in kept), dtype=np.int64, count=len(kept)
     )
+    rows = np.fromiter(
+        map(row_of.__getitem__, chain.from_iterable(record.tokens for record in kept)),
+        dtype=np.int32,
+        count=int(lengths.sum()),
+    )
+    cols = np.repeat(np.arange(len(kept), dtype=np.int32), lengths)
+    mat = sparse.coo_matrix(
+        (np.ones(rows.size, dtype=np.float64), (rows, cols)),
+        shape=(len(words), len(doc_ids)),
+    ).tocsr()
     mat.sort_indices()
 
     doc_freq = np.diff(mat.indptr).astype(np.int64)
@@ -238,23 +226,23 @@ def filter_min_df(tdm: TermDocumentMatrix, min_df: int) -> TermDocumentMatrix:
 
 def write_matrix_dump(tdm: TermDocumentMatrix, sink) -> None:
     """Write ``lemma#pos<TAB>doc_id<TAB>weight`` triples in row-major order,
-    after a header recording scheme, corpus size, and the tf-idf variant."""
+    after a header recording scheme, corpus size, and the tf-idf variant.
 
-    def _write(fh) -> None:
+    ``sink`` is a text stream or a path; a path is written atomically."""
+    csr = tdm.matrix
+    indptr = csr.indptr.tolist()
+    indices = csr.indices.tolist()
+    data = csr.data.tolist()
+    doc_ids = tdm.doc_ids
+    with open_sink(sink) as fh:
         fh.write(
             f"# scheme={tdm.scheme}\tn_docs={tdm.n_docs}\ttfidf_variant={tdm.tfidf_variant}\n"
         )
-        csr = tdm.matrix
-        for row in range(len(tdm.words)):
-            start, stop = csr.indptr[row], csr.indptr[row + 1]
-            for pos in range(start, stop):
-                col = csr.indices[pos]
-                fh.write(
-                    f"{tdm.words[row]}\t{tdm.doc_ids[col]}\t{csr.data[pos]:.9g}\n"
+        for row, word in enumerate(tdm.words):
+            start, stop = indptr[row], indptr[row + 1]
+            fh.write(
+                "".join(
+                    f"{word}\t{doc_ids[col]}\t{value:.9g}\n"
+                    for col, value in zip(indices[start:stop], data[start:stop])
                 )
-
-    if hasattr(sink, "write"):
-        _write(sink)
-    else:
-        with open(sink, "w", encoding="utf-8") as fh:
-            _write(fh)
+            )

@@ -219,6 +219,41 @@ def _candidates(
     return licensed
 
 
+def lemmatize_all(
+    streams: Iterable[Iterable[str]],
+    table: LemmaTable,
+    *,
+    vocab: VocabularyFilter | None = None,
+    policy: str = "all",
+) -> list[list[str]]:
+    """Map each stream of surface tokens to lemma#pos candidate tokens.
+
+    Each occurrence of a surface form yields every candidate licensed by the
+    exception table or ``vocab`` (identity form first, then suffix-rule
+    rewrites), scanned in POS_TAGS order. Without a vocabulary only
+    exception-table hits can be licensed. Under the default ``all`` policy
+    every licensed candidate is emitted; ``first`` keeps only the first.
+
+    Candidates depend only on the surface form, so they are worked out once
+    per distinct surface form in the whole call.
+    """
+    if policy not in AMBIGUITY_POLICIES:
+        raise TextPipeError(
+            f"unknown ambiguity policy {policy!r}: expected one of {AMBIGUITY_POLICIES}"
+        )
+    memo: dict[str, list[str]] = {}
+    out: list[list[str]] = []
+    for tokens in streams:
+        expanded: list[str] = []
+        for surface in tokens:
+            candidates = memo.get(surface)
+            if candidates is None:
+                candidates = memo[surface] = _candidates(surface, table, vocab, policy)
+            expanded.extend(candidates)
+        out.append(expanded)
+    return out
+
+
 def lemmatize(
     tokens: Iterable[str],
     table: LemmaTable,
@@ -226,22 +261,8 @@ def lemmatize(
     vocab: VocabularyFilter | None = None,
     policy: str = "all",
 ) -> list[str]:
-    """Map surface tokens to lemma#pos candidate tokens.
-
-    Each occurrence of a surface form yields every candidate licensed by the
-    exception table or ``vocab`` (identity form first, then suffix-rule
-    rewrites), scanned in POS_TAGS order. Without a vocabulary only
-    exception-table hits can be licensed. Under the default ``all`` policy
-    every licensed candidate is emitted; ``first`` keeps only the first.
-    """
-    if policy not in AMBIGUITY_POLICIES:
-        raise TextPipeError(
-            f"unknown ambiguity policy {policy!r}: expected one of {AMBIGUITY_POLICIES}"
-        )
-    out: list[str] = []
-    for surface in tokens:
-        out.extend(_candidates(surface, table, vocab, policy))
-    return out
+    """One stream through :func:`lemmatize_all`."""
+    return lemmatize_all([tokens], table, vocab=vocab, policy=policy)[0]
 
 
 def filter_vocabulary(tokens: Iterable[str], vocab: VocabularyFilter) -> list[str]:

@@ -132,6 +132,36 @@ class TestBuild:
         assert "# scheme=normalized\tn_docs=5\t" in dump
         assert "awe#n\td1\t" in dump
 
+    def test_failed_build_leaves_no_output_files(self, workdir, caplog):
+        # Six of the eight emotion columns receive no votes at all.
+        lines = [
+            {"id": "d1", "tokens": ["awe#n", "war#n"], "votes": {"AFRAID": 1.0}},
+            {"id": "d2", "tokens": ["game#n"], "votes": {"SAD": 1.0}},
+        ]
+        (workdir / "corpus.jsonl").write_text(
+            "".join(json.dumps(r) + "\n" for r in lines), encoding="utf-8"
+        )
+        before = sorted(p.name for p in workdir.iterdir())
+        assert main(build_args(workdir, dump_matrix=str(workdir / "dump.tsv"))) == 1
+        messages = [r.message for r in caplog.records if r.levelname == "ERROR"]
+        assert any("build-lexicon: emotion column(s) with zero mass" in m for m in messages)
+        assert sorted(p.name for p in workdir.iterdir()) == before
+
+    def test_failed_build_keeps_earlier_outputs(self, workdir):
+        (workdir / "lex.tsv").write_text("earlier lexicon\n", encoding="utf-8")
+        (workdir / "dump.tsv").write_text("earlier dump\n", encoding="utf-8")
+        (workdir / "vocab.txt").write_text("absent#n\n", encoding="utf-8")
+        assert main(build_args(workdir, dump_matrix=str(workdir / "dump.tsv"))) == 1
+        assert (workdir / "lex.tsv").read_text(encoding="utf-8") == "earlier lexicon\n"
+        assert (workdir / "dump.tsv").read_text(encoding="utf-8") == "earlier dump\n"
+
+    def test_output_that_is_a_directory_exits_one(self, workdir, caplog):
+        (workdir / "out").mkdir()
+        assert main(build_args(workdir, output="out")) == 1
+        messages = [r.message for r in caplog.records if r.levelname == "ERROR"]
+        assert any(m.startswith("write-lexicon: ") for m in messages)
+        assert sorted(p.name for p in workdir.iterdir()) == ["corpus.jsonl", "out", "vocab.txt"]
+
     def test_non_default_flags_reach_the_pipeline(self, workdir):
         args = build_args(
             workdir,

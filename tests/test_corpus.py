@@ -175,6 +175,50 @@ class TestParseCorpus:
         with pytest.raises(CorpusError, match="bad token"):
             parse_corpus(stream, emotions)
 
+    def test_same_bad_token_reported_on_every_line(self, emotions):
+        stream = [
+            line("a", {"AFRAID": 1.0}, tokens=["awe#n", "BAD#z"]),
+            line("b", {"AFRAID": 1.0}, tokens=["awe#n"]),
+            line("c", {"AFRAID": 1.0}, tokens=["BAD#z", "awe#n"]),
+            line("d", {"AFRAID": 1.0}, tokens=["awe#n", ["awe#n"]]),
+            line("e", {"AFRAID": 1.0}, tokens=[["awe#n"]]),
+        ]
+        with pytest.raises(CorpusError) as info:
+            parse_corpus(stream, emotions)
+        message = str(info.value)
+        assert "4 malformed line(s)" in message
+        assert message.count("bad token 'BAD#z'") == 2
+        assert "line 1: bad token 'BAD#z'" in message
+        assert "line 3: bad token 'BAD#z'" in message
+        assert "line 4: token ['awe#n'] is not a string" in message
+        assert "line 5: token ['awe#n'] is not a string" in message
+
+    def test_each_distinct_token_parsed_once(self, emotions, monkeypatch):
+        from moodlex import textpipe
+
+        calls = []
+        original = textpipe.LemmaPos.parse
+
+        def counting(token):
+            calls.append(token)
+            return original(token)
+
+        monkeypatch.setattr(textpipe.LemmaPos, "parse", staticmethod(counting))
+        stream = [
+            line("a", {"AFRAID": 1.0}, tokens=["awe#n", "war#n", "awe#n"]),
+            line("b", {"AFRAID": 1.0}, tokens=["war#n", "kill#v"]),
+            line("c", {"AFRAID": 1.0}, tokens=["kill#v", "awe#n"]),
+        ]
+        records = parse_corpus(stream, emotions)
+        assert sorted(calls) == ["awe#n", "kill#v", "war#n"]
+        assert [r.tokens for r in records] == [
+            ("awe#n", "war#n", "awe#n"),
+            ("war#n", "kill#v"),
+            ("kill#v", "awe#n"),
+        ]
+        # One string object per distinct token across the whole parse.
+        assert records[0].tokens[0] is records[2].tokens[1]
+
     def test_vote_error_collected_with_line_number(self, emotions):
         stream = [line("a", {"AFRAID": 0.4})]
         with pytest.raises(CorpusError, match="line 1.*corrupt"):

@@ -434,6 +434,36 @@ class TestEvaluateAll:
         assert set(report.regression) == {"FEAR", "JOY"}
         assert report.classification is None
 
+    @pytest.mark.parametrize("uncovered", ["zero", "skip"])
+    def test_scores_each_headline_once(self, tiny_lexicon, monkeypatch, uncovered):
+        from moodlex import evaluate
+
+        mapping = EmotionMapping(pairs={"FEAR": "AFRAID", "JOY": "AMUSED"})
+        headlines = [
+            headline("h4", ["half#n", "nolex#n"], {"FEAR": 0.5, "JOY": 0.2}, labels=["FEAR"]),
+            headline("h1", ["afraid#a"], {"FEAR": 1.0, "JOY": 0.0}, labels=["FEAR"]),
+            headline("h3", ["nolex#n"], {"FEAR": 0.1, "JOY": 0.3}),
+            headline("h2", ["amused#a", "angry#a"], {"FEAR": 0.0, "JOY": 1.0}, labels=["JOY"]),
+        ]
+        gold = gold_set(headlines, ["FEAR", "JOY"])
+        expected = (
+            evaluate_regression(gold, tiny_lexicon, mapping, uncovered=uncovered),
+            evaluate_classification(gold, tiny_lexicon, mapping, uncovered=uncovered),
+            coverage_stats(gold.headlines, tiny_lexicon),
+        )
+        calls = []
+        original = evaluate.score_headline
+
+        def counting(tokens, lex):
+            calls.append(tuple(tokens))
+            return original(tokens, lex)
+
+        monkeypatch.setattr(evaluate, "score_headline", counting)
+        report = evaluate_all(gold, tiny_lexicon, mapping, uncovered=uncovered)
+        assert len(calls) == 4
+        assert (report.regression, report.classification, report.coverage) == expected
+        assert report.coverage.uncovered_headlines == 1
+
 
 class TestGoldLoading:
     def write_gold(self, tmp_path, rows, header="id\ttext\tFEAR\tJOY"):

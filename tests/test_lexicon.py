@@ -12,6 +12,7 @@ from moodlex import (
     DocEmotionMatrix,
     DocumentRecord,
     EmotionSet,
+    LemmaTable,
     LexiconError,
     TextPipeError,
     VocabularyFilter,
@@ -21,9 +22,11 @@ from moodlex import (
     emotion_product,
     read_lexicon,
     row_scale,
+    tokenize,
     validate_votes,
     write_lexicon,
 )
+from moodlex import textpipe
 from moodlex.lexicon import EmotionLexicon
 
 from dense_reference import dense_build, dense_product
@@ -272,6 +275,44 @@ class TestBuildLexicon:
         happy = emotions.index("HAPPY")
         assert lex.row("kill#v")[afraid] > lex.row("game#n")[afraid]
         assert lex.row("game#n")[happy] > lex.row("kill#v")[happy]
+
+    @pytest.mark.parametrize("scheme", ["raw", "normalized", "tfidf"])
+    @pytest.mark.parametrize("ambiguity", ["all", "first"])
+    def test_text_corpus_with_shared_surfaces_matches_dense_reference(
+        self, emotions, scheme, ambiguity
+    ):
+        # Every document draws from one small surface pool, so surface forms
+        # repeat within and across documents; the oracle expands each
+        # occurrence independently with the unmemoized candidate function.
+        table = LemmaTable(
+            entries=[("men", "n", "man"), ("ran", "v", "run")],
+            rules=[("v", "ed", ""), ("n", "s", "")],
+        )
+        vocab_words = ["man#n", "run#v", "run#n", "walk#v", "war#n", "war#v", "sad#a", "kill#v"]
+        vocab = VocabularyFilter(vocab_words)
+        pool = ["Men", "ran", "runs", "walked", "wars", "war", "sad", "kill", "the", "xyzzy"]
+        rng = np.random.default_rng(79)
+        records = []
+        triples = []
+        for j in range(10):
+            picks = rng.integers(0, len(pool), size=int(rng.integers(1, 9)))
+            text = " ".join(pool[int(k)] for k in picks) + "!"
+            votes = rng.random(8) + 0.05
+            votes = votes / votes.sum()
+            records.append(DocumentRecord(doc_id=f"t{j}", votes=votes, text=text))
+            candidates = [
+                c
+                for surface in tokenize(text)
+                for c in textpipe._candidates(surface, table, vocab, ambiguity)
+            ]
+            triples.append((f"t{j}", candidates, votes))
+        lex = build_lexicon(
+            records, vocab, scheme, lemma_table=table, ambiguity=ambiguity, nf_length="raw"
+        )
+        expected = dense_build(triples, set(vocab_words), scheme, nf_length="raw")
+        assert set(lex.words) == set(expected)
+        for word, row in expected.items():
+            np.testing.assert_allclose(lex.row(word), row, atol=1e-9)
 
     def test_empty_lexicon_is_error(self, emotions):
         records = [doc(emotions, "d0", ["a#n"], {"AFRAID": 1.0})]

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moodlex import (
     LemmaPos,
@@ -13,8 +15,10 @@ from moodlex import (
     VocabularyFilter,
     filter_vocabulary,
     lemmatize,
+    lemmatize_all,
     tokenize,
 )
+from moodlex import textpipe
 
 
 class TestTokenize:
@@ -192,6 +196,61 @@ class TestLemmatize:
             "xyzzy#n",              # unmapped pass-through
         ]
         assert lemmatize(tokens, table, vocab=vocab) == expected
+
+
+# Surfaces over a tiny alphabet repeat often within and across streams, and
+# hit table entries, identity licensing, rule rewrites and pass-through.
+MEMO_TABLE = LemmaTable(
+    entries=[("men", "n", "man"), ("ran", "v", "run")],
+    rules=[("v", "ed", ""), ("n", "s", ""), ("a", "er", "")],
+)
+MEMO_VOCAB = VocabularyFilter(
+    ["man#n", "run#v", "run#n", "a#n", "ab#v", "ab#a", "b#n", "ba#r", "men#a"]
+)
+SURFACES = st.sampled_from(["men", "ran", "run", "runs", "abed", "aber", "abs", "a", "b", "ba"])
+STREAMS = st.lists(
+    st.lists(SURFACES | st.text(alphabet="abms", min_size=1, max_size=3), max_size=8),
+    max_size=6,
+)
+
+
+class TestLemmatizeAll:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        streams=STREAMS,
+        policy=st.sampled_from(["all", "first"]),
+        vocab=st.sampled_from([None, MEMO_VOCAB]),
+    )
+    def test_matches_unmemoized_candidates_per_stream(self, streams, policy, vocab):
+        expected = [
+            [c for s in stream for c in textpipe._candidates(s, MEMO_TABLE, vocab, policy)]
+            for stream in streams
+        ]
+        assert lemmatize_all(streams, MEMO_TABLE, vocab=vocab, policy=policy) == expected
+
+    def test_candidates_run_once_per_distinct_surface(self, monkeypatch):
+        calls = []
+        original = textpipe._candidates
+
+        def counting(surface, table, vocab, policy):
+            calls.append(surface)
+            return original(surface, table, vocab, policy)
+
+        monkeypatch.setattr(textpipe, "_candidates", counting)
+        streams = [["men", "runs", "men"], [], ["runs", "abed", "men"], ["abed"]]
+        out = lemmatize_all(iter(streams), MEMO_TABLE, vocab=MEMO_VOCAB)
+        assert sorted(calls) == ["abed", "men", "runs"]
+        # men: table man#n, then identity men#a; runs: rule n -s.
+        assert out[0] == ["man#n", "men#a", "run#n", "man#n", "men#a"]
+        assert out[1] == []
+
+    def test_bad_policy_raised_before_reading_streams(self):
+        def streams():
+            raise AssertionError("streams consumed")
+            yield []
+
+        with pytest.raises(TextPipeError, match="ambiguity policy"):
+            lemmatize_all(streams(), MEMO_TABLE, policy="best")
 
 
 class TestFilterVocabulary:
