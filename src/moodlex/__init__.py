@@ -45,6 +45,7 @@ from .evaluate import (
     min_max_normalize,
     pearson,
     precision_recall_f1,
+    score_all,
     score_headline,
 )
 from .lexicon import (
@@ -61,8 +62,6 @@ from .matrix import (
     apply_weighting,
     count_terms,
     filter_min_df,
-    normalized_frequency,
-    tfidf_weight,
     write_matrix_dump,
 )
 from .textpipe import (

@@ -18,7 +18,7 @@ from contextlib import contextmanager, nullcontext
 from . import __version__
 from .corpus import EmotionSet, corpus_stats, load_corpus
 from .errors import MoodlexError
-from .evaluate import EmotionMapping, evaluate_all, load_gold, load_labels, score_headline
+from .evaluate import EmotionMapping, evaluate_all, load_gold, load_labels, score_all
 from .lexicon import _fmt, build_lexicon, read_lexicon, write_lexicon
 from .sink import open_sink
 from .textpipe import LemmaTable, VocabularyFilter, lemmatize_all, tokenize
@@ -39,7 +39,7 @@ class _StageError(Exception):
 def _in_stage(name: str):
     try:
         yield
-    except (MoodlexError, OSError) as exc:
+    except (MoodlexError, OSError, UnicodeError) as exc:
         raise _StageError(f"{name}: {exc}") from exc
 
 
@@ -266,20 +266,19 @@ def cmd_score(args: argparse.Namespace) -> int:
     if args.lemma_table:
         table = _stage("load-lemma-table", LemmaTable.from_file, args.lemma_table)
     entries = _stage("read-input", _read_score_input, args.input)
-    vocab = VocabularyFilter(lex.words)
     token_streams = lemmatize_all(
-        (tokenize(text) for _, text in entries), table, vocab=vocab, policy=args.ambiguity
+        (tokenize(text) for _, text in entries), table, vocab=lex, policy=args.ambiguity
     )
-    scored = [score_headline(tokens, lex) for tokens in token_streams]
+    scores, covered = score_all(token_streams, lex)
 
     inputs = [("lexicon", args.lexicon), ("input", args.input)]
     metadata = _metadata("score", args, inputs)
     with _in_stage("write-scores"), open_sink(args.output) as fh:
         _write_metadata(fh, metadata)
         fh.write("id\t" + "\t".join(lex.emotions) + "\tcovered\ttotal\n")
-        for (line_id, _), tokens, (vec, covered) in zip(entries, token_streams, scored):
-            scores = "\t".join(_fmt(v) for v in vec)
-            fh.write(f"{line_id}\t{scores}\t{covered}\t{len(tokens)}\n")
+        for (line_id, _), tokens, vec, n in zip(entries, token_streams, scores, covered):
+            values = "\t".join(_fmt(v) for v in vec)
+            fh.write(f"{line_id}\t{values}\t{n}\t{len(tokens)}\n")
     logger.info("scored %d line(s)", len(entries))
     return 0
 

@@ -192,9 +192,13 @@ def _record_fields(obj: object) -> tuple[str, list | None, str | None, Mapping]:
     doc_id = obj["id"]
     if not isinstance(doc_id, str) or not doc_id:
         raise _MalformedRecord("'id' must be a non-empty string")
-    # Ids become fields of tab-separated, line-oriented outputs.
+    # Ids become fields of tab-separated, line-oriented UTF-8 outputs.
     if any(c in doc_id for c in "\t\r\n"):
         raise _MalformedRecord("'id' must not contain a tab, CR or LF")
+    try:
+        doc_id.encode("utf-8")
+    except UnicodeEncodeError:
+        raise _MalformedRecord("'id' must be encodable as UTF-8 (no lone surrogates)") from None
     has_tokens = "tokens" in obj
     has_text = "text" in obj
     if has_tokens == has_text:
@@ -263,6 +267,8 @@ def parse_corpus(
                 obj = json.loads(stripped)
             except json.JSONDecodeError as exc:
                 raise _MalformedRecord(f"invalid JSON ({exc.msg})") from None
+            except RecursionError:
+                raise _MalformedRecord("invalid JSON (nesting too deep)") from None
             doc_id, tokens, text, votes_raw = _record_fields(obj)
             if doc_id in seen:
                 raise CorpusError(

@@ -1,9 +1,11 @@
 """Headline evaluation: lexicon scoring, regression and classification
 metrics, label mapping, and coverage statistics.
 
-Headline scoring is independent per headline; metric aggregation always runs
-in headline-id order, so reports are deterministic. Gold scores arriving on
-a 0-100 scale are auto-detected (any value above 1) and divided by 100.
+All headlines of a set are scored together in one ordered scatter-add of
+their covered tokens' lexicon rows, which sums each headline's rows in token
+order; metric aggregation always runs in headline-id order, so reports are
+deterministic. Gold scores arriving on a 0-100 scale are auto-detected (any
+value above 1) and divided by 100.
 """
 
 from __future__ import annotations
@@ -117,18 +119,40 @@ class EvalReport:
     discarded_targets: tuple[str, ...]
 
 
+def score_all(
+    streams: Sequence[Sequence[str]], lex: EmotionLexicon
+) -> tuple[np.ndarray, np.ndarray]:
+    """Score every token stream: the arithmetic mean of the lexicon rows of
+    its covered tokens, plus its covered-token count.
+
+    Tokens absent from the lexicon are skipped; a stream with zero covered
+    tokens scores an all-zero vector with covered count 0, never an error.
+    Each stream's rows are added in token order, as ``np.mean`` adds a stack
+    of rows with two or more columns, so the scores match it bit for bit.
+    """
+    rows = np.fromiter(
+        (lex._row_of.get(t, -1) for tokens in streams for t in tokens), dtype=np.intp
+    )
+    owner = np.repeat(np.arange(len(streams)), [len(tokens) for tokens in streams])
+    hit = rows >= 0
+    owner, rows = owner[hit], rows[hit]
+    covered = np.bincount(owner, minlength=len(streams))
+    sums = np.zeros((len(streams), len(lex.emotions)), dtype=np.float64)
+    # One column at a time, so only one column of the covered rows is
+    # gathered at once; each sum still runs in token order.
+    for j in range(len(lex.emotions)):
+        np.add.at(sums[:, j], owner, lex.scores[rows, j])
+    scored = covered > 0
+    sums[scored] /= covered[scored, None]
+    return sums, covered
+
+
 def score_headline(
     tokens: Sequence[str], lex: EmotionLexicon
 ) -> tuple[np.ndarray, int]:
-    """Arithmetic mean of the lexicon rows of covered tokens.
-
-    Tokens absent from the lexicon are skipped; with zero covered tokens the
-    result is an all-zero vector with covered count 0, never an error.
-    """
-    rows = [lex.row(t) for t in tokens if t in lex]
-    if not rows:
-        return np.zeros(len(lex.emotions), dtype=np.float64), 0
-    return np.mean(rows, axis=0), len(rows)
+    """One stream through :func:`score_all`."""
+    scores, covered = score_all([tokens], lex)
+    return scores[0], int(covered[0])
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
@@ -181,26 +205,27 @@ def _check_mapping(
     return targets
 
 
-#: Headlines in id order, each with its score vector and covered-token count.
-_Scored = Sequence[tuple[GoldHeadline, np.ndarray, int]]
+#: Headlines in id order, their score rows and their covered-token counts.
+_Scored = tuple[list[GoldHeadline], np.ndarray, np.ndarray]
 
 
 def _scored_headlines(headlines: Sequence[GoldHeadline], lex: EmotionLexicon) -> _Scored:
-    """Every headline scored once: (headline, scores, covered count) triples.
+    """Every headline scored once, by one :func:`score_all` call.
 
     Aggregation runs in headline-id order regardless of input order.
     """
     ordered = sorted(headlines, key=lambda h: h.headline_id)
-    return [(h, *score_headline(h.tokens, lex)) for h in ordered]
+    return (ordered, *score_all([h.tokens for h in ordered], lex))
 
 
 def _kept_scores(scored: _Scored, uncovered: str) -> tuple[list[GoldHeadline], np.ndarray]:
     if uncovered not in UNCOVERED_POLICIES:
         raise EvaluationError(f"unknown uncovered policy {uncovered!r}")
-    kept = [(h, vec) for h, vec, covered in scored if covered or uncovered == "zero"]
-    if not kept:
+    ordered, scores, covered = scored
+    keep = (covered > 0) | (uncovered == "zero")
+    if not keep.any():
         raise EvaluationError("no headlines left to evaluate")
-    return [h for h, _ in kept], np.stack([vec for _, vec in kept])
+    return [h for h, k in zip(ordered, keep) if k], scores[keep]
 
 
 def _regression(
@@ -289,23 +314,15 @@ def evaluate_classification(
 
 
 def _coverage(scored: _Scored) -> CoverageStats:
-    ratios: list[float] = []
-    uncovered = 0
-    skipped = 0
-    for headline, _, covered in scored:
-        total = len(headline.tokens)
-        if total == 0:
-            skipped += 1
-            continue
-        if covered == 0:
-            uncovered += 1
-        ratios.append(covered / total)
-    if not ratios:
+    ordered, _, covered = scored
+    total = np.fromiter((len(h.tokens) for h in ordered), dtype=np.int64, count=len(ordered))
+    nonempty = total > 0
+    if not nonempty.any():
         raise EvaluationError("need at least one headline with at least one token")
     return CoverageStats(
-        mean_coverage=float(np.mean(ratios)),
-        uncovered_headlines=uncovered,
-        skipped_empty_headlines=skipped,
+        mean_coverage=float(np.mean(covered[nonempty] / total[nonempty])),
+        uncovered_headlines=int(np.sum(nonempty & (covered == 0))),
+        skipped_empty_headlines=int(np.sum(~nonempty)),
     )
 
 
@@ -363,7 +380,6 @@ def load_gold(
     rejected.
     """
     table = lemma_table if lemma_table is not None else textpipe.LemmaTable()
-    vocab = textpipe.VocabularyFilter(lex.words)
     emotions: tuple[str, ...] | None = None
     parsed: list[tuple[str, str, list[float]]] = []
     with open(path, encoding="utf-8") as fh:
@@ -408,7 +424,7 @@ def load_gold(
     streams = textpipe.lemmatize_all(
         (textpipe.tokenize(text) for _, text, _ in parsed),
         table,
-        vocab=vocab,
+        vocab=lex,
         policy=ambiguity,
     )
     headlines = [

@@ -169,7 +169,6 @@ def build_lexicon(
     col_norm: str = "sum",
     nf_length: str = "filtered",
     min_df: int = 1,
-    extra_provenance: Sequence[tuple[str, str]] = (),
     matrix_dump_sink=None,
 ) -> EmotionLexicon:
     """Run the full pipeline from a validated corpus to an emotion lexicon.
@@ -243,7 +242,6 @@ def build_lexicon(
         ("dropped-zero-rows", str(dropped_rows)),
         ("dropped-empty-docs", str(empty)),
     ]
-    provenance.extend((str(k), str(v)) for k, v in extra_provenance)
     return EmotionLexicon(
         emotions.labels,
         zip(words, scaled),

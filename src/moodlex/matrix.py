@@ -25,8 +25,8 @@ logger = logging.getLogger(__name__)
 SCHEMES = ("raw", "normalized", "tfidf")
 NF_LENGTH_MODES = ("filtered", "raw")
 
-#: Recorded in matrix metadata and dump headers for reproducibility: raw term
-#: count times natural-log inverse document frequency, no smoothing.
+#: Recorded in dump headers for reproducibility: raw term count times
+#: natural-log inverse document frequency, no smoothing.
 TFIDF_VARIANT = "count*ln(N/df)"
 
 
@@ -47,7 +47,6 @@ class TermDocumentMatrix:
     doc_lengths: np.ndarray
     doc_freq: np.ndarray
     raw_doc_lengths: np.ndarray | None = None
-    tfidf_variant: str = TFIDF_VARIANT
 
     @property
     def n_docs(self) -> int:
@@ -117,28 +116,6 @@ def count_terms(
         doc_freq=doc_freq,
         raw_doc_lengths=raw_doc_lengths,
     )
-
-
-def normalized_frequency(count: float, doc_len: int) -> float:
-    """Occurrences divided by document length, in [0, 1]."""
-    if doc_len <= 0:
-        raise MatrixError("document length must be >= 1 for normalized frequency")
-    if count < 0 or count > doc_len:
-        raise MatrixError(f"count {count} outside [0, {doc_len}]")
-    return count / doc_len
-
-
-def tfidf_weight(count: float, df: int, n_docs: int) -> float:
-    """Raw count times ln(n_docs / df); zero for absent terms."""
-    if count == 0:
-        return 0.0
-    if count < 0:
-        raise MatrixError(f"negative count {count}")
-    if df <= 0:
-        raise MatrixError("term has occurrences but document frequency 0")
-    if df > n_docs:
-        raise MatrixError(f"document frequency {df} exceeds corpus size {n_docs}")
-    return count * np.log(n_docs / df)
 
 
 def apply_weighting(
@@ -236,7 +213,7 @@ def write_matrix_dump(tdm: TermDocumentMatrix, sink) -> None:
     doc_ids = tdm.doc_ids
     with open_sink(sink) as fh:
         fh.write(
-            f"# scheme={tdm.scheme}\tn_docs={tdm.n_docs}\ttfidf_variant={tdm.tfidf_variant}\n"
+            f"# scheme={tdm.scheme}\tn_docs={tdm.n_docs}\ttfidf_variant={TFIDF_VARIANT}\n"
         )
         for row, word in enumerate(tdm.words):
             start, stop = indptr[row], indptr[row + 1]

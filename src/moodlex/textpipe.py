@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Container, Iterable, Iterator
 
 from .errors import TextPipeError, VocabularyError
 
@@ -191,7 +191,7 @@ def tokenize(text: str) -> list[str]:
 
 
 def _candidates(
-    surface: str, table: LemmaTable, vocab: VocabularyFilter | None, policy: str
+    surface: str, table: LemmaTable, vocab: Container[str] | None, policy: str
 ) -> list[str]:
     licensed: list[str] = []
     for pos in POS_TAGS:
@@ -223,16 +223,18 @@ def lemmatize_all(
     streams: Iterable[Iterable[str]],
     table: LemmaTable,
     *,
-    vocab: VocabularyFilter | None = None,
+    vocab: Container[str] | None = None,
     policy: str = "all",
 ) -> list[list[str]]:
     """Map each stream of surface tokens to lemma#pos candidate tokens.
 
     Each occurrence of a surface form yields every candidate licensed by the
     exception table or ``vocab`` (identity form first, then suffix-rule
-    rewrites), scanned in POS_TAGS order. Without a vocabulary only
-    exception-table hits can be licensed. Under the default ``all`` policy
-    every licensed candidate is emitted; ``first`` keeps only the first.
+    rewrites), scanned in POS_TAGS order. ``vocab`` is any container of
+    lemma#pos strings: a :class:`VocabularyFilter`, a set, or a lexicon.
+    Without a vocabulary only exception-table hits can be licensed. Under the
+    default ``all`` policy every licensed candidate is emitted; ``first``
+    keeps only the first.
 
     Candidates depend only on the surface form, so they are worked out once
     per distinct surface form in the whole call.
@@ -258,7 +260,7 @@ def lemmatize(
     tokens: Iterable[str],
     table: LemmaTable,
     *,
-    vocab: VocabularyFilter | None = None,
+    vocab: Container[str] | None = None,
     policy: str = "all",
 ) -> list[str]:
     """One stream through :func:`lemmatize_all`."""

@@ -10,6 +10,44 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+import numpy as np
+
+from moodlex import MatrixError
+
+
+def normalized_frequency(count: float, doc_len: int) -> float:
+    """Occurrences divided by document length, in [0, 1]."""
+    if doc_len <= 0:
+        raise MatrixError("document length must be >= 1 for normalized frequency")
+    if count < 0 or count > doc_len:
+        raise MatrixError(f"count {count} outside [0, {doc_len}]")
+    return count / doc_len
+
+
+def tfidf_weight(count: float, df: int, n_docs: int) -> float:
+    """Raw count times ln(n_docs / df); zero for absent terms."""
+    if count == 0:
+        return 0.0
+    if count < 0:
+        raise MatrixError(f"negative count {count}")
+    if df <= 0:
+        raise MatrixError("term has occurrences but document frequency 0")
+    if df > n_docs:
+        raise MatrixError(f"document frequency {df} exceeds corpus size {n_docs}")
+    return count * np.log(n_docs / df)
+
+
+def mean_scores(streams, lex):
+    """Per stream, ``np.mean`` over the lexicon rows of its covered tokens
+    (all zeros when none is covered), and the covered count."""
+    scores = []
+    covered = []
+    for tokens in streams:
+        rows = [lex.row(t) for t in tokens if t in lex]
+        scores.append(np.mean(rows, axis=0) if rows else np.zeros(len(lex.emotions)))
+        covered.append(len(rows))
+    return scores, covered
+
 
 def dense_count(token_streams):
     """Nested-loop recount: words sorted, one column per stream, in order."""

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -384,6 +387,82 @@ class TestScore:
         args[2] = str(built / "absent.tsv")
         assert main(args) == 1
         assert any("read-lexicon" in r.message for r in caplog.records)
+
+
+class TestBadInput:
+    """Bad input bytes end in a stage error and exit code 1, never a traceback."""
+
+    COMMANDS = {
+        "build": [
+            "build", "--corpus", "corpus.jsonl", "--vocab", "vocab.txt",
+            "--lemma-table", "lemmas.tsv", "--output", "new.tsv",
+        ],
+        "stats": ["stats", "--corpus", "corpus.jsonl"],
+        "score": [
+            "score", "--lexicon", "lex.tsv", "--input", "headlines.tsv",
+            "--lemma-table", "lemmas.tsv", "--output", "out.tsv",
+        ],
+        "eval": [
+            "eval", "--lexicon", "lex.tsv", "--gold", "gold.tsv", "--labels", "labels.tsv",
+            "--mapping", "mapping.tsv", "--lemma-table", "lemmas.tsv", "--output", "out.tsv",
+        ],
+    }
+
+    @pytest.mark.parametrize(
+        "subcommand, name, stage",
+        [
+            ("build", "corpus.jsonl", "load-corpus"),
+            ("build", "vocab.txt", "load-vocabulary"),
+            ("build", "lemmas.tsv", "load-lemma-table"),
+            ("stats", "corpus.jsonl", "load-corpus"),
+            ("score", "lex.tsv", "read-lexicon"),
+            ("score", "lemmas.tsv", "load-lemma-table"),
+            ("score", "headlines.tsv", "read-input"),
+            ("eval", "lex.tsv", "read-lexicon"),
+            ("eval", "gold.tsv", "load-gold"),
+            ("eval", "labels.tsv", "load-labels"),
+            ("eval", "mapping.tsv", "load-mapping"),
+        ],
+    )
+    def test_non_utf8_byte_in_any_input_file(
+        self, built, monkeypatch, caplog, subcommand, name, stage
+    ):
+        monkeypatch.chdir(built)
+        Path("lemmas.tsv").write_text("killed\tv\tkill\n", encoding="utf-8")
+        Path("headlines.tsv").write_text("h1\tawe\n", encoding="utf-8")
+        assert main(self.COMMANDS[subcommand]) == 0
+        with open(name, "ab") as fh:
+            fh.write(b"caf\xe9\n")  # Latin-1, not UTF-8
+        assert main(self.COMMANDS[subcommand]) == 1
+        messages = [r.message for r in caplog.records if r.levelname == "ERROR"]
+        assert any(m.startswith(f"{stage}: 'utf-8' codec can't decode") for m in messages)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            (b"\xff\n", "load-corpus: 'utf-8' codec can't decode byte 0xff"),
+            (b"[" * 100_000 + b"\n", "line 6: invalid JSON (nesting too deep)"),
+            (
+                json.dumps({"id": "d\ud800", "tokens": ["awe#n"], "votes": {"SAD": 1}}).encode()
+                + b"\n",
+                "line 6: 'id' must be encodable as UTF-8",
+            ),
+        ],
+        ids=["non-utf8", "deep-nesting", "lone-surrogate-id"],
+    )
+    def test_build_reports_stage_error_without_traceback(self, workdir, line, message):
+        with open(workdir / "corpus.jsonl", "ab") as fh:
+            fh.write(line)
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        args = build_args(workdir, dump_matrix=str(workdir / "dump.tsv"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "moodlex.cli", *args],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 1
+        assert "ERROR load-corpus: " in proc.stderr and message in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert sorted(p.name for p in workdir.iterdir()) == ["corpus.jsonl", "vocab.txt"]
 
 
 GOLDEN_DIR = Path(__file__).parent / "data"

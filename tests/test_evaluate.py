@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moodlex import (
     EmotionLexicon,
@@ -20,10 +22,11 @@ from moodlex import (
     min_max_normalize,
     pearson,
     precision_recall_f1,
+    score_all,
     score_headline,
 )
 
-from dense_reference import exact_pearson
+from dense_reference import exact_pearson, mean_scores
 
 EMOTIONS = ("AFRAID", "AMUSED", "ANGRY", "ANNOYED", "DONT_CARE", "HAPPY", "INSPIRED", "SAD")
 
@@ -82,6 +85,38 @@ class TestScoreHeadline:
         vec, covered = score_headline(["afraid#a", "amused#a", "half#n"], tiny_lexicon)
         assert covered == 3
         assert abs(vec.sum() - 1.0) <= 1e-9
+
+
+@st.composite
+def lexicon_and_streams(draw):
+    """A random lexicon and token streams with repeats, uncovered tokens and
+    empty streams."""
+    n_emotions = draw(st.integers(1, 8))
+    words = [f"w{i}#n" for i in range(draw(st.integers(1, 12)))]
+    value = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
+    row = st.lists(value, min_size=n_emotions, max_size=n_emotions)
+    lex = EmotionLexicon(
+        [f"E{j}" for j in range(n_emotions)], {w: np.array(draw(row)) for w in words}
+    )
+    token = st.sampled_from(words + ["gone#n", "nolex#v"])
+    return lex, draw(st.lists(st.lists(token, max_size=40), max_size=12))
+
+
+class TestScoreAll:
+    @settings(max_examples=300, deadline=None)
+    @given(case=lexicon_and_streams())
+    def test_matches_np_mean_reference(self, case):
+        lex, streams = case
+        scores, covered = score_all(streams, lex)
+        expected, expected_covered = mean_scores(streams, lex)
+        expected = np.reshape(expected, scores.shape)
+        assert np.array_equal(covered, expected_covered)
+        if len(lex.emotions) > 1:
+            assert np.array_equal(scores, expected)
+        else:
+            # np.mean sums a one-column stack pairwise, not in token order;
+            # 40 float64 terms stay far inside this bound.
+            np.testing.assert_allclose(scores, expected, rtol=1e-12, atol=0)
 
 
 class TestPearson:
@@ -452,15 +487,15 @@ class TestEvaluateAll:
             coverage_stats(gold.headlines, tiny_lexicon),
         )
         calls = []
-        original = evaluate.score_headline
+        original = evaluate.score_all
 
-        def counting(tokens, lex):
-            calls.append(tuple(tokens))
-            return original(tokens, lex)
+        def counting(streams, lex):
+            calls.append(list(streams))
+            return original(streams, lex)
 
-        monkeypatch.setattr(evaluate, "score_headline", counting)
+        monkeypatch.setattr(evaluate, "score_all", counting)
         report = evaluate_all(gold, tiny_lexicon, mapping, uncovered=uncovered)
-        assert len(calls) == 4
+        assert len(calls) == 1 and len(calls[0]) == 4
         assert (report.regression, report.classification, report.coverage) == expected
         assert report.coverage.uncovered_headlines == 1
 

@@ -14,13 +14,11 @@ from moodlex import (
     apply_weighting,
     count_terms,
     filter_min_df,
-    normalized_frequency,
-    tfidf_weight,
     validate_votes,
     write_matrix_dump,
 )
 
-from dense_reference import dense_count, make_random_corpus
+from dense_reference import dense_count, make_random_corpus, normalized_frequency, tfidf_weight
 
 
 def records_from(token_streams):
