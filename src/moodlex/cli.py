@@ -20,7 +20,7 @@ from .corpus import EmotionSet, corpus_stats, load_corpus
 from .errors import MoodlexError
 from .evaluate import EmotionMapping, evaluate_all, load_gold, load_labels, score_all
 from .lexicon import _fmt, build_lexicon, read_lexicon, write_lexicon
-from .sink import open_sink
+from .sink import open_sink, open_source
 from .textpipe import LemmaTable, VocabularyFilter, lemmatize_all, tokenize
 
 logger = logging.getLogger(__name__)
@@ -246,7 +246,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def _read_score_input(path) -> list[tuple[str, str]]:
     lines: list[tuple[str, str]] = []
-    with open(path, encoding="utf-8") as fh:
+    with open_source(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\r\n")
             if not line.strip() or line.startswith("#"):

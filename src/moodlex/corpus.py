@@ -18,6 +18,7 @@ import numpy as np
 
 from . import textpipe
 from .errors import CorpusError, VoteError
+from .sink import open_source
 
 logger = logging.getLogger(__name__)
 
@@ -318,7 +319,7 @@ def load_corpus(
     min_votes_sum: float | None = None,
 ) -> list[DocumentRecord]:
     """Parse a corpus file from disk; see :func:`parse_corpus`."""
-    with open(path, encoding="utf-8") as fh:
+    with open_source(path) as fh:
         return parse_corpus(
             fh, emotions, min_votes_sum=min_votes_sum, source=str(path)
         )

@@ -20,6 +20,7 @@ import numpy as np
 from . import textpipe
 from .errors import EvaluationError
 from .lexicon import EmotionLexicon
+from .sink import open_source
 
 logger = logging.getLogger(__name__)
 
@@ -74,7 +75,7 @@ class EmotionMapping:
         """Load ``TARGET<TAB>SOURCE`` lines; ``TARGET<TAB>-`` discards a target."""
         pairs: dict[str, str] = {}
         discarded: list[str] = []
-        with open(path, encoding="utf-8") as fh:
+        with open_source(path) as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.strip()
                 if not line or line.startswith("#"):
@@ -382,7 +383,7 @@ def load_gold(
     table = lemma_table if lemma_table is not None else textpipe.LemmaTable()
     emotions: tuple[str, ...] | None = None
     parsed: list[tuple[str, str, list[float]]] = []
-    with open(path, encoding="utf-8") as fh:
+    with open_source(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.rstrip("\r\n")
             if not line.strip() or line.startswith("#"):
@@ -443,7 +444,7 @@ def load_labels(path, gold: GoldSet) -> GoldSet:
     lines; headlines absent from the file keep an empty label set."""
     by_id: dict[str, frozenset[str]] = {}
     known_ids = {h.headline_id for h in gold.headlines}
-    with open(path, encoding="utf-8") as fh:
+    with open_source(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):

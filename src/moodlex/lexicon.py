@@ -30,7 +30,7 @@ from .matrix import (
     filter_min_df,
     write_matrix_dump,
 )
-from .sink import open_sink
+from .sink import open_sink, open_source
 
 logger = logging.getLogger(__name__)
 
@@ -272,17 +272,25 @@ def read_lexicon(source) -> EmotionLexicon:
     if hasattr(source, "read"):
         return _read_lexicon_lines(source, "<stream>")
     try:
-        fh = open(source, encoding="utf-8")
+        with open_source(source) as fh:
+            return _read_lexicon_lines(fh, str(source))
     except OSError as exc:
         raise LexiconError(f"cannot read lexicon: {exc}") from None
-    with fh:
-        return _read_lexicon_lines(fh, str(source))
 
 
 def _read_lexicon_lines(fh, source: str) -> EmotionLexicon:
+    # Lines are checked as text while reading; the scores go into one flat
+    # list and are checked as one array. Before a text error is raised, the
+    # rows read so far are checked too, so the error names the first bad line.
     provenance: list[tuple[str, str]] = []
     emotions: tuple[str, ...] | None = None
-    rows: dict[str, np.ndarray] = {}
+    line_of: dict[str, int] = {}
+    values: list[float] = []
+
+    def fail(lineno: int, message: str) -> LexiconError:
+        _check_scores(values, len(emotions), line_of, source)
+        return LexiconError(f"{source}:{lineno}: {message}")
+
     for lineno, raw in enumerate(fh, start=1):
         line = raw.rstrip("\r\n")
         if not line.strip():
@@ -303,30 +311,45 @@ def _read_lexicon_lines(fh, source: str) -> EmotionLexicon:
                 raise LexiconError(f"{source}:{lineno}: duplicate emotion columns")
             continue
         if len(fields) != 1 + len(emotions):
-            raise LexiconError(
-                f"{source}:{lineno}: expected {1 + len(emotions)} columns, got {len(fields)}"
-            )
+            raise fail(lineno, f"expected {1 + len(emotions)} columns, got {len(fields)}")
         word = fields[0]
         try:
             textpipe.LemmaPos.parse(word)
         except Exception as exc:
-            raise LexiconError(f"{source}:{lineno}: bad word key: {exc}") from None
-        if word in rows:
-            raise LexiconError(f"{source}:{lineno}: duplicate row for {word!r}")
+            raise fail(lineno, f"bad word key: {exc}") from None
+        if word in line_of:
+            raise fail(lineno, f"duplicate row for {word!r}")
         try:
-            vec = np.asarray([float(v) for v in fields[1:]], dtype=np.float64)
+            values.extend(map(float, fields[1:]))
         except ValueError:
-            raise LexiconError(f"{source}:{lineno}: non-numeric score") from None
-        if np.any(vec < 0) or not np.all(np.isfinite(vec)):
-            raise LexiconError(f"{source}:{lineno}: scores must be finite and >= 0")
-        total = float(vec.sum())
-        if abs(total - 1.0) > READ_ROW_SUM_TOLERANCE:
-            raise LexiconError(
-                f"{source}:{lineno}: row sum {total:.9g} outside 1 +/- {READ_ROW_SUM_TOLERANCE:g}"
-            )
-        rows[word] = vec
+            del values[len(line_of) * len(emotions) :]  # this row's parsed part
+            raise fail(lineno, "non-numeric score") from None
+        line_of[word] = lineno
     if emotions is None:
         raise LexiconError(f"{source}: missing lexicon header")
-    if not rows:
+    if not line_of:
         raise LexiconError(f"{source}: lexicon has no rows")
-    return EmotionLexicon(emotions, rows, provenance=provenance)
+    scores = _check_scores(values, len(emotions), line_of, source)
+    return EmotionLexicon(emotions, zip(line_of, scores), provenance=provenance)
+
+
+def _check_scores(
+    values: list[float], width: int, line_of: dict[str, int], source: str
+) -> np.ndarray:
+    """The scores as a (rows, width) array, once every row is finite,
+    non-negative and sums to 1 within tolerance; else an error naming the
+    line of the first bad row."""
+    scores = np.array(values, dtype=np.float64).reshape(len(line_of), width)
+    with np.errstate(invalid="ignore", over="ignore"):
+        bad_value = ~np.isfinite(scores).all(axis=1) | (scores < 0).any(axis=1)
+        sums = scores.sum(axis=1)
+        bad = np.flatnonzero(bad_value | (np.abs(sums - 1.0) > READ_ROW_SUM_TOLERANCE))
+    if bad.size:
+        row = int(bad[0])
+        lineno = list(line_of.values())[row]
+        if bad_value[row]:
+            raise LexiconError(f"{source}:{lineno}: scores must be finite and >= 0")
+        raise LexiconError(
+            f"{source}:{lineno}: row sum {sums[row]:.9g} outside 1 +/- {READ_ROW_SUM_TOLERANCE:g}"
+        )
+    return scores

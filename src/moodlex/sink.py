@@ -1,8 +1,12 @@
-"""Output sinks: every output file appears whole or not at all.
+"""Input sources and output sinks.
 
-A path is written to a temporary file in the same directory and renamed over
-the target only when writing finished without an error, so a failed or
-interrupted run never leaves a partial file, nor clobbers an earlier one.
+Every input file is read as UTF-8 text, and a byte that does not decode is
+reported with the file, line and column it sits in.
+
+Every output file appears whole or not at all. A path is written to a
+temporary file in the same directory and renamed over the target only when
+writing finished without an error, so a failed or interrupted run never
+leaves a partial file, nor clobbers an earlier one.
 """
 
 from __future__ import annotations
@@ -12,6 +16,42 @@ import stat
 import sys
 from contextlib import contextmanager
 from typing import IO, Iterator
+
+
+@contextmanager
+def open_source(path) -> Iterator[IO[str]]:
+    """Yield a UTF-8 text stream over the file at ``path``.
+
+    Reads are plain text-mode reads. Only when one fails to decode is the
+    file read again as bytes, to re-raise the error for the first line that
+    does not decode, naming ``path``, the 1-based line number and the 1-based
+    byte column in that line.
+    """
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            located = _locate_decode_error(path)
+            if located is None:
+                raise
+            raise located from exc
+
+
+def _locate_decode_error(path) -> UnicodeDecodeError | None:
+    # Lines are split as text mode splits them (at \n, \r\n and \r), so the
+    # line number matches the one the reader would give. A newline byte never
+    # occurs inside a UTF-8 sequence, so the first bad line holds the error.
+    with open(path, "rb") as fh:
+        lines = (line for chunk in fh for line in chunk.splitlines(keepends=True))
+        for lineno, line in enumerate(lines, start=1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                where = f"{path}, line {lineno}, column {exc.start + 1}"
+                return UnicodeDecodeError(
+                    exc.encoding, exc.object, exc.start, exc.end, f"{exc.reason} ({where})"
+                )
+    return None
 
 
 @contextmanager

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Container, Iterable, Iterator
 
 from .errors import TextPipeError, VocabularyError
+from .sink import open_source
 
 #: Coarse part-of-speech tags, in the order candidates are scanned per surface
 #: form. Verbs come first so that e.g. "kill" yields kill#v before kill#n.
@@ -91,7 +92,7 @@ class VocabularyFilter:
     def from_file(cls, path) -> "VocabularyFilter":
         """Load one lemma#pos per line; ``#`` at column 1 starts a comment."""
         entries = []
-        with open(path, encoding="utf-8") as fh:
+        with open_source(path) as fh:
             for lineno, raw in enumerate(fh, start=1):
                 if raw.startswith("#"):
                     continue
@@ -162,7 +163,7 @@ class LemmaTable:
         entries: list[tuple[str, str, str]] = []
         rules: list[tuple[str, str, str]] = []
         in_rules = False
-        with open(path, encoding="utf-8") as fh:
+        with open_source(path) as fh:
             for lineno, raw in enumerate(fh, start=1):
                 line = raw.rstrip("\r\n")
                 if not line.strip():

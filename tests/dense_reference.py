@@ -12,7 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from moodlex import MatrixError
+from moodlex import LexiconError, MatrixError, textpipe
+from moodlex.lexicon import HEADER_KEY, READ_ROW_SUM_TOLERANCE, EmotionLexicon
 
 
 def normalized_frequency(count: float, doc_len: int) -> float:
@@ -47,6 +48,62 @@ def mean_scores(streams, lex):
         scores.append(np.mean(rows, axis=0) if rows else np.zeros(len(lex.emotions)))
         covered.append(len(rows))
     return scores, covered
+
+
+def read_lexicon_lines_reference(fh, source: str) -> EmotionLexicon:
+    """Lexicon reader that checks every row on its own as it is read: the
+    columns, the key, duplicates, then the numbers, signs and row sum."""
+    provenance: list[tuple[str, str]] = []
+    emotions: tuple[str, ...] | None = None
+    rows: dict[str, np.ndarray] = {}
+    for lineno, raw in enumerate(fh, start=1):
+        line = raw.rstrip("\r\n")
+        if not line.strip():
+            continue
+        if emotions is None and line.startswith("#"):
+            body = line[1:].lstrip()
+            key, sep, value = body.partition(": ")
+            provenance.append((key, value) if sep else (body, ""))
+            continue
+        fields = line.split("\t")
+        if emotions is None:
+            if fields[0] != HEADER_KEY or len(fields) < 2:
+                raise LexiconError(
+                    f"{source}:{lineno}: expected header '{HEADER_KEY}<TAB>EMOTION...'"
+                )
+            emotions = tuple(fields[1:])
+            if len(set(emotions)) != len(emotions):
+                raise LexiconError(f"{source}:{lineno}: duplicate emotion columns")
+            continue
+        if len(fields) != 1 + len(emotions):
+            raise LexiconError(
+                f"{source}:{lineno}: expected {1 + len(emotions)} columns, got {len(fields)}"
+            )
+        word = fields[0]
+        try:
+            textpipe.LemmaPos.parse(word)
+        except Exception as exc:
+            raise LexiconError(f"{source}:{lineno}: bad word key: {exc}") from None
+        if word in rows:
+            raise LexiconError(f"{source}:{lineno}: duplicate row for {word!r}")
+        try:
+            vec = np.asarray([float(v) for v in fields[1:]], dtype=np.float64)
+        except ValueError:
+            raise LexiconError(f"{source}:{lineno}: non-numeric score") from None
+        if np.any(vec < 0) or not np.all(np.isfinite(vec)):
+            raise LexiconError(f"{source}:{lineno}: scores must be finite and >= 0")
+        with np.errstate(over="ignore"):
+            total = float(vec.sum())
+        if abs(total - 1.0) > READ_ROW_SUM_TOLERANCE:
+            raise LexiconError(
+                f"{source}:{lineno}: row sum {total:.9g} outside 1 +/- {READ_ROW_SUM_TOLERANCE:g}"
+            )
+        rows[word] = vec
+    if emotions is None:
+        raise LexiconError(f"{source}: missing lexicon header")
+    if not rows:
+        raise LexiconError(f"{source}: lexicon has no rows")
+    return EmotionLexicon(emotions, rows, provenance=provenance)
 
 
 def dense_count(token_streams):

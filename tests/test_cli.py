@@ -464,6 +464,67 @@ class TestBadInput:
         assert "Traceback" not in proc.stderr
         assert sorted(p.name for p in workdir.iterdir()) == ["corpus.jsonl", "vocab.txt"]
 
+    @pytest.mark.parametrize(
+        "subcommand, name, stage, lineno",
+        [
+            ("build", "corpus.jsonl", "load-corpus", 3),
+            ("score", "lex.tsv", "read-lexicon", 12),
+            ("eval", "gold.tsv", "load-gold", 4),
+        ],
+    )
+    def test_decode_error_names_file_line_and_column(
+        self, built, monkeypatch, caplog, subcommand, name, stage, lineno
+    ):
+        monkeypatch.chdir(built)
+        Path("lemmas.tsv").write_text("killed\tv\tkill\n", encoding="utf-8")
+        Path("headlines.tsv").write_text("h1\tawe\n", encoding="utf-8")
+        lines = Path(name).read_bytes().splitlines(keepends=True)
+        assert len(lines) > lineno
+        column = len(lines[lineno - 1]) - 1  # the byte just before the newline
+        lines[lineno - 1] = lines[lineno - 1][: column - 1] + b"\xe9" + lines[lineno - 1][column - 1 :]
+        Path(name).write_bytes(b"".join(lines))
+        assert main(self.COMMANDS[subcommand]) == 1
+        messages = [r.message for r in caplog.records if r.levelname == "ERROR"]
+        assert len(messages) == 1
+        assert messages[0].startswith(f"{stage}: 'utf-8' codec can't decode byte 0xe9 ")
+        assert messages[0].endswith(f"({name}, line {lineno}, column {column})")
+
+
+SCIPY_PROBE = (
+    "import json, sys\n"
+    "import moodlex\n"
+    "if sys.argv[1:]:\n"
+    "    import moodlex.cli\n"
+    "    assert moodlex.cli.main(sys.argv[1:]) == 0\n"
+    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+)
+
+
+@pytest.mark.parametrize("subcommand", ["import", "score", "eval", "build"])
+def test_only_build_loads_scipy(built, subcommand):
+    """``score`` and ``eval`` never import scipy; only the build's count step does."""
+    (built / "headlines.tsv").write_text("h1\tawe\nh2\tkill war\n", encoding="utf-8")
+    argv = {
+        "import": [],
+        "score": ["score", "--lexicon", "lex.tsv", "--input", "headlines.tsv", "--output", "out.tsv"],
+        "eval": [
+            "eval", "--lexicon", "lex.tsv", "--gold", "gold.tsv", "--labels", "labels.tsv",
+            "--mapping", "mapping.tsv", "--output", "out.tsv",
+        ],
+        "build": build_args(built, output="again.tsv"),
+    }[subcommand]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-c", SCIPY_PROBE, *argv],
+        capture_output=True, text=True, env=env, cwd=built, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    if subcommand == "build":
+        assert "scipy.sparse" in loaded
+    else:
+        assert loaded == []
+
 
 GOLDEN_DIR = Path(__file__).parent / "data"
 GOLDEN_HEADLINES = [

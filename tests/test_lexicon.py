@@ -7,6 +7,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moodlex import (
     DocEmotionMatrix,
@@ -29,7 +31,7 @@ from moodlex import (
 from moodlex import textpipe
 from moodlex.lexicon import EmotionLexicon
 
-from dense_reference import dense_build, dense_product
+from dense_reference import dense_build, dense_product, read_lexicon_lines_reference
 
 GOLDEN = Path(__file__).parent / "data" / "golden_lexicon.tsv"
 
@@ -417,3 +419,109 @@ class TestSerialization:
     def test_malformed_files_error_with_line_numbers(self, content, match):
         with pytest.raises(LexiconError, match=match):
             read_lexicon(io.StringIO(content))
+
+
+#: Defects injected into lexicon rows; each turns a fields list into a bad one.
+DEFECTS = {
+    "columns": lambda fields, other: fields[:-1] if len(fields) > 2 else fields + ["0"],
+    "key": lambda fields, other: ["W#n", *fields[1:]],
+    "duplicate": lambda fields, other: [other, *fields[1:]],
+    "non-numeric": lambda fields, other: [*fields[:-1], "nope"],
+    "negative": lambda fields, other: [fields[0], "-" + fields[1], *fields[2:]],
+    "nan": lambda fields, other: [fields[0], "nan", *fields[2:]],
+    "inf": lambda fields, other: [*fields[:-1], "inf"],
+    "sum": lambda fields, other: [fields[0], repr(float(fields[1]) + 1e-5), *fields[2:]],
+}
+
+
+@st.composite
+def lexicon_files(draw):
+    """A lexicon file of 1-6 rows over 1-4 emotions with 0-3 defects, each at
+    a random row, so a file may hold defects of two kinds on two lines."""
+    n_emotions = draw(st.integers(1, 4))
+    n_rows = draw(st.integers(1, 6))
+    words = [f"w{i}#{'nvar'[i % 4]}" for i in range(n_rows)]
+    weight = st.integers(0, 1000)
+    lines = ["# scheme: raw", "Lemma#PoS\t" + "\t".join(f"E{j}" for j in range(n_emotions))]
+    rows = []
+    for word in words:
+        weights = draw(st.lists(weight, min_size=n_emotions, max_size=n_emotions))
+        weights[0] += 1
+        rows.append([word, *(format(w / sum(weights), ".9g") for w in weights)])
+    for _ in range(draw(st.integers(0, 3))):
+        i = draw(st.integers(0, n_rows - 1))
+        kind = draw(st.sampled_from(sorted(DEFECTS)))
+        rows[i] = DEFECTS[kind](rows[i], words[(i + 1) % n_rows])
+    lines.extend("\t".join(fields) for fields in rows)
+    return "".join(line + "\n" for line in lines)
+
+
+@st.composite
+def valid_lexicons(draw):
+    """A lexicon with arbitrary keys, emotions, provenance and rows."""
+    n_emotions = draw(st.integers(1, 5))
+    printable = st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp"))
+    lemma = st.text(printable, min_size=1, max_size=8).filter(
+        lambda t: t == t.lower() and not any(c.isspace() for c in t)
+    )
+    word = st.builds(lambda l, p: f"{l}#{p}", lemma, st.sampled_from("vnar"))
+    value = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
+    row = st.lists(value, min_size=n_emotions, max_size=n_emotions).filter(
+        lambda r: sum(r) > 0
+    )
+    rows = draw(st.dictionaries(word, row, min_size=1, max_size=8))
+    emotions = draw(
+        st.lists(st.text("ABCXYZ_", min_size=1, max_size=4), min_size=n_emotions,
+                 max_size=n_emotions, unique=True)
+    )
+    meta = st.text(printable, max_size=10)
+    provenance = draw(
+        st.lists(st.tuples(meta.filter(lambda t: not t[:1].isspace()), meta), max_size=3)
+    )
+    return EmotionLexicon(
+        emotions,
+        {w: np.asarray(r) / np.sum(r) for w, r in rows.items()},
+        provenance=provenance,
+    )
+
+
+class TestReadLexiconProperties:
+    @settings(max_examples=400, deadline=None)
+    @given(content=lexicon_files())
+    def test_matches_per_row_reference(self, content):
+        try:
+            expected = read_lexicon_lines_reference(io.StringIO(content), "<stream>")
+        except LexiconError as exc:
+            with pytest.raises(LexiconError) as caught:
+                read_lexicon(io.StringIO(content))
+            assert str(caught.value) == str(exc)
+            return
+        lex = read_lexicon(io.StringIO(content))
+        assert lex.words == expected.words
+        assert lex.emotions == expected.emotions
+        assert lex.provenance == expected.provenance
+        assert np.array_equal(lex.scores, expected.scores)
+
+    @pytest.mark.parametrize(
+        "rows, line, message",
+        [
+            (["w#n\t1\t0.1", "x#n\t-1\t2"], 2, "row sum 1.1"),
+            (["w#n\t0.5\t0.5", "x#n\tnan\t1", "W#n\t1\t0"], 3, "scores must be finite"),
+            (["w#n\t0.5\t0.5", "x#n\t2\t-1", "x#n\tnope\t1"], 3, "scores must be finite"),
+            (["w#n\t0.5\t0.5", "x#n\t1\t0", "y#n\t1"], 4, "expected 3 columns"),
+        ],
+    )
+    def test_first_bad_line_wins(self, rows, line, message):
+        content = "Lemma#PoS\tA\tB\n" + "".join(r + "\n" for r in rows)
+        with pytest.raises(LexiconError, match=f"^<stream>:{line}: {message}"):
+            read_lexicon(io.StringIO(content))
+
+    @settings(max_examples=200, deadline=None)
+    @given(lex=valid_lexicons())
+    def test_write_read_is_identity_on_bytes(self, lex):
+        buf = io.StringIO()
+        write_lexicon(lex, buf)
+        text = buf.getvalue()
+        again = io.StringIO()
+        write_lexicon(read_lexicon(io.StringIO(text)), again)
+        assert again.getvalue() == text

@@ -1,4 +1,5 @@
-"""Output sinks: atomic path writes, streams and standard output."""
+"""Input sources (decode errors located) and output sinks (atomic path
+writes, streams and standard output)."""
 
 from __future__ import annotations
 
@@ -7,7 +8,7 @@ import os
 
 import pytest
 
-from moodlex.sink import open_sink
+from moodlex.sink import open_sink, open_source
 
 
 def test_path_written_whole(tmp_path):
@@ -69,3 +70,47 @@ def test_stream_and_stdout_pass_through(capsys):
     with open_sink(None) as fh:
         fh.write("to stdout\n")
     assert capsys.readouterr().out == "to stdout\n"
+
+
+def read_all(path):
+    with open_source(path) as fh:
+        return list(fh)
+
+
+def test_source_reads_text_lines(tmp_path):
+    path = tmp_path / "in.tsv"
+    path.write_bytes("caf\u00e9\na\r\nb\n".encode("utf-8"))
+    assert read_all(path) == ["caf\u00e9\n", "a\n", "b\n"]
+
+
+@pytest.mark.parametrize(
+    "data, line, column",
+    [
+        (b"\xff\n", 1, 1),
+        ("\u00e9t\u00e9\nab\xffc\n".encode("latin-1"), 1, 1),
+        ("\u00e9t\u00e9\n".encode("utf-8") + b"ab\xffc\n", 2, 3),
+        # Text mode ends lines at \r\n and at a lone \r too.
+        (b"a\r\nb\rcd\xe9\n", 3, 3),
+        # Far past the first read buffer.
+        (b"".join([b"row\n"] * 5000) + b"x\xc3(\n", 5001, 2),
+    ],
+    ids=["first-byte", "latin1", "after-multibyte", "cr-line-ends", "deep"],
+)
+def test_decode_error_names_path_line_and_column(tmp_path, data, line, column):
+    path = tmp_path / "in.tsv"
+    path.write_bytes(data)
+    with pytest.raises(UnicodeDecodeError) as caught:
+        read_all(path)
+    message = str(caught.value)
+    assert message.startswith("'utf-8' codec can't decode byte 0x")
+    assert message.endswith(f"({path}, line {line}, column {column})")
+
+
+def test_source_passes_other_errors_through(tmp_path):
+    path = tmp_path / "in.tsv"
+    path.write_bytes(b"ok\n")
+    with pytest.raises(UnicodeDecodeError, match="position 0: invalid start byte$"):
+        with open_source(path):
+            b"\xff".decode("utf-8")
+    with pytest.raises(FileNotFoundError):
+        read_all(tmp_path / "absent.tsv")
