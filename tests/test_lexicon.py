@@ -430,8 +430,17 @@ DEFECTS = {
     "negative": lambda fields, other: [fields[0], "-" + fields[1], *fields[2:]],
     "nan": lambda fields, other: [fields[0], "nan", *fields[2:]],
     "inf": lambda fields, other: [*fields[:-1], "inf"],
-    "sum": lambda fields, other: [fields[0], repr(float(fields[1]) + 1e-5), *fields[2:]],
+    "sum": lambda fields, other: [fields[0], _nudge(fields[1]), *fields[2:]],
 }
+
+
+def _nudge(value):
+    """``value`` raised by 1e-5, or left as it is when an earlier defect on the
+    same row already made it non-numeric."""
+    try:
+        return repr(float(value) + 1e-5)
+    except ValueError:
+        return value
 
 
 @st.composite
