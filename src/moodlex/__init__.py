@@ -65,7 +65,6 @@ from .matrix import (
     write_matrix_dump,
 )
 from .textpipe import (
-    LemmaPos,
     LemmaTable,
     VocabularyFilter,
     filter_vocabulary,

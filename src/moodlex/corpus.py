@@ -17,7 +17,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 import numpy as np
 
 from . import textpipe
-from .errors import CorpusError, VoteError
+from .errors import CorpusError, TextPipeError, VoteError
 from .sink import open_source
 
 logger = logging.getLogger(__name__)
@@ -222,7 +222,7 @@ def _canonical_tokens(tokens: list, valid: dict[str, str]) -> tuple[str, ...]:
     """Check every token of one record.
 
     ``valid`` maps each string that already passed in this parse to its first
-    instance, so each distinct string is parsed once and held once.
+    instance, so each distinct string is checked once and held once.
     """
     out = []
     for tok in tokens:
@@ -231,8 +231,8 @@ def _canonical_tokens(tokens: list, valid: dict[str, str]) -> tuple[str, ...]:
         canonical = valid.get(tok)
         if canonical is None:
             try:
-                textpipe.LemmaPos.parse(tok)
-            except Exception as exc:
+                textpipe.check_lemma_pos(tok)
+            except TextPipeError as exc:
                 raise _MalformedRecord(f"bad token {tok!r}: {exc}") from None
             canonical = valid[tok] = tok
         out.append(canonical)

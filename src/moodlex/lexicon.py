@@ -10,7 +10,7 @@ immutable.
 from __future__ import annotations
 
 import logging
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -51,6 +51,10 @@ def _fmt(value: float) -> str:
 class EmotionLexicon:
     """Words-by-emotions score matrix with non-negative, row-stochastic rows.
 
+    ``scores`` is a ``(len(words), len(emotions))`` array-like whose row ``i``
+    belongs to ``words[i]``. The lexicon keeps its own copy, with the rows
+    sorted by word.
+
     ``provenance`` is an ordered list of (key, value) string pairs written as
     ``#``-prefixed metadata lines in the serialized form and preserved
     verbatim by a read/write round trip.
@@ -59,31 +63,30 @@ class EmotionLexicon:
     def __init__(
         self,
         emotions: Sequence[str],
-        rows: Mapping[str, np.ndarray] | Iterable[tuple[str, np.ndarray]],
+        words: Sequence[str],
+        scores: np.ndarray,
         provenance: Sequence[tuple[str, str]] = (),
     ):
         self.emotions = tuple(emotions)
         if not self.emotions:
             raise LexiconError("lexicon needs at least one emotion")
-        items = rows.items() if isinstance(rows, Mapping) else rows
-        pairs = sorted(
-            ((str(word), np.asarray(vec, dtype=np.float64)) for word, vec in items),
-            key=lambda pair: pair[0],
-        )
-        if not pairs:
+        if not len(words):
             raise LexiconError("empty lexicon")
-        for word, vec in pairs:
-            if vec.shape != (len(self.emotions),):
-                raise LexiconError(
-                    f"row {word!r} has {vec.shape} scores, expected {len(self.emotions)}"
-                )
-        self._words = tuple(word for word, _ in pairs)
+        try:
+            values = np.asarray(scores, dtype=np.float64)
+        except (TypeError, ValueError) as exc:
+            raise LexiconError(f"lexicon scores are not an array of numbers: {exc}") from None
+        expected = (len(words), len(self.emotions))
+        if values.shape != expected:
+            raise LexiconError(f"scores have shape {values.shape}, expected {expected}")
+        order = sorted(range(len(words)), key=words.__getitem__)
+        self._words = tuple(map(words.__getitem__, order))
         if len(set(self._words)) != len(self._words):
             raise LexiconError("duplicate words in lexicon rows")
-        self._scores = np.stack([vec for _, vec in pairs])
-        if not np.all(np.isfinite(self._scores)) or np.any(self._scores < 0):
+        self._scores = values[order]  # fancy indexing copies
+        if not np.isfinite(self._scores).all() or (self._scores < 0).any():
             raise LexiconError("lexicon scores must be finite and non-negative")
-        self._row_of = {word: i for i, word in enumerate(self._words)}
+        self._row_of = dict(zip(self._words, range(len(self._words))))
         self.provenance = [(str(k), str(v)) for k, v in provenance]
 
     @property
@@ -242,11 +245,7 @@ def build_lexicon(
         ("dropped-zero-rows", str(dropped_rows)),
         ("dropped-empty-docs", str(empty)),
     ]
-    return EmotionLexicon(
-        emotions.labels,
-        zip(words, scaled),
-        provenance=provenance,
-    )
+    return EmotionLexicon(emotions.labels, words, scaled, provenance=provenance)
 
 
 def write_lexicon(lex: EmotionLexicon, sink) -> None:
@@ -314,8 +313,8 @@ def _read_lexicon_lines(fh, source: str) -> EmotionLexicon:
             raise fail(lineno, f"expected {1 + len(emotions)} columns, got {len(fields)}")
         word = fields[0]
         try:
-            textpipe.LemmaPos.parse(word)
-        except Exception as exc:
+            textpipe.check_lemma_pos(word)
+        except TextPipeError as exc:
             raise fail(lineno, f"bad word key: {exc}") from None
         if word in line_of:
             raise fail(lineno, f"duplicate row for {word!r}")
@@ -330,7 +329,7 @@ def _read_lexicon_lines(fh, source: str) -> EmotionLexicon:
     if not line_of:
         raise LexiconError(f"{source}: lexicon has no rows")
     scores = _check_scores(values, len(emotions), line_of, source)
-    return EmotionLexicon(emotions, zip(line_of, scores), provenance=provenance)
+    return EmotionLexicon(emotions, list(line_of), scores, provenance=provenance)
 
 
 def _check_scores(

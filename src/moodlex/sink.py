@@ -1,7 +1,8 @@
 """Input sources and output sinks.
 
-Every input file is read as UTF-8 text, and a byte that does not decode is
-reported with the file, line and column it sits in.
+Every input file is read as UTF-8 text with a leading byte order mark
+ignored, and a byte that does not decode is reported with the file, line and
+column it sits in.
 
 Every output file appears whole or not at all. A path is written to a
 temporary file in the same directory and renamed over the target only when
@@ -20,14 +21,15 @@ from typing import IO, Iterator
 
 @contextmanager
 def open_source(path) -> Iterator[IO[str]]:
-    """Yield a UTF-8 text stream over the file at ``path``.
+    """Yield a UTF-8 text stream over the file at ``path``, without a
+    leading byte order mark.
 
     Reads are plain text-mode reads. Only when one fails to decode is the
     file read again as bytes, to re-raise the error for the first line that
     does not decode, naming ``path``, the 1-based line number and the 1-based
     byte column in that line.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:

@@ -10,7 +10,6 @@ immutable after load.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Container, Iterable, Iterator
 
 from .errors import TextPipeError, VocabularyError
@@ -25,40 +24,27 @@ AMBIGUITY_POLICIES = ("all", "first")
 # Maximal runs of Unicode letters; digits, underscores and punctuation are
 # token boundaries, so "22" or the digit tail of "abc123" never survive.
 _TOKEN_RE = re.compile(r"[^\W\d_]+")
+# For a str pattern, \s matches exactly the characters str.isspace accepts.
+_SPACE_RE = re.compile(r"\s")
 
 
-@dataclass(frozen=True)
-class LemmaPos:
-    """A dictionary headword paired with its coarse part of speech.
+def check_lemma_pos(token: str) -> None:
+    """Raise :class:`TextPipeError` unless ``token`` is ``lemma#pos``.
 
-    The canonical string form is ``lemma#pos``; :meth:`parse` and
-    :meth:`text` are exact inverses.
+    The pos tag follows the last ``#`` and is one of :data:`POS_TAGS`; the
+    lemma before it is non-empty, lower-case and free of whitespace.
     """
-
-    lemma: str
-    pos: str
-
-    def __post_init__(self) -> None:
-        if self.pos not in POS_TAGS:
-            raise TextPipeError(
-                f"invalid pos tag {self.pos!r}: expected one of {', '.join(POS_TAGS)}"
-            )
-        if not self.lemma:
-            raise TextPipeError("lemma must be non-empty")
-        if self.lemma != self.lemma.lower() or any(c.isspace() for c in self.lemma):
-            raise TextPipeError(
-                f"lemma must be lower-case with no whitespace: {self.lemma!r}"
-            )
-
-    @classmethod
-    def parse(cls, token: str) -> "LemmaPos":
-        lemma, sep, pos = token.rpartition("#")
-        if not sep:
-            raise TextPipeError(f"not a lemma#pos token: {token!r}")
-        return cls(lemma, pos)
-
-    def text(self) -> str:
-        return f"{self.lemma}#{self.pos}"
+    lemma, sep, pos = token.rpartition("#")
+    if not sep:
+        raise TextPipeError(f"not a lemma#pos token: {token!r}")
+    if pos not in POS_TAGS:
+        raise TextPipeError(
+            f"invalid pos tag {pos!r}: expected one of {', '.join(POS_TAGS)}"
+        )
+    if not lemma:
+        raise TextPipeError("lemma must be non-empty")
+    if lemma != lemma.lower() or _SPACE_RE.search(lemma):
+        raise TextPipeError(f"lemma must be lower-case with no whitespace: {lemma!r}")
 
 
 class VocabularyFilter:
@@ -68,18 +54,15 @@ class VocabularyFilter:
     whole corpus, which is a configuration error rather than a usable mode.
     """
 
-    def __init__(self, entries: Iterable[str | LemmaPos]):
-        canon = set()
-        for entry in entries:
-            lp = entry if isinstance(entry, LemmaPos) else LemmaPos.parse(str(entry))
-            canon.add(lp.text())
-        if not canon:
+    def __init__(self, entries: Iterable[str]):
+        unique = dict.fromkeys(entries)  # distinct, in input order
+        for entry in unique:
+            check_lemma_pos(entry)
+        if not unique:
             raise VocabularyError("vocabulary filter has no entries")
-        self._entries = frozenset(canon)
+        self._entries = frozenset(unique)
 
     def __contains__(self, token: object) -> bool:
-        if isinstance(token, LemmaPos):
-            return token.text() in self._entries
         return token in self._entries
 
     def __len__(self) -> int:
@@ -100,9 +83,10 @@ class VocabularyFilter:
                 if not line:
                     continue
                 try:
-                    entries.append(LemmaPos.parse(line))
+                    check_lemma_pos(line)
                 except TextPipeError as exc:
                     raise VocabularyError(f"{path}:{lineno}: {exc}") from exc
+                entries.append(line)
         if not entries:
             raise VocabularyError(f"{path}: vocabulary file contains no entries")
         return cls(entries)

@@ -8,12 +8,47 @@ shares no code path with the sparse implementations it checks.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from moodlex import LexiconError, MatrixError, textpipe
+from moodlex import LexiconError, MatrixError, TextPipeError
 from moodlex.lexicon import HEADER_KEY, READ_ROW_SUM_TOLERANCE, EmotionLexicon
+
+_POS_TAGS = ("v", "n", "a", "r")
+
+
+@dataclass(frozen=True)
+class _LemmaPos:
+    """A lemma#pos key, checked as it is built (the library's rules, restated)."""
+
+    lemma: str
+    pos: str
+
+    def __post_init__(self) -> None:
+        if self.pos not in _POS_TAGS:
+            raise TextPipeError(
+                f"invalid pos tag {self.pos!r}: expected one of {', '.join(_POS_TAGS)}"
+            )
+        if not self.lemma:
+            raise TextPipeError("lemma must be non-empty")
+        if self.lemma != self.lemma.lower() or any(c.isspace() for c in self.lemma):
+            raise TextPipeError(
+                f"lemma must be lower-case with no whitespace: {self.lemma!r}"
+            )
+
+    @classmethod
+    def parse(cls, token: str) -> "_LemmaPos":
+        lemma, sep, pos = token.rpartition("#")
+        if not sep:
+            raise TextPipeError(f"not a lemma#pos token: {token!r}")
+        return cls(lemma, pos)
+
+
+def lemma_pos_reference(token: str) -> None:
+    """Raise the TextPipeError the key check gives for ``token``, if any."""
+    _LemmaPos.parse(token)
 
 
 def normalized_frequency(count: float, doc_len: int) -> float:
@@ -81,7 +116,7 @@ def read_lexicon_lines_reference(fh, source: str) -> EmotionLexicon:
             )
         word = fields[0]
         try:
-            textpipe.LemmaPos.parse(word)
+            lemma_pos_reference(word)
         except Exception as exc:
             raise LexiconError(f"{source}:{lineno}: bad word key: {exc}") from None
         if word in rows:
@@ -103,7 +138,7 @@ def read_lexicon_lines_reference(fh, source: str) -> EmotionLexicon:
         raise LexiconError(f"{source}: missing lexicon header")
     if not rows:
         raise LexiconError(f"{source}: lexicon has no rows")
-    return EmotionLexicon(emotions, rows, provenance=provenance)
+    return EmotionLexicon(emotions, list(rows), list(rows.values()), provenance=provenance)
 
 
 def dense_count(token_streams):

@@ -205,7 +205,7 @@ def test_metric_correctness():
         # mapped column is constant zero, so nothing clears the threshold.
         emotions = ("AFRAID", "ANGRY")
         lex = EmotionLexicon(
-            emotions, {f"w{i}#n": np.array([1.0, 0.0]) for i in range(4)}
+            emotions, [f"w{i}#n" for i in range(4)], [np.array([1.0, 0.0])] * 4
         )
         from moodlex import GoldHeadline, GoldSet
 
@@ -330,7 +330,7 @@ def test_serialization_roundtrip_and_golden_file(tmp_path, emotions):
         rows = {
             f"w{i:04d}#{'nvar'[i % 4]}": rng.dirichlet(np.ones(8)) for i in range(1000)
         }
-        lex = EmotionLexicon(emotions.labels, rows)
+        lex = EmotionLexicon(emotions.labels, list(rows), list(rows.values()))
         path = tmp_path / "big.tsv"
         write_lexicon(lex, path)
         again = read_lexicon(path)

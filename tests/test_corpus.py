@@ -197,13 +197,13 @@ class TestParseCorpus:
         from moodlex import textpipe
 
         calls = []
-        original = textpipe.LemmaPos.parse
+        original = textpipe.check_lemma_pos
 
         def counting(token):
             calls.append(token)
             return original(token)
 
-        monkeypatch.setattr(textpipe.LemmaPos, "parse", staticmethod(counting))
+        monkeypatch.setattr(textpipe, "check_lemma_pos", counting)
         stream = [
             line("a", {"AFRAID": 1.0}, tokens=["awe#n", "war#n", "awe#n"]),
             line("b", {"AFRAID": 1.0}, tokens=["war#n", "kill#v"]),

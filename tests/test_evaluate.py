@@ -49,12 +49,8 @@ def two_mass(index, value, other=7):
 def tiny_lexicon():
     return EmotionLexicon(
         EMOTIONS,
-        {
-            "afraid#a": one_hot(0),
-            "amused#a": one_hot(1),
-            "angry#a": one_hot(2),
-            "half#n": two_mass(0, 0.5),
-        },
+        ["afraid#a", "amused#a", "angry#a", "half#n"],
+        [one_hot(0), one_hot(1), one_hot(2), two_mass(0, 0.5)],
     )
 
 
@@ -96,7 +92,7 @@ def lexicon_and_streams(draw):
     value = st.floats(min_value=0.0, max_value=1e6, allow_nan=False, allow_infinity=False)
     row = st.lists(value, min_size=n_emotions, max_size=n_emotions)
     lex = EmotionLexicon(
-        [f"E{j}" for j in range(n_emotions)], {w: np.array(draw(row)) for w in words}
+        [f"E{j}" for j in range(n_emotions)], words, [draw(row) for _ in words]
     )
     token = st.sampled_from(words + ["gone#n", "nolex#v"])
     return lex, draw(st.lists(st.lists(token, max_size=40), max_size=12))
@@ -233,7 +229,7 @@ class TestEvaluateRegression:
     def test_permuted_gold_low_correlation(self):
         rng = np.random.default_rng(89)
         rows = {f"w{i:02d}#n": rng.dirichlet(np.ones(8)) for i in range(40)}
-        lex = EmotionLexicon(EMOTIONS, rows)
+        lex = EmotionLexicon(EMOTIONS, list(rows), list(rows.values()))
         golds = rng.random(40)
         permuted = golds[rng.permutation(40)]
         headlines = [
@@ -357,7 +353,7 @@ class TestEvaluateClassification:
         # positives are h1-h3 (TP=3) and h5, h6 (FN=2); h4 is the FP.
         values = [0.9, 0.8, 0.7, 0.6, 0.2, 0.1, 0.0]
         rows = {f"w{i}#n": two_mass(0, v) for i, v in enumerate(values)}
-        lex = EmotionLexicon(EMOTIONS, rows)
+        lex = EmotionLexicon(EMOTIONS, list(rows), list(rows.values()))
         labels = [["FEAR"], ["FEAR"], ["FEAR"], [], ["FEAR"], ["FEAR"], []]
         headlines = [
             headline(f"h{i}", [f"w{i}#n"], {"FEAR": 0.0}, labels=labels[i])

@@ -334,11 +334,53 @@ class TestBuildLexicon:
         assert meta["entries"] == str(len(lex))
 
 
+class TestEmotionLexicon:
+    def test_needs_emotions_and_rows(self):
+        with pytest.raises(LexiconError, match="at least one emotion"):
+            EmotionLexicon([], ["w#n"], [[]])
+        with pytest.raises(LexiconError, match="empty lexicon"):
+            EmotionLexicon(["A"], [], np.zeros((0, 1)))
+
+    @pytest.mark.parametrize("shape", [(2, 3), (3, 2), (2,), (1, 2, 2)])
+    def test_shape_must_match_words_and_emotions(self, shape):
+        with pytest.raises(LexiconError, match=r"expected \(2, 2\)"):
+            EmotionLexicon(["A", "B"], ["u#n", "w#n"], np.full(shape, 0.5))
+
+    def test_ragged_rows_are_a_lexicon_error(self):
+        with pytest.raises(LexiconError, match="not an array of numbers"):
+            EmotionLexicon(["A", "B"], ["u#n", "w#n"], [[0.5, 0.5], [1.0]])
+
+    def test_duplicate_words(self):
+        with pytest.raises(LexiconError, match="duplicate words"):
+            EmotionLexicon(["A"], ["w#n", "u#n", "w#n"], [[1.0], [1.0], [1.0]])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.25])
+    def test_scores_finite_and_non_negative(self, bad):
+        with pytest.raises(LexiconError, match="finite and non-negative"):
+            EmotionLexicon(["A", "B"], ["u#n", "w#n"], [[0.5, 0.5], [1.25, bad]])
+
+    def test_unsorted_words_come_out_sorted_with_their_rows(self):
+        lex = EmotionLexicon(
+            ["A", "B"], ["zebra#n", "apple#n", "mango#n"], [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]
+        )
+        assert lex.words == ("apple#n", "mango#n", "zebra#n")
+        np.testing.assert_array_equal(lex.scores, [[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]])
+        np.testing.assert_array_equal(lex.row("zebra#n"), [1.0, 0.0])
+
+    @pytest.mark.parametrize("words", [["u#n", "w#n"], ["w#n", "u#n"]])
+    def test_owns_a_copy_of_the_scores(self, words):
+        scores = np.array([[1.0, 0.0], [0.0, 1.0]])
+        lex = EmotionLexicon(["A", "B"], words, scores)
+        before = lex.scores.copy()
+        scores[:] = 7.0
+        np.testing.assert_array_equal(lex.scores, before)
+
+
 class TestSerialization:
     def test_published_row_roundtrips_at_serialized_precision(self, emotions):
         # comical#a row of the published word-by-emotion excerpt.
         row = [0.02, 0.51, 0.04, 0.05, 0.12, 0.17, 0.03, 0.06]
-        lex = EmotionLexicon(emotions.labels, {"comical#a": np.array(row)})
+        lex = EmotionLexicon(emotions.labels, ["comical#a"], [row])
         buf = io.StringIO()
         write_lexicon(lex, buf)
         again = read_lexicon(io.StringIO(buf.getvalue()))
@@ -373,7 +415,7 @@ class TestSerialization:
         for i in range(100):
             vec = rng.dirichlet(np.ones(8))
             rows[f"w{i:03d}#{'nvar'[i % 4]}"] = vec
-        lex = EmotionLexicon(emotions.labels, rows)
+        lex = EmotionLexicon(emotions.labels, list(rows), list(rows.values()))
         buf = io.StringIO()
         write_lexicon(lex, buf)
         again = read_lexicon(io.StringIO(buf.getvalue()))
@@ -387,14 +429,15 @@ class TestSerialization:
             "mango#n": np.full(8, 0.125),
         }
         buf = io.StringIO()
-        write_lexicon(EmotionLexicon(emotions.labels, rows), buf)
+        write_lexicon(EmotionLexicon(emotions.labels, list(rows), list(rows.values())), buf)
         words = [line.split("\t")[0] for line in buf.getvalue().splitlines()[1:]]
         assert words == ["apple#n", "mango#n", "zebra#n"]
 
     def test_provenance_preserved_by_roundtrip(self, emotions):
         lex = EmotionLexicon(
             emotions.labels,
-            {"w#n": np.full(8, 0.125)},
+            ["w#n"],
+            [np.full(8, 0.125)],
             provenance=[("scheme", "raw"), ("note", "a: b: c")],
         )
         buf = io.StringIO()
@@ -489,7 +532,8 @@ def valid_lexicons(draw):
     )
     return EmotionLexicon(
         emotions,
-        {w: np.asarray(r) / np.sum(r) for w, r in rows.items()},
+        list(rows),
+        [np.asarray(r) / np.sum(r) for r in rows.values()],
         provenance=provenance,
     )
 

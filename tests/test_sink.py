@@ -1,14 +1,29 @@
-"""Input sources (decode errors located) and output sinks (atomic path
-writes, streams and standard output)."""
+"""Input sources (decode errors located, a leading BOM ignored by every
+reader) and output sinks (atomic path writes, streams and standard output)."""
 
 from __future__ import annotations
 
 import io
 import os
+from pathlib import Path
 
 import pytest
 
+from moodlex import (
+    EmotionMapping,
+    GoldHeadline,
+    GoldSet,
+    LemmaTable,
+    VocabularyFilter,
+    load_corpus,
+    load_gold,
+    load_labels,
+    read_lexicon,
+)
+from moodlex.cli import _read_score_input
 from moodlex.sink import open_sink, open_source
+
+GOLDEN = Path(__file__).parent / "data" / "golden_lexicon.tsv"
 
 
 def test_path_written_whole(tmp_path):
@@ -114,3 +129,45 @@ def test_source_passes_other_errors_through(tmp_path):
             b"\xff".decode("utf-8")
     with pytest.raises(FileNotFoundError):
         read_all(tmp_path / "absent.tsv")
+
+
+def _lexicon_summary(path):
+    lex = read_lexicon(path)
+    return lex.emotions, lex.words, lex.scores.tolist(), lex.provenance
+
+
+def _gold_summary(gold):
+    return gold.emotions, [(h.headline_id, h.tokens, h.gold, h.gold_labels) for h in gold.headlines]
+
+
+ONE_HEADLINE = GoldSet(("FEAR",), (GoldHeadline("h1", ("awe#n",), {"FEAR": 0.5}),))
+
+
+# Each input reader: a small valid input, and a comparable summary of what the
+# reader makes of that input.
+READERS = {
+    "vocabulary": ("awe#n\nwar#n\n", lambda p: sorted(VocabularyFilter.from_file(p))),
+    "lemma-table": ("surf\tn\tsurf\n[rules]\nv\ts\t\n", lambda p: vars(LemmaTable.from_file(p))),
+    "corpus": (
+        '{"id": "d1", "tokens": ["awe#n"], "votes": {"SAD": 1}}\n',
+        lambda p: [(r.doc_id, r.votes.tolist(), r.tokens, r.text) for r in load_corpus(p)],
+    ),
+    "lexicon": (GOLDEN.read_text(encoding="utf-8"), _lexicon_summary),
+    "mapping": ("FEAR\tAFRAID\nJOY\t-\n", EmotionMapping.from_file),
+    "gold": (
+        "id\ttext\tFEAR\nh1\tAwe of war\t0.5\n",
+        lambda p: _gold_summary(load_gold(p, read_lexicon(GOLDEN))),
+    ),
+    "labels": ("h1\tFEAR\n", lambda p: _gold_summary(load_labels(p, ONE_HEADLINE))),
+    "score-input": ("h1\tAwe of war\n", _read_score_input),
+}
+
+
+@pytest.mark.parametrize("reader", sorted(READERS))
+def test_leading_bom_is_ignored(tmp_path, reader):
+    text, read = READERS[reader]
+    plain = tmp_path / "plain.txt"
+    plain.write_bytes(text.encode("utf-8"))
+    marked = tmp_path / "marked.txt"
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert read(marked) == read(plain)

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moodlex import (
-    LemmaPos,
     LemmaTable,
     TextPipeError,
     VocabularyError,
@@ -19,6 +18,27 @@ from moodlex import (
     tokenize,
 )
 from moodlex import textpipe
+
+from dense_reference import lemma_pos_reference
+
+# Pieces of lemma#pos keys near the edges of the rules: separators, pos
+# letters (and one that is not), upper and title case, characters whose
+# lower case differs in length, and ASCII and Unicode whitespace.
+KEY_PIECES = st.sampled_from(
+    ["#", "v", "n", "a", "r", "z", "k", "é", ".", "A", "É", "ǅ", "İ", "ß",
+     " ", "\t", "\n", "\x1c", "\x85", "\u00a0", "\u2003", "\u3000"]
+)
+PIECED = st.lists(KEY_PIECES, max_size=6).map("".join)
+KEYS = st.builds("{}#{}".format, PIECED, st.sampled_from(["v", "n", "a", "r", "z", "", "N"]))
+
+
+def check_outcome(check, token):
+    """None when ``check`` accepts ``token``, else its TextPipeError message."""
+    try:
+        check(token)
+    except TextPipeError as exc:
+        return str(exc)
+    return None
 
 
 class TestTokenize:
@@ -48,15 +68,22 @@ class TestTokenize:
         assert tokenize("foo_bar") == ["foo", "bar"]
 
 
-class TestLemmaPos:
+class TestCheckToken:
     @pytest.mark.parametrize("token", ["kill#v", "awe#n", "déjà#r", "a#a", "x.y'z#n"])
-    def test_roundtrip_exact(self, token):
-        assert LemmaPos.parse(token).text() == token
+    def test_valid_accepted(self, token):
+        assert textpipe.check_lemma_pos(token) is None
 
     @pytest.mark.parametrize("token", ["kill", "kill#z", "#n", "Kill#v", "two words#n"])
     def test_invalid_rejected(self, token):
         with pytest.raises(TextPipeError):
-            LemmaPos.parse(token)
+            textpipe.check_lemma_pos(token)
+
+    @settings(max_examples=500, deadline=None)
+    @given(token=st.one_of(st.text(), PIECED, KEYS))
+    def test_matches_reference(self, token):
+        assert check_outcome(textpipe.check_lemma_pos, token) == check_outcome(
+            lemma_pos_reference, token
+        )
 
 
 class TestVocabularyFilter:
