@@ -10,7 +10,7 @@ immutable.
 from __future__ import annotations
 
 import logging
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -109,10 +109,6 @@ class EmotionLexicon:
         except KeyError:
             raise LexiconError(f"word {word!r} not in lexicon") from None
 
-    def items(self) -> Iterable[tuple[str, np.ndarray]]:
-        for i, word in enumerate(self._words):
-            yield word, self._scores[i]
-
 
 def emotion_product(wd: TermDocumentMatrix, de: DocEmotionMatrix) -> np.ndarray:
     """Raw words-by-emotions mass: for each word and emotion, the sum over
@@ -127,7 +123,15 @@ def emotion_product(wd: TermDocumentMatrix, de: DocEmotionMatrix) -> np.ndarray:
         )
     position = {doc_id: i for i, doc_id in enumerate(de.doc_ids)}
     aligned = de.values[[position[doc_id] for doc_id in wd.doc_ids], :]
-    return np.asarray(wd.matrix @ aligned)
+    # Each word's entries are added in storage order starting from 0.0, the
+    # order a CSR matrix-vector product uses, so the sums match it bit for bit.
+    rows = wd.entry_rows()
+    return np.column_stack(
+        [
+            np.bincount(rows, weights=wd.data * aligned[wd.indices, k], minlength=len(wd.words))
+            for k in range(aligned.shape[1])
+        ]
+    )
 
 
 def column_normalize(
@@ -258,8 +262,9 @@ def write_lexicon(lex: EmotionLexicon, sink) -> None:
         for key, value in lex.provenance:
             fh.write(f"# {key}: {value}\n")
         fh.write(HEADER_KEY + "\t" + "\t".join(lex.emotions) + "\n")
-        for word, vec in lex.items():
-            fh.write(word + "\t" + "\t".join(_fmt(v) for v in vec) + "\n")
+        fmt = f"{{:.{SERIALIZED_DIGITS}g}}".format
+        for word, row in zip(lex.words, lex.scores.tolist()):
+            fh.write(word + "\t" + "\t".join(map(fmt, row)) + "\n")
 
 
 def read_lexicon(source) -> EmotionLexicon:

@@ -1,13 +1,10 @@
 """Sparse term-by-document matrices under raw, normalized, and tf-idf weights.
 
-Counting is integer arithmetic and rows follow sorted word order, so the
-matrix does not depend on the order words are first seen. No explicit zeros
-are ever stored.
-
-scipy is imported inside :func:`count_terms`, the one place that builds a
-sparse matrix, rather than at module level: the package imports this module,
-and ``score`` and ``eval`` never build one, so they skip the cost of loading
-``scipy.sparse`` (about a quarter of a second and 20 MiB per process).
+A matrix is held as three plain numpy arrays in compressed sparse row (CSR)
+form: row ``i`` owns the entries ``indptr[i]:indptr[i + 1]`` of ``indices``
+(document columns, ascending) and ``data`` (weights). Counting is integer
+arithmetic and rows follow sorted word order, so the matrix does not depend
+on the order words are first seen. No explicit zeros are ever stored.
 """
 
 from __future__ import annotations
@@ -16,16 +13,13 @@ import dataclasses
 import logging
 from functools import cached_property
 from itertools import chain
-from typing import TYPE_CHECKING, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .corpus import DocumentRecord
 from .errors import MatrixError
 from .sink import open_sink
-
-if TYPE_CHECKING:
-    from scipy import sparse
 
 logger = logging.getLogger(__name__)
 
@@ -39,7 +33,8 @@ TFIDF_VARIANT = "count*ln(N/df)"
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class TermDocumentMatrix:
-    """Words-by-documents weights plus the metadata needed to re-weight them.
+    """Words-by-documents weights in CSR form plus the metadata needed to
+    re-weight them.
 
     ``doc_lengths`` holds the vocabulary-filtered token count per document
     and ``raw_doc_lengths`` (when available) the pre-filter count;
@@ -49,7 +44,9 @@ class TermDocumentMatrix:
 
     words: tuple[str, ...]
     doc_ids: tuple[str, ...]
-    matrix: sparse.csr_matrix
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
     scheme: str
     doc_lengths: np.ndarray
     doc_freq: np.ndarray
@@ -62,6 +59,10 @@ class TermDocumentMatrix:
     @cached_property
     def row_index(self) -> dict[str, int]:
         return {word: i for i, word in enumerate(self.words)}
+
+    def entry_rows(self) -> np.ndarray:
+        """The row of every stored entry, in storage order."""
+        return np.repeat(np.arange(len(self.words)), np.diff(self.indptr))
 
 
 def count_terms(
@@ -76,8 +77,6 @@ def count_terms(
     Rows cover exactly the words occurring at least once, in sorted order;
     columns follow corpus order.
     """
-    from scipy import sparse
-
     kept = [record for record in records if record.tokens]
     if not kept:
         raise MatrixError("corpus has no non-empty documents")
@@ -85,29 +84,28 @@ def count_terms(
     if len(set(doc_ids)) != len(doc_ids):
         raise MatrixError("duplicate document ids in corpus")
 
-    # Rows are numbered in sorted word order up front, so the matrix does not
-    # depend on the order words are first seen. Every occurrence becomes one
-    # (row, col, 1) entry; the CSR conversion sums duplicates, exactly, since
-    # the counts are integers.
+    # Rows are numbered in sorted word order up front. Every occurrence
+    # becomes one int64 key row * n_docs + col; the sorted distinct keys are
+    # the entries in row-major order and their counts the exact weights.
+    # The keys are built and sorted in place, and the distinct ones found by
+    # hand, which at 10k x 500 tokens peaks 115 MiB lower than np.unique.
     words = tuple(sorted(set().union(*(record.tokens for record in kept))))
     row_of = {word: i for i, word in enumerate(words)}
     lengths = np.fromiter(
         (len(record.tokens) for record in kept), dtype=np.int64, count=len(kept)
     )
-    rows = np.fromiter(
+    keys = np.fromiter(
         map(row_of.__getitem__, chain.from_iterable(record.tokens for record in kept)),
-        dtype=np.int32,
+        dtype=np.int64,
         count=int(lengths.sum()),
     )
-    cols = np.repeat(np.arange(len(kept), dtype=np.int32), lengths)
-    mat = sparse.coo_matrix(
-        (np.ones(rows.size, dtype=np.float64), (rows, cols)),
-        shape=(len(words), len(doc_ids)),
-    ).tocsr()
-    mat.sort_indices()
-
-    doc_freq = np.diff(mat.indptr).astype(np.int64)
-    doc_lengths = np.asarray(mat.sum(axis=0)).ravel()
+    keys *= len(kept)
+    keys += np.repeat(np.arange(len(kept), dtype=np.int32), lengths)
+    keys.sort()
+    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
+    counts = np.diff(first, append=keys.size)
+    keys = keys[first]
+    doc_freq = np.bincount(keys // len(kept), minlength=len(words))
     raw_doc_lengths = None
     if raw_lengths is not None:
         try:
@@ -119,11 +117,31 @@ def count_terms(
     return TermDocumentMatrix(
         words=words,
         doc_ids=doc_ids,
-        matrix=mat,
+        indptr=np.concatenate(([0], np.cumsum(doc_freq))),
+        indices=(keys % len(kept)).astype(np.int32),
+        data=counts.astype(np.float64),
         scheme="raw",
-        doc_lengths=doc_lengths,
+        doc_lengths=lengths,
         doc_freq=doc_freq,
         raw_doc_lengths=raw_doc_lengths,
+    )
+
+
+def _keep_entries(
+    tdm: TermDocumentMatrix, data: np.ndarray, keep: np.ndarray, **changes
+) -> TermDocumentMatrix:
+    """``tdm`` holding only the entries of ``data`` where ``keep`` is true;
+    rows left with no entry are dropped, with their words and doc_freq."""
+    per_row = np.bincount(tdm.entry_rows()[keep], minlength=len(tdm.words))
+    rows = np.flatnonzero(per_row)
+    return dataclasses.replace(
+        tdm,
+        words=tuple(tdm.words[i] for i in rows),
+        indptr=np.concatenate(([0], np.cumsum(per_row[rows]))),
+        indices=tdm.indices[keep],
+        data=data[keep],
+        doc_freq=tdm.doc_freq[rows],
+        **changes,
     )
 
 
@@ -144,9 +162,8 @@ def apply_weighting(
     if nf_length not in NF_LENGTH_MODES:
         raise MatrixError(f"unknown nf length mode {nf_length!r}")
     if scheme == "raw":
-        return dataclasses.replace(raw, matrix=raw.matrix.copy())
+        return dataclasses.replace(raw, data=raw.data.copy())
 
-    mat = raw.matrix.copy()
     if scheme == "normalized":
         if nf_length == "filtered":
             lengths = raw.doc_lengths
@@ -158,30 +175,20 @@ def apply_weighting(
             lengths = raw.raw_doc_lengths
         if np.any(lengths <= 0):
             raise MatrixError("document with non-positive length in metadata")
-        mat.data = mat.data / lengths[mat.indices]
-        return dataclasses.replace(raw, matrix=mat, scheme="normalized")
+        return dataclasses.replace(
+            raw, data=raw.data / lengths[raw.indices], scheme="normalized"
+        )
 
     # tfidf: scale every row by ln(N / df); df = N rows become all-zero.
     idf = np.log(raw.n_docs / raw.doc_freq.astype(np.float64))
-    mat.data = mat.data * np.repeat(idf, np.diff(mat.indptr))
-    mat.eliminate_zeros()
-    nonzero_rows = np.flatnonzero(np.diff(mat.indptr) > 0)
-    if len(nonzero_rows) < len(raw.words):
-        dropped = len(raw.words) - len(nonzero_rows)
+    data = raw.data * np.repeat(idf, np.diff(raw.indptr))
+    out = _keep_entries(raw, data, data != 0, scheme="tfidf")
+    if len(out.words) < len(raw.words):
         logger.info(
             "tf-idf zeroed %d ubiquitous term(s) (df = N); dropped from the matrix",
-            dropped,
+            len(raw.words) - len(out.words),
         )
-        mat = mat[nonzero_rows]
-        words = tuple(raw.words[i] for i in nonzero_rows)
-        doc_freq = raw.doc_freq[nonzero_rows]
-    else:
-        words = raw.words
-        doc_freq = raw.doc_freq
-    mat.sort_indices()
-    return dataclasses.replace(
-        raw, matrix=mat, scheme="tfidf", words=words, doc_freq=doc_freq
-    )
+    return out
 
 
 def filter_min_df(tdm: TermDocumentMatrix, min_df: int) -> TermDocumentMatrix:
@@ -194,20 +201,13 @@ def filter_min_df(tdm: TermDocumentMatrix, min_df: int) -> TermDocumentMatrix:
         return tdm
     if tdm.scheme != "raw":
         raise MatrixError("min-df filtering applies to raw counts")
-    keep = np.flatnonzero(tdm.doc_freq >= min_df)
-    if keep.size == 0:
+    keep = tdm.doc_freq >= min_df
+    if not keep.any():
         raise MatrixError(f"min-df {min_df} removed every term")
-    if keep.size == len(tdm.words):
+    if keep.all():
         return tdm
-    mat = tdm.matrix[keep]
-    mat.sort_indices()
-    logger.info("min-df %d dropped %d term(s)", min_df, len(tdm.words) - keep.size)
-    return dataclasses.replace(
-        tdm,
-        matrix=mat,
-        words=tuple(tdm.words[i] for i in keep),
-        doc_freq=tdm.doc_freq[keep],
-    )
+    logger.info("min-df %d dropped %d term(s)", min_df, len(keep) - np.count_nonzero(keep))
+    return _keep_entries(tdm, tdm.data, np.repeat(keep, np.diff(tdm.indptr)))
 
 
 def write_matrix_dump(tdm: TermDocumentMatrix, sink) -> None:
@@ -215,20 +215,27 @@ def write_matrix_dump(tdm: TermDocumentMatrix, sink) -> None:
     after a header recording scheme, corpus size, and the tf-idf variant.
 
     ``sink`` is a text stream or a path; a path is written atomically."""
-    csr = tdm.matrix
-    indptr = csr.indptr.tolist()
-    indices = csr.indices.tolist()
-    data = csr.data.tolist()
-    doc_ids = tdm.doc_ids
+    # Each distinct weight is formatted once, each doc_id cell built once.
+    # searchsorted gives the indices np.unique's return_inverse would, with
+    # a quarter of the temporary memory (47 vs 190 MiB at 4.85M entries).
+    values = np.unique(tdm.data)
+    which = np.searchsorted(values, tdm.data)
+    weights = [f"{value:.9g}\n" for value in values.tolist()]
+    cells = [doc_id + "\t" for doc_id in tdm.doc_ids]
+    bounds = tdm.indptr.tolist()
     with open_sink(sink) as fh:
         fh.write(
             f"# scheme={tdm.scheme}\tn_docs={tdm.n_docs}\ttfidf_variant={TFIDF_VARIANT}\n"
         )
-        for row, word in enumerate(tdm.words):
-            start, stop = indptr[row], indptr[row + 1]
+        for word, start, stop in zip(tdm.words, bounds, bounds[1:]):
+            head = word + "\t"
             fh.write(
                 "".join(
-                    f"{word}\t{doc_ids[col]}\t{value:.9g}\n"
-                    for col, value in zip(indices[start:stop], data[start:stop])
+                    [
+                        head + cells[col] + weights[w]
+                        for col, w in zip(
+                            tdm.indices[start:stop].tolist(), which[start:stop].tolist()
+                        )
+                    ]
                 )
             )

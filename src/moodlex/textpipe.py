@@ -74,22 +74,27 @@ class VocabularyFilter:
     @classmethod
     def from_file(cls, path) -> "VocabularyFilter":
         """Load one lemma#pos per line; ``#`` at column 1 starts a comment."""
-        entries = []
+        first_line: dict[str, int] = {}  # distinct entry -> line it first appears on
         with open_source(path) as fh:
             for lineno, raw in enumerate(fh, start=1):
                 if raw.startswith("#"):
                     continue
                 line = raw.strip()
-                if not line:
-                    continue
+                if line:
+                    first_line.setdefault(line, lineno)
+        if not first_line:
+            raise VocabularyError(f"{path}: vocabulary file contains no entries")
+        try:
+            return cls(first_line)
+        except TextPipeError:
+            # The constructor checks entries in file order, once each; only
+            # now is the first bad line looked up, to name it.
+            for entry, lineno in first_line.items():
                 try:
-                    check_lemma_pos(line)
+                    check_lemma_pos(entry)
                 except TextPipeError as exc:
                     raise VocabularyError(f"{path}:{lineno}: {exc}") from exc
-                entries.append(line)
-        if not entries:
-            raise VocabularyError(f"{path}: vocabulary file contains no entries")
-        return cls(entries)
+            raise
 
 
 class LemmaTable:

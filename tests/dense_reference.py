@@ -15,6 +15,7 @@ import numpy as np
 
 from moodlex import LexiconError, MatrixError, TextPipeError
 from moodlex.lexicon import HEADER_KEY, READ_ROW_SUM_TOLERANCE, EmotionLexicon
+from moodlex.matrix import TFIDF_VARIANT
 
 _POS_TAGS = ("v", "n", "a", "r")
 
@@ -139,6 +140,34 @@ def read_lexicon_lines_reference(fh, source: str) -> EmotionLexicon:
     if not rows:
         raise LexiconError(f"{source}: lexicon has no rows")
     return EmotionLexicon(emotions, list(rows), list(rows.values()), provenance=provenance)
+
+
+def dense(tdm):
+    """The words-by-documents array of a term-document matrix, filled one
+    stored entry at a time; checks that every row's columns are strictly
+    ascending and that no stored weight is zero."""
+    out = np.zeros((len(tdm.words), tdm.n_docs))
+    assert len(tdm.indptr) == len(tdm.words) + 1 and tdm.indptr[0] == 0
+    for row in range(len(tdm.words)):
+        previous = -1
+        for k in range(int(tdm.indptr[row]), int(tdm.indptr[row + 1])):
+            col = int(tdm.indices[k])
+            assert previous < col < tdm.n_docs and tdm.data[k] != 0.0
+            out[row, col] = tdm.data[k]
+            previous = col
+    assert tdm.indptr[-1] == len(tdm.indices) == len(tdm.data)
+    return out
+
+
+def write_matrix_dump_reference(tdm, fh) -> None:
+    """Matrix dump writer that formats every stored weight on its own."""
+    indptr = tdm.indptr.tolist()
+    indices = tdm.indices.tolist()
+    data = tdm.data.tolist()
+    fh.write(f"# scheme={tdm.scheme}\tn_docs={tdm.n_docs}\ttfidf_variant={TFIDF_VARIANT}\n")
+    for row, word in enumerate(tdm.words):
+        for k in range(indptr[row], indptr[row + 1]):
+            fh.write(f"{word}\t{tdm.doc_ids[indices[k]]}\t{data[k]:.9g}\n")
 
 
 def dense_count(token_streams):

@@ -31,6 +31,7 @@ from moodlex import (
 from moodlex import textpipe
 from moodlex.lexicon import EmotionLexicon
 
+import dense_reference
 from dense_reference import dense_build, dense_product, read_lexicon_lines_reference
 
 GOLDEN = Path(__file__).parent / "data" / "golden_lexicon.tsv"
@@ -91,7 +92,7 @@ class TestEmotionProduct:
             doc_ids=tuple(f"d{j}" for j in range(4)), emotions=emotions, values=votes
         )
         out = emotion_product(wd, de)
-        dense_weights = wd.matrix.toarray()
+        dense_weights = dense_reference.dense(wd)
         expected = dense_product(dense_weights.tolist(), votes.tolist())
         np.testing.assert_allclose(out, expected, atol=1e-12)
 

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import dataclasses
 import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moodlex import (
     DocumentRecord,
@@ -18,6 +21,7 @@ from moodlex import (
     write_matrix_dump,
 )
 
+import dense_reference
 from dense_reference import dense_count, make_random_corpus, normalized_frequency, tfidf_weight
 
 
@@ -33,7 +37,7 @@ def records_from(token_streams):
 class TestCountTerms:
     def test_simple_counts(self):
         tdm = count_terms(records_from([["kill#v", "kill#v", "war#n"]]))
-        dense = tdm.matrix.toarray()
+        dense = dense_reference.dense(tdm)
         assert tdm.words == ("kill#v", "war#n")
         assert dense[tdm.row_index["kill#v"], 0] == 2
         assert dense[tdm.row_index["war#n"], 0] == 1
@@ -41,7 +45,7 @@ class TestCountTerms:
 
     def test_absent_word_has_no_stored_entry(self):
         tdm = count_terms(records_from([["a#n"], ["b#n"]]))
-        assert tdm.matrix.nnz == 2  # one entry per (word, doc) that occurs
+        assert len(tdm.data) == 2  # one entry per (word, doc) that occurs
 
     def test_random_corpus_matches_nested_loop_recount(self):
         rng = np.random.default_rng(23)
@@ -52,7 +56,7 @@ class TestCountTerms:
         tdm = count_terms(records_from(streams))
         words, counts = dense_count(streams)
         assert list(tdm.words) == words
-        dense = tdm.matrix.toarray()
+        dense = dense_reference.dense(tdm)
         for wi in range(len(words)):
             for dj in range(len(streams)):
                 assert dense[wi, dj] == counts[wi][dj]
@@ -114,7 +118,7 @@ class TestApplyWeighting:
         tdm = count_terms(records_from([["a#n", "b#n", "a#n"]]))
         out = apply_weighting(tdm, "raw")
         assert out.scheme == "raw"
-        np.testing.assert_array_equal(out.matrix.toarray(), tdm.matrix.toarray())
+        np.testing.assert_array_equal(dense_reference.dense(out), dense_reference.dense(tdm))
 
     def test_tfidf_drops_ubiquitous_term(self):
         tdm = count_terms(records_from([["a#n", "b#n"], ["a#n"]]))
@@ -130,7 +134,7 @@ class TestApplyWeighting:
         ]
         tdm = apply_weighting(count_terms(records_from(streams)), "normalized")
         words, counts = dense_count(streams)
-        dense = tdm.matrix.toarray()
+        dense = dense_reference.dense(tdm)
         for wi, word in enumerate(words):
             for dj, stream in enumerate(streams):
                 expected = counts[wi][dj] / len(stream)
@@ -144,8 +148,8 @@ class TestApplyWeighting:
         ]
         raw = count_terms(records_from(streams))
         out = apply_weighting(raw, "tfidf")
-        raw_dense = raw.matrix.toarray()
-        out_dense = out.matrix.toarray()
+        raw_dense = dense_reference.dense(raw)
+        out_dense = dense_reference.dense(out)
         for word in out.words:
             wi_raw = raw.row_index[word]
             df = int(raw.doc_freq[wi_raw])
@@ -160,16 +164,16 @@ class TestApplyWeighting:
         filtered = [[t for t in s if t in set(words)] for s in streams]
         filtered = [s for s in filtered if s]
         tdm = apply_weighting(count_terms(records_from(filtered)), "normalized")
-        sums = np.asarray(tdm.matrix.sum(axis=0)).ravel()
+        sums = dense_reference.dense(tdm).sum(axis=0)
         np.testing.assert_allclose(sums, 1.0, atol=1e-9)
 
     def test_nf_raw_length_mode(self):
         records = records_from([["a#n", "b#n"]])
         tdm = count_terms(records, raw_lengths={"d0": 4})
         out = apply_weighting(tdm, "normalized", nf_length="raw")
-        dense = out.matrix.toarray()
+        dense = dense_reference.dense(out)
         assert dense[out.row_index["a#n"], 0] == 0.25
-        columns = np.asarray(out.matrix.sum(axis=0)).ravel()
+        columns = dense_reference.dense(out).sum(axis=0)
         assert columns[0] == pytest.approx(0.5)  # 2 of 4 raw tokens survived
 
     def test_nf_raw_length_columns_sum_to_survival_fraction(self):
@@ -187,7 +191,7 @@ class TestApplyWeighting:
             raw_lens[f"d{len(filtered) - 1}"] = len(tokens)
         tdm = count_terms(records_from(filtered), raw_lengths=raw_lens)
         out = apply_weighting(tdm, "normalized", nf_length="raw")
-        sums = np.asarray(out.matrix.sum(axis=0)).ravel()
+        sums = dense_reference.dense(out).sum(axis=0)
         for j, (tokens, kept) in enumerate(zip(streams, filtered)):
             assert sums[j] == pytest.approx(len(kept) / len(tokens), abs=1e-12)
             assert sums[j] <= 1.0 + 1e-12
@@ -206,10 +210,10 @@ class TestApplyWeighting:
             for _ in range(8)
         ]
         raw = count_terms(records_from(streams))
-        raw_pattern = set(zip(*raw.matrix.nonzero()))
+        raw_pattern = set(zip(*dense_reference.dense(raw).nonzero()))
         for scheme in ("raw", "normalized", "tfidf"):
             out = apply_weighting(raw, scheme)
-            for wi, dj in zip(*out.matrix.nonzero()):
+            for wi, dj in zip(*dense_reference.dense(out).nonzero()):
                 raw_wi = raw.row_index[out.words[wi]]
                 assert (raw_wi, dj) in raw_pattern
 
@@ -232,7 +236,7 @@ class TestApplyWeighting:
         ]
         raw = count_terms(records_from(streams))
         out = apply_weighting(raw, "tfidf")
-        raw_dense = raw.matrix.toarray()
+        raw_dense = dense_reference.dense(raw)
         out_words = set(out.words)
         for word in raw.words:
             wi = raw.row_index[word]
@@ -241,7 +245,7 @@ class TestApplyWeighting:
                 assert word not in out_words
                 continue
             for dj in range(raw.n_docs):
-                value = out.matrix.toarray()[out.row_index[word], dj]
+                value = dense_reference.dense(out)[out.row_index[word], dj]
                 assert (value == 0.0) == (raw_dense[wi, dj] == 0.0)
 
 
@@ -270,3 +274,30 @@ class TestDump:
         assert lines[0].startswith("# scheme=normalized\tn_docs=1\ttfidf_variant=")
         assert lines[1] == "a#n\td0\t0.666666667"
         assert lines[2] == "b#n\td0\t0.333333333"
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=12), min_size=1, max_size=8),
+        st.sampled_from(["raw", "normalized", "tfidf"]),
+        st.one_of(
+            st.none(),
+            st.lists(
+                st.floats(min_value=5e-324, max_value=1e300, allow_subnormal=True),
+                min_size=1,
+                max_size=4,
+            ),
+        ),
+        st.randoms(use_true_random=False),
+    )
+    def test_bytes_match_per_entry_writer(self, ids, scheme, pool, rnd):
+        """The same bytes as formatting each weight on its own, under every
+        scheme and for arbitrary positive weights, few of them distinct."""
+        streams = [[f"w{i}#n" for i in doc] + ["all#n"] for doc in ids]
+        tdm = apply_weighting(count_terms(records_from(streams)), scheme)
+        if pool is not None:
+            weights = np.array([rnd.choice(pool) for _ in range(len(tdm.data))])
+            tdm = dataclasses.replace(tdm, data=weights)
+        got, want = io.StringIO(), io.StringIO()
+        write_matrix_dump(tdm, got)
+        dense_reference.write_matrix_dump_reference(tdm, want)
+        assert got.getvalue() == want.getvalue()

@@ -109,6 +109,27 @@ class TestVocabularyFilter:
         with pytest.raises(VocabularyError, match="vocab.txt:2"):
             VocabularyFilter.from_file(path)
 
+    def test_from_file_names_first_bad_line_among_repeats(self, tmp_path):
+        path = tmp_path / "vocab.txt"
+        path.write_text("awe#n\nawe#n\nwar#x\nAwe#n\nwar#x\n", encoding="utf-8")
+        with pytest.raises(VocabularyError, match=r"vocab.txt:3: invalid pos tag 'x'"):
+            VocabularyFilter.from_file(path)
+
+    def test_from_file_checks_each_distinct_entry_once(self, tmp_path, monkeypatch):
+        path = tmp_path / "vocab.txt"
+        path.write_text("awe#n\nkill#v\n# awe#n\nawe#n\n\n kill#v\nwar#n\n", encoding="utf-8")
+        calls = []
+        check = textpipe.check_lemma_pos
+
+        def counted(token):
+            calls.append(token)
+            check(token)
+
+        monkeypatch.setattr(textpipe, "check_lemma_pos", counted)
+        vocab = VocabularyFilter.from_file(path)
+        assert sorted(vocab) == ["awe#n", "kill#v", "war#n"]
+        assert sorted(calls) == ["awe#n", "kill#v", "war#n"]
+
 
 class TestLemmaTable:
     def test_from_file_entries_and_rules(self, tmp_path):
