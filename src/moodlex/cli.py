@@ -19,7 +19,7 @@ from . import __version__
 from .corpus import EmotionSet, corpus_stats, load_corpus
 from .errors import MoodlexError
 from .evaluate import EmotionMapping, evaluate_all, load_gold, load_labels, score_all
-from .lexicon import _fmt, build_lexicon, read_lexicon, write_lexicon
+from .lexicon import SERIALIZED_DIGITS, _fmt, build_lexicon, read_lexicon, write_lexicon
 from .sink import open_sink, open_source
 from .textpipe import LemmaTable, VocabularyFilter, lemmatize_all, tokenize
 
@@ -99,7 +99,9 @@ def _config_echo(subcommand: str, args: argparse.Namespace) -> str:
             continue
         flag = "--" + attr.replace("_", "-")
         if isinstance(value, float):
-            parts.extend([flag, format(value, "g")])
+            # The short form only where it reads back as the same value.
+            short = format(value, "g")
+            parts.extend([flag, short if float(short) == value else repr(value)])
         else:
             parts.extend([flag, str(value)])
     return " ".join(parts)
@@ -273,12 +275,17 @@ def cmd_score(args: argparse.Namespace) -> int:
 
     inputs = [("lexicon", args.lexicon), ("input", args.input)]
     metadata = _metadata("score", args, inputs)
+    fmt = f"{{:.{SERIALIZED_DIGITS}g}}".format  # _fmt on a float, bound once
+    rows = zip(entries, token_streams, scores.tolist(), covered.tolist())
     with _in_stage("write-scores"), open_sink(args.output) as fh:
         _write_metadata(fh, metadata)
         fh.write("id\t" + "\t".join(lex.emotions) + "\tcovered\ttotal\n")
-        for (line_id, _), tokens, vec, n in zip(entries, token_streams, scores, covered):
-            values = "\t".join(_fmt(v) for v in vec)
-            fh.write(f"{line_id}\t{values}\t{n}\t{len(tokens)}\n")
+        fh.write(
+            "".join(
+                f"{line_id}\t" + "\t".join(map(fmt, vec)) + f"\t{n}\t{len(tokens)}\n"
+                for (line_id, _), tokens, vec, n in rows
+            )
+        )
     logger.info("scored %d line(s)", len(entries))
     return 0
 

@@ -276,6 +276,8 @@ def _classification(
     if minmax not in MINMAX_SCOPES:
         raise EvaluationError(f"unknown minmax scope {minmax!r}")
     targets = _check_mapping(mapping, gold.emotions, lex)
+    if not targets:  # every target discarded or unmapped, as in _regression
+        return {}
     kept, scores = _kept_scores(scored, uncovered)
     raw = np.stack(
         [scores[:, lex.emotions.index(mapping.pairs[t])] for t in targets], axis=1

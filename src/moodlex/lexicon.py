@@ -10,7 +10,7 @@ immutable.
 from __future__ import annotations
 
 import logging
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -99,6 +99,9 @@ class EmotionLexicon:
 
     def __contains__(self, word: object) -> bool:
         return word in self._row_of
+
+    def __iter__(self) -> Iterator[str]:
+        return iter(self._words)
 
     def __len__(self) -> int:
         return len(self._words)

@@ -10,7 +10,8 @@ immutable after load.
 from __future__ import annotations
 
 import re
-from typing import Container, Iterable, Iterator
+from itertools import chain
+from typing import Iterable, Iterator
 
 from .errors import TextPipeError, VocabularyError
 from .sink import open_source
@@ -180,77 +181,88 @@ def tokenize(text: str) -> list[str]:
     return [t.lower() for t in _TOKEN_RE.findall(text)]
 
 
-def _candidates(
-    surface: str, table: LemmaTable, vocab: Container[str] | None, policy: str
-) -> list[str]:
-    licensed: list[str] = []
-    for pos in POS_TAGS:
-        hit = table.entry(surface, pos)
-        if hit is not None:
-            licensed.append(f"{hit}#{pos}")
-            continue
-        if vocab is None:
-            continue
-        identity = f"{surface}#{pos}"
-        if identity in vocab:
-            licensed.append(identity)
-            continue
-        for rewritten in table.rule_rewrites(surface, pos):
-            candidate = f"{rewritten}#{pos}"
-            if candidate in vocab:
-                licensed.append(candidate)
-                break
-    if not licensed:
+class _Resolver(dict):
+    """Candidates per surface form under the rules of :func:`lemmatize_all`.
+
+    The table and ``vocab`` are compiled once into plain dicts and a
+    frozenset; each surface form is resolved on its first lookup and kept.
+    """
+
+    def __init__(self, table: LemmaTable, vocab: Iterable[str] | None, policy: str):
+        self._members = None if vocab is None else frozenset(vocab)
+        # Per pos: the table hits, the identity tail, every rule suffix for
+        # one str.endswith pre-check, and the rules in file order.
+        self._per_pos = [
+            (
+                {s: f"{lemma}#{pos}" for (s, p), lemma in table._entries.items() if p == pos},
+                "#" + pos,
+                tuple(suffix for suffix, _ in table._rules[pos]),
+                [(suffix, f"{rep}#{pos}", bool(rep)) for suffix, rep in table._rules[pos]],
+            )
+            for pos in POS_TAGS
+        ]
+        self._keep = 1 if policy == "first" else len(POS_TAGS)
+
+    def __missing__(self, surface: str) -> list[str]:
+        members = self._members
+        licensed: list[str] = []
+        for pos_hits, tail, suffixes, rules in self._per_pos:
+            hit = pos_hits.get(surface)
+            if hit is None and members is not None:
+                if (identity := surface + tail) in members:
+                    hit = identity
+                elif surface.endswith(suffixes):
+                    for suffix, rule_tail, replaces in rules:
+                        if surface.endswith(suffix):
+                            stem = surface[: -len(suffix)]
+                            # A rewrite that would empty the surface is skipped.
+                            if (stem or replaces) and (rewrite := stem + rule_tail) in members:
+                                hit = rewrite
+                                break
+            if hit is not None:
+                licensed.append(hit)
+                if len(licensed) == self._keep:
+                    break
         # Unmapped surface forms pass through as nouns; downstream
         # vocabulary filtering decides whether they survive.
-        return [f"{surface}#n"]
-    if policy == "first":
-        return licensed[:1]
-    return licensed
+        candidates = self[surface] = licensed or [surface + "#n"]
+        return candidates
 
 
 def lemmatize_all(
     streams: Iterable[Iterable[str]],
     table: LemmaTable,
     *,
-    vocab: Container[str] | None = None,
+    vocab: Iterable[str] | None = None,
     policy: str = "all",
 ) -> list[list[str]]:
     """Map each stream of surface tokens to lemma#pos candidate tokens.
 
     Each occurrence of a surface form yields every candidate licensed by the
     exception table or ``vocab`` (identity form first, then suffix-rule
-    rewrites), scanned in POS_TAGS order. ``vocab`` is any container of
-    lemma#pos strings: a :class:`VocabularyFilter`, a set, or a lexicon.
+    rewrites), scanned in POS_TAGS order. ``vocab`` is a
+    :class:`VocabularyFilter`, a set of lemma#pos strings, or a lexicon.
     Without a vocabulary only exception-table hits can be licensed. Under the
     default ``all`` policy every licensed candidate is emitted; ``first``
     keeps only the first.
 
-    Candidates depend only on the surface form, so they are worked out once
-    per distinct surface form in the whole call.
+    The table and ``vocab`` are compiled once per call, and candidates, which
+    depend only on the surface form, are worked out once per distinct surface
+    form in the whole call.
     """
     if policy not in AMBIGUITY_POLICIES:
         raise TextPipeError(
             f"unknown ambiguity policy {policy!r}: expected one of {AMBIGUITY_POLICIES}"
         )
-    memo: dict[str, list[str]] = {}
-    out: list[list[str]] = []
-    for tokens in streams:
-        expanded: list[str] = []
-        for surface in tokens:
-            candidates = memo.get(surface)
-            if candidates is None:
-                candidates = memo[surface] = _candidates(surface, table, vocab, policy)
-            expanded.extend(candidates)
-        out.append(expanded)
-    return out
+    candidates = _Resolver(table, vocab, policy).__getitem__
+    return [list(chain.from_iterable(map(candidates, tokens))) for tokens in streams]
 
 
 def lemmatize(
     tokens: Iterable[str],
     table: LemmaTable,
     *,
-    vocab: Container[str] | None = None,
+    vocab: Iterable[str] | None = None,
     policy: str = "all",
 ) -> list[str]:
     """One stream through :func:`lemmatize_all`."""

@@ -52,6 +52,33 @@ def lemma_pos_reference(token: str) -> None:
     _LemmaPos.parse(token)
 
 
+def candidates_reference(surface: str, table, vocab, policy: str) -> list[str]:
+    """lemma#pos candidates of one surface form, walked per pos through the
+    table's public ``entry`` and ``rule_rewrites`` (the README contract)."""
+    licensed: list[str] = []
+    for pos in _POS_TAGS:
+        hit = table.entry(surface, pos)
+        if hit is not None:
+            licensed.append(f"{hit}#{pos}")
+            continue
+        if vocab is None:
+            continue
+        identity = f"{surface}#{pos}"
+        if identity in vocab:
+            licensed.append(identity)
+            continue
+        for rewritten in table.rule_rewrites(surface, pos):
+            candidate = f"{rewritten}#{pos}"
+            if candidate in vocab:
+                licensed.append(candidate)
+                break
+    if not licensed:
+        return [f"{surface}#n"]
+    if policy == "first":
+        return licensed[:1]
+    return licensed
+
+
 def normalized_frequency(count: float, doc_len: int) -> float:
     """Occurrences divided by document length, in [0, 1]."""
     if doc_len <= 0:

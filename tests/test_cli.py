@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from moodlex import read_lexicon, score_headline
-from moodlex.cli import main
+from moodlex.cli import _config_echo, build_parser, main
 
 CORPUS_LINES = [
     {"id": "d1", "tokens": ["awe#n", "kill#v", "war#n"], "votes": {"AFRAID": 0.5, "SAD": 0.5}},
@@ -488,6 +488,105 @@ class TestBadInput:
         assert len(messages) == 1
         assert messages[0].startswith(f"{stage}: 'utf-8' codec can't decode byte 0xe9 ")
         assert messages[0].endswith(f"({name}, line {lineno}, column {column})")
+
+
+@pytest.mark.parametrize(
+    "value, echoed", [(0.123456789, None), (0.99999999, None), (1e-7, "1e-07"), (2.0, "2")]
+)
+@pytest.mark.parametrize(
+    "argv, attr",
+    [
+        (["eval", "--lexicon", "l.tsv", "--gold", "g.tsv", "--threshold"], "threshold"),
+        (
+            ["build", "--corpus", "c", "--vocab", "v", "--output", "o", "--min-votes-sum"],
+            "min_votes_sum",
+        ),
+    ],
+)
+def test_float_flags_echo_back_exactly(argv, attr, value, echoed):
+    """The echoed command parses back to the same float; the short form is
+    kept wherever it is exact, so existing metadata lines do not change."""
+    parser = build_parser()
+    args = parser.parse_args([*argv, repr(value)])
+    echo = _config_echo(args.subcommand, args).split()
+    assert echo[:2] == ["moodlex", args.subcommand]
+    again = parser.parse_args(echo[1:])
+    assert getattr(again, attr) == value
+    flag = echo[echo.index("--" + attr.replace("_", "-")) + 1]
+    assert flag == (echoed or repr(value))
+
+
+def _header_only(name, text):
+    """The lexicon's metadata and header, the gold header, or else (a file
+    kind with no header) one comment line."""
+    if name in ("lex.tsv", "gold.tsv"):
+        lines = text.splitlines(keepends=True)
+        return "".join(lines[: 1 + next(i for i, l in enumerate(lines) if not l.startswith("#"))])
+    return "# header\n"
+
+
+MALFORMED = {
+    "empty": lambda name, text: "",
+    "header-only": _header_only,
+    "crlf": lambda name, text: text.replace("\n", "\r\n"),
+    # Half of the last line, with no newline: what an interrupted writer leaves.
+    "truncated": lambda name, text: text[: len(text) - 1 - len(text.splitlines()[-1]) // 2],
+}
+
+# (subcommand, file, fixture) -> the one error message; every case not listed
+# succeeds. CRLF line ends always read the same as LF.
+MALFORMED_ERRORS = {
+    ("score", "lex.tsv", "empty"): "read-lexicon: lex.tsv: missing lexicon header",
+    ("score", "lex.tsv", "header-only"): "read-lexicon: lex.tsv: lexicon has no rows",
+    ("score", "lex.tsv", "truncated"): "read-lexicon: lex.tsv:19: expected 9 columns, got 4",
+    ("eval", "lex.tsv", "empty"): "read-lexicon: lex.tsv: missing lexicon header",
+    ("eval", "lex.tsv", "header-only"): "read-lexicon: lex.tsv: lexicon has no rows",
+    ("eval", "lex.tsv", "truncated"): "read-lexicon: lex.tsv:19: expected 9 columns, got 4",
+    ("eval", "gold.tsv", "empty"): "load-gold: gold.tsv: missing gold header",
+    ("eval", "gold.tsv", "header-only"): "load-gold: gold.tsv: no gold headlines",
+    ("eval", "gold.tsv", "truncated"): "load-gold: gold.tsv:5: expected 5 columns, got 2",
+    ("eval", "labels.tsv", "truncated"):
+        "load-labels: labels.tsv:2: expected 'id<TAB>LABEL[,LABEL...]'",
+    ("eval", "mapping.tsv", "truncated"):
+        "load-mapping: mapping.tsv:3: expected 'TARGET<TAB>SOURCE', got 'DISGU'",
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(MALFORMED))
+@pytest.mark.parametrize(
+    "subcommand, name",
+    [
+        ("score", "lex.tsv"),
+        ("score", "headlines.tsv"),
+        ("eval", "lex.tsv"),
+        ("eval", "gold.tsv"),
+        ("eval", "labels.tsv"),
+        ("eval", "mapping.tsv"),
+    ],
+)
+def test_malformed_input_files(built, monkeypatch, caplog, subcommand, name, fixture):
+    """Every file that score and eval read, emptied, cut to its header, given
+    CRLF line ends or truncated: the run works, or exits 1 with one
+    stage-named message (an uncaught exception would fail the test)."""
+    monkeypatch.chdir(built)
+    Path("lemmas.tsv").write_text("killed\tv\tkill\n", encoding="utf-8")
+    Path("headlines.tsv").write_text("h1\tAwe kill war\nh2\tHappy game\n", encoding="utf-8")
+    command = TestBadInput.COMMANDS[subcommand]
+    assert main(command) == 0
+    before = [l for l in Path("out.tsv").read_text(encoding="utf-8").splitlines() if l[:1] != "#"]
+    text = Path(name).read_text(encoding="utf-8")
+    Path(name).write_bytes(MALFORMED[fixture](name, text).encode("utf-8"))
+    caplog.clear()
+    code = main(command)
+    messages = [r.message for r in caplog.records if r.levelname == "ERROR"]
+    error = MALFORMED_ERRORS.get((subcommand, name, fixture))
+    if error is None:
+        assert (code, messages) == (0, [])
+    else:
+        assert (code, messages) == (1, [error])
+    if fixture == "crlf":
+        after = Path("out.tsv").read_text(encoding="utf-8").splitlines()
+        assert [l for l in after if l[:1] != "#"] == before
 
 
 SCIPY_PROBE = (

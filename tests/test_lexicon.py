@@ -28,7 +28,6 @@ from moodlex import (
     validate_votes,
     write_lexicon,
 )
-from moodlex import textpipe
 from moodlex.lexicon import EmotionLexicon
 
 import dense_reference
@@ -306,7 +305,7 @@ class TestBuildLexicon:
             candidates = [
                 c
                 for surface in tokenize(text)
-                for c in textpipe._candidates(surface, table, vocab, ambiguity)
+                for c in dense_reference.candidates_reference(surface, table, vocab, ambiguity)
             ]
             triples.append((f"t{j}", candidates, votes))
         lex = build_lexicon(

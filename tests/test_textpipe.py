@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moodlex import (
@@ -18,8 +18,9 @@ from moodlex import (
     tokenize,
 )
 from moodlex import textpipe
+from moodlex.lexicon import EmotionLexicon
 
-from dense_reference import lemma_pos_reference
+from dense_reference import candidates_reference, lemma_pos_reference
 
 # Pieces of lemma#pos keys near the edges of the rules: separators, pos
 # letters (and one that is not), upper and title case, characters whose
@@ -246,8 +247,6 @@ class TestLemmatize:
         assert lemmatize(tokens, table, vocab=vocab) == expected
 
 
-# Surfaces over a tiny alphabet repeat often within and across streams, and
-# hit table entries, identity licensing, rule rewrites and pass-through.
 MEMO_TABLE = LemmaTable(
     entries=[("men", "n", "man"), ("ran", "v", "run")],
     rules=[("v", "ed", ""), ("n", "s", ""), ("a", "er", "")],
@@ -255,36 +254,104 @@ MEMO_TABLE = LemmaTable(
 MEMO_VOCAB = VocabularyFilter(
     ["man#n", "run#v", "run#n", "a#n", "ab#v", "ab#a", "b#n", "ba#r", "men#a"]
 )
-SURFACES = st.sampled_from(["men", "ran", "run", "runs", "abed", "aber", "abs", "a", "b", "ba"])
+
+# Random tables, vocabularies and surfaces over a two-letter alphabet, short
+# enough that surface forms repeat within and across streams, suffixes often
+# overlap within a pos or equal a whole surface, replacements are often
+# empty, and table lemmas are sometimes missing from the vocabulary.
+AB = st.text(alphabet="ab", min_size=1, max_size=2)
+POS = st.sampled_from(textpipe.POS_TAGS)
+TABLES = st.builds(
+    lambda entries, rules: LemmaTable(
+        [(surface, pos, lemma) for (surface, pos), lemma in entries.items()], rules
+    ),
+    st.dictionaries(st.tuples(AB, POS), AB, max_size=4),
+    st.lists(st.tuples(POS, AB, st.text(alphabet="ab", max_size=1)), max_size=10),
+)
+
+
+def make_vocab(form, words):
+    """``words`` as no vocabulary, a set, a VocabularyFilter or a lexicon.
+    Only the set keeps keys with an empty lemma, such as "#v", which shows
+    whether a rewrite that would empty a surface is skipped."""
+    if form == "none":
+        return None
+    if form == "set":
+        return set(words)
+    valid = sorted({w for w in words if not w.startswith("#")}) or ["a#n"]
+    if form == "filter":
+        return VocabularyFilter(valid)
+    return EmotionLexicon(["X"], valid, np.ones((len(valid), 1)))
+
+
+# Every key with a lemma of at most two letters, less a drawn few: most
+# rewrites are licensed, so rule order decides often.
+KEYS_AB = [
+    f"{lemma}#{pos}"
+    for lemma in ("", "a", "b", "aa", "ab", "ba", "bb")
+    for pos in textpipe.POS_TAGS
+]
+VOCABS = st.builds(
+    lambda form, dropped: make_vocab(form, [k for k in KEYS_AB if k not in dropped]),
+    st.sampled_from(["none", "set", "filter", "lexicon"]),
+    st.sets(st.sampled_from(KEYS_AB)),
+)
 STREAMS = st.lists(
-    st.lists(SURFACES | st.text(alphabet="abms", min_size=1, max_size=3), max_size=8),
-    max_size=6,
+    st.lists(st.text(alphabet="ab", min_size=1, max_size=3), max_size=8), max_size=4
 )
 
 
 class TestLemmatizeAll:
-    @settings(max_examples=200, deadline=None)
+    @settings(max_examples=300, deadline=None)
     @given(
-        streams=STREAMS,
-        policy=st.sampled_from(["all", "first"]),
-        vocab=st.sampled_from([None, MEMO_VOCAB]),
+        table=TABLES, vocab=VOCABS, policy=st.sampled_from(["all", "first"]), streams=STREAMS
     )
-    def test_matches_unmemoized_candidates_per_stream(self, streams, policy, vocab):
+    # An empty replacement that would empty "b" (and "#v" is in the set), a
+    # suffix equal to the whole surface "ab", two same-pos suffixes that
+    # both license a rewrite of "aab" in either file order, and a table
+    # lemma "bb#n" that the vocabulary lacks.
+    @example(
+        table=LemmaTable(
+            [("ab", "n", "bb")], [("v", "b", ""), ("v", "ab", "b"), ("a", "ab", "b")]
+        ),
+        vocab={"#v", "aa#v", "ab#v", "b#a"},
+        policy="all",
+        streams=[["b", "aab", "ab"], ["ab"]],
+    )
+    @example(
+        table=LemmaTable([("ab", "n", "bb")], [("v", "ab", "b"), ("v", "b", "")]),
+        vocab=make_vocab("lexicon", ["aa#v", "ab#v", "b#v"]),
+        policy="first",
+        streams=[["aab", "ab", "b"]],
+    )
+    # Table hits, identity licensing, rule rewrites and pass-through.
+    @example(
+        table=MEMO_TABLE,
+        vocab=MEMO_VOCAB,
+        policy="all",
+        streams=[["men", "ran", "runs", "abed", "aber"], ["abs", "ba", "men", "xyzzy"]],
+    )
+    def test_matches_unmemoized_candidates_per_stream(self, table, vocab, policy, streams):
         expected = [
-            [c for s in stream for c in textpipe._candidates(s, MEMO_TABLE, vocab, policy)]
+            [c for s in stream for c in candidates_reference(s, table, vocab, policy)]
             for stream in streams
         ]
-        assert lemmatize_all(streams, MEMO_TABLE, vocab=vocab, policy=policy) == expected
+        assert lemmatize_all(streams, table, vocab=vocab, policy=policy) == expected
 
     def test_candidates_run_once_per_distinct_surface(self, monkeypatch):
         calls = []
-        original = textpipe._candidates
+        original = textpipe._Resolver.__missing__
 
-        def counting(surface, table, vocab, policy):
+        def counting(self, surface):
             calls.append(surface)
-            return original(surface, table, vocab, policy)
+            return original(self, surface)
 
-        monkeypatch.setattr(textpipe, "_candidates", counting)
+        def no_membership_calls(self, token):
+            raise AssertionError("membership checked through __contains__")
+
+        monkeypatch.setattr(textpipe._Resolver, "__missing__", counting)
+        # Membership is taken once per call as a frozenset, never per lookup.
+        monkeypatch.setattr(VocabularyFilter, "__contains__", no_membership_calls)
         streams = [["men", "runs", "men"], [], ["runs", "abed", "men"], ["abed"]]
         out = lemmatize_all(iter(streams), MEMO_TABLE, vocab=MEMO_VOCAB)
         assert sorted(calls) == ["abed", "men", "runs"]
