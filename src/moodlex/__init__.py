@@ -3,72 +3,48 @@
 Builds word-by-emotion lexicons from corpora annotated with crowd-voted
 emotion distributions, and evaluates any such lexicon on headline emotion
 recognition in regression and classification settings.
+
+The public names below load their submodule on first use (PEP 562), so
+``import moodlex`` alone imports neither numpy nor any submodule.
 """
+
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-from .corpus import (
-    DEFAULT_EMOTIONS,
-    CorpusStats,
-    DocEmotionMatrix,
-    DocumentRecord,
-    EmotionSet,
-    corpus_stats,
-    load_corpus,
-    parse_corpus,
-    validate_votes,
-    vote_matrix,
-)
-from .errors import (
-    CorpusError,
-    EvaluationError,
-    LexiconError,
-    MatrixError,
-    MoodlexError,
-    TextPipeError,
-    VocabularyError,
-    VoteError,
-)
-from .evaluate import (
-    ClassificationMetrics,
-    CoverageStats,
-    EmotionMapping,
-    EvalReport,
-    GoldHeadline,
-    GoldSet,
-    coverage_stats,
-    evaluate_all,
-    evaluate_classification,
-    evaluate_regression,
-    load_gold,
-    load_labels,
-    min_max_normalize,
-    pearson,
-    precision_recall_f1,
-    score_all,
-    score_headline,
-)
-from .lexicon import (
-    EmotionLexicon,
-    build_lexicon,
-    column_normalize,
-    emotion_product,
-    read_lexicon,
-    row_scale,
-    write_lexicon,
-)
-from .matrix import (
-    TermDocumentMatrix,
-    apply_weighting,
-    count_terms,
-    filter_min_df,
-    write_matrix_dump,
-)
-from .textpipe import (
-    LemmaTable,
-    VocabularyFilter,
-    filter_vocabulary,
-    lemmatize,
-    lemmatize_all,
-    tokenize,
-)
+# Each submodule and the public names it defines.
+_EXPORTS = {
+    "corpus": (
+        "DEFAULT_EMOTIONS Corpus CorpusStats DocEmotionMatrix EmotionSet corpus_stats "
+        "load_corpus parse_corpus validate_votes vote_matrix"
+    ).split(),
+    "errors": (
+        "CorpusError EvaluationError LexiconError MatrixError MoodlexError TextPipeError "
+        "VocabularyError VoteError"
+    ).split(),
+    "evaluate": (
+        "ClassificationMetrics CoverageStats EmotionMapping EvalReport GoldHeadline "
+        "GoldSet coverage_stats evaluate_all evaluate_classification evaluate_regression "
+        "load_gold load_labels min_max_normalize pearson precision_recall_f1 score_all "
+        "score_headline"
+    ).split(),
+    "lexicon": (
+        "EmotionLexicon build_lexicon column_normalize emotion_product read_lexicon "
+        "row_scale write_lexicon"
+    ).split(),
+    "matrix": "TermDocumentMatrix apply_weighting count_terms filter_min_df write_matrix_dump".split(),
+    "textpipe": "LemmaTable VocabularyFilter filter_vocabulary lemmatize lemmatize_all tokenize".split(),
+}
+_MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = sorted(_MODULE_OF)
+
+
+def __getattr__(name: str):
+    try:
+        module = _MODULE_OF[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value

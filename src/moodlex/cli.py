@@ -12,8 +12,15 @@ from __future__ import annotations
 import argparse
 import hashlib
 import logging
+import os
 import sys
 from contextlib import contextmanager, nullcontext
+
+# numpy's OpenBLAS starts one busy-waiting thread per extra core, and its
+# threaded kernels make a float sum depend on the thread count. No step here
+# needs a threaded BLAS kernel, so the command line pins one thread before
+# numpy is first imported; a value the user set still wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__
 from .corpus import EmotionSet, corpus_stats, load_corpus
@@ -128,7 +135,7 @@ def _emotion_set(labels_csv: str | None) -> EmotionSet:
 
 def cmd_build(args: argparse.Namespace) -> int:
     emotions = _stage("configure", _emotion_set, args.emotions)
-    records = _stage(
+    corpus = _stage(
         "load-corpus", load_corpus, args.corpus, emotions, min_votes_sum=args.min_votes_sum
     )
     vocab = _stage("load-vocabulary", VocabularyFilter.from_file, args.vocab)
@@ -149,7 +156,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         lex = _stage(
             "build-lexicon",
             build_lexicon,
-            records,
+            corpus,
             vocab,
             WEIGHTINGS[args.weighting],
             emotions=emotions,
@@ -292,10 +299,10 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     emotions = _stage("configure", _emotion_set, args.emotions)
-    records = _stage(
+    corpus = _stage(
         "load-corpus", load_corpus, args.corpus, emotions, min_votes_sum=args.min_votes_sum
     )
-    stats = _stage("corpus-stats", corpus_stats, records)
+    stats = _stage("corpus-stats", corpus_stats, corpus)
     metadata = _metadata("stats", args, [("corpus", args.corpus)])
     with _in_stage("write-stats"), open_sink(args.output) as fh:
         _write_metadata(fh, metadata)

@@ -3,15 +3,17 @@
 A corpus file carries one JSON object per line with fields ``id``, exactly
 one of ``tokens`` (array of lemma#pos strings) or ``text`` (raw string), and
 ``votes`` (map from emotion label to a non-negative number). Parsing is
-single-pass and order-preserving; the loaded corpus is immutable and safe to
-share read-only across concurrent consumers.
+single-pass and order-preserving. It yields one columnar :class:`Corpus`:
+each distinct token string is checked once and numbered, and the documents'
+tokens are one ``int32`` array of those numbers.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -90,25 +92,67 @@ class EmotionSet:
         return f"EmotionSet({list(self._labels)!r})"
 
 
-@dataclass(frozen=True, eq=False)
-class DocumentRecord:
-    """One document: id, validated vote distribution, and its token stream.
+class _Numbering(dict):
+    """Gives each new key the next number, 0, 1, 2, ..., on its first lookup."""
 
-    ``tokens`` holds lemma#pos strings when the corpus is pre-annotated;
-    otherwise ``text`` holds the raw document and the text pipeline produces
-    the tokens later. Empty token streams are legal (the document is dropped
-    from matrix construction with a warning, never an abort).
+    def __missing__(self, key) -> int:
+        self[key] = number = len(self)
+        return number
+
+
+@dataclass(frozen=True, eq=False)
+class Corpus:
+    """A parsed corpus, one array or tuple per field, documents in file order.
+
+    Document ``i`` has the id ``doc_ids[i]``, the vote fractions ``votes[i]``
+    and ``lengths[i]`` tokens, the next ``lengths[i]`` entries of
+    ``token_ids``. A token id indexes ``strings``, the distinct token strings
+    in order of first occurrence. A raw-text document has no tokens until
+    :meth:`lemmatized`; ``texts`` maps its index to its text. Documents with
+    no tokens are legal (they are dropped from matrix construction with a
+    warning, never an abort).
     """
 
-    doc_id: str
+    doc_ids: tuple[str, ...]
     votes: np.ndarray
-    tokens: tuple[str, ...] | None = None
-    text: str | None = None
+    token_ids: np.ndarray
+    lengths: np.ndarray
+    strings: tuple[str, ...]
+    texts: Mapping[int, str] = field(default_factory=dict)
 
-    def token_count(self) -> int:
-        if self.tokens is not None:
-            return len(self.tokens)
-        return len(textpipe.tokenize(self.text or ""))
+    def __len__(self) -> int:
+        return len(self.doc_ids)
+
+    def lemmatized(
+        self, table: textpipe.LemmaTable, vocab: Iterable[str] | None, policy: str
+    ) -> "Corpus":
+        """This corpus with each raw-text document's lemma#pos candidates
+        (:func:`textpipe.lemmatize_all`) as its tokens.
+
+        Candidates are numbered like tokens but not checked: they are only
+        kept where a checked vocabulary holds them.
+        """
+        if not self.texts:
+            return self
+        docs = list(self.texts)
+        streams = textpipe.lemmatize_all(
+            (textpipe.tokenize(self.texts[i]) for i in docs), table, vocab=vocab, policy=policy
+        )
+        id_of = _Numbering(zip(self.strings, range(len(self.strings))))
+        pieces = np.split(self.token_ids, np.cumsum(self.lengths[:-1]))
+        lengths = self.lengths.copy()
+        for i, stream in zip(docs, streams):
+            pieces[i] = np.fromiter(
+                map(id_of.__getitem__, stream), dtype=np.int32, count=len(stream)
+            )
+            lengths[i] = len(stream)
+        return Corpus(
+            doc_ids=self.doc_ids,
+            votes=self.votes,
+            token_ids=np.concatenate(pieces),
+            lengths=lengths,
+            strings=tuple(id_of),
+        )
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,15 +180,20 @@ def validate_votes(
     """Validate a raw vote distribution and rescale it to an exact unit sum.
 
     ``raw`` is either a mapping from emotion label to value (absent labels
-    count as zero, which is distinct from a missing votes field) or a
-    sequence aligned with ``emotions``. A sum within VOTE_SUM_TOLERANCE of 1
-    is divided out proportionally; negative entries, all-zero votes, and
-    sums further from 1 are rejected rather than silently fixed.
+    count as zero, which is distinct from a missing votes field; two labels
+    that normalize alike are an error) or a sequence aligned with
+    ``emotions``. A sum within VOTE_SUM_TOLERANCE of 1 is divided out
+    proportionally; negative entries, all-zero votes, and sums further from
+    1 are rejected rather than silently fixed.
     """
     values = np.zeros(len(emotions), dtype=np.float64)
     if isinstance(raw, Mapping):
+        key_of: dict[str, object] = {}
         for key, value in raw.items():
             label = str(key).strip().upper()
+            if label in key_of:
+                raise VoteError(f"votes name {label} twice: {key_of[label]!r} and {key!r}")
+            key_of[label] = key
             try:
                 numeric = float(value)
             except (TypeError, ValueError, OverflowError):
@@ -218,25 +267,29 @@ def _record_fields(obj: object) -> tuple[str, list | None, str | None, Mapping]:
     return doc_id, tokens, text, votes
 
 
-def _canonical_tokens(tokens: list, valid: dict[str, str]) -> tuple[str, ...]:
-    """Check every token of one record.
+class _TokenIds(dict):
+    """Token string -> id, numbered like :class:`_Numbering`; a string is
+    checked when it is first looked up."""
 
-    ``valid`` maps each string that already passed in this parse to its first
-    instance, so each distinct string is checked once and held once.
-    """
-    out = []
-    for tok in tokens:
-        if not isinstance(tok, str):
-            raise _MalformedRecord(f"token {tok!r} is not a string")
-        canonical = valid.get(tok)
-        if canonical is None:
-            try:
-                textpipe.check_lemma_pos(tok)
-            except TextPipeError as exc:
-                raise _MalformedRecord(f"bad token {tok!r}: {exc}") from None
-            canonical = valid[tok] = tok
-        out.append(canonical)
-    return tuple(out)
+    def __missing__(self, token) -> int:
+        if not isinstance(token, str):
+            raise _MalformedRecord(f"token {token!r} is not a string")
+        try:
+            textpipe.check_lemma_pos(token)
+        except TextPipeError as exc:
+            raise _MalformedRecord(f"bad token {token!r}: {exc}") from None
+        self[token] = token_id = len(self)
+        return token_id
+
+
+def _token_ids(tokens: list, id_of: _TokenIds) -> list[int]:
+    try:
+        return list(map(id_of.__getitem__, tokens))
+    except TypeError:
+        # An unhashable token (a JSON array or object) fails the lookup
+        # itself. Every token before it passed, so it is the first non-string.
+        bad = next(tok for tok in tokens if not isinstance(tok, str))
+        raise _MalformedRecord(f"token {bad!r} is not a string") from None
 
 
 def parse_corpus(
@@ -245,7 +298,7 @@ def parse_corpus(
     *,
     min_votes_sum: float | None = None,
     source: str = "<stream>",
-) -> list[DocumentRecord]:
+) -> Corpus:
     """Parse line-delimited corpus records in file order.
 
     Malformed lines are collected and reported together (line numbers plus a
@@ -254,9 +307,13 @@ def parse_corpus(
     dropped before validation.
     """
     emotions = emotions if emotions is not None else EmotionSet.default()
-    records: list[DocumentRecord] = []
+    doc_ids: list[str] = []
+    votes: list[np.ndarray] = []
+    lengths = array("q")
+    token_ids = array("i")
+    texts: dict[int, str] = {}
+    id_of = _TokenIds()
     seen: dict[str, int] = {}
-    valid_tokens: dict[str, str] = {}
     failures: list[tuple[int, str]] = []
     dropped_low_votes = 0
     for lineno, line in enumerate(stream, start=1):
@@ -285,15 +342,18 @@ def parse_corpus(
                     dropped_low_votes += 1
                     continue
             try:
-                votes = validate_votes(votes_raw, emotions)
+                doc_votes = validate_votes(votes_raw, emotions)
             except VoteError as exc:
                 raise _MalformedRecord(str(exc)) from None
-            record_tokens = (
-                _canonical_tokens(tokens, valid_tokens) if tokens is not None else None
-            )
-            records.append(
-                DocumentRecord(doc_id=doc_id, votes=votes, tokens=record_tokens, text=text)
-            )
+            if tokens is None:
+                texts[len(doc_ids)] = text
+                lengths.append(0)
+            else:
+                # The record's ids go straight into the int32 array.
+                token_ids.fromlist(_token_ids(tokens, id_of))
+                lengths.append(len(tokens))
+            doc_ids.append(doc_id)
+            votes.append(doc_votes)
         except _MalformedRecord as exc:
             failures.append((lineno, str(exc)))
     if dropped_low_votes:
@@ -309,7 +369,14 @@ def parse_corpus(
         raise CorpusError(
             f"{source}: {len(failures)} malformed line(s): {shown}{suffix}"
         )
-    return records
+    return Corpus(
+        doc_ids=tuple(doc_ids),
+        votes=np.array(votes, dtype=np.float64).reshape(len(doc_ids), len(emotions)),
+        token_ids=np.frombuffer(token_ids, dtype=np.int32),
+        lengths=np.frombuffer(lengths, dtype=np.int64),
+        strings=tuple(id_of),
+        texts=texts,
+    )
 
 
 def load_corpus(
@@ -317,7 +384,7 @@ def load_corpus(
     emotions: EmotionSet | None = None,
     *,
     min_votes_sum: float | None = None,
-) -> list[DocumentRecord]:
+) -> Corpus:
     """Parse a corpus file from disk; see :func:`parse_corpus`."""
     with open_source(path) as fh:
         return parse_corpus(
@@ -325,29 +392,25 @@ def load_corpus(
         )
 
 
-def corpus_stats(corpus: Sequence[DocumentRecord]) -> CorpusStats:
-    """Mean vote fractions and document-length statistics over ``corpus``."""
-    if not corpus:
+def corpus_stats(corpus: Corpus) -> CorpusStats:
+    """Mean vote fractions and document-length statistics over ``corpus``.
+
+    A raw-text document counts the tokens :func:`textpipe.tokenize` finds."""
+    if not len(corpus):
         raise CorpusError("cannot compute statistics for an empty corpus")
-    votes = np.stack([record.votes for record in corpus])
-    token_count = sum(record.token_count() for record in corpus)
+    token_count = int(corpus.lengths.sum()) + sum(
+        len(textpipe.tokenize(text)) for text in corpus.texts.values()
+    )
     return CorpusStats(
         doc_count=len(corpus),
         token_count=token_count,
-        mean_votes=votes.mean(axis=0),
+        mean_votes=corpus.votes.mean(axis=0),
         mean_doc_length=token_count / len(corpus),
     )
 
 
-def vote_matrix(
-    corpus: Sequence[DocumentRecord], emotions: EmotionSet
-) -> DocEmotionMatrix:
-    """Stack the corpus vote vectors into a documents-by-emotions matrix,
-    preserving corpus order."""
-    if not corpus:
+def vote_matrix(corpus: Corpus, emotions: EmotionSet) -> DocEmotionMatrix:
+    """The corpus vote rows as a documents-by-emotions matrix, in corpus order."""
+    if not len(corpus):
         raise CorpusError("cannot build a vote matrix from an empty corpus")
-    return DocEmotionMatrix(
-        doc_ids=tuple(record.doc_id for record in corpus),
-        emotions=emotions,
-        values=np.stack([record.votes for record in corpus]),
-    )
+    return DocEmotionMatrix(doc_ids=corpus.doc_ids, emotions=emotions, values=corpus.votes)

@@ -10,17 +10,13 @@ immutable.
 from __future__ import annotations
 
 import logging
+from itertools import compress
 from typing import Iterator, Sequence
 
 import numpy as np
 
 from . import textpipe
-from .corpus import (
-    DocEmotionMatrix,
-    DocumentRecord,
-    EmotionSet,
-    vote_matrix,
-)
+from .corpus import Corpus, DocEmotionMatrix, EmotionSet, vote_matrix
 from .errors import LexiconError, TextPipeError
 from .matrix import (
     SCHEMES,
@@ -169,7 +165,7 @@ def row_scale(
 
 
 def build_lexicon(
-    corpus: Sequence[DocumentRecord],
+    corpus: Corpus,
     vocab: textpipe.VocabularyFilter,
     scheme: str,
     *,
@@ -186,7 +182,8 @@ def build_lexicon(
     Raw-text documents go through tokenize/lemmatize with candidates licensed
     by ``vocab``; pre-annotated token streams are used as-is. Both are then
     vocabulary-filtered, counted, weighted under ``scheme``, multiplied into
-    the vote matrix, column-normalized and row-scaled.
+    the vote matrix, column-normalized and row-scaled. Filtering and
+    counting work on token ids, never on the token strings.
     """
     if scheme not in SCHEMES:
         raise LexiconError(f"unknown weighting scheme {scheme!r}: expected one of {SCHEMES}")
@@ -199,34 +196,33 @@ def build_lexicon(
     emotions = emotions if emotions is not None else EmotionSet.default()
     table = lemma_table if lemma_table is not None else textpipe.LemmaTable()
 
-    lemmatized = iter(
-        textpipe.lemmatize_all(
-            (textpipe.tokenize(record.text or "") for record in corpus if record.tokens is None),
-            table,
-            vocab=vocab,
-            policy=ambiguity,
-        )
+    corpus = corpus.lemmatized(table, vocab, ambiguity)
+    # Vocabulary membership is decided once per distinct string; filtered
+    # lengths are the kept tokens per document.
+    in_vocab = np.fromiter(
+        map(vocab.__contains__, corpus.strings), dtype=bool, count=len(corpus.strings)
     )
-    streams = [
-        record.tokens if record.tokens is not None else next(lemmatized) for record in corpus
-    ]
-    # Vocabulary membership is decided once per distinct candidate.
-    in_vocab = {token for token in set().union(*streams) if token in vocab}
-    raw_lengths: dict[str, int] = {}
-    kept: list[DocumentRecord] = []
-    for record, candidates in zip(corpus, streams):
-        raw_lengths[record.doc_id] = len(candidates)
-        filtered = tuple([token for token in candidates if token in in_vocab])
-        if filtered:
-            kept.append(DocumentRecord(doc_id=record.doc_id, votes=record.votes, tokens=filtered))
-    empty = len(corpus) - len(kept)
+    keep = in_vocab[corpus.token_ids]
+    doc_of = np.repeat(np.arange(len(corpus), dtype=np.int32), corpus.lengths)
+    lengths = np.bincount(doc_of[keep], minlength=len(corpus))
+    del doc_of
+    nonempty = lengths > 0
+    empty = len(corpus) - int(np.count_nonzero(nonempty))
     if empty:
         logger.warning(
             "%d document(s) had no tokens after vocabulary filtering and were dropped",
             empty,
         )
+    kept = Corpus(
+        doc_ids=tuple(compress(corpus.doc_ids, nonempty)),
+        votes=corpus.votes[nonempty],
+        token_ids=corpus.token_ids[keep],
+        lengths=lengths[nonempty],
+        strings=corpus.strings,
+    )
+    del keep
 
-    counted = count_terms(kept, raw_lengths=raw_lengths)
+    counted = count_terms(kept, raw_lengths=corpus.lengths[nonempty])
     counted = filter_min_df(counted, min_df)
     weighted = apply_weighting(counted, scheme, nf_length=nf_length)
     votes = vote_matrix(kept, emotions)

@@ -12,12 +12,11 @@ from __future__ import annotations
 import dataclasses
 import logging
 from functools import cached_property
-from itertools import chain
-from typing import Mapping, Sequence
+from itertools import compress
 
 import numpy as np
 
-from .corpus import DocumentRecord
+from .corpus import Corpus
 from .errors import MatrixError
 from .sink import open_sink
 
@@ -65,60 +64,56 @@ class TermDocumentMatrix:
         return np.repeat(np.arange(len(self.words)), np.diff(self.indptr))
 
 
-def count_terms(
-    records: Sequence[DocumentRecord],
-    *,
-    raw_lengths: Mapping[str, int] | None = None,
-) -> TermDocumentMatrix:
+def count_terms(corpus: Corpus, *, raw_lengths: np.ndarray | None = None) -> TermDocumentMatrix:
     """Count raw term occurrences into a sparse words-by-documents matrix.
 
-    Tokens are expected to be vocabulary-filtered already. Documents with no
-    tokens are skipped; a corpus with zero non-empty documents is an error.
-    Rows cover exactly the words occurring at least once, in sorted order;
-    columns follow corpus order.
+    Tokens are expected to be vocabulary-filtered already; raw-text
+    documents, which have no tokens, count as empty. Empty documents are
+    skipped; a corpus with zero non-empty documents is an error. Rows cover
+    exactly the words occurring at least once, in sorted order; columns
+    follow corpus order. ``raw_lengths``, one per document of ``corpus``,
+    are the pre-filter lengths kept for normalized frequency.
     """
-    kept = [record for record in records if record.tokens]
-    if not kept:
+    nonempty = corpus.lengths > 0
+    if not nonempty.any():
         raise MatrixError("corpus has no non-empty documents")
-    doc_ids = tuple(record.doc_id for record in kept)
+    doc_ids = tuple(compress(corpus.doc_ids, nonempty))
     if len(set(doc_ids)) != len(doc_ids):
         raise MatrixError("duplicate document ids in corpus")
+    raw_doc_lengths = None
+    if raw_lengths is not None:
+        if np.shape(raw_lengths) != (len(corpus),):
+            raise MatrixError(
+                f"expected {len(corpus)} raw document lengths, got shape {np.shape(raw_lengths)}"
+            )
+        raw_doc_lengths = np.asarray(raw_lengths, dtype=np.float64)[nonempty]
+    lengths = corpus.lengths[nonempty]
 
-    # Rows are numbered in sorted word order up front. Every occurrence
-    # becomes one int64 key row * n_docs + col; the sorted distinct keys are
-    # the entries in row-major order and their counts the exact weights.
-    # The keys are built and sorted in place, and the distinct ones found by
-    # hand, which at 10k x 500 tokens peaks 115 MiB lower than np.unique.
-    words = tuple(sorted(set().union(*(record.tokens for record in kept))))
-    row_of = {word: i for i, word in enumerate(words)}
-    lengths = np.fromiter(
-        (len(record.tokens) for record in kept), dtype=np.int64, count=len(kept)
-    )
-    keys = np.fromiter(
-        map(row_of.__getitem__, chain.from_iterable(record.tokens for record in kept)),
-        dtype=np.int64,
-        count=int(lengths.sum()),
-    )
-    keys *= len(kept)
-    keys += np.repeat(np.arange(len(kept), dtype=np.int32), lengths)
+    # The ids that occur are ranked in sorted word order up front, so every
+    # occurrence becomes one int64 key row * n_docs + col; the sorted distinct
+    # keys are the entries in row-major order and their counts the exact
+    # weights. The keys are built and sorted in place, and the distinct ones
+    # found by hand, which at 10k x 500 tokens peaks 115 MiB lower than
+    # np.unique.
+    occurs = np.zeros(len(corpus.strings), dtype=bool)
+    occurs[corpus.token_ids] = True
+    used = sorted(np.flatnonzero(occurs).tolist(), key=corpus.strings.__getitem__)
+    words = tuple(map(corpus.strings.__getitem__, used))
+    row_of = np.zeros(len(corpus.strings), dtype=np.int64)
+    row_of[used] = np.arange(len(used))
+    keys = row_of[corpus.token_ids]
+    keys *= len(doc_ids)
+    keys += np.repeat(np.arange(len(doc_ids), dtype=np.int32), lengths)
     keys.sort()
     first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
     counts = np.diff(first, append=keys.size)
     keys = keys[first]
-    doc_freq = np.bincount(keys // len(kept), minlength=len(words))
-    raw_doc_lengths = None
-    if raw_lengths is not None:
-        try:
-            raw_doc_lengths = np.asarray(
-                [raw_lengths[doc_id] for doc_id in doc_ids], dtype=np.float64
-            )
-        except KeyError as exc:
-            raise MatrixError(f"missing raw document length for {exc.args[0]!r}") from None
+    doc_freq = np.bincount(keys // len(doc_ids), minlength=len(words))
     return TermDocumentMatrix(
         words=words,
         doc_ids=doc_ids,
         indptr=np.concatenate(([0], np.cumsum(doc_freq))),
-        indices=(keys % len(kept)).astype(np.int32),
+        indices=(keys % len(doc_ids)).astype(np.int32),
         data=counts.astype(np.float64),
         scheme="raw",
         doc_lengths=lengths,

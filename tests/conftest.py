@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from moodlex import DocumentRecord, EmotionSet, VocabularyFilter, validate_votes
+from moodlex import EmotionSet, VocabularyFilter
+
+from corpora import SMALL_DOCS, corpus_of
 
 
 @pytest.fixture(scope="session")
@@ -12,28 +14,9 @@ def emotions():
     return EmotionSet.default()
 
 
-def make_record(emotions, doc_id, tokens, votes):
-    return DocumentRecord(
-        doc_id=doc_id,
-        votes=validate_votes(votes, emotions),
-        tokens=tuple(tokens),
-    )
-
-
 @pytest.fixture()
 def small_corpus(emotions):
-    return [
-        make_record(emotions, "d1", ["awe#n", "kill#v", "war#n"], {"AFRAID": 0.5, "SAD": 0.5}),
-        make_record(emotions, "d2", ["game#n", "happy#a", "happy#a"], {"HAPPY": 0.7, "AMUSED": 0.3}),
-        make_record(emotions, "d3", ["kill#v", "war#n", "war#n"], {"ANGRY": 0.4, "AFRAID": 0.3, "SAD": 0.3}),
-        make_record(
-            emotions,
-            "d4",
-            ["sad#a", "awe#n"],
-            {"SAD": 0.5, "INSPIRED": 0.3, "DONT_CARE": 0.1, "ANNOYED": 0.1},
-        ),
-        make_record(emotions, "d5", ["game#n", "awe#n"], {"INSPIRED": 0.6, "DONT_CARE": 0.2, "ANNOYED": 0.2}),
-    ]
+    return corpus_of(SMALL_DOCS, emotions)
 
 
 @pytest.fixture()

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 from moodlex import (
-    DocumentRecord,
+    Corpus,
     EmotionLexicon,
     EmotionMapping,
     VocabularyFilter,
@@ -36,6 +36,7 @@ from moodlex import (
 from moodlex.cli import main
 from moodlex.matrix import apply_weighting, count_terms
 
+from corpora import corpus_of
 from dense_reference import dense_build, exact_pearson, make_random_corpus
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_lexicon.tsv")
@@ -53,10 +54,7 @@ def criterion(name):
 
 
 def to_records(triples):
-    return [
-        DocumentRecord(doc_id=doc_id, votes=votes, tokens=tuple(tokens))
-        for doc_id, tokens, votes in triples
-    ]
+    return corpus_of(triples)
 
 
 @pytest.fixture(scope="module")
@@ -116,17 +114,12 @@ def test_column_scale_invariance(emotions):
     ):
         rng = np.random.default_rng(4242)
         triples, words = make_random_corpus(rng, max_docs=15, max_words=30)
-        records = to_records(triples)
         vocab = VocabularyFilter(words)
-        prepared = [
-            DocumentRecord(
-                doc_id=r.doc_id,
-                votes=r.votes,
-                tokens=tuple(t for t in r.tokens if t in vocab),
-            )
-            for r in records
-        ]
-        kept = [r for r in prepared if r.tokens]
+        kept = to_records(
+            (doc_id, filtered, votes)
+            for doc_id, tokens, votes in triples
+            if (filtered := [t for t in tokens if t in vocab])
+        )
         weighted = apply_weighting(count_terms(kept), "normalized")
         raw_we = emotion_product(weighted, vote_matrix(kept, emotions))
         labels = emotions.labels
@@ -165,14 +158,7 @@ def test_planted_signal_soundness(emotions):
             ("d3", ["other#n", "third#a"], rest),
             ("d4", ["third#a", "filler#v"], {"SAD": 0.5, "AFRAID": 0.5}),
         ]
-        records = [
-            DocumentRecord(
-                doc_id=doc_id,
-                votes=np.array([votes.get(e, 0.0) for e in emotions.labels]),
-                tokens=tuple(tokens),
-            )
-            for doc_id, tokens, votes in rows
-        ]
+        records = corpus_of(rows, emotions)
         vocab = VocabularyFilter(["planted#n", "filler#v", "other#n", "third#a"])
         afraid_idx = emotions.index("AFRAID")
         for scheme in SCHEMES:
@@ -315,7 +301,7 @@ def test_determinism(cli_workdir, emotions):
         vocab = VocabularyFilter(words)
         base = build_lexicon(records, vocab, "normalized")
         order = rng.permutation(len(records))
-        permuted = [records[i] for i in order]
+        permuted = to_records([triples[i] for i in order])
         shuffled = build_lexicon(permuted, vocab, "normalized")
         assert base.words == shuffled.words
         assert np.max(np.abs(base.scores - shuffled.scores)) <= 1e-12
@@ -361,18 +347,16 @@ def test_scale_target(tmp_path, emotions):
         rng = np.random.default_rng(1337)
         n_docs, doc_len, n_vocab = 25_000, 500, 8_000
         vocab_words = [f"w{i:05d}#{'nvar'[i % 4]}" for i in range(n_vocab)]
-        vocab_arr = np.array(vocab_words, dtype=object)
         ids = rng.integers(0, n_vocab, size=(n_docs, doc_len))
         votes = rng.random((n_docs, 8)) + 0.01
         votes = votes / votes.sum(axis=1, keepdims=True)
-        records = [
-            DocumentRecord(
-                doc_id=f"d{j:05d}",
-                votes=votes[j],
-                tokens=tuple(vocab_arr[ids[j]].tolist()),
-            )
-            for j in range(n_docs)
-        ]
+        records = Corpus(
+            doc_ids=tuple(f"d{j:05d}" for j in range(n_docs)),
+            votes=votes,
+            token_ids=ids.astype(np.int32).ravel(),
+            lengths=np.full(n_docs, doc_len),
+            strings=tuple(vocab_words),
+        )
         del ids
         vocab = VocabularyFilter(vocab_words)
 

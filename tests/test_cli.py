@@ -589,6 +589,62 @@ def test_malformed_input_files(built, monkeypatch, caplog, subcommand, name, fix
         assert [l for l in after if l[:1] != "#"] == before
 
 
+# (file, fixture) -> the one error message of a build; every case not listed
+# succeeds, and CRLF line ends build the same lexicon and dump as LF. The
+# lemma table has no comment syntax, so its "header" line is malformed.
+MALFORMED_BUILD_ERRORS = {
+    ("corpus.jsonl", "empty"): "build-lexicon: corpus has no non-empty documents",
+    ("corpus.jsonl", "header-only"):
+        "load-corpus: corpus.jsonl: 1 malformed line(s): line 1: invalid JSON (Expecting value)",
+    ("corpus.jsonl", "truncated"):
+        "load-corpus: corpus.jsonl: 1 malformed line(s): line 5: invalid JSON (Expecting value)",
+    ("vocab.txt", "empty"): "load-vocabulary: vocab.txt: vocabulary file contains no entries",
+    ("vocab.txt", "header-only"): "load-vocabulary: vocab.txt: vocabulary file contains no entries",
+    ("vocab.txt", "truncated"): "load-vocabulary: vocab.txt:6: not a lemma#pos token: 'happ'",
+    ("lemmas.tsv", "header-only"):
+        "load-lemma-table: lemmas.tsv:1: expected 3 tab-separated fields, got 1",
+    ("lemmas.tsv", "truncated"):
+        "load-lemma-table: lemmas.tsv:1: expected 3 tab-separated fields, got 2",
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(MALFORMED))
+@pytest.mark.parametrize("name", ["corpus.jsonl", "vocab.txt", "lemmas.tsv"])
+def test_malformed_build_input_files(workdir, monkeypatch, caplog, name, fixture):
+    """Every file that build reads, emptied, cut to a comment line, given
+    CRLF line ends or truncated: the build works, or exits 1 with one
+    stage-named message and leaves no output file behind."""
+    monkeypatch.chdir(workdir)
+    Path("lemmas.tsv").write_text("killed\tv\tkill\n", encoding="utf-8")
+    command = TestBadInput.COMMANDS["build"] + ["--dump-matrix", "dump.tsv"]
+    assert main(command) == 0
+    before = [
+        [l for l in Path(out).read_text(encoding="utf-8").splitlines() if l[:1] != "#"]
+        for out in ("new.tsv", "dump.tsv")
+    ]
+    Path("new.tsv").unlink()
+    Path("dump.tsv").unlink()
+    text = Path(name).read_text(encoding="utf-8")
+    Path(name).write_bytes(MALFORMED[fixture](name, text).encode("utf-8"))
+    caplog.clear()
+    code = main(command)
+    messages = [r.message for r in caplog.records if r.levelname == "ERROR"]
+    error = MALFORMED_BUILD_ERRORS.get((name, fixture))
+    if error is None:
+        assert (code, messages) == (0, [])
+    else:
+        assert (code, messages) == (1, [error])
+        assert sorted(p.name for p in Path(".").iterdir()) == [
+            "corpus.jsonl", "lemmas.tsv", "vocab.txt"
+        ]
+    if fixture == "crlf":
+        after = [
+            [l for l in Path(out).read_text(encoding="utf-8").splitlines() if l[:1] != "#"]
+            for out in ("new.tsv", "dump.tsv")
+        ]
+        assert after == before
+
+
 SCIPY_PROBE = (
     "import json, sys\n"
     "import moodlex\n"
@@ -620,6 +676,45 @@ def test_no_subcommand_loads_scipy(built, subcommand):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+
+def _python(code, **env_changes):
+    """Run ``code`` in a fresh interpreter on this source tree; its stdout."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env.update(env_changes)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.split()
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts threads in /proc")
+def test_command_line_pins_one_blas_thread():
+    """Importing the command line before numpy leaves numpy's BLAS with no
+    worker threads: the process has exactly one thread."""
+    probe = "import os, moodlex.cli, numpy; print(len(os.listdir('/proc/self/task')))"
+    assert _python(probe) == ["1"]
+
+
+def test_user_blas_thread_setting_wins():
+    probe = "import os, moodlex.cli, numpy; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    assert _python(probe, OPENBLAS_NUM_THREADS="2") == ["2"]
+
+
+def test_package_import_is_lazy_and_every_public_name_resolves():
+    """``import moodlex`` loads no numpy and leaves the environment alone;
+    each name in ``__all__`` then loads its module on first use."""
+    probe = (
+        "import os, sys, moodlex\n"
+        "print('numpy' in sys.modules, 'OPENBLAS_NUM_THREADS' in os.environ)\n"
+        "missing = [n for n in moodlex.__all__ if getattr(moodlex, n, None) is None]\n"
+        "print(len(moodlex.__all__), missing)\n"
+    )
+    out = _python(probe)
+    assert out[:2] == ["False", "False"]
+    assert int(out[2]) > 40 and out[3:] == ["[]"]
 
 
 GOLDEN_DIR = Path(__file__).parent / "data"

@@ -7,6 +7,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from moodlex import (
     CorpusError,
@@ -18,6 +20,8 @@ from moodlex import (
     vote_matrix,
 )
 from moodlex.corpus import VOTE_SUM_TOLERANCE
+
+from corpora import SMALL_DOCS, doc_tokens
 
 
 def line(doc_id, votes, tokens=("awe#n",), text=None):
@@ -132,15 +136,17 @@ class TestParseCorpus:
                 {"AMUSED": 0.50, "ANNOYED": 0.16, "DONT_CARE": 0.17, "HAPPY": 0.17},
             ),
         ]
-        records = parse_corpus(stream, emotions)
-        assert [r.doc_id for r in records] == ["doc_10002", "doc_10003"]
+        corpus = parse_corpus(stream, emotions)
+        assert corpus.doc_ids == ("doc_10002", "doc_10003")
         np.testing.assert_allclose(
-            records[0].votes, [0.75, 0, 0, 0, 0, 0, 0.25, 0], atol=1e-9
+            corpus.votes[0], [0.75, 0, 0, 0, 0, 0, 0.25, 0], atol=1e-9
         )
-        assert abs(records[1].votes.sum() - 1.0) <= 1e-9
+        assert abs(corpus.votes[1].sum() - 1.0) <= 1e-9
 
     def test_empty_stream(self, emotions):
-        assert parse_corpus([], emotions) == []
+        corpus = parse_corpus([], emotions)
+        assert len(corpus) == 0 and corpus.votes.shape == (0, 8)
+        assert corpus.token_ids.size == 0 and corpus.strings == ()
 
     def test_duplicate_id_names_both_lines(self, emotions):
         stream = [line("a", {"AFRAID": 1.0}), line("a", {"HAPPY": 1.0})]
@@ -209,15 +215,32 @@ class TestParseCorpus:
             line("b", {"AFRAID": 1.0}, tokens=["war#n", "kill#v"]),
             line("c", {"AFRAID": 1.0}, tokens=["kill#v", "awe#n"]),
         ]
-        records = parse_corpus(stream, emotions)
+        corpus = parse_corpus(stream, emotions)
         assert sorted(calls) == ["awe#n", "kill#v", "war#n"]
-        assert [r.tokens for r in records] == [
+        assert doc_tokens(corpus) == [
             ("awe#n", "war#n", "awe#n"),
             ("war#n", "kill#v"),
             ("kill#v", "awe#n"),
         ]
-        # One string object per distinct token across the whole parse.
-        assert records[0].tokens[0] is records[2].tokens[1]
+        # One id per distinct token across the whole parse, in order of first
+        # occurrence, held as int32.
+        assert corpus.strings == ("awe#n", "war#n", "kill#v")
+        assert corpus.token_ids.dtype == np.int32
+        assert corpus.token_ids.tolist() == [0, 1, 0, 1, 2, 2, 0]
+        assert corpus.lengths.tolist() == [3, 2, 2]
+
+    def test_labels_equal_after_normalization_are_a_malformed_line(self, emotions):
+        stream = [
+            line("a", {"HAPPY": 1.0}),
+            line("b", {"happy": 0.3, "HAPPY": 0.3, "SAD": 0.4}),
+            line("c", {" sad": 0.5, "SAD ": 0.5}),
+        ]
+        with pytest.raises(CorpusError) as info:
+            parse_corpus(stream, emotions)
+        message = str(info.value)
+        assert "2 malformed line(s)" in message
+        assert "line 2: votes name HAPPY twice: 'happy' and 'HAPPY'" in message
+        assert "line 3: votes name SAD twice: ' sad' and 'SAD '" in message
 
     def test_vote_error_collected_with_line_number(self, emotions):
         stream = [line("a", {"AFRAID": 0.4})]
@@ -229,17 +252,17 @@ class TestParseCorpus:
             line("a", {"AFRAID": 1.0}, text="Some raw text"),
             line("b", {"HAPPY": 1.0}, tokens=[]),
         ]
-        records = parse_corpus(stream, emotions)
-        assert records[0].text == "Some raw text" and records[0].tokens is None
-        assert records[1].tokens == ()
+        corpus = parse_corpus(stream, emotions)
+        assert corpus.texts == {0: "Some raw text"}
+        assert doc_tokens(corpus) == [(), ()]
 
     def test_min_votes_sum_drops_before_validation(self, emotions):
         stream = [
             line("a", {"AFRAID": 0.4}),  # sum 0.4: dropped, not an error
             line("b", {"HAPPY": 1.0}),
         ]
-        records = parse_corpus(stream, emotions, min_votes_sum=0.9)
-        assert [r.doc_id for r in records] == ["b"]
+        corpus = parse_corpus(stream, emotions, min_votes_sum=0.9)
+        assert corpus.doc_ids == ("b",)
 
     @pytest.mark.parametrize(
         "vote", ["x", None, [1], 10**400], ids=["string", "null", "array", "huge-int"]
@@ -259,10 +282,9 @@ class TestParseCorpus:
         stream = [line(f"d{i}", {"AFRAID": 0.5, "SAD": 0.5}) for i in range(10)]
         first = parse_corpus(list(stream), emotions)
         second = parse_corpus(list(stream), emotions)
-        assert [r.doc_id for r in first] == [f"d{i}" for i in range(10)]
-        assert [r.doc_id for r in first] == [r.doc_id for r in second]
-        for a, b in zip(first, second):
-            np.testing.assert_array_equal(a.votes, b.votes)
+        assert first.doc_ids == tuple(f"d{i}" for i in range(10))
+        assert first.doc_ids == second.doc_ids
+        np.testing.assert_array_equal(first.votes, second.votes)
 
 
 class TestCorpusStats:
@@ -281,9 +303,9 @@ class TestCorpusStats:
         assert stats.mean_doc_length == pytest.approx(1.5)
 
     def test_single_doc_identity(self, emotions):
-        records = parse_corpus([line("a", {"AFRAID": 0.75, "INSPIRED": 0.25})], emotions)
-        stats = corpus_stats(records)
-        np.testing.assert_allclose(stats.mean_votes, records[0].votes, atol=1e-12)
+        corpus = parse_corpus([line("a", {"AFRAID": 0.75, "INSPIRED": 0.25})], emotions)
+        stats = corpus_stats(corpus)
+        np.testing.assert_allclose(stats.mean_votes, corpus.votes[0], atol=1e-12)
 
     def test_ten_random_docs_match_resummation_oracle(self, emotions):
         rng = np.random.default_rng(11)
@@ -294,11 +316,10 @@ class TestCorpusStats:
             votes = votes / votes.sum()
             votes_by_doc.append(votes)
             stream.append(line(f"d{i}", dict(zip(emotions.labels, votes))))
-        records = parse_corpus(stream, emotions)
-        stats = corpus_stats(records)
+        stats = corpus_stats(parse_corpus(stream, emotions))
         # Spreadsheet-style recount: per-emotion column sums via fsum.
         for e in range(8):
-            expected = math.fsum(r.votes[e] for r in records) / 10
+            expected = math.fsum(validate_votes(v, emotions)[e] for v in votes_by_doc) / 10
             assert abs(stats.mean_votes[e] - expected) < 1e-12
 
     def test_mean_votes_sum_to_one(self, emotions):
@@ -315,19 +336,67 @@ class TestCorpusStats:
             corpus_stats([])
 
     def test_text_mode_token_count(self, emotions):
-        records = parse_corpus(
+        corpus = parse_corpus(
             [line("a", {"AFRAID": 1.0}, text="Two words here, 42")], emotions
         )
-        assert corpus_stats(records).token_count == 3
+        assert corpus_stats(corpus).token_count == 3
 
 
 class TestVoteMatrix:
     def test_rows_follow_corpus_order(self, emotions, small_corpus):
         de = vote_matrix(small_corpus, emotions)
-        assert de.doc_ids == tuple(r.doc_id for r in small_corpus)
-        for i, record in enumerate(small_corpus):
-            np.testing.assert_array_equal(de.values[i], record.votes)
+        assert de.doc_ids == tuple(doc_id for doc_id, _, _ in SMALL_DOCS)
+        for i, (_, _, votes) in enumerate(SMALL_DOCS):
+            np.testing.assert_array_equal(de.values[i], validate_votes(votes, emotions))
 
     def test_empty_rejected(self, emotions):
         with pytest.raises(CorpusError):
             vote_matrix([], emotions)
+
+
+JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+LABELS = st.sampled_from(["AFRAID", "happy", " Sad ", "HAPPY", "DISGUST", ""])
+VOTES = (
+    st.sampled_from([{"AFRAID": 1.0}, {"happy": 0.5, "SAD": 0.5}, {"AFRAID": 0.4}, {}])
+    | st.dictionaries(LABELS, st.floats() | st.integers(-2, 2) | JSON_VALUES, max_size=4)
+    | JSON_VALUES
+)
+TOKENS = st.sampled_from(["awe#n", "war#n", "kill#v", "BAD#z", "awe", "a b#n", "#n", ""]) | JSON_VALUES
+RECORDS = st.fixed_dictionaries(
+    {},
+    optional={
+        "id": st.sampled_from(["d1", "d2", "", "a\tb", "d\ud800"]) | JSON_VALUES,
+        "tokens": st.lists(TOKENS, max_size=5) | JSON_VALUES,
+        "text": st.text(max_size=10) | JSON_VALUES,
+        "votes": VOTES,
+        "extra": JSON_VALUES,
+    },
+)
+# Records that pass every check up to their tokens, so odd tokens are reached.
+TOKEN_RECORDS = st.fixed_dictionaries(
+    {
+        "id": st.sampled_from(["d1", "d2", "d3"]),
+        "tokens": st.lists(TOKENS, max_size=5),
+        "votes": st.sampled_from([{"AFRAID": 1.0}, {"happy": 0.5, "SAD": 0.5}]),
+    }
+)
+LINES = st.lists(
+    (TOKEN_RECORDS | RECORDS | JSON_VALUES).map(json.dumps) | st.text(max_size=12), max_size=4
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=LINES, min_votes_sum=st.none() | st.floats(0.0, 2.0))
+def test_any_json_line_gives_documents_or_a_corpus_error(emotions, lines, min_votes_sum):
+    """Tokens that are numbers, null, bools, lists or dicts, missing or extra
+    fields and odd votes: every line parses or is a CorpusError."""
+    try:
+        corpus = parse_corpus(lines, emotions, min_votes_sum=min_votes_sum)
+    except CorpusError:
+        return
+    assert len(corpus) <= len(lines)

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import io
+import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -12,16 +14,17 @@ from hypothesis import strategies as st
 
 from moodlex import (
     DocEmotionMatrix,
-    DocumentRecord,
     EmotionSet,
     LemmaTable,
     LexiconError,
+    MoodlexError,
     TextPipeError,
     VocabularyFilter,
     build_lexicon,
     column_normalize,
     count_terms,
     emotion_product,
+    load_corpus,
     read_lexicon,
     row_scale,
     tokenize,
@@ -31,15 +34,14 @@ from moodlex import (
 from moodlex.lexicon import EmotionLexicon
 
 import dense_reference
+from corpora import SMALL_DOCS, corpus_of
 from dense_reference import dense_build, dense_product, read_lexicon_lines_reference
 
 GOLDEN = Path(__file__).parent / "data" / "golden_lexicon.tsv"
 
 
 def doc(emotions, doc_id, tokens, votes):
-    return DocumentRecord(
-        doc_id=doc_id, votes=validate_votes(votes, emotions), tokens=tuple(tokens)
-    )
+    return doc_id, tokens, votes
 
 
 class TestEmotionProduct:
@@ -49,7 +51,7 @@ class TestEmotionProduct:
             doc(emotions, "d0", ["wa#n"], {"E1": 1.0}),
             doc(emotions, "d1", ["wb#n", "wb#n"], {"E2": 1.0}),
         ]
-        wd = count_terms(records)
+        wd = count_terms(corpus_of(records, emotions))
         de = DocEmotionMatrix(
             doc_ids=("d0", "d1"), emotions=emotions, values=np.eye(2)
         )
@@ -62,7 +64,7 @@ class TestEmotionProduct:
             doc(emotions, "d0", ["a#n", "b#n"], {"E2": 1.0}),
             doc(emotions, "d1", ["a#n"], {"E2": 1.0}),
         ]
-        wd = count_terms(records)
+        wd = count_terms(corpus_of(records, emotions))
         de = DocEmotionMatrix(
             doc_ids=("d0", "d1"),
             emotions=emotions,
@@ -86,7 +88,7 @@ class TestEmotionProduct:
             doc(emotions, f"d{j}", streams[j], dict(zip(emotions.labels, votes[j])))
             for j in range(4)
         ]
-        wd = count_terms(records)
+        wd = count_terms(corpus_of(records, emotions))
         de = DocEmotionMatrix(
             doc_ids=tuple(f"d{j}" for j in range(4)), emotions=emotions, values=votes
         )
@@ -98,7 +100,7 @@ class TestEmotionProduct:
     def test_document_set_mismatch_lists_difference(self):
         emotions = EmotionSet(["E1", "E2"])
         records = [doc(emotions, "d0", ["a#n"], {"E1": 1.0})]
-        wd = count_terms(records)
+        wd = count_terms(corpus_of(records, emotions))
         de = DocEmotionMatrix(doc_ids=("dX",), emotions=emotions, values=np.eye(2)[:1])
         with pytest.raises(LexiconError, match="d0.*dX|dX.*d0"):
             emotion_product(wd, de)
@@ -171,7 +173,7 @@ class TestRowScale:
 
 def planted_corpus(emotions):
     """word planted#n occurs only in documents voted 100% AFRAID."""
-    return [
+    return corpus_of([
         doc(emotions, "d0", ["planted#n", "filler#v"], {"AFRAID": 1.0}),
         doc(emotions, "d1", ["planted#n", "planted#n"], {"AFRAID": 1.0}),
         doc(
@@ -187,7 +189,7 @@ def planted_corpus(emotions):
             {"INSPIRED": 0.5, "SAD": 0.3, "HAPPY": 0.2},
         ),
         doc(emotions, "d4", ["third#a", "filler#v"], {"SAD": 0.6, "AFRAID": 0.4}),
-    ]
+    ], emotions)
 
 
 PLANTED_VOCAB = ["planted#n", "filler#v", "other#n", "third#a"]
@@ -206,19 +208,15 @@ class TestBuildLexicon:
     def test_matches_dense_reference(self, emotions, scheme):
         rng = np.random.default_rng(67)
         words = [f"w{i:02d}#n" for i in range(12)]
-        records = []
         triples = []
         for j in range(8):
             idx = rng.integers(0, 12, size=int(rng.integers(1, 7)))
             tokens = [words[int(k)] for k in idx]
             votes = rng.random(8) + 0.05
             votes = votes / votes.sum()
-            records.append(
-                DocumentRecord(doc_id=f"d{j}", votes=votes, tokens=tuple(tokens))
-            )
             triples.append((f"d{j}", tokens, votes))
         vocab = VocabularyFilter(words)
-        lex = build_lexicon(records, vocab, scheme)
+        lex = build_lexicon(corpus_of(triples, emotions), vocab, scheme)
         expected = dense_build(triples, set(words), scheme)
         assert set(lex.words) == set(expected)
         for word, row in expected.items():
@@ -249,25 +247,20 @@ class TestBuildLexicon:
 
     def test_document_order_invariance(self, emotions, small_corpus, small_vocab):
         lex = build_lexicon(small_corpus, small_vocab, "normalized")
-        permuted = [small_corpus[i] for i in (3, 0, 4, 2, 1)]
+        permuted = corpus_of([SMALL_DOCS[i] for i in (3, 0, 4, 2, 1)], emotions)
         lex_perm = build_lexicon(permuted, small_vocab, "normalized")
         assert lex.words == lex_perm.words
         assert np.max(np.abs(lex.scores - lex_perm.scores)) <= 1e-12
 
     def test_text_mode_corpus(self, emotions):
         spread = {label: 0.1 for label in emotions.labels}
-        records = [
-            DocumentRecord(
-                doc_id="t0",
-                votes=validate_votes(spread | {"AFRAID": 0.3}, emotions),
-                text="Killers kill; the war!",
-            ),
-            DocumentRecord(
-                doc_id="t1",
-                votes=validate_votes(spread | {"HAPPY": 0.3}, emotions),
-                text="A happy game",
-            ),
-        ]
+        records = corpus_of(
+            [
+                ("t0", "Killers kill; the war!", spread | {"AFRAID": 0.3}),
+                ("t1", "A happy game", spread | {"HAPPY": 0.3}),
+            ],
+            emotions,
+        )
         vocab = VocabularyFilter(["kill#v", "war#n", "happy#a", "game#n"])
         lex = build_lexicon(records, vocab, "normalized")
         # "Killers"/"the" pass through as nouns and fall to the filter; the
@@ -301,7 +294,7 @@ class TestBuildLexicon:
             text = " ".join(pool[int(k)] for k in picks) + "!"
             votes = rng.random(8) + 0.05
             votes = votes / votes.sum()
-            records.append(DocumentRecord(doc_id=f"t{j}", votes=votes, text=text))
+            records.append((f"t{j}", text, votes))
             candidates = [
                 c
                 for surface in tokenize(text)
@@ -309,7 +302,8 @@ class TestBuildLexicon:
             ]
             triples.append((f"t{j}", candidates, votes))
         lex = build_lexicon(
-            records, vocab, scheme, lemma_table=table, ambiguity=ambiguity, nf_length="raw"
+            corpus_of(records, emotions), vocab, scheme,
+            lemma_table=table, ambiguity=ambiguity, nf_length="raw",
         )
         expected = dense_build(triples, set(vocab_words), scheme, nf_length="raw")
         assert set(lex.words) == set(expected)
@@ -317,7 +311,7 @@ class TestBuildLexicon:
             np.testing.assert_allclose(lex.row(word), row, atol=1e-9)
 
     def test_empty_lexicon_is_error(self, emotions):
-        records = [doc(emotions, "d0", ["a#n"], {"AFRAID": 1.0})]
+        records = corpus_of([doc(emotions, "d0", ["a#n"], {"AFRAID": 1.0})], emotions)
         with pytest.raises(Exception, match="no non-empty documents"):
             build_lexicon(records, VocabularyFilter(["zzz#n"]), "raw")
 
@@ -578,3 +572,83 @@ class TestReadLexiconProperties:
         again = io.StringIO()
         write_lexicon(read_lexicon(io.StringIO(text)), again)
         assert again.getvalue() == text
+
+
+PROPERTY_TABLE = LemmaTable(
+    entries=[("men", "n", "man"), ("ran", "v", "run")],
+    rules=[("v", "ed", ""), ("n", "s", "")],
+)
+PROPERTY_VOCAB = ["man#n", "run#v", "run#n", "walk#v", "war#n", "war#v", "sad#a", "kill#v", "awe#n"]
+PROPERTY_TOKENS = PROPERTY_VOCAB + ["zzz#n", "other#v"]
+PROPERTY_SURFACES = ["Men", "ran", "runs", "walked", "wars", "war", "sad", "kill", "the", "xyzzy", "Awe"]
+PROPERTY_DOCS = st.lists(
+    st.tuples(
+        st.lists(st.sampled_from(PROPERTY_TOKENS), max_size=8).map(lambda t: {"tokens": t})
+        | st.lists(st.sampled_from(PROPERTY_SURFACES), max_size=8).map(
+            lambda w: {"text": " ".join(w) + "!"}
+        ),
+        st.lists(st.floats(0.05, 1.0), min_size=8, max_size=8),
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    docs=PROPERTY_DOCS,
+    scheme=st.sampled_from(["raw", "normalized", "tfidf"]),
+    ambiguity=st.sampled_from(["all", "first"]),
+    min_df=st.integers(1, 3),
+    nf_length=st.sampled_from(["filtered", "raw"]),
+    col_norm=st.sampled_from(["sum", "max"]),
+)
+def test_jsonl_corpus_build_matches_dense_reference(
+    emotions, docs, scheme, ambiguity, min_df, nf_length, col_norm
+):
+    """Random token and text corpora, written as JSONL and loaded from disk,
+    build the lexicon the dense reference builds, or fail where it fails."""
+    vocab = VocabularyFilter(PROPERTY_VOCAB)
+    triples = []
+    lines = []
+    for j, (body, raw_votes) in enumerate(docs):
+        total = sum(raw_votes)
+        votes = dict(zip(emotions.labels, (v / total for v in raw_votes)))
+        lines.append(json.dumps({"id": f"d{j}", **body, "votes": votes}))
+        if "tokens" in body:
+            candidates = body["tokens"]
+        else:
+            candidates = [
+                c
+                for surface in tokenize(body["text"])
+                for c in dense_reference.candidates_reference(
+                    surface, PROPERTY_TABLE, vocab, ambiguity
+                )
+            ]
+        triples.append((f"d{j}", candidates, validate_votes(votes, emotions)))
+    try:
+        expected = dense_build(
+            triples, set(PROPERTY_VOCAB), scheme,
+            col_norm=col_norm, nf_length=nf_length, min_df=min_df,
+        )
+    except ValueError:
+        expected = None
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "corpus.jsonl"
+        path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        corpus = load_corpus(path, emotions)
+
+    def build():
+        return build_lexicon(
+            corpus, vocab, scheme, lemma_table=PROPERTY_TABLE, ambiguity=ambiguity,
+            col_norm=col_norm, nf_length=nf_length, min_df=min_df,
+        )
+
+    if expected is None:
+        with pytest.raises(MoodlexError):
+            build()
+        return
+    lex = build()
+    assert set(lex.words) == set(expected)
+    for word, row in expected.items():
+        np.testing.assert_allclose(lex.row(word), row, atol=1e-9)

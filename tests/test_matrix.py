@@ -11,27 +11,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moodlex import (
-    DocumentRecord,
-    EmotionSet,
     MatrixError,
     apply_weighting,
     count_terms,
     filter_min_df,
-    validate_votes,
     write_matrix_dump,
 )
 
 import dense_reference
+from corpora import corpus_of
 from dense_reference import dense_count, make_random_corpus, normalized_frequency, tfidf_weight
 
 
 def records_from(token_streams):
-    emotions = EmotionSet.default()
-    votes = validate_votes({"AFRAID": 1.0}, emotions)
-    return [
-        DocumentRecord(doc_id=f"d{i}", votes=votes, tokens=tuple(tokens))
-        for i, tokens in enumerate(token_streams)
-    ]
+    return corpus_of((f"d{i}", tokens, {"AFRAID": 1.0}) for i, tokens in enumerate(token_streams))
 
 
 class TestCountTerms:
@@ -76,11 +69,11 @@ class TestCountTerms:
             count_terms(records_from([[], []]))
 
     def test_raw_lengths_passthrough_and_missing(self):
-        records = records_from([["a#n"]])
-        tdm = count_terms(records, raw_lengths={"d0": 5})
-        np.testing.assert_array_equal(tdm.raw_doc_lengths, [5])
-        with pytest.raises(MatrixError, match="missing raw document length"):
-            count_terms(records, raw_lengths={})
+        records = records_from([["a#n"], [], ["b#n"]])
+        tdm = count_terms(records, raw_lengths=np.array([5, 2, 3]))
+        np.testing.assert_array_equal(tdm.raw_doc_lengths, [5, 3])
+        with pytest.raises(MatrixError, match="expected 3 raw document lengths"):
+            count_terms(records, raw_lengths=np.array([5, 3]))
 
 
 class TestScalarWeights:
@@ -169,7 +162,7 @@ class TestApplyWeighting:
 
     def test_nf_raw_length_mode(self):
         records = records_from([["a#n", "b#n"]])
-        tdm = count_terms(records, raw_lengths={"d0": 4})
+        tdm = count_terms(records, raw_lengths=np.array([4]))
         out = apply_weighting(tdm, "normalized", nf_length="raw")
         dense = dense_reference.dense(out)
         assert dense[out.row_index["a#n"], 0] == 0.25
@@ -180,7 +173,7 @@ class TestApplyWeighting:
         rng = np.random.default_rng(53)
         universe = [f"w{int(i)}#n" for i in range(10)] + ["out1#n", "out2#n"]
         vocab = set(universe[:10])
-        streams, filtered, raw_lens = [], [], {}
+        streams, filtered, raw_lens = [], [], []
         for j in range(8):
             tokens = [universe[int(k)] for k in rng.integers(0, 12, size=int(rng.integers(2, 15)))]
             kept = [t for t in tokens if t in vocab]
@@ -188,8 +181,8 @@ class TestApplyWeighting:
                 continue
             streams.append(tokens)
             filtered.append(kept)
-            raw_lens[f"d{len(filtered) - 1}"] = len(tokens)
-        tdm = count_terms(records_from(filtered), raw_lengths=raw_lens)
+            raw_lens.append(len(tokens))
+        tdm = count_terms(records_from(filtered), raw_lengths=np.array(raw_lens))
         out = apply_weighting(tdm, "normalized", nf_length="raw")
         sums = dense_reference.dense(out).sum(axis=0)
         for j, (tokens, kept) in enumerate(zip(streams, filtered)):

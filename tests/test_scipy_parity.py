@@ -15,20 +15,20 @@ from hypothesis import strategies as st
 
 from moodlex import (
     DocEmotionMatrix,
-    DocumentRecord,
     EmotionSet,
     MatrixError,
     apply_weighting,
     count_terms,
     emotion_product,
     filter_min_df,
-    validate_votes,
 )
+
+from corpora import corpus_of
 
 sparse = pytest.importorskip("scipy.sparse")
 
 EMOTIONS = EmotionSet.default()
-VOTES = validate_votes({"AFRAID": 1.0}, EMOTIONS)
+VOTES = {"AFRAID": 1.0}
 
 
 def scipy_pipeline(streams, raw_lengths, min_df, scheme, nf_length, votes):
@@ -93,16 +93,13 @@ def test_matches_scipy(word_ids, everywhere, min_df, scheme, nf_length, seed):
         [f"w{i}#n" for i in doc] + (["all#n"] if everywhere and doc else []) for doc in word_ids
     ]
     rng = np.random.default_rng(seed)
-    raw_lengths = {f"d{j}": len(tokens) + int(rng.integers(0, 4)) for j, tokens in enumerate(streams)}
-    records = [
-        DocumentRecord(doc_id=f"d{j}", votes=VOTES, tokens=tuple(tokens))
-        for j, tokens in enumerate(streams)
-    ]
+    raw_lengths = np.array([len(tokens) + int(rng.integers(0, 4)) for tokens in streams])
+    records = corpus_of((f"d{j}", tokens, VOTES) for j, tokens in enumerate(streams))
     kept_ids = tuple(f"d{j}" for j, tokens in enumerate(streams) if tokens)
     votes = rng.random((len(kept_ids), len(EMOTIONS)))
     expected = scipy_pipeline(
         streams,
-        np.array([raw_lengths[d] for d in kept_ids], dtype=np.float64),
+        np.array([n for n, tokens in zip(raw_lengths, streams) if tokens], dtype=np.float64),
         min_df,
         scheme,
         nf_length,
@@ -131,14 +128,10 @@ def test_product_matches_scipy_on_long_rows():
     would show in the last bits."""
     rng = np.random.default_rng(5)
     n_words, n_docs = 40, 3000
-    records = [
-        DocumentRecord(
-            doc_id=f"d{j}",
-            votes=VOTES,
-            tokens=tuple(f"w{int(i)}#n" for i in rng.integers(0, n_words, size=30)),
-        )
+    records = corpus_of(
+        (f"d{j}", [f"w{int(i)}#n" for i in rng.integers(0, n_words, size=30)], VOTES)
         for j in range(n_docs)
-    ]
+    )
     tdm = apply_weighting(count_terms(records), "normalized")
     votes = rng.dirichlet(np.full(len(EMOTIONS), 0.4), size=n_docs)
     mat = sparse.csr_matrix((tdm.data, tdm.indices, tdm.indptr), shape=(n_words, n_docs))

@@ -23,6 +23,8 @@ from moodlex import (
 from moodlex.cli import _read_score_input
 from moodlex.sink import open_sink, open_source
 
+from corpora import doc_tokens
+
 GOLDEN = Path(__file__).parent / "data" / "golden_lexicon.tsv"
 
 
@@ -136,6 +138,11 @@ def _lexicon_summary(path):
     return lex.emotions, lex.words, lex.scores.tolist(), lex.provenance
 
 
+def _corpus_summary(path):
+    corpus = load_corpus(path)
+    return corpus.doc_ids, corpus.votes.tolist(), doc_tokens(corpus), corpus.texts
+
+
 def _gold_summary(gold):
     return gold.emotions, [(h.headline_id, h.tokens, h.gold, h.gold_labels) for h in gold.headlines]
 
@@ -150,7 +157,7 @@ READERS = {
     "lemma-table": ("surf\tn\tsurf\n[rules]\nv\ts\t\n", lambda p: vars(LemmaTable.from_file(p))),
     "corpus": (
         '{"id": "d1", "tokens": ["awe#n"], "votes": {"SAD": 1}}\n',
-        lambda p: [(r.doc_id, r.votes.tolist(), r.tokens, r.text) for r in load_corpus(p)],
+        _corpus_summary,
     ),
     "lexicon": (GOLDEN.read_text(encoding="utf-8"), _lexicon_summary),
     "mapping": ("FEAR\tAFRAID\nJOY\t-\n", EmotionMapping.from_file),
