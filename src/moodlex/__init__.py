@@ -15,8 +15,8 @@ __version__ = "0.1.0"
 # Each submodule and the public names it defines.
 _EXPORTS = {
     "corpus": (
-        "DEFAULT_EMOTIONS Corpus CorpusStats DocEmotionMatrix EmotionSet corpus_stats "
-        "load_corpus parse_corpus validate_votes vote_matrix"
+        "DEFAULT_EMOTIONS Corpus CorpusStats EmotionSet corpus_stats load_corpus "
+        "parse_corpus validate_votes"
     ).split(),
     "errors": (
         "CorpusError EvaluationError LexiconError MatrixError MoodlexError TextPipeError "
@@ -25,15 +25,14 @@ _EXPORTS = {
     "evaluate": (
         "ClassificationMetrics CoverageStats EmotionMapping EvalReport GoldHeadline "
         "GoldSet coverage_stats evaluate_all evaluate_classification evaluate_regression "
-        "load_gold load_labels min_max_normalize pearson precision_recall_f1 score_all "
-        "score_headline"
+        "load_gold load_labels min_max_normalize pearson precision_recall_f1 score_all"
     ).split(),
     "lexicon": (
         "EmotionLexicon build_lexicon column_normalize emotion_product read_lexicon "
         "row_scale write_lexicon"
     ).split(),
     "matrix": "TermDocumentMatrix apply_weighting count_terms filter_min_df write_matrix_dump".split(),
-    "textpipe": "LemmaTable VocabularyFilter filter_vocabulary lemmatize lemmatize_all tokenize".split(),
+    "textpipe": "LemmaTable VocabularyFilter lemmatize_all tokenize".split(),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -13,6 +13,7 @@ import argparse
 import hashlib
 import logging
 import os
+import shlex
 import sys
 from contextlib import contextmanager, nullcontext
 
@@ -26,8 +27,8 @@ from . import __version__
 from .corpus import EmotionSet, corpus_stats, load_corpus
 from .errors import MoodlexError
 from .evaluate import EmotionMapping, evaluate_all, load_gold, load_labels, score_all
-from .lexicon import SERIALIZED_DIGITS, _fmt, build_lexicon, read_lexicon, write_lexicon
-from .sink import open_sink, open_source
+from .lexicon import build_lexicon, read_lexicon, write_lexicon
+from .sink import format_float, open_sink, open_source
 from .textpipe import LemmaTable, VocabularyFilter, lemmatize_all, tokenize
 
 logger = logging.getLogger(__name__)
@@ -108,9 +109,9 @@ def _config_echo(subcommand: str, args: argparse.Namespace) -> str:
         if isinstance(value, float):
             # The short form only where it reads back as the same value.
             short = format(value, "g")
-            parts.extend([flag, short if float(short) == value else repr(value)])
-        else:
-            parts.extend([flag, str(value)])
+            value = short if float(short) == value else repr(value)
+        # Quoted so that a shell splits the line back into the same values.
+        parts.extend([flag, shlex.quote(str(value))])
     return " ".join(parts)
 
 
@@ -217,14 +218,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
         _write_metadata(fh, metadata)
         fh.write("section\temotion\tmetric\tvalue\n")
         for target, r in report.regression.items():
-            fh.write(f"regression\t{target}\tpearson_r\t{_fmt(r)}\n")
+            fh.write(f"regression\t{target}\tpearson_r\t{format_float(r)}\n")
         if report.classification is not None:
             for target, m in report.classification.items():
-                fh.write(f"classification\t{target}\tprecision\t{_fmt(m.precision)}\n")
-                fh.write(f"classification\t{target}\trecall\t{_fmt(m.recall)}\n")
-                fh.write(f"classification\t{target}\tf1\t{_fmt(m.f1)}\n")
+                fh.write(f"classification\t{target}\tprecision\t{format_float(m.precision)}\n")
+                fh.write(f"classification\t{target}\trecall\t{format_float(m.recall)}\n")
+                fh.write(f"classification\t{target}\tf1\t{format_float(m.f1)}\n")
         cov = report.coverage
-        fh.write(f"coverage\tALL\tmean_headline_coverage\t{_fmt(cov.mean_coverage)}\n")
+        fh.write(f"coverage\tALL\tmean_headline_coverage\t{format_float(cov.mean_coverage)}\n")
         fh.write(f"coverage\tALL\tuncovered_headlines\t{cov.uncovered_headlines}\n")
         fh.write(
             f"coverage\tALL\tskipped_empty_headlines\t{cov.skipped_empty_headlines}\n"
@@ -282,14 +283,13 @@ def cmd_score(args: argparse.Namespace) -> int:
 
     inputs = [("lexicon", args.lexicon), ("input", args.input)]
     metadata = _metadata("score", args, inputs)
-    fmt = f"{{:.{SERIALIZED_DIGITS}g}}".format  # _fmt on a float, bound once
     rows = zip(entries, token_streams, scores.tolist(), covered.tolist())
     with _in_stage("write-scores"), open_sink(args.output) as fh:
         _write_metadata(fh, metadata)
         fh.write("id\t" + "\t".join(lex.emotions) + "\tcovered\ttotal\n")
         fh.write(
             "".join(
-                f"{line_id}\t" + "\t".join(map(fmt, vec)) + f"\t{n}\t{len(tokens)}\n"
+                f"{line_id}\t" + "\t".join(map(format_float, vec)) + f"\t{n}\t{len(tokens)}\n"
                 for (line_id, _), tokens, vec, n in rows
             )
         )
@@ -308,10 +308,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
         _write_metadata(fh, metadata)
         fh.write(f"doc_count\t{stats.doc_count}\n")
         fh.write(f"token_count\t{stats.token_count}\n")
-        fh.write(f"mean_doc_length\t{_fmt(stats.mean_doc_length)}\n")
+        fh.write(f"mean_doc_length\t{format_float(stats.mean_doc_length)}\n")
         fh.write("emotion\tmean_votes\n")
-        for label, mean in zip(emotions.labels, stats.mean_votes):
-            fh.write(f"{label}\t{_fmt(mean)}\n")
+        for label, mean in zip(emotions.labels, stats.mean_votes.tolist()):
+            fh.write(f"{label}\t{format_float(mean)}\n")
     logger.info(
         "%d document(s), %d token(s), mean length %.1f",
         stats.doc_count,

@@ -1,4 +1,4 @@
-"""Vote-annotated corpus ingestion and the document-by-emotion matrix.
+"""Vote-annotated corpus ingestion.
 
 A corpus file carries one JSON object per line with fields ``id``, exactly
 one of ``tokens`` (array of lemma#pos strings) or ``text`` (raw string), and
@@ -14,7 +14,7 @@ import json
 import logging
 from array import array
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Mapping
 
 import numpy as np
 
@@ -73,23 +73,8 @@ class EmotionSet:
         except KeyError:
             raise CorpusError(f"unknown emotion label {label!r}") from None
 
-    def __contains__(self, label: object) -> bool:
-        return label in self._index
-
     def __len__(self) -> int:
         return len(self._labels)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._labels)
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, EmotionSet) and other._labels == self._labels
-
-    def __hash__(self) -> int:
-        return hash(self._labels)
-
-    def __repr__(self) -> str:
-        return f"EmotionSet({list(self._labels)!r})"
 
 
 class _Numbering(dict):
@@ -124,7 +109,7 @@ class Corpus:
         return len(self.doc_ids)
 
     def lemmatized(
-        self, table: textpipe.LemmaTable, vocab: Iterable[str] | None, policy: str
+        self, table: textpipe.LemmaTable, vocab: Iterable[str], policy: str
     ) -> "Corpus":
         """This corpus with each raw-text document's lemma#pos candidates
         (:func:`textpipe.lemmatize_all`) as its tokens.
@@ -165,52 +150,25 @@ class CorpusStats:
     mean_doc_length: float
 
 
-@dataclass(frozen=True, eq=False)
-class DocEmotionMatrix:
-    """Dense documents-by-emotions matrix of validated vote fractions."""
-
-    doc_ids: tuple[str, ...]
-    emotions: EmotionSet
-    values: np.ndarray
-
-
-def validate_votes(
-    raw: Mapping[str, float] | Sequence[float], emotions: EmotionSet
-) -> np.ndarray:
+def validate_votes(raw: Mapping[str, float], emotions: EmotionSet) -> np.ndarray:
     """Validate a raw vote distribution and rescale it to an exact unit sum.
 
-    ``raw`` is either a mapping from emotion label to value (absent labels
-    count as zero, which is distinct from a missing votes field; two labels
-    that normalize alike are an error) or a sequence aligned with
-    ``emotions``. A sum within VOTE_SUM_TOLERANCE of 1 is divided out
+    ``raw`` maps emotion labels to values; absent labels count as zero, which
+    is distinct from a missing votes field, and two labels that normalize
+    alike are an error. A sum within VOTE_SUM_TOLERANCE of 1 is divided out
     proportionally; negative entries, all-zero votes, and sums further from
     1 are rejected rather than silently fixed.
     """
     values = np.zeros(len(emotions), dtype=np.float64)
-    if isinstance(raw, Mapping):
-        key_of: dict[str, object] = {}
-        for key, value in raw.items():
-            label = str(key).strip().upper()
-            if label in key_of:
-                raise VoteError(f"votes name {label} twice: {key_of[label]!r} and {key!r}")
-            key_of[label] = key
-            try:
-                numeric = float(value)
-            except (TypeError, ValueError, OverflowError):
-                raise VoteError(f"non-numeric vote for {label}: {value!r}") from None
-            # EmotionSet.index raises CorpusError for unknown labels: that is
-            # a hard error, not a per-record validation failure.
-            values[emotions.index(label)] = numeric
-    else:
-        try:
-            seq = np.asarray(list(raw), dtype=np.float64)
-        except (TypeError, ValueError, OverflowError):
-            raise VoteError("non-numeric vote value") from None
-        if seq.shape != (len(emotions),):
-            raise VoteError(
-                f"expected {len(emotions)} vote values, got {seq.shape[0] if seq.ndim == 1 else seq.shape}"
-            )
-        values = seq
+    key_of: dict[str, object] = {}
+    for key, value in raw.items():
+        label = str(key).strip().upper()
+        if label in key_of:
+            raise VoteError(f"votes name {label} twice: {key_of[label]!r} and {key!r}")
+        key_of[label] = key
+        # EmotionSet.index raises CorpusError for unknown labels: that is a
+        # hard error, not a per-record validation failure.
+        values[emotions.index(label)] = _vote_value(label, value)
     if not np.all(np.isfinite(values)):
         raise VoteError("votes must be finite (NaN or infinity found)")
     negative = np.flatnonzero(values < 0)
@@ -228,6 +186,16 @@ def validate_votes(
             f"vote sum {total:.6g} outside 1 +/- {VOTE_SUM_TOLERANCE:g}; record looks corrupt"
         )
     return values / total
+
+
+def _vote_value(label: str, value: object) -> float:
+    # float() would read a JSON true or false as 1.0 or 0.0.
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise VoteError(f"non-numeric vote for {label}: {value!r}")
 
 
 class _MalformedRecord(Exception):
@@ -333,15 +301,14 @@ def parse_corpus(
                     f"{source}: duplicate doc id {doc_id!r} on lines {seen[doc_id]} and {lineno}"
                 )
             seen[doc_id] = lineno
-            if min_votes_sum is not None:
-                try:
-                    raw_sum = sum(float(v) for v in votes_raw.values())
-                except (TypeError, ValueError, OverflowError):
-                    raise _MalformedRecord("non-numeric vote value") from None
-                if raw_sum < min_votes_sum:
-                    dropped_low_votes += 1
-                    continue
             try:
+                if min_votes_sum is not None:
+                    raw_sum = sum(
+                        _vote_value(str(k).strip().upper(), v) for k, v in votes_raw.items()
+                    )
+                    if raw_sum < min_votes_sum:
+                        dropped_low_votes += 1
+                        continue
                 doc_votes = validate_votes(votes_raw, emotions)
             except VoteError as exc:
                 raise _MalformedRecord(str(exc)) from None
@@ -407,10 +374,3 @@ def corpus_stats(corpus: Corpus) -> CorpusStats:
         mean_votes=corpus.votes.mean(axis=0),
         mean_doc_length=token_count / len(corpus),
     )
-
-
-def vote_matrix(corpus: Corpus, emotions: EmotionSet) -> DocEmotionMatrix:
-    """The corpus vote rows as a documents-by-emotions matrix, in corpus order."""
-    if not len(corpus):
-        raise CorpusError("cannot build a vote matrix from an empty corpus")
-    return DocEmotionMatrix(doc_ids=corpus.doc_ids, emotions=emotions, values=corpus.votes)

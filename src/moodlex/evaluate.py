@@ -148,14 +148,6 @@ def score_all(
     return sums, covered
 
 
-def score_headline(
-    tokens: Sequence[str], lex: EmotionLexicon
-) -> tuple[np.ndarray, int]:
-    """One stream through :func:`score_all`."""
-    scores, covered = score_all([tokens], lex)
-    return scores[0], int(covered[0])
-
-
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     """Sample Pearson product-moment correlation."""
     x = np.asarray(list(xs), dtype=np.float64)

@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from . import textpipe
-from .corpus import Corpus, DocEmotionMatrix, EmotionSet, vote_matrix
+from .corpus import Corpus, EmotionSet
 from .errors import LexiconError, TextPipeError
 from .matrix import (
     SCHEMES,
@@ -26,22 +26,16 @@ from .matrix import (
     filter_min_df,
     write_matrix_dump,
 )
-from .sink import open_sink, open_source
+from .sink import format_float, open_sink, open_source
 
 logger = logging.getLogger(__name__)
 
 HEADER_KEY = "Lemma#PoS"
 COL_NORM_MODES = ("sum", "max")
 
-#: Serialized score precision (significant digits) and the row-sum tolerance
-#: accepted when reading files back (looser than the build-time 1e-9 because
-#: rows are rounded to the serialized precision).
-SERIALIZED_DIGITS = 9
+#: Row-sum tolerance accepted when reading files back (looser than the
+#: build-time 1e-9 because rows are rounded to the serialized precision).
 READ_ROW_SUM_TOLERANCE = 1e-6
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), f".{SERIALIZED_DIGITS}g")
 
 
 class EmotionLexicon:
@@ -109,26 +103,23 @@ class EmotionLexicon:
             raise LexiconError(f"word {word!r} not in lexicon") from None
 
 
-def emotion_product(wd: TermDocumentMatrix, de: DocEmotionMatrix) -> np.ndarray:
+def emotion_product(wd: TermDocumentMatrix, votes: np.ndarray) -> np.ndarray:
     """Raw words-by-emotions mass: for each word and emotion, the sum over
-    documents of the word's weight times the document's vote fraction."""
-    wd_ids = set(wd.doc_ids)
-    de_ids = set(de.doc_ids)
-    if wd_ids != de_ids:
-        diff = sorted(wd_ids ^ de_ids)
-        shown = ", ".join(diff[:10]) + (", ..." if len(diff) > 10 else "")
+    documents of the word's weight times the document's vote fraction.
+
+    ``votes`` is the documents-by-emotions array whose row ``j`` belongs to
+    ``wd.doc_ids[j]``."""
+    if votes.ndim != 2 or votes.shape[0] != wd.n_docs:
         raise LexiconError(
-            f"document sets differ between term matrix and vote matrix ({len(diff)} ids): {shown}"
+            f"vote array has shape {votes.shape}, expected ({wd.n_docs}, emotions)"
         )
-    position = {doc_id: i for i, doc_id in enumerate(de.doc_ids)}
-    aligned = de.values[[position[doc_id] for doc_id in wd.doc_ids], :]
     # Each word's entries are added in storage order starting from 0.0, the
     # order a CSR matrix-vector product uses, so the sums match it bit for bit.
     rows = wd.entry_rows()
     return np.column_stack(
         [
-            np.bincount(rows, weights=wd.data * aligned[wd.indices, k], minlength=len(wd.words))
-            for k in range(aligned.shape[1])
+            np.bincount(rows, weights=wd.data * votes[wd.indices, k], minlength=len(wd.words))
+            for k in range(votes.shape[1])
         ]
     )
 
@@ -225,9 +216,8 @@ def build_lexicon(
     counted = count_terms(kept, raw_lengths=corpus.lengths[nonempty])
     counted = filter_min_df(counted, min_df)
     weighted = apply_weighting(counted, scheme, nf_length=nf_length)
-    votes = vote_matrix(kept, emotions)
 
-    raw_we = emotion_product(weighted, votes)
+    raw_we = emotion_product(weighted, kept.votes)
     normalized = column_normalize(raw_we, emotions.labels, mode=col_norm)
     words, scaled, dropped_rows = row_scale(normalized, weighted.words)
     if not words:
@@ -261,9 +251,8 @@ def write_lexicon(lex: EmotionLexicon, sink) -> None:
         for key, value in lex.provenance:
             fh.write(f"# {key}: {value}\n")
         fh.write(HEADER_KEY + "\t" + "\t".join(lex.emotions) + "\n")
-        fmt = f"{{:.{SERIALIZED_DIGITS}g}}".format
         for word, row in zip(lex.words, lex.scores.tolist()):
-            fh.write(word + "\t" + "\t".join(map(fmt, row)) + "\n")
+            fh.write(word + "\t" + "\t".join(map(format_float, row)) + "\n")
 
 
 def read_lexicon(source) -> EmotionLexicon:

@@ -18,7 +18,7 @@ import numpy as np
 
 from .corpus import Corpus
 from .errors import MatrixError
-from .sink import open_sink
+from .sink import format_float, open_sink
 
 logger = logging.getLogger(__name__)
 
@@ -215,7 +215,7 @@ def write_matrix_dump(tdm: TermDocumentMatrix, sink) -> None:
     # a quarter of the temporary memory (47 vs 190 MiB at 4.85M entries).
     values = np.unique(tdm.data)
     which = np.searchsorted(values, tdm.data)
-    weights = [f"{value:.9g}\n" for value in values.tolist()]
+    weights = [format_float(value) + "\n" for value in values.tolist()]
     cells = [doc_id + "\t" for doc_id in tdm.doc_ids]
     bounds = tdm.indptr.tolist()
     with open_sink(sink) as fh:

@@ -7,7 +7,8 @@ column it sits in.
 Every output file appears whole or not at all. A path is written to a
 temporary file in the same directory and renamed over the target only when
 writing finished without an error, so a failed or interrupted run never
-leaves a partial file, nor clobbers an earlier one.
+leaves a partial file, nor clobbers an earlier one. Every float in an output
+is written by :data:`format_float`.
 """
 
 from __future__ import annotations
@@ -17,6 +18,12 @@ import stat
 import sys
 from contextlib import contextmanager
 from typing import IO, Iterator
+
+#: Significant digits of every float written to an output file.
+SERIALIZED_DIGITS = 9
+
+#: A float as every output file writes it, at SERIALIZED_DIGITS significant digits.
+format_float = f"{{:.{SERIALIZED_DIGITS}g}}".format
 
 
 @contextmanager

@@ -132,9 +132,6 @@ class LemmaTable:
         if pos not in POS_TAGS:
             raise TextPipeError(f"invalid pos tag {pos!r} in lemma table")
 
-    def __len__(self) -> int:
-        return len(self._entries) + sum(len(r) for r in self._rules.values())
-
     def entry(self, surface: str, pos: str) -> str | None:
         return self._entries.get((surface, pos))
 
@@ -188,8 +185,8 @@ class _Resolver(dict):
     frozenset; each surface form is resolved on its first lookup and kept.
     """
 
-    def __init__(self, table: LemmaTable, vocab: Iterable[str] | None, policy: str):
-        self._members = None if vocab is None else frozenset(vocab)
+    def __init__(self, table: LemmaTable, vocab: Iterable[str], policy: str):
+        self._members = frozenset(vocab)
         # Per pos: the table hits, the identity tail, every rule suffix for
         # one str.endswith pre-check, and the rules in file order.
         self._per_pos = [
@@ -208,7 +205,7 @@ class _Resolver(dict):
         licensed: list[str] = []
         for pos_hits, tail, suffixes, rules in self._per_pos:
             hit = pos_hits.get(surface)
-            if hit is None and members is not None:
+            if hit is None:
                 if (identity := surface + tail) in members:
                     hit = identity
                 elif surface.endswith(suffixes):
@@ -233,7 +230,7 @@ def lemmatize_all(
     streams: Iterable[Iterable[str]],
     table: LemmaTable,
     *,
-    vocab: Iterable[str] | None = None,
+    vocab: Iterable[str],
     policy: str = "all",
 ) -> list[list[str]]:
     """Map each stream of surface tokens to lemma#pos candidate tokens.
@@ -242,9 +239,8 @@ def lemmatize_all(
     exception table or ``vocab`` (identity form first, then suffix-rule
     rewrites), scanned in POS_TAGS order. ``vocab`` is a
     :class:`VocabularyFilter`, a set of lemma#pos strings, or a lexicon.
-    Without a vocabulary only exception-table hits can be licensed. Under the
-    default ``all`` policy every licensed candidate is emitted; ``first``
-    keeps only the first.
+    Under the default ``all`` policy every licensed candidate is emitted;
+    ``first`` keeps only the first.
 
     The table and ``vocab`` are compiled once per call, and candidates, which
     depend only on the surface form, are worked out once per distinct surface
@@ -256,20 +252,3 @@ def lemmatize_all(
         )
     candidates = _Resolver(table, vocab, policy).__getitem__
     return [list(chain.from_iterable(map(candidates, tokens))) for tokens in streams]
-
-
-def lemmatize(
-    tokens: Iterable[str],
-    table: LemmaTable,
-    *,
-    vocab: Iterable[str] | None = None,
-    policy: str = "all",
-) -> list[str]:
-    """One stream through :func:`lemmatize_all`."""
-    return lemmatize_all([tokens], table, vocab=vocab, policy=policy)[0]
-
-
-def filter_vocabulary(tokens: Iterable[str], vocab: VocabularyFilter) -> list[str]:
-    """Keep exactly the tokens present in ``vocab``, preserving order and
-    duplicates."""
-    return [t for t in tokens if t in vocab]

@@ -61,8 +61,6 @@ def candidates_reference(surface: str, table, vocab, policy: str) -> list[str]:
         if hit is not None:
             licensed.append(f"{hit}#{pos}")
             continue
-        if vocab is None:
-            continue
         identity = f"{surface}#{pos}"
         if identity in vocab:
             licensed.append(identity)

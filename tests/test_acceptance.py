@@ -30,7 +30,6 @@ from moodlex import (
     precision_recall_f1,
     read_lexicon,
     row_scale,
-    vote_matrix,
     write_lexicon,
 )
 from moodlex.cli import main
@@ -121,7 +120,7 @@ def test_column_scale_invariance(emotions):
             if (filtered := [t for t in tokens if t in vocab])
         )
         weighted = apply_weighting(count_terms(kept), "normalized")
-        raw_we = emotion_product(weighted, vote_matrix(kept, emotions))
+        raw_we = emotion_product(weighted, kept.votes)
         labels = emotions.labels
         base_words, base_rows, _ = row_scale(
             column_normalize(raw_we, labels), weighted.words

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from moodlex import read_lexicon, score_headline
+from moodlex import read_lexicon, score_all
 from moodlex.cli import _config_echo, build_parser, main
 
 CORPUS_LINES = [
@@ -369,16 +370,16 @@ class TestScore:
             if not l.startswith("#") and not l.startswith("id\t")
         ]
         assert len(rows) == 10
-        from moodlex import LemmaTable, VocabularyFilter, lemmatize, tokenize
+        from moodlex import LemmaTable, VocabularyFilter, lemmatize_all, tokenize
 
         vocab = VocabularyFilter(lex.words)
         for row, text in zip(rows, texts):
             fields = row.split("\t")
-            tokens = lemmatize(tokenize(text), LemmaTable(), vocab=vocab)
-            expected_vec, expected_covered = score_headline(tokens, lex)
+            tokens = lemmatize_all([tokenize(text)], LemmaTable(), vocab=vocab)[0]
+            expected_vec, expected_covered = score_all([tokens], lex)
             got = np.asarray([float(v) for v in fields[1:9]])
-            np.testing.assert_allclose(got, expected_vec, atol=1e-9)
-            assert int(fields[9]) == expected_covered
+            np.testing.assert_allclose(got, expected_vec[0], atol=1e-9)
+            assert int(fields[9]) == expected_covered[0]
             assert int(fields[10]) == len(tokens)
 
     def test_missing_lexicon_exits_nonzero(self, built, caplog):
@@ -514,6 +515,20 @@ def test_float_flags_echo_back_exactly(argv, attr, value, echoed):
     assert getattr(again, attr) == value
     flag = echo[echo.index("--" + attr.replace("_", "-")) + 1]
     assert flag == (echoed or repr(value))
+
+
+@pytest.mark.parametrize("path", ["my dir/lex.tsv", "it's \"here\".tsv"])
+def test_paths_echo_back_through_a_shell_split(path):
+    """A value holding a space or a quote is quoted in the echo, so the
+    command line splits and parses back to the same values."""
+    parser = build_parser()
+    args = parser.parse_args(
+        ["build", "--corpus", path, "--vocab", "v.txt", "--output", path, "--dump-matrix", path]
+    )
+    echo = shlex.split(_config_echo("build", args))
+    assert echo[:2] == ["moodlex", "build"]
+    again = parser.parse_args(echo[1:])
+    assert vars(again) == vars(args)
 
 
 def _header_only(name, text):

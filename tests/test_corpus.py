@@ -17,7 +17,6 @@ from moodlex import (
     corpus_stats,
     parse_corpus,
     validate_votes,
-    vote_matrix,
 )
 from moodlex.corpus import VOTE_SUM_TOLERANCE
 
@@ -71,7 +70,7 @@ class TestValidateVotes:
         )
 
     def test_uniform_distribution_unchanged(self, emotions):
-        out = validate_votes([0.125] * 8, emotions)
+        out = validate_votes(dict.fromkeys(emotions.labels, 0.125), emotions)
         np.testing.assert_allclose(out, [0.125] * 8, atol=1e-15)
 
     def test_proportional_renormalization_at_tolerance(self, emotions):
@@ -101,8 +100,6 @@ class TestValidateVotes:
         # json.loads yields unbounded ints; float() overflows on this one.
         with pytest.raises(VoteError, match="non-numeric"):
             validate_votes({"AFRAID": 10**400}, emotions)
-        with pytest.raises(VoteError, match="non-numeric"):
-            validate_votes([10**400] + [0.0] * (len(emotions.labels) - 1), emotions)
         # json.loads accepts NaN literals, and NaN comparisons are all false,
         # so the tolerance check alone would let NaN through.
         with pytest.raises(VoteError, match="finite"):
@@ -110,18 +107,18 @@ class TestValidateVotes:
         with pytest.raises(VoteError, match="finite"):
             validate_votes({"AFRAID": float("inf")}, emotions)
 
-    def test_sequence_input(self, emotions):
-        out = validate_votes([0.5, 0.5, 0, 0, 0, 0, 0, 0], emotions)
-        np.testing.assert_allclose(out[:2], [0.5, 0.5])
-        with pytest.raises(VoteError):
-            validate_votes([0.5, 0.5], emotions)
+    @pytest.mark.parametrize("vote", [True, False])
+    def test_boolean_vote_rejected(self, emotions, vote):
+        # float(True) is 1.0: a JSON true would count as a whole vote.
+        with pytest.raises(VoteError, match=f"non-numeric vote for HAPPY: {vote}"):
+            validate_votes({"HAPPY": vote, "SAD": 1.0 - vote}, emotions)
 
     def test_post_sum_exact(self, emotions):
         rng = np.random.default_rng(7)
         for _ in range(50):
             raw = rng.random(8)
             raw = raw / raw.sum() * (1 + (rng.random() - 0.5) * 2 * VOTE_SUM_TOLERANCE)
-            out = validate_votes(list(raw), emotions)
+            out = validate_votes(dict(zip(emotions.labels, raw)), emotions)
             assert abs(out.sum() - 1.0) <= 1e-9
             assert np.all(out >= 0)
 
@@ -265,12 +262,19 @@ class TestParseCorpus:
         assert corpus.doc_ids == ("b",)
 
     @pytest.mark.parametrize(
-        "vote", ["x", None, [1], 10**400], ids=["string", "null", "array", "huge-int"]
+        "vote",
+        ["x", None, [1], 10**400, True],
+        ids=["string", "null", "array", "huge-int", "boolean"],
     )
     def test_min_votes_sum_non_numeric_vote_is_malformed_line(self, emotions, vote):
         stream = [line("a", {"HAPPY": 1.0}), line("b", {"AFRAID": vote})]
         with pytest.raises(CorpusError, match="1 malformed line.*line 2: non-numeric vote"):
             parse_corpus(stream, emotions, min_votes_sum=0.5)
+
+    def test_boolean_vote_is_malformed_line(self, emotions):
+        stream = [line("a", {"HAPPY": 1.0}), line("b", {"HAPPY": True})]
+        with pytest.raises(CorpusError, match="1 malformed line.*line 2: non-numeric vote for HAPPY: True"):
+            parse_corpus(stream, emotions)
 
     @pytest.mark.parametrize("doc_id", ["a\tb", "a\rb", "a\nb", "\t"])
     def test_id_with_tab_or_line_break_is_malformed_line(self, emotions, doc_id):
@@ -319,7 +323,9 @@ class TestCorpusStats:
         stats = corpus_stats(parse_corpus(stream, emotions))
         # Spreadsheet-style recount: per-emotion column sums via fsum.
         for e in range(8):
-            expected = math.fsum(validate_votes(v, emotions)[e] for v in votes_by_doc) / 10
+            expected = math.fsum(
+                validate_votes(dict(zip(emotions.labels, v)), emotions)[e] for v in votes_by_doc
+            ) / 10
             assert abs(stats.mean_votes[e] - expected) < 1e-12
 
     def test_mean_votes_sum_to_one(self, emotions):
@@ -342,16 +348,11 @@ class TestCorpusStats:
         assert corpus_stats(corpus).token_count == 3
 
 
-class TestVoteMatrix:
+class TestCorpusVotes:
     def test_rows_follow_corpus_order(self, emotions, small_corpus):
-        de = vote_matrix(small_corpus, emotions)
-        assert de.doc_ids == tuple(doc_id for doc_id, _, _ in SMALL_DOCS)
+        assert small_corpus.doc_ids == tuple(doc_id for doc_id, _, _ in SMALL_DOCS)
         for i, (_, _, votes) in enumerate(SMALL_DOCS):
-            np.testing.assert_array_equal(de.values[i], validate_votes(votes, emotions))
-
-    def test_empty_rejected(self, emotions):
-        with pytest.raises(CorpusError):
-            vote_matrix([], emotions)
+            np.testing.assert_array_equal(small_corpus.votes[i], validate_votes(votes, emotions))
 
 
 JSON_SCALARS = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6)

@@ -23,7 +23,6 @@ from moodlex import (
     pearson,
     precision_recall_f1,
     score_all,
-    score_headline,
 )
 
 from dense_reference import exact_pearson, mean_scores
@@ -56,29 +55,27 @@ def tiny_lexicon():
 
 class TestScoreHeadline:
     def test_mean_of_two_one_hot_rows(self, tiny_lexicon):
-        vec, covered = score_headline(["afraid#a", "amused#a"], tiny_lexicon)
+        (vec,), (covered,) = score_all([["afraid#a", "amused#a"]], tiny_lexicon)
         np.testing.assert_allclose(vec[:2], [0.5, 0.5], atol=1e-15)
         assert covered == 2
 
     def test_single_covered_token_verbatim(self, tiny_lexicon):
-        vec, covered = score_headline(["angry#a"], tiny_lexicon)
+        (vec,), (covered,) = score_all([["angry#a"]], tiny_lexicon)
         np.testing.assert_array_equal(vec, tiny_lexicon.row("angry#a"))
         assert covered == 1
 
     def test_uncovered_headline_scores_zero(self, tiny_lexicon):
-        vec, covered = score_headline(["missing#n", "gone#v"], tiny_lexicon)
+        (vec,), (covered,) = score_all([["missing#n", "gone#v"]], tiny_lexicon)
         np.testing.assert_array_equal(vec, np.zeros(8))
         assert covered == 0
 
     def test_absent_tokens_skipped_and_occurrences_counted(self, tiny_lexicon):
-        vec, covered = score_headline(
-            ["afraid#a", "missing#n", "afraid#a"], tiny_lexicon
-        )
+        (vec,), (covered,) = score_all([["afraid#a", "missing#n", "afraid#a"]], tiny_lexicon)
         assert covered == 2
         np.testing.assert_allclose(vec, one_hot(0), atol=1e-15)
 
     def test_fully_covered_rows_sum_to_one(self, tiny_lexicon):
-        vec, covered = score_headline(["afraid#a", "amused#a", "half#n"], tiny_lexicon)
+        (vec,), (covered,) = score_all([["afraid#a", "amused#a", "half#n"]], tiny_lexicon)
         assert covered == 3
         assert abs(vec.sum() - 1.0) <= 1e-9
 

@@ -13,7 +13,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moodlex import (
-    DocEmotionMatrix,
     EmotionSet,
     LemmaTable,
     LexiconError,
@@ -52,10 +51,7 @@ class TestEmotionProduct:
             doc(emotions, "d1", ["wb#n", "wb#n"], {"E2": 1.0}),
         ]
         wd = count_terms(corpus_of(records, emotions))
-        de = DocEmotionMatrix(
-            doc_ids=("d0", "d1"), emotions=emotions, values=np.eye(2)
-        )
-        out = emotion_product(wd, de)
+        out = emotion_product(wd, np.eye(2))
         np.testing.assert_allclose(out, [[1.0, 0.0], [0.0, 2.0]], atol=1e-15)
 
     def test_one_hot_votes_concentrate_one_column(self):
@@ -65,12 +61,7 @@ class TestEmotionProduct:
             doc(emotions, "d1", ["a#n"], {"E2": 1.0}),
         ]
         wd = count_terms(corpus_of(records, emotions))
-        de = DocEmotionMatrix(
-            doc_ids=("d0", "d1"),
-            emotions=emotions,
-            values=np.array([[0, 1, 0], [0, 1, 0]], dtype=float),
-        )
-        out = emotion_product(wd, de)
+        out = emotion_product(wd, np.array([[0, 1, 0], [0, 1, 0]], dtype=float))
         assert np.all(out[:, [0, 2]] == 0)
         assert np.all(out[:, 1] > 0)
 
@@ -89,21 +80,18 @@ class TestEmotionProduct:
             for j in range(4)
         ]
         wd = count_terms(corpus_of(records, emotions))
-        de = DocEmotionMatrix(
-            doc_ids=tuple(f"d{j}" for j in range(4)), emotions=emotions, values=votes
-        )
-        out = emotion_product(wd, de)
+        out = emotion_product(wd, votes)
         dense_weights = dense_reference.dense(wd)
         expected = dense_product(dense_weights.tolist(), votes.tolist())
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
-    def test_document_set_mismatch_lists_difference(self):
+    @pytest.mark.parametrize("shape", [(2, 2), (0, 2), (1,)])
+    def test_vote_array_of_wrong_shape_rejected(self, shape):
         emotions = EmotionSet(["E1", "E2"])
         records = [doc(emotions, "d0", ["a#n"], {"E1": 1.0})]
         wd = count_terms(corpus_of(records, emotions))
-        de = DocEmotionMatrix(doc_ids=("dX",), emotions=emotions, values=np.eye(2)[:1])
-        with pytest.raises(LexiconError, match="d0.*dX|dX.*d0"):
-            emotion_product(wd, de)
+        with pytest.raises(LexiconError, match=r"vote array has shape .*expected \(1, emotions\)"):
+            emotion_product(wd, np.ones(shape))
 
 
 class TestColumnNormalize:
@@ -507,13 +495,18 @@ def valid_lexicons(draw):
     """A lexicon with arbitrary keys, emotions, provenance and rows."""
     n_emotions = draw(st.integers(1, 5))
     printable = st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp"))
-    lemma = st.text(printable, min_size=1, max_size=8).filter(
-        lambda t: t == t.lower() and not any(c.isspace() for c in t)
-    )
+    # Keys and rows are drawn valid rather than filtered. Every whitespace
+    # character is in Zs, Zl, Zp or Cc, and lower-casing is idempotent.
+    no_space = st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp", "Zs"))
+    lemma = st.text(no_space, min_size=1, max_size=8).map(str.lower)
     word = st.builds(lambda l, p: f"{l}#{p}", lemma, st.sampled_from("vnar"))
     value = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
-    row = st.lists(value, min_size=n_emotions, max_size=n_emotions).filter(
-        lambda r: sum(r) > 0
+    # One entry of every row is positive, so no row sums to zero.
+    row = st.builds(
+        lambda rest, k, positive: rest[:k] + [positive] + rest[k:],
+        st.lists(value, min_size=n_emotions - 1, max_size=n_emotions - 1),
+        st.integers(0, n_emotions - 1),
+        st.floats(min_value=0.0, max_value=1e6, exclude_min=True),
     )
     rows = draw(st.dictionaries(word, row, min_size=1, max_size=8))
     emotions = draw(

@@ -14,7 +14,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moodlex import (
-    DocEmotionMatrix,
     EmotionSet,
     MatrixError,
     apply_weighting,
@@ -119,7 +118,7 @@ def test_matches_scipy(word_ids, everywhere, min_df, scheme, nf_length, seed):
     assert np.array_equal(tdm.indptr, mat.indptr)
     assert np.array_equal(tdm.indices, mat.indices)
     assert np.array_equal(tdm.data, mat.data)
-    got = emotion_product(tdm, DocEmotionMatrix(doc_ids=kept_ids, emotions=EMOTIONS, values=votes))
+    got = emotion_product(tdm, votes)
     assert np.array_equal(got, product)
 
 
@@ -135,5 +134,5 @@ def test_product_matches_scipy_on_long_rows():
     tdm = apply_weighting(count_terms(records), "normalized")
     votes = rng.dirichlet(np.full(len(EMOTIONS), 0.4), size=n_docs)
     mat = sparse.csr_matrix((tdm.data, tdm.indices, tdm.indptr), shape=(n_words, n_docs))
-    got = emotion_product(tdm, DocEmotionMatrix(doc_ids=tdm.doc_ids, emotions=EMOTIONS, values=votes))
+    got = emotion_product(tdm, votes)
     assert np.array_equal(got, np.asarray(mat @ votes))

@@ -1,4 +1,4 @@
-"""Tokenization, lemma#pos handling, lemmatization, and vocabulary filtering."""
+"""Tokenization, lemma#pos handling, lemmatization, and vocabulary filters."""
 
 from __future__ import annotations
 
@@ -12,8 +12,6 @@ from moodlex import (
     TextPipeError,
     VocabularyError,
     VocabularyFilter,
-    filter_vocabulary,
-    lemmatize,
     lemmatize_all,
     tokenize,
 )
@@ -166,33 +164,33 @@ class TestLemmatize:
     def test_table_hit(self):
         table = LemmaTable(entries=[("bombings", "n", "bombing")])
         vocab = VocabularyFilter(["bombing#n"])
-        assert lemmatize(["bombings"], table, vocab=vocab) == ["bombing#n"]
+        assert lemmatize_all([["bombings"]], table, vocab=vocab)[0] == ["bombing#n"]
 
     def test_all_licensed_candidates(self):
         vocab = VocabularyFilter(["kill#v", "kill#n"])
-        assert lemmatize(["kill"], LemmaTable(), vocab=vocab) == ["kill#v", "kill#n"]
+        assert lemmatize_all([["kill"]], LemmaTable(), vocab=vocab)[0] == ["kill#v", "kill#n"]
 
     def test_first_candidate_policy(self):
         vocab = VocabularyFilter(["kill#v", "kill#n"])
-        assert lemmatize(["kill"], LemmaTable(), vocab=vocab, policy="first") == ["kill#v"]
+        assert lemmatize_all([["kill"]], LemmaTable(), vocab=vocab, policy="first")[0] == ["kill#v"]
 
     def test_unmapped_token_passes_through_as_noun(self):
         vocab = VocabularyFilter(["kill#v"])
-        assert lemmatize(["xyzzy"], LemmaTable(), vocab=vocab) == ["xyzzy#n"]
+        assert lemmatize_all([["xyzzy"]], LemmaTable(), vocab=vocab)[0] == ["xyzzy#n"]
 
     def test_rule_rewrite_needs_vocabulary_licensing(self):
         table = LemmaTable(rules=[("v", "s", ""), ("n", "s", "")])
         vocab = VocabularyFilter(["kill#v"])
         # kills -> rule strips the s; only the verb reading is licensed.
-        assert lemmatize(["kills"], table, vocab=vocab) == ["kill#v"]
+        assert lemmatize_all([["kills"]], table, vocab=vocab)[0] == ["kill#v"]
 
     def test_without_vocabulary_only_table_hits(self):
         table = LemmaTable(entries=[("went", "v", "go")])
-        assert lemmatize(["went", "kill"], table, vocab=None) == ["go#v", "kill#n"]
+        assert lemmatize_all([["went", "kill"]], table, vocab=())[0] == ["go#v", "kill#n"]
 
     def test_bad_policy(self):
         with pytest.raises(TextPipeError):
-            lemmatize(["kill"], LemmaTable(), policy="best")
+            lemmatize_all([["kill"]], LemmaTable(), vocab=(), policy="best")
 
     def test_manual_table_walk_oracle(self):
         # Twenty tokens pushed through a small table + vocabulary; the
@@ -244,7 +242,7 @@ class TestLemmatize:
             "war#n",
             "xyzzy#n",              # unmapped pass-through
         ]
-        assert lemmatize(tokens, table, vocab=vocab) == expected
+        assert lemmatize_all([tokens], table, vocab=vocab)[0] == expected
 
 
 MEMO_TABLE = LemmaTable(
@@ -271,11 +269,12 @@ TABLES = st.builds(
 
 
 def make_vocab(form, words):
-    """``words`` as no vocabulary, a set, a VocabularyFilter or a lexicon.
-    Only the set keeps keys with an empty lemma, such as "#v", which shows
-    whether a rewrite that would empty a surface is skipped."""
-    if form == "none":
-        return None
+    """``words`` as a set, a VocabularyFilter or a lexicon, or no words at
+    all (an empty set, which licenses table hits only). Only the set keeps
+    keys with an empty lemma, such as "#v", which shows whether a rewrite
+    that would empty a surface is skipped."""
+    if form == "empty":
+        return set()
     if form == "set":
         return set(words)
     valid = sorted({w for w in words if not w.startswith("#")}) or ["a#n"]
@@ -293,7 +292,7 @@ KEYS_AB = [
 ]
 VOCABS = st.builds(
     lambda form, dropped: make_vocab(form, [k for k in KEYS_AB if k not in dropped]),
-    st.sampled_from(["none", "set", "filter", "lexicon"]),
+    st.sampled_from(["empty", "set", "filter", "lexicon"]),
     st.sets(st.sampled_from(KEYS_AB)),
 )
 STREAMS = st.lists(
@@ -365,40 +364,4 @@ class TestLemmatizeAll:
             yield []
 
         with pytest.raises(TextPipeError, match="ambiguity policy"):
-            lemmatize_all(streams(), MEMO_TABLE, policy="best")
-
-
-class TestFilterVocabulary:
-    def test_keeps_only_members(self):
-        vocab = VocabularyFilter(["awe#n"])
-        assert filter_vocabulary(["awe#n", "xyzzy#n"], vocab) == ["awe#n"]
-
-    def test_identity_when_all_in_vocab(self):
-        vocab = VocabularyFilter(["a#n", "b#v"])
-        tokens = ["a#n", "b#v", "a#n"]
-        assert filter_vocabulary(tokens, vocab) == tokens
-
-    def test_idempotent(self):
-        vocab = VocabularyFilter(["a#n", "b#v", "c#a"])
-        tokens = ["a#n", "z#n", "b#v", "b#v", "q#r", "c#a"]
-        once = filter_vocabulary(tokens, vocab)
-        assert filter_vocabulary(once, vocab) == once
-
-    def test_random_stream_matches_membership_scan(self):
-        rng = np.random.default_rng(5)
-        universe = [f"t{i:03d}#{'nvar'[i % 4]}" for i in range(200)]
-        vocab_entries = [universe[int(i)] for i in rng.choice(200, size=100, replace=False)]
-        vocab = VocabularyFilter(vocab_entries)
-        tokens = [universe[int(i)] for i in rng.integers(0, 200, size=1000)]
-        # Independent oracle: naive per-token membership scan over a plain set.
-        allowed = set(vocab_entries)
-        expected = []
-        for t in tokens:
-            if t in allowed:
-                expected.append(t)
-        assert filter_vocabulary(tokens, vocab) == expected
-
-    def test_determinism(self):
-        vocab = VocabularyFilter(["a#n", "b#v"])
-        tokens = ["a#n", "b#v", "c#n"] * 10
-        assert filter_vocabulary(tokens, vocab) == filter_vocabulary(tokens, vocab)
+            lemmatize_all(streams(), MEMO_TABLE, vocab=MEMO_VOCAB, policy="best")
