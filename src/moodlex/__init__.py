@@ -25,11 +25,11 @@ _EXPORTS = {
     "evaluate": (
         "ClassificationMetrics CoverageStats EmotionMapping EvalReport GoldHeadline "
         "GoldSet coverage_stats evaluate_all evaluate_classification evaluate_regression "
-        "load_gold load_labels min_max_normalize pearson precision_recall_f1 score_all"
+        "load_gold load_labels min_max_normalize pearson precision_recall_f1"
     ).split(),
     "lexicon": (
         "EmotionLexicon build_lexicon column_normalize emotion_product read_lexicon "
-        "row_scale write_lexicon"
+        "row_scale score_all write_lexicon"
     ).split(),
     "matrix": "TermDocumentMatrix apply_weighting count_terms filter_min_df write_matrix_dump".split(),
     "textpipe": "LemmaTable VocabularyFilter lemmatize_all tokenize".split(),

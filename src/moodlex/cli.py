@@ -4,7 +4,7 @@ Subcommands: ``build``, ``eval``, ``score``, ``stats``. Logs go to standard
 error; data goes to files or standard output. Every output file starts with
 metadata lines sufficient to re-run the exact command (a config echo plus
 input content hashes). Nothing here samples randomness, so identical inputs
-always produce byte-identical outputs.
+always produce byte-identical outputs. Each subcommand imports only its own modules.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ import os
 import shlex
 import sys
 from contextlib import contextmanager, nullcontext
+from typing import NoReturn
 
 # numpy's OpenBLAS starts one busy-waiting thread per extra core, and its
 # threaded kernels make a float sum depend on the thread count. No step here
@@ -24,12 +25,8 @@ from contextlib import contextmanager, nullcontext
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__
-from .corpus import EmotionSet, corpus_stats, load_corpus
 from .errors import MoodlexError
-from .evaluate import EmotionMapping, evaluate_all, load_gold, load_labels, score_all
-from .lexicon import build_lexicon, read_lexicon, write_lexicon
 from .sink import format_float, open_sink, open_source
-from .textpipe import LemmaTable, VocabularyFilter, lemmatize_all, tokenize
 
 logger = logging.getLogger(__name__)
 
@@ -128,13 +125,17 @@ def _write_metadata(fh, metadata) -> None:
     fh.write(f"# tool-version: {PROG} {__version__}\n")
 
 
-def _emotion_set(labels_csv: str | None) -> EmotionSet:
+def _emotion_set(labels_csv: str | None):
+    from .corpus import EmotionSet
     if labels_csv is None:
         return EmotionSet.default()
     return EmotionSet(label for label in labels_csv.split(",") if label.strip())
 
 
 def cmd_build(args: argparse.Namespace) -> int:
+    from .corpus import load_corpus
+    from .lexicon import build_lexicon, write_lexicon
+    from .textpipe import LemmaTable, VocabularyFilter
     emotions = _stage("configure", _emotion_set, args.emotions)
     corpus = _stage(
         "load-corpus", load_corpus, args.corpus, emotions, min_votes_sum=args.min_votes_sum
@@ -182,6 +183,9 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from .evaluate import EmotionMapping, evaluate_all, load_gold, load_labels
+    from .lexicon import read_lexicon
+    from .textpipe import LemmaTable
     lex = _stage("read-lexicon", read_lexicon, args.lexicon)
     table = None
     if args.lemma_table:
@@ -271,6 +275,8 @@ def _read_score_input(path) -> list[tuple[str, str]]:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
+    from .lexicon import read_lexicon, score_all
+    from .textpipe import LemmaTable, lemmatize_all, tokenize
     lex = _stage("read-lexicon", read_lexicon, args.lexicon)
     table = LemmaTable()
     if args.lemma_table:
@@ -298,6 +304,7 @@ def cmd_score(args: argparse.Namespace) -> int:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    from .corpus import corpus_stats, load_corpus
     emotions = _stage("configure", _emotion_set, args.emotions)
     corpus = _stage(
         "load-corpus", load_corpus, args.corpus, emotions, min_votes_sum=args.min_votes_sum
@@ -394,5 +401,18 @@ def main(argv=None) -> int:
         return 1
 
 
+def entry() -> NoReturn:
+    """The ``moodlex`` command: :func:`main`, then ``os._exit`` to skip teardown
+    and ``atexit``; ``open_sink`` has committed every output by then."""
+    code = main()
+    logging.shutdown()
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:  # the stage that failed to write has reported it
+        code = 1
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    raise SystemExit(main())
+    entry()

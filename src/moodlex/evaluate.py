@@ -1,9 +1,8 @@
 """Headline evaluation: lexicon scoring, regression and classification
 metrics, label mapping, and coverage statistics.
 
-All headlines of a set are scored together in one ordered scatter-add of
-their covered tokens' lexicon rows, which sums each headline's rows in token
-order; metric aggregation always runs in headline-id order, so reports are
+All headlines of a set are scored together by one ``lexicon.score_all``
+call; metric aggregation always runs in headline-id order, so reports are
 deterministic. Gold scores arriving on a 0-100 scale are auto-detected (any
 value above 1) and divided by 100.
 """
@@ -19,7 +18,7 @@ import numpy as np
 
 from . import textpipe
 from .errors import EvaluationError
-from .lexicon import EmotionLexicon
+from .lexicon import EmotionLexicon, score_all
 from .sink import open_source
 
 logger = logging.getLogger(__name__)
@@ -118,34 +117,6 @@ class EvalReport:
     classification: dict[str, ClassificationMetrics] | None
     coverage: CoverageStats
     discarded_targets: tuple[str, ...]
-
-
-def score_all(
-    streams: Sequence[Sequence[str]], lex: EmotionLexicon
-) -> tuple[np.ndarray, np.ndarray]:
-    """Score every token stream: the arithmetic mean of the lexicon rows of
-    its covered tokens, plus its covered-token count.
-
-    Tokens absent from the lexicon are skipped; a stream with zero covered
-    tokens scores an all-zero vector with covered count 0, never an error.
-    Each stream's rows are added in token order, as ``np.mean`` adds a stack
-    of rows with two or more columns, so the scores match it bit for bit.
-    """
-    rows = np.fromiter(
-        (lex._row_of.get(t, -1) for tokens in streams for t in tokens), dtype=np.intp
-    )
-    owner = np.repeat(np.arange(len(streams)), [len(tokens) for tokens in streams])
-    hit = rows >= 0
-    owner, rows = owner[hit], rows[hit]
-    covered = np.bincount(owner, minlength=len(streams))
-    sums = np.zeros((len(streams), len(lex.emotions)), dtype=np.float64)
-    # One column at a time, so only one column of the covered rows is
-    # gathered at once; each sum still runs in token order.
-    for j in range(len(lex.emotions)):
-        np.add.at(sums[:, j], owner, lex.scores[rows, j])
-    scored = covered > 0
-    sums[scored] /= covered[scored, None]
-    return sums, covered
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:

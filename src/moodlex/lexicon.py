@@ -1,32 +1,27 @@
-"""Word-by-emotion lexicon: product, two-stage normalization, serialization.
+"""Word-by-emotion lexicon: product, two-stage normalization, serialization, scoring.
 
 The lexicon is the words-by-documents matrix multiplied into the
 documents-by-emotions vote matrix, normalized column-wise (each emotion
 column divided by its own sum, so a globally over-voted emotion's advantage
 divides out) and then scaled row-wise to unit sums. The built lexicon is
-immutable.
+immutable. A token stream scores the mean of its covered tokens' rows.
 """
 
 from __future__ import annotations
 
 import logging
 from itertools import compress
-from typing import Iterator, Sequence
+from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
 from . import textpipe
-from .corpus import Corpus, EmotionSet
 from .errors import LexiconError, TextPipeError
-from .matrix import (
-    SCHEMES,
-    TermDocumentMatrix,
-    apply_weighting,
-    count_terms,
-    filter_min_df,
-    write_matrix_dump,
-)
 from .sink import format_float, open_sink, open_source
+
+if TYPE_CHECKING:  # build_lexicon imports these itself: reading and scoring never do
+    from .corpus import Corpus, EmotionSet
+    from .matrix import TermDocumentMatrix
 
 logger = logging.getLogger(__name__)
 
@@ -103,6 +98,34 @@ class EmotionLexicon:
             raise LexiconError(f"word {word!r} not in lexicon") from None
 
 
+def score_all(
+    streams: Sequence[Sequence[str]], lex: EmotionLexicon
+) -> tuple[np.ndarray, np.ndarray]:
+    """Score every token stream: the arithmetic mean of the lexicon rows of
+    its covered tokens, plus its covered-token count.
+
+    Tokens absent from the lexicon are skipped; a stream with zero covered
+    tokens scores an all-zero vector with covered count 0, never an error.
+    Each stream's rows are added in token order, as ``np.mean`` adds a stack
+    of rows with two or more columns, so the scores match it bit for bit.
+    """
+    rows = np.fromiter(
+        (lex._row_of.get(t, -1) for tokens in streams for t in tokens), dtype=np.intp
+    )
+    owner = np.repeat(np.arange(len(streams)), [len(tokens) for tokens in streams])
+    hit = rows >= 0
+    owner, rows = owner[hit], rows[hit]
+    covered = np.bincount(owner, minlength=len(streams))
+    sums = np.zeros((len(streams), len(lex.emotions)), dtype=np.float64)
+    # One column at a time, so only one column of the covered rows is
+    # gathered at once; each sum still runs in token order.
+    for j in range(len(lex.emotions)):
+        np.add.at(sums[:, j], owner, lex.scores[rows, j])
+    scored = covered > 0
+    sums[scored] /= covered[scored, None]
+    return sums, covered
+
+
 def emotion_product(wd: TermDocumentMatrix, votes: np.ndarray) -> np.ndarray:
     """Raw words-by-emotions mass: for each word and emotion, the sum over
     documents of the word's weight times the document's vote fraction.
@@ -176,6 +199,8 @@ def build_lexicon(
     the vote matrix, column-normalized and row-scaled. Filtering and
     counting work on token ids, never on the token strings.
     """
+    from .corpus import Corpus, EmotionSet
+    from .matrix import SCHEMES, apply_weighting, count_terms, filter_min_df, write_matrix_dump
     if scheme not in SCHEMES:
         raise LexiconError(f"unknown weighting scheme {scheme!r}: expected one of {SCHEMES}")
     # Checked up front: token-only corpora never reach lemmatize.

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import math
 from functools import cached_property
 from itertools import compress
 
@@ -174,8 +175,10 @@ def apply_weighting(
             raw, data=raw.data / lengths[raw.indices], scheme="normalized"
         )
 
-    # tfidf: scale every row by ln(N / df); df = N rows become all-zero.
-    idf = np.log(raw.n_docs / raw.doc_freq.astype(np.float64))
+    # tfidf: scale every row by ln(N / df); df = N rows become all-zero. The log
+    # is math.log, once per distinct df: numpy's log may differ in the last bit.
+    dfs, inverse = np.unique(raw.doc_freq, return_inverse=True)
+    idf = np.array([math.log(raw.n_docs / df) for df in dfs.tolist()])[inverse]
     data = raw.data * np.repeat(idf, np.diff(raw.indptr))
     out = _keep_entries(raw, data, data != 0, scheme="tfidf")
     if len(out.words) < len(raw.words):

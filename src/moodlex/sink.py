@@ -67,14 +67,15 @@ def _locate_decode_error(path) -> UnicodeDecodeError | None:
 def open_sink(target) -> Iterator[IO[str]]:
     """Yield a text stream for ``target``.
 
-    ``None`` means standard output and an open stream is used as is; neither
-    is closed. A path gets UTF-8 text with ``\\n`` line ends. An existing
-    target that is not a plain regular file (a symlink, FIFO or device such
-    as ``/dev/stdout``) is opened and written in place, since renaming over
-    it would replace the link or device node itself.
+    ``None`` means standard output, flushed once the block ends without an
+    error, and an open stream is used as is; neither is closed. A path gets
+    UTF-8 text with ``\\n`` line ends. An existing target that is not a regular
+    file (a symlink, FIFO or device such as ``/dev/stdout``) is opened and
+    written in place, since renaming over it would replace the node itself.
     """
     if target is None:
         yield sys.stdout
+        sys.stdout.flush()
         return
     if hasattr(target, "write"):
         yield target

@@ -660,19 +660,25 @@ def test_malformed_build_input_files(workdir, monkeypatch, caplog, name, fixture
         assert after == before
 
 
-SCIPY_PROBE = (
-    "import json, sys\n"
+MODULES_PROBE = (
+    "import sys\n"
     "import moodlex\n"
     "if sys.argv[1:]:\n"
     "    import moodlex.cli\n"
     "    assert moodlex.cli.main(sys.argv[1:]) == 0\n"
-    "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')))\n"
+    "print(*sorted(m for m in sys.modules if m.split('.')[0] in ('json', 'moodlex', 'scipy')))\n"
 )
+
+SCORE_MODULES = {
+    "moodlex", "moodlex.cli", "moodlex.errors", "moodlex.sink", "moodlex.lexicon", "moodlex.textpipe"
+}
 
 
 @pytest.mark.parametrize("subcommand", ["import", "score", "eval", "build", "stats"])
 def test_no_subcommand_loads_scipy(built, subcommand):
-    """No subcommand imports scipy: the package runs on numpy alone."""
+    """No subcommand imports scipy, and each loads only the moodlex modules it
+    runs: ``score`` loads neither ``evaluate`` nor the corpus and matrix
+    modules, nor ``json``; ``build`` and ``stats`` never load ``evaluate``."""
     (built / "headlines.tsv").write_text("h1\tawe\nh2\tkill war\n", encoding="utf-8")
     argv = {
         "import": [],
@@ -686,11 +692,80 @@ def test_no_subcommand_loads_scipy(built, subcommand):
     }[subcommand]
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     proc = subprocess.run(
-        [sys.executable, "-c", SCIPY_PROBE, *argv],
+        [sys.executable, "-c", MODULES_PROBE, *argv],
         capture_output=True, text=True, env=env, cwd=built, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout.splitlines()[-1]) == []
+    loaded = set(proc.stdout.splitlines()[-1].split())
+    assert not any(m.split(".")[0] == "scipy" for m in loaded)
+    exact = {
+        "import": {"moodlex"},
+        "score": SCORE_MODULES,
+        "eval": SCORE_MODULES | {"moodlex.evaluate"},
+    }
+    absent = {
+        "build": {"moodlex.evaluate"},
+        "stats": {"moodlex.evaluate", "moodlex.lexicon", "moodlex.matrix"},
+    }
+    if subcommand in exact:
+        assert loaded == exact[subcommand]
+    else:
+        assert not loaded & absent[subcommand], loaded
+
+
+class TestCommandExit:
+    """``python -m moodlex.cli`` ends through ``os._exit`` once its outputs are
+    committed: standard output reaches a pipe whole, and a reader that goes
+    away fails the run as any failed write does."""
+
+    SCORE = ["score", "--lexicon", "lex.tsv", "--input", "many.tsv"]
+
+    @staticmethod
+    def command(args, workdir, n_headlines=2500):
+        """Start the command in ``workdir``, with ``many.tsv`` holding
+        ``n_headlines`` headlines."""
+        lines = (f"h{i}\tWar kill awe, happy game\n" for i in range(n_headlines))
+        (workdir / "many.tsv").write_text("".join(lines), encoding="utf-8")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        env.pop("PYTHONUNBUFFERED", None)
+        return subprocess.Popen(
+            [sys.executable, "-m", "moodlex.cli", *args], cwd=workdir, env=env,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+        )
+
+    # Two lines stay in the stream's buffer until flushed; 2,500 lines are
+    # more than a 64 KiB pipe holds, so the writer waits on the reader.
+    @pytest.mark.parametrize("n_headlines", [2, 2500])
+    def test_stdout_through_a_pipe_arrives_whole(self, built, n_headlines):
+        proc = self.command(self.SCORE, built, n_headlines)
+        out, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+        if n_headlines > 2:
+            assert len(out) > 1 << 16
+        to_file = self.command([*self.SCORE, "--output", "scores.tsv"], built, n_headlines)
+        to_file.communicate(timeout=120)
+        assert to_file.returncode == 0
+        data = [line for line in out.splitlines() if not line.startswith("#")]
+        assert len(data) == 1 + n_headlines
+        assert data == [
+            line for line in (built / "scores.tsv").read_text(encoding="utf-8").splitlines()
+            if not line.startswith("#")
+        ]
+
+    def test_reader_closing_the_pipe_fails_the_write(self, built):
+        with self.command(self.SCORE, built) as proc:
+            proc.stdout.readline()
+            proc.stdout.close()
+            err = proc.stderr.read()
+            assert proc.wait(timeout=120) == 1
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("ERROR write-scores: "), err
+
+    def test_usage_error_exits_two(self, workdir):
+        proc = self.command(["score", "--input", "many.tsv"], workdir)
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 2
+        assert "the following arguments are required: --lexicon" in err
 
 
 def _python(code, **env_changes):

@@ -490,6 +490,10 @@ def lexicon_files(draw):
     return "".join(line + "\n" for line in lines)
 
 
+#: Distinct emotion labels of varied length, drawn from by valid_lexicons.
+EMOTION_LABEL_POOL = ("A", "ZX", "B_C", "XYZA", "_", "CAB", "Y_")
+
+
 @st.composite
 def valid_lexicons(draw):
     """A lexicon with arbitrary keys, emotions, provenance and rows."""
@@ -509,10 +513,8 @@ def valid_lexicons(draw):
         st.floats(min_value=0.0, max_value=1e6, exclude_min=True),
     )
     rows = draw(st.dictionaries(word, row, min_size=1, max_size=8))
-    emotions = draw(
-        st.lists(st.text("ABCXYZ_", min_size=1, max_size=4), min_size=n_emotions,
-                 max_size=n_emotions, unique=True)
-    )
+    # Distinct labels come from a fixed pool, so no draw is thrown away.
+    emotions = draw(st.permutations(EMOTION_LABEL_POOL))[:n_emotions]
     meta = st.text(printable, max_size=10)
     provenance = draw(
         st.lists(st.tuples(meta.filter(lambda t: not t[:1].isspace()), meta), max_size=3)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import io
+import math
 
 import numpy as np
 import pytest
@@ -149,6 +150,19 @@ class TestApplyWeighting:
             for dj in range(len(streams)):
                 expected = tfidf_weight(raw_dense[wi_raw, dj], df, raw.n_docs)
                 assert out_dense[out.row_index[word], dj] == pytest.approx(expected, abs=1e-15)
+
+    def test_tfidf_idf_is_math_log_bit_for_bit(self):
+        """Every df from 1 to N = 300 gets exactly math.log(N / df); numpy's
+        vectorized log differs from it in the last bit at some of these."""
+        n = 300
+        # Word k occurs once in each of the first k documents: df = k.
+        streams = [[f"w{k:03d}#n" for k in range(j + 1, n + 1)] for j in range(n)]
+        out = apply_weighting(count_terms(records_from(streams)), "tfidf")
+        assert len(out.words) == n - 1  # df = N scores ln 1 = 0 and is dropped
+        for row, word in enumerate(out.words):
+            df = int(word[1:4])
+            entries = out.data[out.indptr[row] : out.indptr[row + 1]]
+            assert entries.tolist() == [math.log(n / df)] * df
 
     def test_normalized_columns_sum_to_one(self):
         rng = np.random.default_rng(41)
