@@ -29,10 +29,10 @@ _EXPORTS = {
     ).split(),
     "lexicon": (
         "EmotionLexicon build_lexicon column_normalize emotion_product read_lexicon "
-        "row_scale score_all write_lexicon"
+        "row_scale score_all score_ids write_lexicon"
     ).split(),
     "matrix": "TermDocumentMatrix apply_weighting count_terms filter_min_df write_matrix_dump".split(),
-    "textpipe": "LemmaTable VocabularyFilter lemmatize_all tokenize".split(),
+    "textpipe": "LemmaTable VocabularyFilter lemmatize_all lemmatize_ids tokenize".split(),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

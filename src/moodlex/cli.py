@@ -275,28 +275,28 @@ def _read_score_input(path) -> list[tuple[str, str]]:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    from .lexicon import read_lexicon, score_all
-    from .textpipe import LemmaTable, lemmatize_all, tokenize
+    from .lexicon import read_lexicon, score_ids
+    from .textpipe import LemmaTable, lemmatize_ids, tokenize
     lex = _stage("read-lexicon", read_lexicon, args.lexicon)
     table = LemmaTable()
     if args.lemma_table:
         table = _stage("load-lemma-table", LemmaTable.from_file, args.lemma_table)
     entries = _stage("read-input", _read_score_input, args.input)
-    token_streams = lemmatize_all(
+    token_ids, lengths, strings = lemmatize_ids(
         (tokenize(text) for _, text in entries), table, vocab=lex, policy=args.ambiguity
     )
-    scores, covered = score_all(token_streams, lex)
+    scores, covered = score_ids(token_ids, lengths, strings, lex)
 
     inputs = [("lexicon", args.lexicon), ("input", args.input)]
     metadata = _metadata("score", args, inputs)
-    rows = zip(entries, token_streams, scores.tolist(), covered.tolist())
+    rows = zip(entries, scores.tolist(), covered.tolist(), lengths.tolist())
     with _in_stage("write-scores"), open_sink(args.output) as fh:
         _write_metadata(fh, metadata)
         fh.write("id\t" + "\t".join(lex.emotions) + "\tcovered\ttotal\n")
         fh.write(
             "".join(
-                f"{line_id}\t" + "\t".join(map(format_float, vec)) + f"\t{n}\t{len(tokens)}\n"
-                for (line_id, _), tokens, vec, n in rows
+                f"{line_id}\t" + "\t".join(map(format_float, vec)) + f"\t{n}\t{total}\n"
+                for (line_id, _), vec, n, total in rows
             )
         )
     logger.info("scored %d line(s)", len(entries))

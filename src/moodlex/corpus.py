@@ -14,6 +14,7 @@ import json
 import logging
 from array import array
 from dataclasses import dataclass, field
+from itertools import count
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -77,14 +78,6 @@ class EmotionSet:
         return len(self._labels)
 
 
-class _Numbering(dict):
-    """Gives each new key the next number, 0, 1, 2, ..., on its first lookup."""
-
-    def __missing__(self, key) -> int:
-        self[key] = number = len(self)
-        return number
-
-
 @dataclass(frozen=True, eq=False)
 class Corpus:
     """A parsed corpus, one array or tuple per field, documents in file order.
@@ -112,7 +105,7 @@ class Corpus:
         self, table: textpipe.LemmaTable, vocab: Iterable[str], policy: str
     ) -> "Corpus":
         """This corpus with each raw-text document's lemma#pos candidates
-        (:func:`textpipe.lemmatize_all`) as its tokens.
+        (:func:`textpipe.lemmatize_ids`) as its tokens.
 
         Candidates are numbered like tokens but not checked: they are only
         kept where a checked vocabulary holds them.
@@ -120,23 +113,25 @@ class Corpus:
         if not self.texts:
             return self
         docs = list(self.texts)
-        streams = textpipe.lemmatize_all(
-            (textpipe.tokenize(self.texts[i]) for i in docs), table, vocab=vocab, policy=policy
+        text_ids, text_lengths, candidates = textpipe.lemmatize_ids(
+            map(textpipe.tokenize, self.texts.values()), table, vocab=vocab, policy=policy
         )
-        id_of = _Numbering(zip(self.strings, range(len(self.strings))))
-        pieces = np.split(self.token_ids, np.cumsum(self.lengths[:-1]))
+        strings = tuple(dict.fromkeys(self.strings + candidates))
+        id_of = dict(zip(strings, count()))
+        renumber = np.fromiter(map(id_of.__getitem__, candidates), np.int32, len(candidates))
         lengths = self.lengths.copy()
-        for i, stream in zip(docs, streams):
-            pieces[i] = np.fromiter(
-                map(id_of.__getitem__, stream), dtype=np.int32, count=len(stream)
-            )
-            lengths[i] = len(stream)
+        lengths[docs] = text_lengths
+        # In document order, text documents take the candidates, the others their old ids.
+        in_text = np.repeat(np.isin(np.arange(len(self)), docs), lengths)
+        token_ids = np.empty(in_text.size, dtype=np.int32)
+        token_ids[in_text] = renumber[text_ids]
+        token_ids[~in_text] = self.token_ids
         return Corpus(
             doc_ids=self.doc_ids,
             votes=self.votes,
-            token_ids=np.concatenate(pieces),
+            token_ids=token_ids,
             lengths=lengths,
-            strings=tuple(id_of),
+            strings=strings,
         )
 
 
@@ -236,8 +231,8 @@ def _record_fields(obj: object) -> tuple[str, list | None, str | None, Mapping]:
 
 
 class _TokenIds(dict):
-    """Token string -> id, numbered like :class:`_Numbering`; a string is
-    checked when it is first looked up."""
+    """Token string -> id, numbered 0, 1, 2, ... on first lookup, when the
+    string is checked."""
 
     def __missing__(self, token) -> int:
         if not isinstance(token, str):

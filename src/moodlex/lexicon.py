@@ -10,7 +10,7 @@ immutable. A token stream scores the mean of its covered tokens' rows.
 from __future__ import annotations
 
 import logging
-from itertools import compress
+from itertools import compress, repeat
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
@@ -101,22 +101,30 @@ class EmotionLexicon:
 def score_all(
     streams: Sequence[Sequence[str]], lex: EmotionLexicon
 ) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`score_ids` on token streams given as sequences of strings."""
+    tokens = [t for stream in streams for t in stream]
+    return score_ids(np.arange(len(tokens)), [len(s) for s in streams], tokens, lex)
+
+
+def score_ids(
+    token_ids: np.ndarray, lengths: Sequence[int], strings: Sequence[str], lex: EmotionLexicon
+) -> tuple[np.ndarray, np.ndarray]:
     """Score every token stream: the arithmetic mean of the lexicon rows of
     its covered tokens, plus its covered-token count.
 
+    Stream ``i`` is the next ``lengths[i]`` tokens of ``token_ids``, which
+    index ``strings``; each string is looked up in the lexicon once.
     Tokens absent from the lexicon are skipped; a stream with zero covered
     tokens scores an all-zero vector with covered count 0, never an error.
     Each stream's rows are added in token order, as ``np.mean`` adds a stack
     of rows with two or more columns, so the scores match it bit for bit.
     """
-    rows = np.fromiter(
-        (lex._row_of.get(t, -1) for tokens in streams for t in tokens), dtype=np.intp
-    )
-    owner = np.repeat(np.arange(len(streams)), [len(tokens) for tokens in streams])
+    rows = np.fromiter(map(lex._row_of.get, strings, repeat(-1)), np.intp, len(strings))[token_ids]
+    owner = np.repeat(np.arange(len(lengths)), lengths)
     hit = rows >= 0
     owner, rows = owner[hit], rows[hit]
-    covered = np.bincount(owner, minlength=len(streams))
-    sums = np.zeros((len(streams), len(lex.emotions)), dtype=np.float64)
+    covered = np.bincount(owner, minlength=len(lengths))
+    sums = np.zeros((len(lengths), len(lex.emotions)), dtype=np.float64)
     # One column at a time, so only one column of the covered rows is
     # gathered at once; each sum still runs in token order.
     for j in range(len(lex.emotions)):

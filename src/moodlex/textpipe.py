@@ -10,8 +10,10 @@ immutable after load.
 from __future__ import annotations
 
 import re
-from itertools import chain
+from itertools import count, islice
 from typing import Iterable, Iterator
+
+import numpy as np
 
 from .errors import TextPipeError, VocabularyError
 from .sink import open_source
@@ -25,6 +27,8 @@ AMBIGUITY_POLICIES = ("all", "first")
 # Maximal runs of Unicode letters; digits, underscores and punctuation are
 # token boundaries, so "22" or the digit tail of "abc123" never survive.
 _TOKEN_RE = re.compile(r"[^\W\d_]+")
+# The same for ASCII text, as a str.translate table: letters lowered, the rest spaces.
+_ASCII_LETTERS = "".join(chr(c).lower() if chr(c).isalpha() else " " for c in range(128))
 # For a str pattern, \s matches exactly the characters str.isspace accepts.
 _SPACE_RE = re.compile(r"\s")
 
@@ -111,15 +115,11 @@ class LemmaTable:
         entries: Iterable[tuple[str, str, str]] = (),
         rules: Iterable[tuple[str, str, str]] = (),
     ):
-        self._entries: dict[tuple[str, str], str] = {}
+        self._entries: dict[str, dict[str, str]] = {p: {} for p in POS_TAGS}
         for surface, pos, lemma in entries:
             self._check_pos(pos)
-            key = (surface, pos)
-            if key in self._entries and self._entries[key] != lemma:
-                raise TextPipeError(
-                    f"conflicting lemma table entries for {surface!r}#{pos}"
-                )
-            self._entries[key] = lemma
+            if self._entries[pos].setdefault(surface, lemma) != lemma:
+                raise TextPipeError(f"conflicting lemma table entries for {surface!r}#{pos}")
         self._rules: dict[str, list[tuple[str, str]]] = {p: [] for p in POS_TAGS}
         for pos, suffix, replacement in rules:
             self._check_pos(pos)
@@ -133,7 +133,7 @@ class LemmaTable:
             raise TextPipeError(f"invalid pos tag {pos!r} in lemma table")
 
     def entry(self, surface: str, pos: str) -> str | None:
-        return self._entries.get((surface, pos))
+        return self._entries.get(pos, {}).get(surface)
 
     def rule_rewrites(self, surface: str, pos: str) -> Iterator[str]:
         """Yield rule-rewritten lemmas for ``surface`` in rule-file order."""
@@ -175,55 +175,106 @@ class LemmaTable:
 
 def tokenize(text: str) -> list[str]:
     """Split text into lower-cased maximal runs of Unicode letters."""
+    if text.isascii():  # where the letters are exactly A-Z and a-z
+        return text.translate(_ASCII_LETTERS).split()
     return [t.lower() for t in _TOKEN_RE.findall(text)]
 
 
-class _Resolver(dict):
-    """Candidates per surface form under the rules of :func:`lemmatize_all`.
+def _candidate_grid(
+    row_of: dict[str, int], table: LemmaTable, members: frozenset, first: bool
+) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The distinct surface forms ``row_of`` numbers 0, 1, ..., resolved all
+    together, one tag at a time: a (forms x POS_TAGS) ``int32`` grid of candidate
+    ids, -1 where a tag licenses none, and the candidate strings, numbered row by row."""
+    surfaces = list(row_of)
+    grid = np.empty((len(surfaces), len(POS_TAGS)), dtype=object)
+    licensed = np.zeros(grid.shape, dtype=bool)
+    # The last `width` code points of each form, right-aligned: all a suffix test reads.
+    width = max((len(x) for rules in table._rules.values() for x, _ in rules), default=0)
+    if width:  # else no rule reads it
+        ends = np.array([s[-width:].rjust(width, "\0") for s in surfaces], dtype=f"U{width}")
+        ends = ends.view(np.uint32).reshape(-1, width)
+    for col, pos in enumerate(POS_TAGS):
+        tail = "#" + pos
+        # Identity forms the vocabulary holds, overridden by table hits; then
+        # the rules in file order, for the surface forms still without a hit.
+        identities = members.intersection([s + tail for s in surfaces])
+        hits = {row_of[hit[: -len(tail)]]: hit for hit in identities}
+        entries = table._entries[pos]
+        hits.update((row_of[s], entries[s] + tail) for s in entries.keys() & row_of.keys())
+        for suffix, replacement in table._rules[pos]:
+            # A NUL-padded short form may match a suffix it lacks: each is checked again.
+            matches = np.all([ends[:, -k] == ord(c) for k, c in enumerate(suffix[::-1], 1)], axis=0)
+            rewrites = {
+                surfaces[i][: -len(suffix)] + replacement + tail: i
+                for i in np.flatnonzero(matches).tolist()
+                if i not in hits and surfaces[i].endswith(suffix)
+            }
+            # A rewrite that would empty the surface leaves the tail alone: skipped.
+            hits.update((rewrites[r], r) for r in members.intersection(rewrites) - {tail})
+        grid[list(hits), col] = list(hits.values())
+        licensed[list(hits), col] = True
+    if first:
+        licensed &= np.cumsum(licensed, axis=1) == 1
+    # Unmapped surface forms pass through as nouns; downstream vocabulary
+    # filtering decides whether they survive.
+    unmapped = np.flatnonzero(~licensed.any(axis=1))
+    grid[unmapped, POS_TAGS.index("n")] = [surfaces[i] + "#n" for i in unmapped.tolist()]
+    licensed[unmapped, POS_TAGS.index("n")] = True
+    candidates = grid[licensed].tolist()
+    id_of = dict(zip(dict.fromkeys(candidates), count()))
+    ids = np.full(grid.shape, -1, dtype=np.int32)
+    ids[licensed] = np.fromiter(map(id_of.__getitem__, candidates), np.int32, len(candidates))
+    return ids, tuple(id_of)
 
-    The table and ``vocab`` are compiled once into plain dicts and a
-    frozenset; each surface form is resolved on its first lookup and kept.
+
+def lemmatize_ids(
+    streams: Iterable[Iterable[str]],
+    table: LemmaTable,
+    *,
+    vocab: Iterable[str],
+    policy: str = "all",
+) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
+    """Map streams of surface tokens to lemma#pos candidate tokens, as ids.
+
+    Each occurrence of a surface form yields every candidate licensed by the
+    exception table or ``vocab`` (identity form first, then suffix-rule
+    rewrites), scanned in POS_TAGS order. ``vocab`` is a
+    :class:`VocabularyFilter`, a set of lemma#pos strings, or a lexicon.
+    Under the default ``all`` policy every licensed candidate is emitted;
+    ``first`` keeps only the first.
+
+    Returns all streams' candidate tokens as one ``int32`` array of ids, the
+    number of them per stream, and the distinct candidate strings the ids
+    index, in order of first occurrence. Candidates are worked out once per
+    distinct surface form in the whole call.
     """
-
-    def __init__(self, table: LemmaTable, vocab: Iterable[str], policy: str):
-        self._members = frozenset(vocab)
-        # Per pos: the table hits, the identity tail, every rule suffix for
-        # one str.endswith pre-check, and the rules in file order.
-        self._per_pos = [
-            (
-                {s: f"{lemma}#{pos}" for (s, p), lemma in table._entries.items() if p == pos},
-                "#" + pos,
-                tuple(suffix for suffix, _ in table._rules[pos]),
-                [(suffix, f"{rep}#{pos}", bool(rep)) for suffix, rep in table._rules[pos]],
-            )
-            for pos in POS_TAGS
-        ]
-        self._keep = 1 if policy == "first" else len(POS_TAGS)
-
-    def __missing__(self, surface: str) -> list[str]:
-        members = self._members
-        licensed: list[str] = []
-        for pos_hits, tail, suffixes, rules in self._per_pos:
-            hit = pos_hits.get(surface)
-            if hit is None:
-                if (identity := surface + tail) in members:
-                    hit = identity
-                elif surface.endswith(suffixes):
-                    for suffix, rule_tail, replaces in rules:
-                        if surface.endswith(suffix):
-                            stem = surface[: -len(suffix)]
-                            # A rewrite that would empty the surface is skipped.
-                            if (stem or replaces) and (rewrite := stem + rule_tail) in members:
-                                hit = rewrite
-                                break
-            if hit is not None:
-                licensed.append(hit)
-                if len(licensed) == self._keep:
-                    break
-        # Unmapped surface forms pass through as nouns; downstream
-        # vocabulary filtering decides whether they survive.
-        candidates = self[surface] = licensed or [surface + "#n"]
-        return candidates
+    if policy not in AMBIGUITY_POLICIES:
+        raise TextPipeError(
+            f"unknown ambiguity policy {policy!r}: expected one of {AMBIGUITY_POLICIES}"
+        )
+    # Tokens are numbered by where their surface form first occurs, a stream
+    # at a time so that no stream's strings are kept, then renumbered 0, 1, ...
+    first_at: dict[str, int] = {}
+    at, bounds, position = [], [0], count()
+    for tokens in streams:
+        at.extend(map(first_at.setdefault, tokens, position))
+        bounds.append(len(at))
+    row_of = dict(zip(first_at, count()))
+    row_at = np.zeros(len(at), np.int32)
+    row_at[np.fromiter(first_at.values(), np.intp, len(first_at))] = np.arange(len(first_at))
+    rows = row_at[at]
+    del first_at, at, row_at  # token-sized; freed before the grid is built
+    grid, strings = _candidate_grid(row_of, table, frozenset(vocab), policy == "first")
+    # Each token takes its surface form's row of the grid; read row by row,
+    # the valid ids are the candidate tokens in order.
+    expanded = grid[rows]
+    del rows
+    licensed = expanded >= 0
+    token_ids = expanded[licensed]
+    del expanded
+    ends = np.concatenate(([0], np.cumsum(np.count_nonzero(licensed, axis=1))))
+    return token_ids, np.diff(ends[bounds]), strings
 
 
 def lemmatize_all(
@@ -233,22 +284,7 @@ def lemmatize_all(
     vocab: Iterable[str],
     policy: str = "all",
 ) -> list[list[str]]:
-    """Map each stream of surface tokens to lemma#pos candidate tokens.
-
-    Each occurrence of a surface form yields every candidate licensed by the
-    exception table or ``vocab`` (identity form first, then suffix-rule
-    rewrites), scanned in POS_TAGS order. ``vocab`` is a
-    :class:`VocabularyFilter`, a set of lemma#pos strings, or a lexicon.
-    Under the default ``all`` policy every licensed candidate is emitted;
-    ``first`` keeps only the first.
-
-    The table and ``vocab`` are compiled once per call, and candidates, which
-    depend only on the surface form, are worked out once per distinct surface
-    form in the whole call.
-    """
-    if policy not in AMBIGUITY_POLICIES:
-        raise TextPipeError(
-            f"unknown ambiguity policy {policy!r}: expected one of {AMBIGUITY_POLICIES}"
-        )
-    candidates = _Resolver(table, vocab, policy).__getitem__
-    return [list(chain.from_iterable(map(candidates, tokens))) for tokens in streams]
+    """:func:`lemmatize_ids` with each stream's candidates as a list of strings."""
+    token_ids, lengths, strings = lemmatize_ids(streams, table, vocab=vocab, policy=policy)
+    tokens = iter(np.array(strings, dtype=object)[token_ids].tolist())
+    return [list(islice(tokens, n)) for n in lengths.tolist()]

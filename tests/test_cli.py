@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from moodlex import read_lexicon, score_all
+from moodlex import read_lexicon, score_all, tokenize
 from moodlex.cli import _config_echo, build_parser, main
 
 CORPUS_LINES = [
@@ -353,6 +353,22 @@ class TestScore:
         lines = (built / "scores.tsv").read_text(encoding="utf-8").splitlines()
         data = [l for l in lines if not l.startswith("#")]
         assert data == ["id\t" + "\t".join(read_lexicon(built / "lex.tsv").emotions) + "\tcovered\ttotal"]
+
+    def test_headlines_without_letters_score_zero(self, built):
+        # No headline yields a surface form, so none yields a candidate.
+        texts = ["42", "", "-- 1,000 _ 3.5!", "\u00a0\u2003 ¿?"]
+        assert all(not tokenize(t) for t in texts)
+        (built / "headlines.tsv").write_text(
+            "".join(f"h{i}\t{t}\n" for i, t in enumerate(texts)), encoding="utf-8"
+        )
+        assert main(self.score_args(built)) == 0
+        rows = [
+            l.split("\t")
+            for l in (built / "scores.tsv").read_text(encoding="utf-8").splitlines()
+            if not l.startswith("#") and not l.startswith("id\t")
+        ]
+        assert [r[0] for r in rows] == [f"h{i}" for i in range(len(texts))]
+        assert all(r[1:] == ["0"] * 8 + ["0", "0"] for r in rows)
 
     def test_ten_line_fixture_matches_per_line_oracle(self, built):
         texts = [

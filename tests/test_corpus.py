@@ -13,14 +13,18 @@ from hypothesis import strategies as st
 from moodlex import (
     CorpusError,
     EmotionSet,
+    LemmaTable,
+    VocabularyFilter,
     VoteError,
     corpus_stats,
     parse_corpus,
+    tokenize,
     validate_votes,
 )
 from moodlex.corpus import VOTE_SUM_TOLERANCE
 
 from corpora import SMALL_DOCS, doc_tokens
+from dense_reference import candidates_reference
 
 
 def line(doc_id, votes, tokens=("awe#n",), text=None):
@@ -346,6 +350,33 @@ class TestCorpusStats:
             [line("a", {"AFRAID": 1.0}, text="Two words here, 42")], emotions
         )
         assert corpus_stats(corpus).token_count == 3
+
+
+class TestLemmatized:
+    def test_text_candidates_share_ids_with_token_strings(self, emotions):
+        texts = {"a": "Kill wars, the war!", "d": "", "e": "awe kills"}
+        tokens = {"b": ["war#n", "kill#v"], "c": [], "f": ["awe#n", "war#n", "kill#n"]}
+        stream = [
+            line(doc_id, {"SAD": 1.0}, tokens=tokens.get(doc_id, ()), text=texts.get(doc_id))
+            for doc_id in "abcdef"
+        ]
+        corpus = parse_corpus(stream, emotions)
+        table = LemmaTable(rules=[("n", "s", ""), ("v", "s", "")])
+        vocab = VocabularyFilter(["war#n", "kill#v", "kill#n", "awe#n"])
+        out = corpus.lemmatized(table, vocab, "all")
+
+        def candidates(text):
+            return tuple(
+                c for s in tokenize(text) for c in candidates_reference(s, table, vocab, "all")
+            )
+
+        expected = [tuple(tokens[d]) if d in tokens else candidates(texts[d]) for d in "abcdef"]
+        assert doc_tokens(out) == expected
+        # The token documents keep their ids; a candidate that repeats a token
+        # string takes that string's id, and every string has one id.
+        assert out.strings[: len(corpus.strings)] == corpus.strings
+        assert sorted(out.strings) == sorted({t for doc in expected for t in doc})
+        assert out.lengths.tolist() == [len(doc) for doc in expected]
 
 
 class TestCorpusVotes:

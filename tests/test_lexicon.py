@@ -497,32 +497,42 @@ EMOTION_LABEL_POOL = ("A", "ZX", "B_C", "XYZA", "_", "CAB", "Y_")
 @st.composite
 def valid_lexicons(draw):
     """A lexicon with arbitrary keys, emotions, provenance and rows."""
-    n_emotions = draw(st.integers(1, 5))
+    n_words, n_emotions, n_pairs = (
+        draw(st.integers(1, 8)), draw(st.integers(1, 5)), draw(st.integers(0, 3))
+    )
     printable = st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp"))
-    # Keys and rows are drawn valid rather than filtered. Every whitespace
-    # character is in Zs, Zl, Zp or Cc, and lower-casing is idempotent.
+    # Keys, labels and rows are drawn valid rather than filtered. Every
+    # whitespace character is in Zs, Zl, Zp or Cc, and lower-casing is
+    # idempotent.
     no_space = st.characters(blacklist_categories=("Cs", "Cc", "Zl", "Zp", "Zs"))
     lemma = st.text(no_space, min_size=1, max_size=8).map(str.lower)
     word = st.builds(lambda l, p: f"{l}#{p}", lemma, st.sampled_from("vnar"))
     value = st.floats(min_value=0.0, max_value=1e6, allow_nan=False)
-    # One entry of every row is positive, so no row sums to zero.
-    row = st.builds(
-        lambda rest, k, positive: rest[:k] + [positive] + rest[k:],
-        st.lists(value, min_size=n_emotions - 1, max_size=n_emotions - 1),
-        st.integers(0, n_emotions - 1),
-        st.floats(min_value=0.0, max_value=1e6, exclude_min=True),
+    positive = st.floats(min_value=0.0, max_value=1e6, exclude_min=True)
+    # A provenance key is empty or starts with a non-space character.
+    key = st.builds(
+        lambda empty, first, rest: "" if empty else first + rest,
+        st.booleans(),
+        no_space,
+        st.text(printable, max_size=9),
     )
-    rows = draw(st.dictionaries(word, row, min_size=1, max_size=8))
-    # Distinct labels come from a fixed pool, so no draw is thrown away.
-    emotions = draw(st.permutations(EMOTION_LABEL_POOL))[:n_emotions]
     meta = st.text(printable, max_size=10)
-    provenance = draw(
-        st.lists(st.tuples(meta.filter(lambda t: not t[:1].isspace()), meta), max_size=3)
-    )
+    # Each example makes the draws of the largest lexicon and keeps the
+    # first n of each: Hypothesis caps its early examples at a few times the
+    # size of its smallest one and throws away any that draws more.
+    words = list(dict.fromkeys([draw(word) for _ in range(8)][:n_words]))  # distinct keys
+    rows = []
+    for _ in range(8):
+        rest = [draw(value) for _ in range(4)][: n_emotions - 1]
+        # One entry is positive, so no row sums to zero.
+        rest.insert(draw(st.integers(0, n_emotions - 1)), draw(positive))
+        rows.append(rest)
+    provenance = [(draw(key), draw(meta)) for _ in range(3)][:n_pairs]
+    emotions = draw(st.permutations(EMOTION_LABEL_POOL))[:n_emotions]
     return EmotionLexicon(
         emotions,
-        list(rows),
-        [np.asarray(r) / np.sum(r) for r in rows.values()],
+        words,
+        [np.asarray(r) / np.sum(r) for r in rows[: len(words)]],
         provenance=provenance,
     )
 

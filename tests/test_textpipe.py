@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import re
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,6 +16,7 @@ from moodlex import (
     VocabularyError,
     VocabularyFilter,
     lemmatize_all,
+    lemmatize_ids,
     tokenize,
 )
 from moodlex import textpipe
@@ -65,6 +69,16 @@ class TestTokenize:
 
     def test_underscore_is_boundary(self):
         assert tokenize("foo_bar") == ["foo", "bar"]
+
+    # ASCII text takes a str.translate path and any other text the regex, so
+    # both kinds are drawn and checked against the regex alone.
+    @settings(max_examples=300, deadline=None)
+    @given(text=st.one_of(st.text(), st.text(st.characters(max_codepoint=127))))
+    @example(text="".join(map(chr, range(128))))
+    @example(text="İstanbul")
+    @example(text="x9y 42 abc123 foo_bar _a_ 7_")
+    def test_matches_regex_reference(self, text):
+        assert tokenize(text) == [t.lower() for t in re.findall(r"[^\W\d_]+", text)]
 
 
 class TestCheckToken:
@@ -339,16 +353,16 @@ class TestLemmatizeAll:
 
     def test_candidates_run_once_per_distinct_surface(self, monkeypatch):
         calls = []
-        original = textpipe._Resolver.__missing__
+        original = textpipe._candidate_grid
 
-        def counting(self, surface):
-            calls.append(surface)
-            return original(self, surface)
+        def counting(row_of, *args):
+            calls.extend(row_of)
+            return original(row_of, *args)
 
         def no_membership_calls(self, token):
             raise AssertionError("membership checked through __contains__")
 
-        monkeypatch.setattr(textpipe._Resolver, "__missing__", counting)
+        monkeypatch.setattr(textpipe, "_candidate_grid", counting)
         # Membership is taken once per call as a frozenset, never per lookup.
         monkeypatch.setattr(VocabularyFilter, "__contains__", no_membership_calls)
         streams = [["men", "runs", "men"], [], ["runs", "abed", "men"], ["abed"]]
@@ -357,6 +371,55 @@ class TestLemmatizeAll:
         # men: table man#n, then identity men#a; runs: rule n -s.
         assert out[0] == ["man#n", "men#a", "run#n", "man#n", "men#a"]
         assert out[1] == []
+
+    @pytest.mark.parametrize("streams", [[], [[], [], []]], ids=["no-streams", "empty-streams"])
+    def test_no_tokens(self, streams):
+        token_ids, lengths, strings = lemmatize_ids(streams, MEMO_TABLE, vocab=MEMO_VOCAB)
+        assert token_ids.dtype == np.int32 and token_ids.size == 0 and strings == ()
+        assert lengths.tolist() == [0] * len(streams)
+        assert lemmatize_all(streams, MEMO_TABLE, vocab=MEMO_VOCAB) == [[] for _ in streams]
+
+    @pytest.mark.parametrize("policy", ["all", "first"])
+    def test_surface_with_two_candidates(self, policy):
+        # "run" is licensed as run#v and run#n; "men" as man#n and men#a.
+        streams = [["run", "men", "run"], [], ["men"]]
+        token_ids, lengths, strings = lemmatize_ids(
+            streams, MEMO_TABLE, vocab=MEMO_VOCAB, policy=policy
+        )
+        expected = [
+            [c for s in stream for c in candidates_reference(s, MEMO_TABLE, MEMO_VOCAB, policy)]
+            for stream in streams
+        ]
+        assert len(expected[0]) == (6 if policy == "all" else 3)
+        assert lengths.tolist() == [len(e) for e in expected]
+        assert [strings[i] for i in token_ids.tolist()] == sum(expected, [])
+        # One id per distinct string, numbered in order of first occurrence.
+        assert list(strings) == list(dict.fromkeys(sum(expected, [])))
+
+    def test_nul_characters_belong_to_the_surface(self):
+        # The suffix tests compare NUL-padded form ends: "c" padded to two
+        # code points looks like it ends in "\x00c", which it does not.
+        table = LemmaTable(rules=[("n", "s", ""), ("n", "\x00c", "a")])
+        vocab = {"b#n", "bs#n", "a#n"}
+        streams = [["bs\x00", "bs", "c"]]
+        expected = [c for s in streams[0] for c in candidates_reference(s, table, vocab, "all")]
+        assert expected == ["bs\x00#n", "bs#n", "c#n"]
+        assert lemmatize_all(streams, table, vocab=vocab) == [expected]
+
+    def test_long_surface_form_costs_no_wide_array(self):
+        # An array of whole forms for the suffix tests would be as wide as the
+        # 20,000-letter form: 501 forms x 80 kB.
+        streams = [["a" * 20_000] + [chr(97 + i // 26) + chr(97 + i % 26) + "s" for i in range(500)]]
+        tracemalloc.start()
+        try:
+            out = lemmatize_all(streams, MEMO_TABLE, vocab=MEMO_VOCAB)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4_000_000
+        assert out == [
+            [c for s in streams[0] for c in candidates_reference(s, MEMO_TABLE, MEMO_VOCAB, "all")]
+        ]
 
     def test_bad_policy_raised_before_reading_streams(self):
         def streams():
