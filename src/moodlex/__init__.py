@@ -23,16 +23,16 @@ _EXPORTS = {
         "VocabularyError VoteError"
     ).split(),
     "evaluate": (
-        "ClassificationMetrics CoverageStats EmotionMapping EvalReport GoldHeadline "
-        "GoldSet coverage_stats evaluate_all evaluate_classification evaluate_regression "
+        "ClassificationMetrics CoverageStats EmotionMapping EvalReport GoldSet "
+        "coverage_stats evaluate_all evaluate_classification evaluate_regression "
         "load_gold load_labels min_max_normalize pearson precision_recall_f1"
     ).split(),
     "lexicon": (
         "EmotionLexicon build_lexicon column_normalize emotion_product read_lexicon "
-        "row_scale score_all score_ids write_lexicon"
+        "row_scale score_ids write_lexicon"
     ).split(),
     "matrix": "TermDocumentMatrix apply_weighting count_terms filter_min_df write_matrix_dump".split(),
-    "textpipe": "LemmaTable VocabularyFilter lemmatize_all lemmatize_ids tokenize".split(),
+    "textpipe": "LemmaTable VocabularyFilter lemmatize_ids tokenize".split(),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

@@ -61,44 +61,9 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
-# Flag order used when echoing the resolved command into output metadata.
-# --workers is deliberately absent: it has no effect, and outputs must not
-# depend on it.
-_ECHO_FLAGS = {
-    "build": (
-        "corpus",
-        "vocab",
-        "lemma_table",
-        "output",
-        "weighting",
-        "emotions",
-        "col_norm",
-        "min_df",
-        "min_votes_sum",
-        "nf_length",
-        "ambiguity",
-        "dump_matrix",
-    ),
-    "eval": (
-        "lexicon",
-        "gold",
-        "labels",
-        "mapping",
-        "lemma_table",
-        "ambiguity",
-        "uncovered",
-        "minmax",
-        "threshold",
-        "output",
-    ),
-    "score": ("lexicon", "input", "lemma_table", "ambiguity", "output"),
-    "stats": ("corpus", "emotions", "min_votes_sum", "output"),
-}
-
-
 def _config_echo(subcommand: str, args: argparse.Namespace) -> str:
     parts = [PROG, subcommand]
-    for attr in _ECHO_FLAGS[subcommand]:
+    for attr in args.echo:
         value = getattr(args, attr)
         if value is None:
             continue
@@ -336,11 +301,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def finish(p: argparse.ArgumentParser, func) -> None:
         # Kept so existing command lines still parse; the pipeline is serial.
         p.add_argument(
             "--workers", type=int, default=1, help="accepted for compatibility; has no effect"
         )
+        # The command echo names every option in add_argument order, less
+        # --workers: it has no effect, and outputs must not depend on it.
+        echo = tuple(a.dest for a in p._actions if a.dest not in ("help", "workers"))
+        p.set_defaults(func=func, echo=echo)
 
     build = sub.add_parser("build", help="build an emotion lexicon from a corpus")
     build.add_argument("--corpus", required=True, help="corpus file, one JSON record per line")
@@ -355,8 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     build.add_argument("--nf-length", choices=("filtered", "raw"), default="filtered")
     build.add_argument("--ambiguity", choices=("all", "first"), default="all")
     build.add_argument("--dump-matrix", help="also dump the weighted term-document matrix")
-    add_common(build)
-    build.set_defaults(func=cmd_build)
+    finish(build, cmd_build)
 
     evalp = sub.add_parser("eval", help="evaluate a lexicon on gold headlines")
     evalp.add_argument("--lexicon", required=True)
@@ -369,8 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     evalp.add_argument("--minmax", choices=("per-emotion", "joint"), default="per-emotion")
     evalp.add_argument("--threshold", type=float, default=0.5)
     evalp.add_argument("--output", help="report output path (default: stdout)")
-    add_common(evalp)
-    evalp.set_defaults(func=cmd_eval)
+    finish(evalp, cmd_eval)
 
     score = sub.add_parser("score", help="score headlines with a lexicon")
     score.add_argument("--lexicon", required=True)
@@ -378,16 +345,14 @@ def build_parser() -> argparse.ArgumentParser:
     score.add_argument("--lemma-table")
     score.add_argument("--ambiguity", choices=("all", "first"), default="all")
     score.add_argument("--output", help="output path (default: stdout)")
-    add_common(score)
-    score.set_defaults(func=cmd_score)
+    finish(score, cmd_score)
 
     stats = sub.add_parser("stats", help="summarize a corpus")
     stats.add_argument("--corpus", required=True)
     stats.add_argument("--emotions")
     stats.add_argument("--min-votes-sum", type=float, default=None)
     stats.add_argument("--output", help="output path (default: stdout)")
-    add_common(stats)
-    stats.set_defaults(func=cmd_stats)
+    finish(stats, cmd_stats)
     return parser
 
 

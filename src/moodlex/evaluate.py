@@ -1,24 +1,25 @@
 """Headline evaluation: lexicon scoring, regression and classification
 metrics, label mapping, and coverage statistics.
 
-All headlines of a set are scored together by one ``lexicon.score_all``
-call; metric aggregation always runs in headline-id order, so reports are
-deterministic. Gold scores arriving on a 0-100 scale are auto-detected (any
-value above 1) and divided by 100.
+A gold set is columnar, its headlines sorted by id, and all of them are
+scored together by one ``lexicon.score_ids`` call, so metrics aggregate in
+headline-id order and reports are deterministic. Gold scores arriving on a
+0-100 scale are auto-detected (any value above 1) and divided by 100.
 """
 
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from itertools import count
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
 from . import textpipe
 from .errors import EvaluationError
-from .lexicon import EmotionLexicon, score_all
+from .lexicon import EmotionLexicon, score_ids
 from .sink import open_source
 
 logger = logging.getLogger(__name__)
@@ -28,22 +29,23 @@ MINMAX_SCOPES = ("per-emotion", "joint")
 
 
 @dataclass(frozen=True, eq=False)
-class GoldHeadline:
-    """One evaluation headline: lemma#pos tokens, per-emotion gold scores in
-    [0, 1], and optional classification gold labels."""
-
-    headline_id: str
-    tokens: tuple[str, ...]
-    gold: Mapping[str, float]
-    gold_labels: frozenset[str] = frozenset()
-
-
-@dataclass(frozen=True)
 class GoldSet:
-    """Evaluation headlines plus the target emotion order from the gold file."""
+    """Evaluation headlines, one array or tuple per field, sorted by id.
+
+    Headline ``i`` has the id ``ids[i]``, per-emotion gold scores in [0, 1]
+    in row ``gold[i]`` and classification gold labels in row ``labels[i]``,
+    one column per entry of ``emotions`` (the gold file's order), and
+    ``lengths[i]`` lemma#pos tokens, the next ``lengths[i]`` entries of
+    ``token_ids``, which index ``strings``.
+    """
 
     emotions: tuple[str, ...]
-    headlines: tuple[GoldHeadline, ...]
+    ids: tuple[str, ...]
+    gold: np.ndarray
+    labels: np.ndarray
+    token_ids: np.ndarray
+    lengths: np.ndarray
+    strings: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -120,21 +122,25 @@ class EvalReport:
 
 
 def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Sample Pearson product-moment correlation."""
-    x = np.asarray(list(xs), dtype=np.float64)
-    y = np.asarray(list(ys), dtype=np.float64)
+    """Sample Pearson product-moment correlation.
+
+    The two means and the three sums of products are ``math.fsum`` sums,
+    correctly rounded, so r depends on no BLAS kernel and no summation order.
+    """
+    x = np.asarray(xs, dtype=np.float64)
+    y = np.asarray(ys, dtype=np.float64)
     if x.ndim != 1 or y.ndim != 1 or x.shape != y.shape:
         raise EvaluationError(f"length mismatch: {x.shape} vs {y.shape}")
     if x.size < 2:
         raise EvaluationError("need at least 2 observations")
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sx = float(np.dot(dx, dx))
-    sy = float(np.dot(dy, dy))
-    if sx == 0.0 or sy == 0.0:
+    dx = x - math.fsum(x.tolist()) / x.size
+    dy = y - math.fsum(y.tolist()) / y.size
+    sx = math.fsum((dx * dx).tolist())
+    sy = math.fsum((dy * dy).tolist())
+    if sx * sy == 0.0:  # also where the product underflows: r would divide by zero
         raise EvaluationError("undefined correlation for a constant sequence")
-    r = float(np.dot(dx, dy)) / np.sqrt(sx * sy)
-    return float(min(1.0, max(-1.0, r)))
+    r = math.fsum((dx * dy).tolist()) / math.sqrt(sx * sy)
+    return min(1.0, max(-1.0, r))
 
 
 def min_max_normalize(scores: Sequence[float]) -> np.ndarray:
@@ -143,7 +149,7 @@ def min_max_normalize(scores: Sequence[float]) -> np.ndarray:
     A constant sequence normalizes to all zeros (with a warning) so batch
     evaluation stays total.
     """
-    arr = np.asarray(list(scores), dtype=np.float64)
+    arr = np.asarray(scores, dtype=np.float64)
     if arr.size == 0:
         raise EvaluationError("cannot min-max normalize an empty sequence")
     lo = float(arr.min())
@@ -169,41 +175,38 @@ def _check_mapping(
     return targets
 
 
-#: Headlines in id order, their score rows and their covered-token counts.
-_Scored = tuple[list[GoldHeadline], np.ndarray, np.ndarray]
+def _score(gold: GoldSet, lex: EmotionLexicon) -> tuple[np.ndarray, np.ndarray]:
+    """Every headline's score row and covered-token count, in id order."""
+    return score_ids(gold.token_ids, gold.lengths, gold.strings, lex)
 
 
-def _scored_headlines(headlines: Sequence[GoldHeadline], lex: EmotionLexicon) -> _Scored:
-    """Every headline scored once, by one :func:`score_all` call.
-
-    Aggregation runs in headline-id order regardless of input order.
-    """
-    ordered = sorted(headlines, key=lambda h: h.headline_id)
-    return (ordered, *score_all([h.tokens for h in ordered], lex))
-
-
-def _kept_scores(scored: _Scored, uncovered: str) -> tuple[list[GoldHeadline], np.ndarray]:
+def _kept(covered: np.ndarray, uncovered: str) -> np.ndarray:
+    """Which headlines the metrics read: all, or only the covered ones."""
     if uncovered not in UNCOVERED_POLICIES:
         raise EvaluationError(f"unknown uncovered policy {uncovered!r}")
-    ordered, scores, covered = scored
     keep = (covered > 0) | (uncovered == "zero")
     if not keep.any():
         raise EvaluationError("no headlines left to evaluate")
-    return [h for h, k in zip(ordered, keep) if k], scores[keep]
+    return keep
 
 
 def _regression(
-    gold: GoldSet, lex: EmotionLexicon, mapping: EmotionMapping, scored: _Scored, uncovered: str
+    gold: GoldSet,
+    lex: EmotionLexicon,
+    mapping: EmotionMapping,
+    scored: tuple[np.ndarray, np.ndarray],
+    uncovered: str,
 ) -> dict[str, float]:
     targets = _check_mapping(mapping, gold.emotions, lex)
-    kept, scores = _kept_scores(scored, uncovered)
-    results: dict[str, float] = {}
-    for target in targets:
-        source_col = lex.emotions.index(mapping.pairs[target])
-        predicted = scores[:, source_col]
-        actual = [h.gold[target] for h in kept]
-        results[target] = pearson(predicted, actual)
-    return results
+    scores, covered = scored
+    keep = _kept(covered, uncovered)
+    return {
+        target: pearson(
+            scores[keep, lex.emotions.index(mapping.pairs[target])],
+            gold.gold[keep, gold.emotions.index(target)],
+        )
+        for target in targets
+    }
 
 
 def evaluate_regression(
@@ -215,7 +218,7 @@ def evaluate_regression(
 ) -> dict[str, float]:
     """Per mapped target emotion, the Pearson correlation between predicted
     headline scores (the mapped lexicon column) and gold scores."""
-    return _regression(gold, lex, mapping, _scored_headlines(gold.headlines, lex), uncovered)
+    return _regression(gold, lex, mapping, _score(gold, lex), uncovered)
 
 
 def precision_recall_f1(tp: int, fp: int, fn: int) -> ClassificationMetrics:
@@ -231,7 +234,7 @@ def _classification(
     gold: GoldSet,
     lex: EmotionLexicon,
     mapping: EmotionMapping,
-    scored: _Scored,
+    scored: tuple[np.ndarray, np.ndarray],
     threshold: float,
     uncovered: str,
     minmax: str,
@@ -241,20 +244,17 @@ def _classification(
     targets = _check_mapping(mapping, gold.emotions, lex)
     if not targets:  # every target discarded or unmapped, as in _regression
         return {}
-    kept, scores = _kept_scores(scored, uncovered)
-    raw = np.stack(
-        [scores[:, lex.emotions.index(mapping.pairs[t])] for t in targets], axis=1
-    )
+    scores, covered = scored
+    keep = _kept(covered, uncovered)
+    raw = scores[keep][:, [lex.emotions.index(mapping.pairs[t]) for t in targets]]
     if minmax == "per-emotion":
         normalized = np.stack([min_max_normalize(raw[:, j]) for j in range(raw.shape[1])], axis=1)
     else:
-        flat = min_max_normalize(raw.ravel())
-        normalized = flat.reshape(raw.shape)
+        normalized = min_max_normalize(raw.ravel()).reshape(raw.shape)
     predictions = normalized > threshold
+    actuals = gold.labels[keep][:, [gold.emotions.index(t) for t in targets]]
     results: dict[str, ClassificationMetrics] = {}
-    for j, target in enumerate(targets):
-        actual = np.asarray([target in h.gold_labels for h in kept], dtype=bool)
-        predicted = predictions[:, j]
+    for predicted, actual, target in zip(predictions.T, actuals.T, targets):
         tp = int(np.sum(predicted & actual))
         fp = int(np.sum(predicted & ~actual))
         fn = int(np.sum(~predicted & actual))
@@ -275,29 +275,25 @@ def evaluate_classification(
     over all test headlines: positive iff the normalized score exceeds the
     threshold (strictly). An emotion with no positive predictions scores 0
     precision/recall/F1, never an error."""
-    scored = _scored_headlines(gold.headlines, lex)
+    scored = _score(gold, lex)
     return _classification(gold, lex, mapping, scored, threshold, uncovered, minmax)
 
 
-def _coverage(scored: _Scored) -> CoverageStats:
-    ordered, _, covered = scored
-    total = np.fromiter((len(h.tokens) for h in ordered), dtype=np.int64, count=len(ordered))
-    nonempty = total > 0
+def _coverage(lengths: np.ndarray, covered: np.ndarray) -> CoverageStats:
+    nonempty = lengths > 0
     if not nonempty.any():
         raise EvaluationError("need at least one headline with at least one token")
     return CoverageStats(
-        mean_coverage=float(np.mean(covered[nonempty] / total[nonempty])),
+        mean_coverage=float(np.mean(covered[nonempty] / lengths[nonempty])),
         uncovered_headlines=int(np.sum(nonempty & (covered == 0))),
         skipped_empty_headlines=int(np.sum(~nonempty)),
     )
 
 
-def coverage_stats(
-    headlines: Sequence[GoldHeadline], lex: EmotionLexicon
-) -> CoverageStats:
+def coverage_stats(gold: GoldSet, lex: EmotionLexicon) -> CoverageStats:
     """Mean per-headline covered-token fraction; zero-token headlines are
     skipped and counted."""
-    return _coverage(_scored_headlines(headlines, lex))
+    return _coverage(gold.lengths, _score(gold, lex)[1])
 
 
 def evaluate_all(
@@ -312,14 +308,14 @@ def evaluate_all(
 ) -> EvalReport:
     """Full report: regression, optional classification, coverage, and the
     list of discarded target emotions. Every headline is scored once."""
-    scored = _scored_headlines(gold.headlines, lex)
+    scored = _score(gold, lex)
     regression = _regression(gold, lex, mapping, scored, uncovered)
     classification = None
     if with_classification:
         classification = _classification(
             gold, lex, mapping, scored, threshold, uncovered, minmax
         )
-    coverage = _coverage(scored)
+    coverage = _coverage(gold.lengths, scored[1])
     discarded = tuple(
         t for t in gold.emotions if t not in mapping.pairs
     )
@@ -343,7 +339,7 @@ def load_gold(
 
     Scores must all lie in [0, 1], or all in [0, 100] (detected by any value
     exceeding 1 and divided by 100); negative values or values above 100 are
-    rejected.
+    rejected. The headlines come out sorted by id, whatever the line order.
     """
     table = lemma_table if lemma_table is not None else textpipe.LemmaTable()
     emotions: tuple[str, ...] | None = None
@@ -381,34 +377,31 @@ def load_gold(
         raise EvaluationError(f"{path}: missing gold header")
     if not parsed:
         raise EvaluationError(f"{path}: no gold headlines")
-    ids = [p[0] for p in parsed]
+    parsed.sort(key=lambda p: p[0])
+    ids = tuple(p[0] for p in parsed)
     if len(set(ids)) != len(ids):
         raise EvaluationError(f"{path}: duplicate headline ids")
-    scale = 100.0 if any(v > 1.0 for _, _, values in parsed for v in values) else 1.0
-    if scale != 1.0:
+    gold = np.array([p[2] for p in parsed], dtype=np.float64)
+    if (gold > 1.0).any():
         logger.info("gold scores detected on a 0-100 scale; dividing by 100")
-    streams = textpipe.lemmatize_all(
+        gold /= 100.0
+    token_ids, lengths, strings = textpipe.lemmatize_ids(
         (textpipe.tokenize(text) for _, text, _ in parsed),
         table,
         vocab=lex,
         policy=ambiguity,
     )
-    headlines = [
-        GoldHeadline(
-            headline_id=headline_id,
-            tokens=tuple(tokens),
-            gold={e: v / scale for e, v in zip(emotions, values)},
-        )
-        for (headline_id, _, values), tokens in zip(parsed, streams)
-    ]
-    return GoldSet(emotions=emotions, headlines=tuple(headlines))
+    labels = np.zeros(gold.shape, dtype=bool)
+    return GoldSet(emotions, ids, gold, labels, token_ids, lengths, strings)
 
 
 def load_labels(path, gold: GoldSet) -> GoldSet:
     """Attach classification gold labels from ``id<TAB>LABEL[,LABEL...]``
     lines; headlines absent from the file keep an empty label set."""
-    by_id: dict[str, frozenset[str]] = {}
-    known_ids = {h.headline_id for h in gold.headlines}
+    row_of = dict(zip(gold.ids, count()))
+    column_of = dict(zip(gold.emotions, count()))
+    labels = np.zeros(gold.gold.shape, dtype=bool)
+    seen: set[str] = set()
     with open_source(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -420,28 +413,18 @@ def load_labels(path, gold: GoldSet) -> GoldSet:
                     f"{path}:{lineno}: expected 'id<TAB>LABEL[,LABEL...]'"
                 )
             headline_id, label_field = fields
-            if headline_id not in known_ids:
+            if headline_id not in row_of:
                 raise EvaluationError(
                     f"{path}:{lineno}: unknown headline id {headline_id!r}"
                 )
-            if headline_id in by_id:
+            if headline_id in seen:
                 raise EvaluationError(f"{path}:{lineno}: duplicate labels for {headline_id!r}")
-            labels = frozenset(
-                l.strip().upper() for l in label_field.split(",") if l.strip()
-            )
-            unknown = labels - set(gold.emotions)
+            seen.add(headline_id)
+            names = {l.strip().upper() for l in label_field.split(",") if l.strip()}
+            unknown = names - column_of.keys()
             if unknown:
                 raise EvaluationError(
                     f"{path}:{lineno}: label(s) outside the gold emotion set: {sorted(unknown)}"
                 )
-            by_id[headline_id] = labels
-    headlines = tuple(
-        GoldHeadline(
-            headline_id=h.headline_id,
-            tokens=h.tokens,
-            gold=h.gold,
-            gold_labels=by_id.get(h.headline_id, frozenset()),
-        )
-        for h in gold.headlines
-    )
-    return GoldSet(emotions=gold.emotions, headlines=headlines)
+            labels[row_of[headline_id], [column_of[n] for n in names]] = True
+    return replace(gold, labels=labels)

@@ -98,14 +98,6 @@ class EmotionLexicon:
             raise LexiconError(f"word {word!r} not in lexicon") from None
 
 
-def score_all(
-    streams: Sequence[Sequence[str]], lex: EmotionLexicon
-) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`score_ids` on token streams given as sequences of strings."""
-    tokens = [t for stream in streams for t in stream]
-    return score_ids(np.arange(len(tokens)), [len(s) for s in streams], tokens, lex)
-
-
 def score_ids(
     token_ids: np.ndarray, lengths: Sequence[int], strings: Sequence[str], lex: EmotionLexicon
 ) -> tuple[np.ndarray, np.ndarray]:

@@ -10,7 +10,7 @@ immutable after load.
 from __future__ import annotations
 
 import re
-from itertools import count, islice
+from itertools import count
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -52,29 +52,21 @@ def check_lemma_pos(token: str) -> None:
         raise TextPipeError(f"lemma must be lower-case with no whitespace: {lemma!r}")
 
 
-class VocabularyFilter:
-    """Exact-membership whitelist of lemma#pos entries.
+class VocabularyFilter(frozenset):
+    """Exact-membership whitelist of lemma#pos entries: a frozenset whose
+    entries are checked once, when it is made.
 
     An empty filter is rejected at construction: it would silently drop the
     whole corpus, which is a configuration error rather than a usable mode.
     """
 
-    def __init__(self, entries: Iterable[str]):
+    def __new__(cls, entries: Iterable[str]):
         unique = dict.fromkeys(entries)  # distinct, in input order
         for entry in unique:
             check_lemma_pos(entry)
         if not unique:
             raise VocabularyError("vocabulary filter has no entries")
-        self._entries = frozenset(unique)
-
-    def __contains__(self, token: object) -> bool:
-        return token in self._entries
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._entries)
+        return super().__new__(cls, unique)
 
     @classmethod
     def from_file(cls, path) -> "VocabularyFilter":
@@ -275,16 +267,3 @@ def lemmatize_ids(
     del expanded
     ends = np.concatenate(([0], np.cumsum(np.count_nonzero(licensed, axis=1))))
     return token_ids, np.diff(ends[bounds]), strings
-
-
-def lemmatize_all(
-    streams: Iterable[Iterable[str]],
-    table: LemmaTable,
-    *,
-    vocab: Iterable[str],
-    policy: str = "all",
-) -> list[list[str]]:
-    """:func:`lemmatize_ids` with each stream's candidates as a list of strings."""
-    token_ids, lengths, strings = lemmatize_ids(streams, table, vocab=vocab, policy=policy)
-    tokens = iter(np.array(strings, dtype=object)[token_ids].tolist())
-    return [list(islice(tokens, n)) for n in lengths.tolist()]

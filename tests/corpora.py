@@ -37,10 +37,24 @@ def corpus_of(docs, emotions=None):
     return parse_corpus(lines, emotions)
 
 
-def doc_tokens(corpus):
-    """Each document's token strings, in corpus order."""
-    ends = np.cumsum(corpus.lengths).tolist()
+def doc_tokens(columns):
+    """Each stream's token strings, in order: of a ``Corpus`` or ``GoldSet``, or
+    of ``(token_ids, lengths, strings)`` as ``lemmatize_ids`` returns them."""
+    if not isinstance(columns, tuple):
+        columns = columns.token_ids, columns.lengths, columns.strings
+    token_ids, lengths, strings = columns
+    ends = np.cumsum(lengths).tolist()
     return [
-        tuple(corpus.strings[i] for i in corpus.token_ids[end - n : end].tolist())
-        for n, end in zip(corpus.lengths.tolist(), ends)
+        tuple(strings[i] for i in token_ids[end - n : end].tolist())
+        for n, end in zip(lengths.tolist(), ends)
     ]
+
+
+def token_columns(streams):
+    """Streams of token strings as ``(token_ids, lengths, strings)``, the
+    columns ``lemmatize_ids`` returns: ids number the distinct strings in
+    order of first occurrence."""
+    id_of = {}
+    token_ids = [id_of.setdefault(t, len(id_of)) for stream in streams for t in stream]
+    lengths = [len(stream) for stream in streams]
+    return np.array(token_ids, dtype=np.int32), np.array(lengths, dtype=np.int64), tuple(id_of)

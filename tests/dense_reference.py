@@ -325,6 +325,20 @@ def exact_pearson(xs, ys):
     return float(num) / math.sqrt(float(sx) * float(sy))
 
 
+def fsum_pearson(xs, ys):
+    """Pearson correlation from two ``math.fsum`` means and three ``math.fsum``
+    sums of products, one Python float operation at a time."""
+    n = len(xs)
+    mx = math.fsum(xs) / n
+    my = math.fsum(ys) / n
+    dx = [x - mx for x in xs]
+    dy = [y - my for y in ys]
+    sx = math.fsum(d * d for d in dx)
+    sy = math.fsum(d * d for d in dy)
+    r = math.fsum(a * b for a, b in zip(dx, dy)) / math.sqrt(sx * sy)
+    return min(1.0, max(-1.0, r))
+
+
 def make_random_corpus(rng, *, max_docs=20, max_words=50, n_emotions=8):
     """Randomized corpus triples plus a vocabulary list.
 

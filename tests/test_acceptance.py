@@ -192,18 +192,17 @@ def test_metric_correctness():
         lex = EmotionLexicon(
             emotions, [f"w{i}#n" for i in range(4)], [np.array([1.0, 0.0])] * 4
         )
-        from moodlex import GoldHeadline, GoldSet
+        from moodlex import GoldSet
 
-        headlines = tuple(
-            GoldHeadline(
-                headline_id=f"h{i}",
-                tokens=(f"w{i}#n",),
-                gold={"ANGER": 0.5},
-                gold_labels=frozenset({"ANGER"}) if i < 2 else frozenset(),
-            )
-            for i in range(4)
+        gold = GoldSet(
+            emotions=("ANGER",),
+            ids=tuple(f"h{i}" for i in range(4)),
+            gold=np.full((4, 1), 0.5),
+            labels=np.array([[True], [True], [False], [False]]),
+            token_ids=np.arange(4, dtype=np.int32),
+            lengths=np.ones(4, dtype=np.int64),
+            strings=tuple(f"w{i}#n" for i in range(4)),
         )
-        gold = GoldSet(emotions=("ANGER",), headlines=headlines)
         mapping = EmotionMapping(pairs={"ANGER": "ANGRY"})
         result = evaluate_classification(gold, lex, mapping)
         assert result["ANGER"].f1 == 0.0

@@ -12,7 +12,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from moodlex import read_lexicon, score_all, tokenize
+from moodlex import read_lexicon, tokenize
 from moodlex.cli import _config_echo, build_parser, main
 
 CORPUS_LINES = [
@@ -322,6 +322,38 @@ class TestEval:
         assert main(self.eval_args(built)) == 1
         assert any("evaluate" in r.message for r in caplog.records)
 
+    def test_gold_and_label_line_order_does_not_change_the_report(self, built):
+        words = ["war", "kill", "awe", "happy", "game", "sad", "zebra"]
+        rng = np.random.default_rng(11)
+        gold_lines, label_lines = [], []
+        for i in range(1, 16):
+            text = " ".join(rng.choice(words, size=int(rng.integers(1, 5))))
+            fear, joy, disgust = (f"{v:.3f}" for v in rng.random(3))
+            gold_lines.append(f"h{i}\t{text}\t{fear}\t{joy}\t{disgust}\n")
+            if i % 3:
+                label_lines.append(f"h{i}\t{'FEAR' if i % 2 else 'JOY,FEAR'}\n")
+        orders = {
+            "forward": lambda lines: lines,
+            "reversed": lambda lines: lines[::-1],
+            "shuffled": lambda lines: [lines[i] for i in rng.permutation(len(lines))],
+        }
+        reports = {}
+        for name, order in orders.items():
+            gold = built / f"gold_{name}.tsv"
+            header = "id\ttext\tFEAR\tJOY\tDISGUST\n"
+            gold.write_text(header + "".join(order(gold_lines)), encoding="utf-8")
+            labels = built / f"labels_{name}.tsv"
+            labels.write_text("".join(order(label_lines)), encoding="utf-8")
+            args = self.eval_args(built, labels=str(labels))
+            args[args.index("--gold") + 1] = str(gold)
+            assert main(args) == 0
+            reports[name] = report_rows(built / "report.tsv")
+        # Regression for FEAR and JOY, three classification metrics each,
+        # three coverage lines, and DISGUST discarded.
+        assert len(reports["forward"]) == 2 + 2 * 3 + 3 + 1
+        assert reports["reversed"] == reports["forward"]
+        assert reports["shuffled"] == reports["forward"]
+
 
 class TestScore:
     def score_args(self, workdir, name="headlines.tsv"):
@@ -386,17 +418,17 @@ class TestScore:
             if not l.startswith("#") and not l.startswith("id\t")
         ]
         assert len(rows) == 10
-        from moodlex import LemmaTable, VocabularyFilter, lemmatize_all, tokenize
+        from moodlex import LemmaTable, VocabularyFilter, lemmatize_ids, score_ids
 
         vocab = VocabularyFilter(lex.words)
         for row, text in zip(rows, texts):
             fields = row.split("\t")
-            tokens = lemmatize_all([tokenize(text)], LemmaTable(), vocab=vocab)[0]
-            expected_vec, expected_covered = score_all([tokens], lex)
+            token_ids, lengths, strings = lemmatize_ids([tokenize(text)], LemmaTable(), vocab=vocab)
+            expected_vec, expected_covered = score_ids(token_ids, lengths, strings, lex)
             got = np.asarray([float(v) for v in fields[1:9]])
             np.testing.assert_allclose(got, expected_vec[0], atol=1e-9)
             assert int(fields[9]) == expected_covered[0]
-            assert int(fields[10]) == len(tokens)
+            assert int(fields[10]) == lengths[0]
 
     def test_missing_lexicon_exits_nonzero(self, built, caplog):
         (built / "headlines.tsv").write_text("h1\tx\n", encoding="utf-8")

@@ -2,16 +2,17 @@
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from moodlex import (
     EmotionLexicon,
     EmotionMapping,
     EvaluationError,
-    GoldHeadline,
     GoldSet,
     coverage_stats,
     evaluate_all,
@@ -22,10 +23,11 @@ from moodlex import (
     min_max_normalize,
     pearson,
     precision_recall_f1,
-    score_all,
+    score_ids,
 )
 
-from dense_reference import exact_pearson, mean_scores
+from corpora import doc_tokens, token_columns
+from dense_reference import exact_pearson, fsum_pearson, mean_scores
 
 EMOTIONS = ("AFRAID", "AMUSED", "ANGRY", "ANNOYED", "DONT_CARE", "HAPPY", "INSPIRED", "SAD")
 
@@ -55,27 +57,29 @@ def tiny_lexicon():
 
 class TestScoreHeadline:
     def test_mean_of_two_one_hot_rows(self, tiny_lexicon):
-        (vec,), (covered,) = score_all([["afraid#a", "amused#a"]], tiny_lexicon)
+        (vec,), (covered,) = score_ids(*token_columns([["afraid#a", "amused#a"]]), tiny_lexicon)
         np.testing.assert_allclose(vec[:2], [0.5, 0.5], atol=1e-15)
         assert covered == 2
 
     def test_single_covered_token_verbatim(self, tiny_lexicon):
-        (vec,), (covered,) = score_all([["angry#a"]], tiny_lexicon)
+        (vec,), (covered,) = score_ids(*token_columns([["angry#a"]]), tiny_lexicon)
         np.testing.assert_array_equal(vec, tiny_lexicon.row("angry#a"))
         assert covered == 1
 
     def test_uncovered_headline_scores_zero(self, tiny_lexicon):
-        (vec,), (covered,) = score_all([["missing#n", "gone#v"]], tiny_lexicon)
+        (vec,), (covered,) = score_ids(*token_columns([["missing#n", "gone#v"]]), tiny_lexicon)
         np.testing.assert_array_equal(vec, np.zeros(8))
         assert covered == 0
 
     def test_absent_tokens_skipped_and_occurrences_counted(self, tiny_lexicon):
-        (vec,), (covered,) = score_all([["afraid#a", "missing#n", "afraid#a"]], tiny_lexicon)
+        streams = [["afraid#a", "missing#n", "afraid#a"]]
+        (vec,), (covered,) = score_ids(*token_columns(streams), tiny_lexicon)
         assert covered == 2
         np.testing.assert_allclose(vec, one_hot(0), atol=1e-15)
 
     def test_fully_covered_rows_sum_to_one(self, tiny_lexicon):
-        (vec,), (covered,) = score_all([["afraid#a", "amused#a", "half#n"]], tiny_lexicon)
+        streams = [["afraid#a", "amused#a", "half#n"]]
+        (vec,), (covered,) = score_ids(*token_columns(streams), tiny_lexicon)
         assert covered == 3
         assert abs(vec.sum() - 1.0) <= 1e-9
 
@@ -100,7 +104,7 @@ class TestScoreAll:
     @given(case=lexicon_and_streams())
     def test_matches_np_mean_reference(self, case):
         lex, streams = case
-        scores, covered = score_all(streams, lex)
+        scores, covered = score_ids(*token_columns(streams), lex)
         expected, expected_covered = mean_scores(streams, lex)
         expected = np.reshape(expected, scores.shape)
         assert np.array_equal(covered, expected_covered)
@@ -131,10 +135,27 @@ class TestPearson:
             pearson([1, 1, 1], [1, 2, 3])
         with pytest.raises(EvaluationError, match="constant"):
             pearson([1, 2, 3], [5, 5, 5])
+        # Both sums of squares are positive, but their product underflows to 0.
+        with pytest.raises(EvaluationError, match="constant"):
+            pearson([0, 1e-100, 0], [0, 1e-100, 2e-100])
         with pytest.raises(EvaluationError, match="mismatch"):
             pearson([1, 2], [1, 2, 3])
         with pytest.raises(EvaluationError, match="at least 2"):
             pearson([1], [1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        pairs=st.lists(
+            st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)), min_size=2, max_size=60
+        )
+    )
+    def test_fsum_sums_bit_for_bit_and_near_exact(self, pairs):
+        xs, ys = (list(v) for v in zip(*pairs))
+        # Away from near-constant sequences, where r is ill-conditioned.
+        assume(max(xs) - min(xs) > 1e-3 and max(ys) - min(ys) > 1e-3)
+        r = pearson(xs, ys)
+        assert r == fsum_pearson(xs, ys)
+        assert abs(r - exact_pearson(xs, ys)) <= 1e-12
 
     def test_symmetry_and_affine_invariance(self):
         rng = np.random.default_rng(79)
@@ -198,16 +219,23 @@ class TestEmotionMapping:
             EmotionMapping.from_file(path)
 
 
-def gold_set(headlines, emotions=("FEAR", "JOY")):
-    return GoldSet(emotions=tuple(emotions), headlines=tuple(headlines))
+Headline = namedtuple("Headline", "headline_id tokens gold gold_labels")
 
 
 def headline(hid, tokens, gold, labels=()):
-    return GoldHeadline(
-        headline_id=hid,
-        tokens=tuple(tokens),
-        gold=gold,
-        gold_labels=frozenset(labels),
+    return Headline(hid, tuple(tokens), gold, frozenset(labels))
+
+
+def gold_set(headlines, emotions=("FEAR", "JOY")):
+    """The columnar GoldSet of ``headline`` rows, sorted by id as ``load_gold`` sorts."""
+    rows = sorted(headlines, key=lambda h: h.headline_id)
+    shape = (len(rows), len(emotions))
+    return GoldSet(
+        tuple(emotions),
+        tuple(h.headline_id for h in rows),
+        np.array([[h.gold[e] for e in emotions] for h in rows], dtype=np.float64).reshape(shape),
+        np.array([[e in h.gold_labels for e in emotions] for h in rows], dtype=bool).reshape(shape),
+        *token_columns([h.tokens for h in rows]),
     )
 
 
@@ -392,19 +420,17 @@ class TestEvaluateClassification:
 class TestCoverageStats:
     def test_ratio_contribution(self, tiny_lexicon):
         stats = coverage_stats(
-            [headline("h1", ["afraid#a", "amused#a", "angry#a", "nolex#n"], {})],
+            gold_set([headline("h1", ["afraid#a", "amused#a", "angry#a", "nolex#n"], {})], ()),
             tiny_lexicon,
         )
         assert stats.mean_coverage == pytest.approx(0.75)
 
     def test_full_coverage(self, tiny_lexicon):
-        stats = coverage_stats(
-            [
-                headline("h1", ["afraid#a", "half#n"], {}),
-                headline("h2", ["angry#a"], {}),
-            ],
-            tiny_lexicon,
-        )
+        headlines = [
+            headline("h1", ["afraid#a", "half#n"], {}),
+            headline("h2", ["angry#a"], {}),
+        ]
+        stats = coverage_stats(gold_set(headlines, ()), tiny_lexicon)
         assert stats.mean_coverage == pytest.approx(1.0)
 
     def test_five_headline_manual_recount(self, tiny_lexicon):
@@ -416,7 +442,7 @@ class TestCoverageStats:
             ["gone#v", "missing#n", "half#n", "afraid#a"],
         ]
         headlines = [headline(f"h{i}", toks, {}) for i, toks in enumerate(token_sets)]
-        stats = coverage_stats(headlines, tiny_lexicon)
+        stats = coverage_stats(gold_set(headlines, ()), tiny_lexicon)
         known = {"afraid#a", "amused#a", "angry#a", "half#n"}
         ratios = []
         for toks in token_sets:
@@ -433,13 +459,13 @@ class TestCoverageStats:
             headline("h1", [], {}),
             headline("h2", ["afraid#a"], {}),
         ]
-        stats = coverage_stats(headlines, tiny_lexicon)
+        stats = coverage_stats(gold_set(headlines, ()), tiny_lexicon)
         assert stats.skipped_empty_headlines == 1
         assert stats.mean_coverage == pytest.approx(1.0)
 
     def test_all_empty_rejected(self, tiny_lexicon):
         with pytest.raises(EvaluationError):
-            coverage_stats([headline("h1", [], {})], tiny_lexicon)
+            coverage_stats(gold_set([headline("h1", [], {})], ()), tiny_lexicon)
 
 
 class TestEvaluateAll:
@@ -477,18 +503,21 @@ class TestEvaluateAll:
         expected = (
             evaluate_regression(gold, tiny_lexicon, mapping, uncovered=uncovered),
             evaluate_classification(gold, tiny_lexicon, mapping, uncovered=uncovered),
-            coverage_stats(gold.headlines, tiny_lexicon),
+            coverage_stats(gold, tiny_lexicon),
         )
         calls = []
-        original = evaluate.score_all
+        original = evaluate.score_ids
 
-        def counting(streams, lex):
-            calls.append(list(streams))
-            return original(streams, lex)
+        def counting(token_ids, lengths, strings, lex):
+            calls.append((token_ids, lengths, strings))
+            return original(token_ids, lengths, strings, lex)
 
-        monkeypatch.setattr(evaluate, "score_all", counting)
+        monkeypatch.setattr(evaluate, "score_ids", counting)
         report = evaluate_all(gold, tiny_lexicon, mapping, uncovered=uncovered)
-        assert len(calls) == 1 and len(calls[0]) == 4
+        # One call, on the gold set's own token columns.
+        assert len(calls) == 1
+        assert calls[0][0] is gold.token_ids and calls[0][1] is gold.lengths
+        assert gold.ids == ("h1", "h2", "h3", "h4")
         assert (report.regression, report.classification, report.coverage) == expected
         assert report.coverage.uncovered_headlines == 1
 
@@ -505,17 +534,28 @@ class TestGoldLoading:
         )
         gold = load_gold(path, tiny_lexicon)
         assert gold.emotions == ("FEAR", "JOY")
+        assert gold.ids == ("h1", "h2")
+        tokens = doc_tokens(gold)
         # Unmapped surfaces stay as passthrough nouns and count as uncovered.
-        assert gold.headlines[0].tokens == ("afraid#a", "and#n", "amused#a", "crowds#n")
-        assert gold.headlines[0].gold == {"FEAR": 0.8, "JOY": 0.1}
+        assert tokens[0] == ("afraid#a", "and#n", "amused#a", "crowds#n")
+        assert gold.gold.tolist() == [[0.8, 0.1], [0.2, 0.9]]
+        assert gold.labels.dtype == bool and not gold.labels.any()
         # No token of h2 resolves to a lexicon entry: passthrough nouns only.
-        assert all(t.endswith("#n") for t in gold.headlines[1].tokens)
+        assert all(t.endswith("#n") for t in tokens[1])
 
     def test_scale_autodetection(self, tmp_path, tiny_lexicon):
         path = self.write_gold(tmp_path, ["h1\tafraid words\t80\t10", "h2\tmore text\t0.5\t20"])
         gold = load_gold(path, tiny_lexicon)
-        assert gold.headlines[0].gold["FEAR"] == pytest.approx(0.8)
-        assert gold.headlines[1].gold["FEAR"] == pytest.approx(0.005)
+        assert gold.gold[0, 0] == pytest.approx(0.8)
+        assert gold.gold[1, 0] == pytest.approx(0.005)
+
+    def test_headlines_sorted_by_id(self, tmp_path, tiny_lexicon):
+        rows = ["h2\tamused\t0.1\t0.9", "h10\tangry\t0.3\t0.4", "h1\tafraid\t0.8\t0.2"]
+        path = self.write_gold(tmp_path, rows)
+        gold = load_gold(path, tiny_lexicon)
+        assert gold.ids == ("h1", "h10", "h2")
+        assert gold.gold.tolist() == [[0.8, 0.2], [0.3, 0.4], [0.1, 0.9]]
+        assert doc_tokens(gold) == [("afraid#a",), ("angry#a",), ("amused#a",)]
 
     def test_out_of_range_rejected(self, tmp_path, tiny_lexicon):
         path = self.write_gold(tmp_path, ["h1\ttext\t120\t10"])
@@ -547,8 +587,9 @@ class TestGoldLoading:
         labels_path = tmp_path / "labels.tsv"
         labels_path.write_text("h1\tFEAR,JOY\n", encoding="utf-8")
         labeled = load_labels(labels_path, gold)
-        assert labeled.headlines[0].gold_labels == frozenset({"FEAR", "JOY"})
-        assert labeled.headlines[1].gold_labels == frozenset()
+        assert labeled.labels.tolist() == [[True, True], [False, False]]
+        # The labels are a new set; the gold scores and tokens are shared.
+        assert not gold.labels.any() and labeled.gold is gold.gold
 
     def test_label_errors(self, tmp_path, tiny_lexicon):
         gold_path = self.write_gold(tmp_path, ["h1\tafraid\t0.9\t0.0"])

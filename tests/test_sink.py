@@ -7,11 +7,11 @@ import io
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from moodlex import (
     EmotionMapping,
-    GoldHeadline,
     GoldSet,
     LemmaTable,
     VocabularyFilter,
@@ -23,7 +23,7 @@ from moodlex import (
 from moodlex.cli import _read_score_input
 from moodlex.sink import open_sink, open_source
 
-from corpora import doc_tokens
+from corpora import doc_tokens, token_columns
 
 GOLDEN = Path(__file__).parent / "data" / "golden_lexicon.tsv"
 
@@ -144,10 +144,12 @@ def _corpus_summary(path):
 
 
 def _gold_summary(gold):
-    return gold.emotions, [(h.headline_id, h.tokens, h.gold, h.gold_labels) for h in gold.headlines]
+    return gold.emotions, gold.ids, gold.gold.tolist(), gold.labels.tolist(), doc_tokens(gold)
 
 
-ONE_HEADLINE = GoldSet(("FEAR",), (GoldHeadline("h1", ("awe#n",), {"FEAR": 0.5}),))
+ONE_HEADLINE = GoldSet(
+    ("FEAR",), ("h1",), np.array([[0.5]]), np.zeros((1, 1), dtype=bool), *token_columns([["awe#n"]])
+)
 
 
 # Each input reader: a small valid input, and a comparable summary of what the

@@ -15,13 +15,13 @@ from moodlex import (
     TextPipeError,
     VocabularyError,
     VocabularyFilter,
-    lemmatize_all,
     lemmatize_ids,
     tokenize,
 )
 from moodlex import textpipe
 from moodlex.lexicon import EmotionLexicon
 
+from corpora import doc_tokens
 from dense_reference import candidates_reference, lemma_pos_reference
 
 # Pieces of lemma#pos keys near the edges of the rules: separators, pos
@@ -178,33 +178,36 @@ class TestLemmatize:
     def test_table_hit(self):
         table = LemmaTable(entries=[("bombings", "n", "bombing")])
         vocab = VocabularyFilter(["bombing#n"])
-        assert lemmatize_all([["bombings"]], table, vocab=vocab)[0] == ["bombing#n"]
+        assert doc_tokens(lemmatize_ids([["bombings"]], table, vocab=vocab)) == [("bombing#n",)]
 
     def test_all_licensed_candidates(self):
         vocab = VocabularyFilter(["kill#v", "kill#n"])
-        assert lemmatize_all([["kill"]], LemmaTable(), vocab=vocab)[0] == ["kill#v", "kill#n"]
+        out = lemmatize_ids([["kill"]], LemmaTable(), vocab=vocab)
+        assert doc_tokens(out) == [("kill#v", "kill#n")]
 
     def test_first_candidate_policy(self):
         vocab = VocabularyFilter(["kill#v", "kill#n"])
-        assert lemmatize_all([["kill"]], LemmaTable(), vocab=vocab, policy="first")[0] == ["kill#v"]
+        out = lemmatize_ids([["kill"]], LemmaTable(), vocab=vocab, policy="first")
+        assert doc_tokens(out) == [("kill#v",)]
 
     def test_unmapped_token_passes_through_as_noun(self):
         vocab = VocabularyFilter(["kill#v"])
-        assert lemmatize_all([["xyzzy"]], LemmaTable(), vocab=vocab)[0] == ["xyzzy#n"]
+        assert doc_tokens(lemmatize_ids([["xyzzy"]], LemmaTable(), vocab=vocab)) == [("xyzzy#n",)]
 
     def test_rule_rewrite_needs_vocabulary_licensing(self):
         table = LemmaTable(rules=[("v", "s", ""), ("n", "s", "")])
         vocab = VocabularyFilter(["kill#v"])
         # kills -> rule strips the s; only the verb reading is licensed.
-        assert lemmatize_all([["kills"]], table, vocab=vocab)[0] == ["kill#v"]
+        assert doc_tokens(lemmatize_ids([["kills"]], table, vocab=vocab)) == [("kill#v",)]
 
     def test_without_vocabulary_only_table_hits(self):
         table = LemmaTable(entries=[("went", "v", "go")])
-        assert lemmatize_all([["went", "kill"]], table, vocab=())[0] == ["go#v", "kill#n"]
+        out = lemmatize_ids([["went", "kill"]], table, vocab=())
+        assert doc_tokens(out) == [("go#v", "kill#n")]
 
     def test_bad_policy(self):
         with pytest.raises(TextPipeError):
-            lemmatize_all([["kill"]], LemmaTable(), vocab=(), policy="best")
+            lemmatize_ids([["kill"]], LemmaTable(), vocab=(), policy="best")
 
     def test_manual_table_walk_oracle(self):
         # Twenty tokens pushed through a small table + vocabulary; the
@@ -256,7 +259,7 @@ class TestLemmatize:
             "war#n",
             "xyzzy#n",              # unmapped pass-through
         ]
-        assert lemmatize_all([tokens], table, vocab=vocab)[0] == expected
+        assert doc_tokens(lemmatize_ids([tokens], table, vocab=vocab)) == [tuple(expected)]
 
 
 MEMO_TABLE = LemmaTable(
@@ -346,10 +349,10 @@ class TestLemmatizeAll:
     )
     def test_matches_unmemoized_candidates_per_stream(self, table, vocab, policy, streams):
         expected = [
-            [c for s in stream for c in candidates_reference(s, table, vocab, policy)]
+            tuple(c for s in stream for c in candidates_reference(s, table, vocab, policy))
             for stream in streams
         ]
-        assert lemmatize_all(streams, table, vocab=vocab, policy=policy) == expected
+        assert doc_tokens(lemmatize_ids(streams, table, vocab=vocab, policy=policy)) == expected
 
     def test_candidates_run_once_per_distinct_surface(self, monkeypatch):
         calls = []
@@ -366,18 +369,17 @@ class TestLemmatizeAll:
         # Membership is taken once per call as a frozenset, never per lookup.
         monkeypatch.setattr(VocabularyFilter, "__contains__", no_membership_calls)
         streams = [["men", "runs", "men"], [], ["runs", "abed", "men"], ["abed"]]
-        out = lemmatize_all(iter(streams), MEMO_TABLE, vocab=MEMO_VOCAB)
+        out = doc_tokens(lemmatize_ids(iter(streams), MEMO_TABLE, vocab=MEMO_VOCAB))
         assert sorted(calls) == ["abed", "men", "runs"]
         # men: table man#n, then identity men#a; runs: rule n -s.
-        assert out[0] == ["man#n", "men#a", "run#n", "man#n", "men#a"]
-        assert out[1] == []
+        assert out[0] == ("man#n", "men#a", "run#n", "man#n", "men#a")
+        assert out[1] == ()
 
     @pytest.mark.parametrize("streams", [[], [[], [], []]], ids=["no-streams", "empty-streams"])
     def test_no_tokens(self, streams):
         token_ids, lengths, strings = lemmatize_ids(streams, MEMO_TABLE, vocab=MEMO_VOCAB)
         assert token_ids.dtype == np.int32 and token_ids.size == 0 and strings == ()
         assert lengths.tolist() == [0] * len(streams)
-        assert lemmatize_all(streams, MEMO_TABLE, vocab=MEMO_VOCAB) == [[] for _ in streams]
 
     @pytest.mark.parametrize("policy", ["all", "first"])
     def test_surface_with_two_candidates(self, policy):
@@ -404,7 +406,7 @@ class TestLemmatizeAll:
         streams = [["bs\x00", "bs", "c"]]
         expected = [c for s in streams[0] for c in candidates_reference(s, table, vocab, "all")]
         assert expected == ["bs\x00#n", "bs#n", "c#n"]
-        assert lemmatize_all(streams, table, vocab=vocab) == [expected]
+        assert doc_tokens(lemmatize_ids(streams, table, vocab=vocab)) == [tuple(expected)]
 
     def test_long_surface_form_costs_no_wide_array(self):
         # An array of whole forms for the suffix tests would be as wide as the
@@ -412,14 +414,13 @@ class TestLemmatizeAll:
         streams = [["a" * 20_000] + [chr(97 + i // 26) + chr(97 + i % 26) + "s" for i in range(500)]]
         tracemalloc.start()
         try:
-            out = lemmatize_all(streams, MEMO_TABLE, vocab=MEMO_VOCAB)
+            out = doc_tokens(lemmatize_ids(streams, MEMO_TABLE, vocab=MEMO_VOCAB))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 4_000_000
-        assert out == [
-            [c for s in streams[0] for c in candidates_reference(s, MEMO_TABLE, MEMO_VOCAB, "all")]
-        ]
+        expected = [candidates_reference(s, MEMO_TABLE, MEMO_VOCAB, "all") for s in streams[0]]
+        assert out == [tuple(c for candidates in expected for c in candidates)]
 
     def test_bad_policy_raised_before_reading_streams(self):
         def streams():
@@ -427,4 +428,4 @@ class TestLemmatizeAll:
             yield []
 
         with pytest.raises(TextPipeError, match="ambiguity policy"):
-            lemmatize_all(streams(), MEMO_TABLE, vocab=MEMO_VOCAB, policy="best")
+            lemmatize_ids(streams(), MEMO_TABLE, vocab=MEMO_VOCAB, policy="best")
