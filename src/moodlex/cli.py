@@ -35,6 +35,11 @@ PROG = "moodlex"
 #: CLI weighting flags to internal scheme names.
 WEIGHTINGS = {"f": "raw", "nf": "normalized", "tfidf": "tfidf"}
 
+#: Options that name an input file; the metadata hashes each one given.
+INPUT_FILES = frozenset(
+    ("corpus", "vocab", "lemma_table", "lexicon", "gold", "labels", "mapping", "input")
+)
+
 
 class _StageError(Exception):
     """An error already attributed to a pipeline stage."""
@@ -77,10 +82,14 @@ def _config_echo(subcommand: str, args: argparse.Namespace) -> str:
     return " ".join(parts)
 
 
-def _metadata(subcommand: str, args: argparse.Namespace, inputs: list[tuple[str, str]]):
+def _metadata(subcommand: str, args: argparse.Namespace):
+    """The command echo, then the hash of every input file given, in echo order."""
     lines = [("command", _config_echo(subcommand, args))]
-    for name, path in inputs:
-        lines.append((f"input-{name}-sha256", _stage(f"hash-{name}", _sha256, path)))
+    for attr in args.echo:
+        path = getattr(args, attr)
+        if attr in INPUT_FILES and path:
+            name = attr.replace("_", "-")
+            lines.append((f"input-{name}-sha256", _stage(f"hash-{name}", _sha256, path)))
     return lines
 
 
@@ -109,10 +118,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     table = None
     if args.lemma_table:
         table = _stage("load-lemma-table", LemmaTable.from_file, args.lemma_table)
-    inputs = [("corpus", args.corpus), ("vocab", args.vocab)]
-    if args.lemma_table:
-        inputs.append(("lemma-table", args.lemma_table))
-    metadata = _metadata("build", args, inputs)
+    metadata = _metadata("build", args)
 
     # The dump is committed only after the lexicon is: a failed build leaves
     # neither file behind.
@@ -168,58 +174,33 @@ def cmd_eval(args: argparse.Namespace) -> int:
         "evaluate",
         evaluate_all,
         gold,
-        lex,
         mapping,
         threshold=args.threshold,
         uncovered=args.uncovered,
         minmax=args.minmax,
         with_classification=bool(args.labels),
     )
+    metadata = _metadata("eval", args)
 
-    inputs = [("lexicon", args.lexicon), ("gold", args.gold)]
-    if args.labels:
-        inputs.append(("labels", args.labels))
-    if args.mapping:
-        inputs.append(("mapping", args.mapping))
-    metadata = _metadata("eval", args, inputs)
-
+    rows = [("regression", t, "pearson_r", format_float(r)) for t, r in report.regression.items()]
+    for target, m in (report.classification or {}).items():
+        rows += [
+            ("classification", target, metric, format_float(getattr(m, metric)))
+            for metric in ("precision", "recall", "f1")
+        ]
+    cov = report.coverage
+    rows += [
+        ("coverage", "ALL", "mean_headline_coverage", format_float(cov.mean_coverage)),
+        ("coverage", "ALL", "uncovered_headlines", str(cov.uncovered_headlines)),
+        ("coverage", "ALL", "skipped_empty_headlines", str(cov.skipped_empty_headlines)),
+    ]
+    rows += [("discarded", t, "discarded_target", "no mapping") for t in report.discarded_targets]
     with _in_stage("write-report"), open_sink(args.output) as fh:
         _write_metadata(fh, metadata)
         fh.write("section\temotion\tmetric\tvalue\n")
-        for target, r in report.regression.items():
-            fh.write(f"regression\t{target}\tpearson_r\t{format_float(r)}\n")
-        if report.classification is not None:
-            for target, m in report.classification.items():
-                fh.write(f"classification\t{target}\tprecision\t{format_float(m.precision)}\n")
-                fh.write(f"classification\t{target}\trecall\t{format_float(m.recall)}\n")
-                fh.write(f"classification\t{target}\tf1\t{format_float(m.f1)}\n")
-        cov = report.coverage
-        fh.write(f"coverage\tALL\tmean_headline_coverage\t{format_float(cov.mean_coverage)}\n")
-        fh.write(f"coverage\tALL\tuncovered_headlines\t{cov.uncovered_headlines}\n")
-        fh.write(
-            f"coverage\tALL\tskipped_empty_headlines\t{cov.skipped_empty_headlines}\n"
-        )
-        for target in report.discarded_targets:
-            fh.write(f"discarded\t{target}\tdiscarded_target\tno mapping\n")
-
-    for target, r in report.regression.items():
-        logger.info("regression %s: pearson_r %.4f", target, r)
-    if report.classification is not None:
-        for target, m in report.classification.items():
-            logger.info(
-                "classification %s: P %.4f R %.4f F1 %.4f",
-                target,
-                m.precision,
-                m.recall,
-                m.f1,
-            )
-    logger.info(
-        "coverage: mean %.4f, uncovered %d, empty %d; discarded: %s",
-        report.coverage.mean_coverage,
-        report.coverage.uncovered_headlines,
-        report.coverage.skipped_empty_headlines,
-        ", ".join(report.discarded_targets) or "none",
-    )
+        fh.writelines("\t".join(row) + "\n" for row in rows)
+    for row in rows:
+        logger.info("%s %s: %s %s", *row)
     return 0
 
 
@@ -252,8 +233,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     )
     scores, covered = score_ids(token_ids, lengths, strings, lex)
 
-    inputs = [("lexicon", args.lexicon), ("input", args.input)]
-    metadata = _metadata("score", args, inputs)
+    metadata = _metadata("score", args)
     rows = zip(entries, scores.tolist(), covered.tolist(), lengths.tolist())
     with _in_stage("write-scores"), open_sink(args.output) as fh:
         _write_metadata(fh, metadata)
@@ -275,7 +255,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         "load-corpus", load_corpus, args.corpus, emotions, min_votes_sum=args.min_votes_sum
     )
     stats = _stage("corpus-stats", corpus_stats, corpus)
-    metadata = _metadata("stats", args, [("corpus", args.corpus)])
+    metadata = _metadata("stats", args)
     with _in_stage("write-stats"), open_sink(args.output) as fh:
         _write_metadata(fh, metadata)
         fh.write(f"doc_count\t{stats.doc_count}\n")

@@ -2,9 +2,10 @@
 metrics, label mapping, and coverage statistics.
 
 A gold set is columnar, its headlines sorted by id, and all of them are
-scored together by one ``lexicon.score_ids`` call, so metrics aggregate in
-headline-id order and reports are deterministic. Gold scores arriving on a
-0-100 scale are auto-detected (any value above 1) and divided by 100.
+scored once, by one ``lexicon.score_ids`` call when the set is loaded, so
+metrics aggregate in headline-id order and reports are deterministic. Gold
+scores arriving on a 0-100 scale are auto-detected (any value above 1) and
+divided by 100.
 """
 
 from __future__ import annotations
@@ -30,22 +31,26 @@ MINMAX_SCOPES = ("per-emotion", "joint")
 
 @dataclass(frozen=True, eq=False)
 class GoldSet:
-    """Evaluation headlines, one array or tuple per field, sorted by id.
+    """Evaluation headlines scored by one lexicon, one array or tuple per
+    field, sorted by id.
 
     Headline ``i`` has the id ``ids[i]``, per-emotion gold scores in [0, 1]
     in row ``gold[i]`` and classification gold labels in row ``labels[i]``,
-    one column per entry of ``emotions`` (the gold file's order), and
-    ``lengths[i]`` lemma#pos tokens, the next ``lengths[i]`` entries of
-    ``token_ids``, which index ``strings``.
+    one column per entry of ``emotions`` (the gold file's order). Its
+    predicted scores are row ``scores[i]``, one column per entry of
+    ``sources`` (the lexicon's emotions): the mean lexicon row of the
+    ``covered[i]`` of its ``lengths[i]`` lemma#pos tokens that the lexicon
+    holds.
     """
 
     emotions: tuple[str, ...]
     ids: tuple[str, ...]
     gold: np.ndarray
     labels: np.ndarray
-    token_ids: np.ndarray
+    sources: tuple[str, ...]
+    scores: np.ndarray
+    covered: np.ndarray
     lengths: np.ndarray
-    strings: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -137,7 +142,9 @@ def pearson(xs: Sequence[float], ys: Sequence[float]) -> float:
     dy = y - math.fsum(y.tolist()) / y.size
     sx = math.fsum((dx * dx).tolist())
     sy = math.fsum((dy * dy).tolist())
-    if sx * sy == 0.0:  # also where the product underflows: r would divide by zero
+    # A rounded mean leaves a constant sequence a tiny sx or sy, and their
+    # product can underflow: either way r would be noise or divide by zero.
+    if x.min() == x.max() or y.min() == y.max() or sx * sy == 0.0:
         raise EvaluationError("undefined correlation for a constant sequence")
     r = math.fsum((dx * dy).tolist()) / math.sqrt(sx * sy)
     return min(1.0, max(-1.0, r))
@@ -160,24 +167,15 @@ def min_max_normalize(scores: Sequence[float]) -> np.ndarray:
     return (arr - lo) / (hi - lo)
 
 
-def _check_mapping(
-    mapping: EmotionMapping, gold_emotions: Sequence[str], lex: EmotionLexicon
-) -> list[str]:
+def _check_mapping(mapping: EmotionMapping, gold: GoldSet) -> list[str]:
     """Targets to evaluate, in gold-file order; validates mapped sources."""
-    targets = [t for t in gold_emotions if t in mapping.pairs]
-    missing = [
-        mapping.pairs[t] for t in targets if mapping.pairs[t] not in lex.emotions
-    ]
+    targets = [t for t in gold.emotions if t in mapping.pairs]
+    missing = [mapping.pairs[t] for t in targets if mapping.pairs[t] not in gold.sources]
     if missing:
         raise EvaluationError(
             f"mapped source emotion(s) not in lexicon: {sorted(set(missing))}"
         )
     return targets
-
-
-def _score(gold: GoldSet, lex: EmotionLexicon) -> tuple[np.ndarray, np.ndarray]:
-    """Every headline's score row and covered-token count, in id order."""
-    return score_ids(gold.token_ids, gold.lengths, gold.strings, lex)
 
 
 def _kept(covered: np.ndarray, uncovered: str) -> np.ndarray:
@@ -190,35 +188,20 @@ def _kept(covered: np.ndarray, uncovered: str) -> np.ndarray:
     return keep
 
 
-def _regression(
-    gold: GoldSet,
-    lex: EmotionLexicon,
-    mapping: EmotionMapping,
-    scored: tuple[np.ndarray, np.ndarray],
-    uncovered: str,
+def evaluate_regression(
+    gold: GoldSet, mapping: EmotionMapping, *, uncovered: str = "zero"
 ) -> dict[str, float]:
-    targets = _check_mapping(mapping, gold.emotions, lex)
-    scores, covered = scored
-    keep = _kept(covered, uncovered)
+    """Per mapped target emotion, the Pearson correlation between predicted
+    headline scores (the mapped lexicon column) and gold scores."""
+    targets = _check_mapping(mapping, gold)
+    keep = _kept(gold.covered, uncovered)
     return {
         target: pearson(
-            scores[keep, lex.emotions.index(mapping.pairs[target])],
+            gold.scores[keep, gold.sources.index(mapping.pairs[target])],
             gold.gold[keep, gold.emotions.index(target)],
         )
         for target in targets
     }
-
-
-def evaluate_regression(
-    gold: GoldSet,
-    lex: EmotionLexicon,
-    mapping: EmotionMapping,
-    *,
-    uncovered: str = "zero",
-) -> dict[str, float]:
-    """Per mapped target emotion, the Pearson correlation between predicted
-    headline scores (the mapped lexicon column) and gold scores."""
-    return _regression(gold, lex, mapping, _score(gold, lex), uncovered)
 
 
 def precision_recall_f1(tp: int, fp: int, fn: int) -> ClassificationMetrics:
@@ -230,23 +213,25 @@ def precision_recall_f1(tp: int, fp: int, fn: int) -> ClassificationMetrics:
     return ClassificationMetrics(precision=precision, recall=recall, f1=f1)
 
 
-def _classification(
+def evaluate_classification(
     gold: GoldSet,
-    lex: EmotionLexicon,
     mapping: EmotionMapping,
-    scored: tuple[np.ndarray, np.ndarray],
-    threshold: float,
-    uncovered: str,
-    minmax: str,
+    *,
+    threshold: float = 0.5,
+    uncovered: str = "zero",
+    minmax: str = "per-emotion",
 ) -> dict[str, ClassificationMetrics]:
+    """Binary decisions per emotion after min-max normalizing predicted scores
+    over all test headlines: positive iff the normalized score exceeds the
+    threshold (strictly). An emotion with no positive predictions scores 0
+    precision/recall/F1, never an error."""
     if minmax not in MINMAX_SCOPES:
         raise EvaluationError(f"unknown minmax scope {minmax!r}")
-    targets = _check_mapping(mapping, gold.emotions, lex)
-    if not targets:  # every target discarded or unmapped, as in _regression
+    targets = _check_mapping(mapping, gold)
+    if not targets:  # every target discarded or unmapped, as in evaluate_regression
         return {}
-    scores, covered = scored
-    keep = _kept(covered, uncovered)
-    raw = scores[keep][:, [lex.emotions.index(mapping.pairs[t]) for t in targets]]
+    keep = _kept(gold.covered, uncovered)
+    raw = gold.scores[keep][:, [gold.sources.index(mapping.pairs[t]) for t in targets]]
     if minmax == "per-emotion":
         normalized = np.stack([min_max_normalize(raw[:, j]) for j in range(raw.shape[1])], axis=1)
     else:
@@ -262,24 +247,10 @@ def _classification(
     return results
 
 
-def evaluate_classification(
-    gold: GoldSet,
-    lex: EmotionLexicon,
-    mapping: EmotionMapping,
-    *,
-    threshold: float = 0.5,
-    uncovered: str = "zero",
-    minmax: str = "per-emotion",
-) -> dict[str, ClassificationMetrics]:
-    """Binary decisions per emotion after min-max normalizing predicted scores
-    over all test headlines: positive iff the normalized score exceeds the
-    threshold (strictly). An emotion with no positive predictions scores 0
-    precision/recall/F1, never an error."""
-    scored = _score(gold, lex)
-    return _classification(gold, lex, mapping, scored, threshold, uncovered, minmax)
-
-
-def _coverage(lengths: np.ndarray, covered: np.ndarray) -> CoverageStats:
+def coverage_stats(gold: GoldSet) -> CoverageStats:
+    """Mean per-headline covered-token fraction; zero-token headlines are
+    skipped and counted."""
+    lengths, covered = gold.lengths, gold.covered
     nonempty = lengths > 0
     if not nonempty.any():
         raise EvaluationError("need at least one headline with at least one token")
@@ -290,15 +261,8 @@ def _coverage(lengths: np.ndarray, covered: np.ndarray) -> CoverageStats:
     )
 
 
-def coverage_stats(gold: GoldSet, lex: EmotionLexicon) -> CoverageStats:
-    """Mean per-headline covered-token fraction; zero-token headlines are
-    skipped and counted."""
-    return _coverage(gold.lengths, _score(gold, lex)[1])
-
-
 def evaluate_all(
     gold: GoldSet,
-    lex: EmotionLexicon,
     mapping: EmotionMapping,
     *,
     threshold: float = 0.5,
@@ -307,23 +271,18 @@ def evaluate_all(
     with_classification: bool = True,
 ) -> EvalReport:
     """Full report: regression, optional classification, coverage, and the
-    list of discarded target emotions. Every headline is scored once."""
-    scored = _score(gold, lex)
-    regression = _regression(gold, lex, mapping, scored, uncovered)
+    list of discarded target emotions."""
+    regression = evaluate_regression(gold, mapping, uncovered=uncovered)
     classification = None
     if with_classification:
-        classification = _classification(
-            gold, lex, mapping, scored, threshold, uncovered, minmax
+        classification = evaluate_classification(
+            gold, mapping, threshold=threshold, uncovered=uncovered, minmax=minmax
         )
-    coverage = _coverage(gold.lengths, scored[1])
-    discarded = tuple(
-        t for t in gold.emotions if t not in mapping.pairs
-    )
     return EvalReport(
         regression=regression,
         classification=classification,
-        coverage=coverage,
-        discarded_targets=discarded,
+        coverage=coverage_stats(gold),
+        discarded_targets=tuple(t for t in gold.emotions if t not in mapping.pairs),
     )
 
 
@@ -335,7 +294,8 @@ def load_gold(
     ambiguity: str = "all",
 ) -> GoldSet:
     """Load ``id<TAB>text<TAB>e1...`` gold headlines with an emotion-name
-    header, lemmatizing the text with candidates licensed by the lexicon.
+    header, lemmatizing the text with candidates licensed by the lexicon,
+    and score every headline with that lexicon.
 
     Scores must all lie in [0, 1], or all in [0, 100] (detected by any value
     exceeding 1 and divided by 100); negative values or values above 100 are
@@ -391,8 +351,9 @@ def load_gold(
         vocab=lex,
         policy=ambiguity,
     )
+    scores, covered = score_ids(token_ids, lengths, strings, lex)
     labels = np.zeros(gold.shape, dtype=bool)
-    return GoldSet(emotions, ids, gold, labels, token_ids, lengths, strings)
+    return GoldSet(emotions, ids, gold, labels, lex.emotions, scores, covered, lengths)
 
 
 def load_labels(path, gold: GoldSet) -> GoldSet:

@@ -38,8 +38,8 @@ def corpus_of(docs, emotions=None):
 
 
 def doc_tokens(columns):
-    """Each stream's token strings, in order: of a ``Corpus`` or ``GoldSet``, or
-    of ``(token_ids, lengths, strings)`` as ``lemmatize_ids`` returns them."""
+    """Each stream's token strings, in order: of a ``Corpus``, or of
+    ``(token_ids, lengths, strings)`` as ``lemmatize_ids`` returns them."""
     if not isinstance(columns, tuple):
         columns = columns.token_ids, columns.lengths, columns.strings
     token_ids, lengths, strings = columns

@@ -192,19 +192,22 @@ def test_metric_correctness():
         lex = EmotionLexicon(
             emotions, [f"w{i}#n" for i in range(4)], [np.array([1.0, 0.0])] * 4
         )
-        from moodlex import GoldSet
+        from moodlex import GoldSet, score_ids
 
+        lengths = np.ones(4, dtype=np.int64)
+        scores, covered = score_ids(np.arange(4, dtype=np.int32), lengths, lex.words, lex)
         gold = GoldSet(
             emotions=("ANGER",),
             ids=tuple(f"h{i}" for i in range(4)),
             gold=np.full((4, 1), 0.5),
             labels=np.array([[True], [True], [False], [False]]),
-            token_ids=np.arange(4, dtype=np.int32),
-            lengths=np.ones(4, dtype=np.int64),
-            strings=tuple(f"w{i}#n" for i in range(4)),
+            sources=lex.emotions,
+            scores=scores,
+            covered=covered,
+            lengths=lengths,
         )
         mapping = EmotionMapping(pairs={"ANGER": "ANGRY"})
-        result = evaluate_classification(gold, lex, mapping)
+        result = evaluate_classification(gold, mapping)
         assert result["ANGER"].f1 == 0.0
         assert result["ANGER"].precision == 0.0
         assert result["ANGER"].recall == 0.0
@@ -402,7 +405,7 @@ def test_conditional_published_lexicon_regression():
                 },
                 discarded=("DISGUST",),
             )
-        result = evaluate_regression(gold, lex, mapping)
+        result = evaluate_regression(gold, mapping)
         expected = {
             "FEAR": 0.54,
             "ANGER": 0.38,

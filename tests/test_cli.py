@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import shlex
@@ -271,7 +272,7 @@ class TestEval:
         lex = read_lexicon(built / "lex.tsv")
         gold = load_labels(built / "labels.tsv", load_gold(built / "gold.tsv", lex))
         mapping = EmotionMapping.from_file(built / "mapping.tsv")
-        report = evaluate_all(gold, lex, mapping)
+        report = evaluate_all(gold, mapping)
         for row in rows:
             if row[0] == "regression":
                 assert float(row[3]) == pytest.approx(report.regression[row[1]], abs=1e-9)
@@ -577,6 +578,40 @@ def test_paths_echo_back_through_a_shell_split(path):
     assert echo[:2] == ["moodlex", "build"]
     again = parser.parse_args(echo[1:])
     assert vars(again) == vars(args)
+
+
+@pytest.mark.parametrize(
+    "subcommand, files",
+    [
+        ("build", ["corpus", "vocab", "lemma-table"]),
+        ("eval", ["lexicon", "gold", "labels", "mapping", "lemma-table"]),
+        ("score", ["lexicon", "input", "lemma-table"]),
+        ("stats", ["corpus"]),
+    ],
+)
+def test_metadata_hashes_every_input_file_given(built, subcommand, files):
+    """Every file option given is hashed, in parser order whatever the
+    command-line order, and nothing else is."""
+    (built / "lemmas.tsv").write_text("went\tv\tgo\n[rules]\nv\ts\t\n", encoding="utf-8")
+    (built / "headlines.tsv").write_text("h1\tKill war\n", encoding="utf-8")
+    paths = {
+        "corpus": "corpus.jsonl", "vocab": "vocab.txt", "lemma-table": "lemmas.tsv",
+        "lexicon": "lex.tsv", "gold": "gold.tsv", "labels": "labels.tsv",
+        "mapping": "mapping.tsv", "input": "headlines.tsv",
+    }
+    argv = [subcommand, "--output", str(built / "out.tsv")]
+    for name in reversed(files):
+        argv += [f"--{name}", str(built / paths[name])]
+    assert main(argv) == 0
+    hashed = [
+        line[2:].split(": ")
+        for line in metadata_lines(built / "out.tsv")
+        if line.startswith("# input-")
+    ]
+    assert hashed == [
+        [f"input-{name}-sha256", hashlib.sha256((built / paths[name]).read_bytes()).hexdigest()]
+        for name in files
+    ]
 
 
 def _header_only(name, text):

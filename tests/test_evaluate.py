@@ -26,7 +26,7 @@ from moodlex import (
     score_ids,
 )
 
-from corpora import doc_tokens, token_columns
+from corpora import token_columns
 from dense_reference import exact_pearson, fsum_pearson, mean_scores
 
 EMOTIONS = ("AFRAID", "AMUSED", "ANGRY", "ANNOYED", "DONT_CARE", "HAPPY", "INSPIRED", "SAD")
@@ -135,6 +135,9 @@ class TestPearson:
             pearson([1, 1, 1], [1, 2, 3])
         with pytest.raises(EvaluationError, match="constant"):
             pearson([1, 2, 3], [5, 5, 5])
+        # The mean rounds, so the sum of squares is about 1e-33, not 0.
+        with pytest.raises(EvaluationError, match="constant"):
+            pearson([0.1] * 3, [0, 1, 2])
         # Both sums of squares are positive, but their product underflows to 0.
         with pytest.raises(EvaluationError, match="constant"):
             pearson([0, 1e-100, 0], [0, 1e-100, 2e-100])
@@ -142,6 +145,15 @@ class TestPearson:
             pearson([1, 2], [1, 2, 3])
         with pytest.raises(EvaluationError, match="at least 2"):
             pearson([1], [1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(c=st.floats(0.0, 1.0, exclude_max=True), n=st.integers(2, 50))
+    def test_every_constant_sequence_raises(self, c, n):
+        ys = list(range(n))
+        with pytest.raises(EvaluationError, match="constant"):
+            pearson([c] * n, ys)
+        with pytest.raises(EvaluationError, match="constant"):
+            pearson(ys, [c] * n)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -226,16 +238,20 @@ def headline(hid, tokens, gold, labels=()):
     return Headline(hid, tuple(tokens), gold, frozenset(labels))
 
 
-def gold_set(headlines, emotions=("FEAR", "JOY")):
-    """The columnar GoldSet of ``headline`` rows, sorted by id as ``load_gold`` sorts."""
+def gold_set(headlines, lex, emotions=("FEAR", "JOY")):
+    """The columnar GoldSet of ``headline`` rows, sorted by id and scored by
+    ``lex``, as ``load_gold`` sorts and scores them."""
     rows = sorted(headlines, key=lambda h: h.headline_id)
     shape = (len(rows), len(emotions))
+    token_ids, lengths, strings = token_columns([h.tokens for h in rows])
     return GoldSet(
         tuple(emotions),
         tuple(h.headline_id for h in rows),
         np.array([[h.gold[e] for e in emotions] for h in rows], dtype=np.float64).reshape(shape),
         np.array([[e in h.gold_labels for e in emotions] for h in rows], dtype=bool).reshape(shape),
-        *token_columns([h.tokens for h in rows]),
+        lex.emotions,
+        *score_ids(token_ids, lengths, strings, lex),
+        lengths,
     )
 
 
@@ -247,7 +263,7 @@ class TestEvaluateRegression:
             headline("h2", ["amused#a"], {"FEAR": 0.0, "JOY": 1.0}),
             headline("h3", ["half#n"], {"FEAR": 0.5, "JOY": 0.0}),
         ]
-        result = evaluate_regression(gold_set(headlines), tiny_lexicon, mapping)
+        result = evaluate_regression(gold_set(headlines, tiny_lexicon), mapping)
         assert result["FEAR"] == pytest.approx(1.0, abs=1e-12)
         assert result["JOY"] == pytest.approx(1.0, abs=1e-12)
 
@@ -262,7 +278,7 @@ class TestEvaluateRegression:
             for i in range(40)
         ]
         mapping = EmotionMapping(pairs={"FEAR": "AFRAID"})
-        result = evaluate_regression(gold_set(headlines, ["FEAR"]), lex, mapping)
+        result = evaluate_regression(gold_set(headlines, lex, ["FEAR"]), mapping)
         assert abs(result["FEAR"]) < 1.0
 
     def test_ten_headline_fixture_matches_manual_oracle(self, tiny_lexicon):
@@ -275,7 +291,7 @@ class TestEvaluateRegression:
             tokens = [vocabulary[int(j)] for j in rng.integers(0, 5, size=k)]
             gold = {"FEAR": float(rng.random()), "JOY": float(rng.random())}
             headlines.append(headline(f"h{i}", tokens, gold))
-        result = evaluate_regression(gold_set(headlines), tiny_lexicon, mapping)
+        result = evaluate_regression(gold_set(headlines, tiny_lexicon), mapping)
 
         # Manual spreadsheet-style recomputation: average covered rows per
         # headline by hand, then run the exact-rational correlation oracle.
@@ -308,9 +324,9 @@ class TestEvaluateRegression:
             headline("h3", ["nolex#n"], {"FEAR": 0.5}),
             headline("h4", ["amused#a"], {"FEAR": 0.1}),
         ]
-        gold = gold_set(headlines, ["FEAR"])
-        with_zero = evaluate_regression(gold, tiny_lexicon, mapping, uncovered="zero")
-        without = evaluate_regression(gold, tiny_lexicon, mapping, uncovered="skip")
+        gold = gold_set(headlines, tiny_lexicon, ["FEAR"])
+        with_zero = evaluate_regression(gold, mapping, uncovered="zero")
+        without = evaluate_regression(gold, mapping, uncovered="skip")
         expected_zero = exact_pearson([1.0, 0.5, 0.0, 0.0], [0.9, 0.4, 0.5, 0.1])
         expected_skip = exact_pearson([1.0, 0.5, 0.0], [0.9, 0.4, 0.1])
         assert with_zero["FEAR"] == pytest.approx(expected_zero, abs=1e-12)
@@ -320,7 +336,7 @@ class TestEvaluateRegression:
         mapping = EmotionMapping(pairs={"FEAR": "TERROR"})
         headlines = [headline("h1", ["afraid#a"], {"FEAR": 1.0})]
         with pytest.raises(EvaluationError, match="TERROR"):
-            evaluate_regression(gold_set(headlines, ["FEAR"]), tiny_lexicon, mapping)
+            evaluate_regression(gold_set(headlines, tiny_lexicon, ["FEAR"]), mapping)
 
 
 class TestPrecisionRecallF1:
@@ -353,7 +369,7 @@ class TestEvaluateClassification:
             headline("h2", ["amused#a"], {"FEAR": 0.0, "JOY": 1.0}, labels=["JOY"]),
             headline("h3", ["angry#a"], {"FEAR": 0.0, "JOY": 0.0}),
         ]
-        result = evaluate_classification(gold_set(headlines), tiny_lexicon, mapping)
+        result = evaluate_classification(gold_set(headlines, tiny_lexicon), mapping)
         for target in ("FEAR", "JOY"):
             m = result[target]
             assert (m.precision, m.recall, m.f1) == (1.0, 1.0, 1.0)
@@ -368,7 +384,7 @@ class TestEvaluateClassification:
             headline("h2", ["amused#a"], {"ANGER": 0.1}),
             headline("h3", ["half#n"], {"ANGER": 0.4}, labels=["ANGER"]),
         ]
-        result = evaluate_classification(gold_set(headlines, ["ANGER"]), tiny_lexicon, mapping)
+        result = evaluate_classification(gold_set(headlines, tiny_lexicon, ["ANGER"]), mapping)
         m = result["ANGER"]
         assert (m.precision, m.recall, m.f1) == (0.0, 0.0, 0.0)
 
@@ -385,7 +401,7 @@ class TestEvaluateClassification:
             for i in range(7)
         ]
         mapping = EmotionMapping(pairs={"FEAR": "AFRAID"})
-        result = evaluate_classification(gold_set(headlines, ["FEAR"]), lex, mapping)
+        result = evaluate_classification(gold_set(headlines, lex, ["FEAR"]), mapping)
         m = result["FEAR"]
         assert m.precision == pytest.approx(0.75, abs=1e-12)
         assert m.recall == pytest.approx(0.6, abs=1e-12)
@@ -409,7 +425,7 @@ class TestEvaluateClassification:
             headline("h3", ["amused#a"], {"FEAR": 0.0, "JOY": 1.0}, labels=["JOY"]),
         ]
         result = evaluate_classification(
-            gold_set(headlines), tiny_lexicon, mapping, minmax="joint"
+            gold_set(headlines, tiny_lexicon), mapping, minmax="joint"
         )
         # Joint scaling uses the global min/max, so the 0.5 raw score stays
         # exactly at the threshold and is not positive under strict >.
@@ -420,8 +436,11 @@ class TestEvaluateClassification:
 class TestCoverageStats:
     def test_ratio_contribution(self, tiny_lexicon):
         stats = coverage_stats(
-            gold_set([headline("h1", ["afraid#a", "amused#a", "angry#a", "nolex#n"], {})], ()),
-            tiny_lexicon,
+            gold_set(
+                [headline("h1", ["afraid#a", "amused#a", "angry#a", "nolex#n"], {})],
+                tiny_lexicon,
+                (),
+            )
         )
         assert stats.mean_coverage == pytest.approx(0.75)
 
@@ -430,7 +449,7 @@ class TestCoverageStats:
             headline("h1", ["afraid#a", "half#n"], {}),
             headline("h2", ["angry#a"], {}),
         ]
-        stats = coverage_stats(gold_set(headlines, ()), tiny_lexicon)
+        stats = coverage_stats(gold_set(headlines, tiny_lexicon, ()))
         assert stats.mean_coverage == pytest.approx(1.0)
 
     def test_five_headline_manual_recount(self, tiny_lexicon):
@@ -442,7 +461,7 @@ class TestCoverageStats:
             ["gone#v", "missing#n", "half#n", "afraid#a"],
         ]
         headlines = [headline(f"h{i}", toks, {}) for i, toks in enumerate(token_sets)]
-        stats = coverage_stats(gold_set(headlines, ()), tiny_lexicon)
+        stats = coverage_stats(gold_set(headlines, tiny_lexicon, ()))
         known = {"afraid#a", "amused#a", "angry#a", "half#n"}
         ratios = []
         for toks in token_sets:
@@ -459,13 +478,13 @@ class TestCoverageStats:
             headline("h1", [], {}),
             headline("h2", ["afraid#a"], {}),
         ]
-        stats = coverage_stats(gold_set(headlines, ()), tiny_lexicon)
+        stats = coverage_stats(gold_set(headlines, tiny_lexicon, ()))
         assert stats.skipped_empty_headlines == 1
         assert stats.mean_coverage == pytest.approx(1.0)
 
     def test_all_empty_rejected(self, tiny_lexicon):
         with pytest.raises(EvaluationError):
-            coverage_stats(gold_set([headline("h1", [], {})], ()), tiny_lexicon)
+            coverage_stats(gold_set([headline("h1", [], {})], tiny_lexicon, ()))
 
 
 class TestEvaluateAll:
@@ -479,8 +498,7 @@ class TestEvaluateAll:
             headline("h3", ["half#n"], {"FEAR": 0.5, "JOY": 0.1, "DISGUST": 0.0}),
         ]
         report = evaluate_all(
-            gold_set(headlines, ["FEAR", "JOY", "DISGUST"]),
-            tiny_lexicon,
+            gold_set(headlines, tiny_lexicon, ["FEAR", "JOY", "DISGUST"]),
             mapping,
             with_classification=False,
         )
@@ -489,35 +507,40 @@ class TestEvaluateAll:
         assert report.classification is None
 
     @pytest.mark.parametrize("uncovered", ["zero", "skip"])
-    def test_scores_each_headline_once(self, tiny_lexicon, monkeypatch, uncovered):
+    def test_scores_each_headline_once(self, tmp_path, tiny_lexicon, monkeypatch, uncovered):
         from moodlex import evaluate
 
-        mapping = EmotionMapping(pairs={"FEAR": "AFRAID", "JOY": "AMUSED"})
-        headlines = [
-            headline("h4", ["half#n", "nolex#n"], {"FEAR": 0.5, "JOY": 0.2}, labels=["FEAR"]),
-            headline("h1", ["afraid#a"], {"FEAR": 1.0, "JOY": 0.0}, labels=["FEAR"]),
-            headline("h3", ["nolex#n"], {"FEAR": 0.1, "JOY": 0.3}),
-            headline("h2", ["amused#a", "angry#a"], {"FEAR": 0.0, "JOY": 1.0}, labels=["JOY"]),
-        ]
-        gold = gold_set(headlines, ["FEAR", "JOY"])
-        expected = (
-            evaluate_regression(gold, tiny_lexicon, mapping, uncovered=uncovered),
-            evaluate_classification(gold, tiny_lexicon, mapping, uncovered=uncovered),
-            coverage_stats(gold, tiny_lexicon),
-        )
         calls = []
         original = evaluate.score_ids
 
-        def counting(token_ids, lengths, strings, lex):
-            calls.append((token_ids, lengths, strings))
-            return original(token_ids, lengths, strings, lex)
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
 
         monkeypatch.setattr(evaluate, "score_ids", counting)
-        report = evaluate_all(gold, tiny_lexicon, mapping, uncovered=uncovered)
-        # One call, on the gold set's own token columns.
+        path = tmp_path / "gold.tsv"
+        path.write_text(
+            "id\ttext\tFEAR\tJOY\n"
+            "h4\thalf nolex\t0.5\t0.2\n"
+            "h1\tafraid\t1.0\t0.0\n"
+            "h3\tnolex\t0.1\t0.3\n"
+            "h2\tamused angry\t0.0\t1.0\n",
+            encoding="utf-8",
+        )
+        (tmp_path / "labels.tsv").write_text("h4\tFEAR\nh1\tFEAR\nh2\tJOY\n", encoding="utf-8")
+        gold = load_labels(tmp_path / "labels.tsv", load_gold(path, tiny_lexicon))
+        # Loading scores every headline, in one call.
         assert len(calls) == 1
-        assert calls[0][0] is gold.token_ids and calls[0][1] is gold.lengths
         assert gold.ids == ("h1", "h2", "h3", "h4")
+        mapping = EmotionMapping(pairs={"FEAR": "AFRAID", "JOY": "AMUSED"})
+        expected = (
+            evaluate_regression(gold, mapping, uncovered=uncovered),
+            evaluate_classification(gold, mapping, uncovered=uncovered),
+            coverage_stats(gold),
+        )
+        report = evaluate_all(gold, mapping, uncovered=uncovered)
+        # Evaluation reads the scores that loading stored, and scores nothing.
+        assert len(calls) == 1
         assert (report.regression, report.classification, report.coverage) == expected
         assert report.coverage.uncovered_headlines == 1
 
@@ -535,13 +558,14 @@ class TestGoldLoading:
         gold = load_gold(path, tiny_lexicon)
         assert gold.emotions == ("FEAR", "JOY")
         assert gold.ids == ("h1", "h2")
-        tokens = doc_tokens(gold)
-        # Unmapped surfaces stay as passthrough nouns and count as uncovered.
-        assert tokens[0] == ("afraid#a", "and#n", "amused#a", "crowds#n")
         assert gold.gold.tolist() == [[0.8, 0.1], [0.2, 0.9]]
         assert gold.labels.dtype == bool and not gold.labels.any()
-        # No token of h2 resolves to a lexicon entry: passthrough nouns only.
-        assert all(t.endswith("#n") for t in tokens[1])
+        assert gold.sources == EMOTIONS
+        # Every surface is a token; "and" and "crowds", and all of h2, are
+        # not in the lexicon and count as uncovered.
+        assert gold.lengths.tolist() == [4, 2]
+        assert gold.covered.tolist() == [2, 0]
+        np.testing.assert_array_equal(gold.scores, [(one_hot(0) + one_hot(1)) / 2, np.zeros(8)])
 
     def test_scale_autodetection(self, tmp_path, tiny_lexicon):
         path = self.write_gold(tmp_path, ["h1\tafraid words\t80\t10", "h2\tmore text\t0.5\t20"])
@@ -555,7 +579,8 @@ class TestGoldLoading:
         gold = load_gold(path, tiny_lexicon)
         assert gold.ids == ("h1", "h10", "h2")
         assert gold.gold.tolist() == [[0.8, 0.2], [0.3, 0.4], [0.1, 0.9]]
-        assert doc_tokens(gold) == [("afraid#a",), ("angry#a",), ("amused#a",)]
+        assert gold.lengths.tolist() == gold.covered.tolist() == [1, 1, 1]
+        np.testing.assert_array_equal(gold.scores, [one_hot(0), one_hot(2), one_hot(1)])
 
     def test_out_of_range_rejected(self, tmp_path, tiny_lexicon):
         path = self.write_gold(tmp_path, ["h1\ttext\t120\t10"])
@@ -588,8 +613,9 @@ class TestGoldLoading:
         labels_path.write_text("h1\tFEAR,JOY\n", encoding="utf-8")
         labeled = load_labels(labels_path, gold)
         assert labeled.labels.tolist() == [[True, True], [False, False]]
-        # The labels are a new set; the gold scores and tokens are shared.
+        # The labels are a new set; the gold and predicted scores are shared.
         assert not gold.labels.any() and labeled.gold is gold.gold
+        assert labeled.scores is gold.scores
 
     def test_label_errors(self, tmp_path, tiny_lexicon):
         gold_path = self.write_gold(tmp_path, ["h1\tafraid\t0.9\t0.0"])

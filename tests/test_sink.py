@@ -23,7 +23,7 @@ from moodlex import (
 from moodlex.cli import _read_score_input
 from moodlex.sink import open_sink, open_source
 
-from corpora import doc_tokens, token_columns
+from corpora import doc_tokens
 
 GOLDEN = Path(__file__).parent / "data" / "golden_lexicon.tsv"
 
@@ -144,11 +144,13 @@ def _corpus_summary(path):
 
 
 def _gold_summary(gold):
-    return gold.emotions, gold.ids, gold.gold.tolist(), gold.labels.tolist(), doc_tokens(gold)
+    arrays = gold.gold, gold.labels, gold.scores, gold.covered, gold.lengths
+    return gold.emotions, gold.ids, gold.sources, *(a.tolist() for a in arrays)
 
 
 ONE_HEADLINE = GoldSet(
-    ("FEAR",), ("h1",), np.array([[0.5]]), np.zeros((1, 1), dtype=bool), *token_columns([["awe#n"]])
+    ("FEAR",), ("h1",), np.array([[0.5]]), np.zeros((1, 1), dtype=bool),
+    ("AFRAID",), np.ones((1, 1)), np.ones(1, dtype=np.int64), np.ones(1, dtype=np.int64),
 )
 
 
