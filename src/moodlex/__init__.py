@@ -31,7 +31,7 @@ _EXPORTS = {
         "EmotionLexicon build_lexicon column_normalize emotion_product read_lexicon "
         "row_scale score_ids write_lexicon"
     ).split(),
-    "matrix": "TermDocumentMatrix apply_weighting count_terms filter_min_df write_matrix_dump".split(),
+    "matrix": "TermDocumentMatrix apply_weighting count_terms write_matrix_dump".split(),
     "textpipe": "LemmaTable VocabularyFilter lemmatize_ids tokenize".split(),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -132,7 +132,6 @@ def cmd_build(args: argparse.Namespace) -> int:
             corpus,
             vocab,
             WEIGHTINGS[args.weighting],
-            emotions=emotions,
             lemma_table=table,
             ambiguity=args.ambiguity,
             col_norm=args.col_norm,
@@ -262,7 +261,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         fh.write(f"token_count\t{stats.token_count}\n")
         fh.write(f"mean_doc_length\t{format_float(stats.mean_doc_length)}\n")
         fh.write("emotion\tmean_votes\n")
-        for label, mean in zip(emotions.labels, stats.mean_votes.tolist()):
+        for label, mean in zip(corpus.emotions, stats.mean_votes.tolist()):
             fh.write(f"{label}\t{format_float(mean)}\n")
     logger.info(
         "%d document(s), %d token(s), mean length %.1f",

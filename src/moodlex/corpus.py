@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import count
 from typing import Iterable, Mapping
 
@@ -83,16 +84,17 @@ class Corpus:
     """A parsed corpus, one array or tuple per field, documents in file order.
 
     Document ``i`` has the id ``doc_ids[i]``, the vote fractions ``votes[i]``
-    and ``lengths[i]`` tokens, the next ``lengths[i]`` entries of
-    ``token_ids``. A token id indexes ``strings``, the distinct token strings
-    in order of first occurrence. A raw-text document has no tokens until
-    :meth:`lemmatized`; ``texts`` maps its index to its text. Documents with
-    no tokens are legal (they are dropped from matrix construction with a
-    warning, never an abort).
+    (column ``k`` for the emotion ``emotions[k]``) and ``lengths[i]`` tokens,
+    the next ``lengths[i]`` entries of ``token_ids``. A token id indexes
+    ``strings``, the distinct token strings in order of first occurrence. A
+    raw-text document has no tokens until :meth:`lemmatized`; ``texts`` maps
+    its index to its text. Documents with no tokens are legal (they are
+    dropped from matrix construction with a warning, never an abort).
     """
 
     doc_ids: tuple[str, ...]
     votes: np.ndarray
+    emotions: tuple[str, ...]
     token_ids: np.ndarray
     lengths: np.ndarray
     strings: tuple[str, ...]
@@ -126,12 +128,8 @@ class Corpus:
         token_ids = np.empty(in_text.size, dtype=np.int32)
         token_ids[in_text] = renumber[text_ids]
         token_ids[~in_text] = self.token_ids
-        return Corpus(
-            doc_ids=self.doc_ids,
-            votes=self.votes,
-            token_ids=token_ids,
-            lengths=lengths,
-            strings=strings,
+        return replace(
+            self, token_ids=token_ids, lengths=lengths, strings=strings, texts={}
         )
 
 
@@ -270,6 +268,8 @@ def parse_corpus(
     dropped before validation.
     """
     emotions = emotions if emotions is not None else EmotionSet.default()
+    if min_votes_sum is not None and math.isnan(min_votes_sum):
+        raise CorpusError("min vote sum must be a number, got nan")
     doc_ids: list[str] = []
     votes: list[np.ndarray] = []
     lengths = array("q")
@@ -334,6 +334,7 @@ def parse_corpus(
     return Corpus(
         doc_ids=tuple(doc_ids),
         votes=np.array(votes, dtype=np.float64).reshape(len(doc_ids), len(emotions)),
+        emotions=emotions.labels,
         token_ids=np.frombuffer(token_ids, dtype=np.int32),
         lengths=np.frombuffer(lengths, dtype=np.int64),
         strings=tuple(id_of),

@@ -227,6 +227,8 @@ def evaluate_classification(
     precision/recall/F1, never an error."""
     if minmax not in MINMAX_SCOPES:
         raise EvaluationError(f"unknown minmax scope {minmax!r}")
+    if not math.isfinite(threshold):
+        raise EvaluationError(f"threshold must be finite, got {threshold}")
     targets = _check_mapping(mapping, gold)
     if not targets:  # every target discarded or unmapped, as in evaluate_regression
         return {}

@@ -10,7 +10,7 @@ immutable. A token stream scores the mean of its covered tokens' rows.
 from __future__ import annotations
 
 import logging
-from itertools import compress, repeat
+from itertools import repeat
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
@@ -19,8 +19,8 @@ from . import textpipe
 from .errors import LexiconError, TextPipeError
 from .sink import format_float, open_sink, open_source
 
-if TYPE_CHECKING:  # build_lexicon imports these itself: reading and scoring never do
-    from .corpus import Corpus, EmotionSet
+if TYPE_CHECKING:  # annotations only: reading and scoring never import these
+    from .corpus import Corpus
     from .matrix import TermDocumentMatrix
 
 logger = logging.getLogger(__name__)
@@ -126,23 +126,16 @@ def score_ids(
     return sums, covered
 
 
-def emotion_product(wd: TermDocumentMatrix, votes: np.ndarray) -> np.ndarray:
+def emotion_product(wd: TermDocumentMatrix) -> np.ndarray:
     """Raw words-by-emotions mass: for each word and emotion, the sum over
-    documents of the word's weight times the document's vote fraction.
-
-    ``votes`` is the documents-by-emotions array whose row ``j`` belongs to
-    ``wd.doc_ids[j]``."""
-    if votes.ndim != 2 or votes.shape[0] != wd.n_docs:
-        raise LexiconError(
-            f"vote array has shape {votes.shape}, expected ({wd.n_docs}, emotions)"
-        )
+    documents of the word's weight times the document's vote fraction."""
     # Each word's entries are added in storage order starting from 0.0, the
     # order a CSR matrix-vector product uses, so the sums match it bit for bit.
-    rows = wd.entry_rows()
+    rows = np.repeat(np.arange(len(wd.words)), np.diff(wd.indptr))
     return np.column_stack(
         [
-            np.bincount(rows, weights=wd.data * votes[wd.indices, k], minlength=len(wd.words))
-            for k in range(votes.shape[1])
+            np.bincount(rows, weights=wd.data * wd.votes[wd.indices, k], minlength=len(wd.words))
+            for k in range(wd.votes.shape[1])
         ]
     )
 
@@ -183,7 +176,6 @@ def build_lexicon(
     vocab: textpipe.VocabularyFilter,
     scheme: str,
     *,
-    emotions: EmotionSet | None = None,
     lemma_table: textpipe.LemmaTable | None = None,
     ambiguity: str = "all",
     col_norm: str = "sum",
@@ -191,16 +183,16 @@ def build_lexicon(
     min_df: int = 1,
     matrix_dump_sink=None,
 ) -> EmotionLexicon:
-    """Run the full pipeline from a validated corpus to an emotion lexicon.
+    """Run the full pipeline from a validated corpus to an emotion lexicon
+    over ``corpus.emotions``.
 
     Raw-text documents go through tokenize/lemmatize with candidates licensed
     by ``vocab``; pre-annotated token streams are used as-is. Both are then
-    vocabulary-filtered, counted, weighted under ``scheme``, multiplied into
-    the vote matrix, column-normalized and row-scaled. Filtering and
-    counting work on token ids, never on the token strings.
+    vocabulary-filtered and counted, weighted under ``scheme``, multiplied
+    into the votes, column-normalized and row-scaled. Filtering and counting
+    work on token ids, never on the token strings.
     """
-    from .corpus import Corpus, EmotionSet
-    from .matrix import SCHEMES, apply_weighting, count_terms, filter_min_df, write_matrix_dump
+    from .matrix import SCHEMES, apply_weighting, count_terms, write_matrix_dump
     if scheme not in SCHEMES:
         raise LexiconError(f"unknown weighting scheme {scheme!r}: expected one of {SCHEMES}")
     # Checked up front: token-only corpora never reach lemmatize.
@@ -209,41 +201,12 @@ def build_lexicon(
             f"unknown ambiguity policy {ambiguity!r}: "
             f"expected one of {textpipe.AMBIGUITY_POLICIES}"
         )
-    emotions = emotions if emotions is not None else EmotionSet.default()
     table = lemma_table if lemma_table is not None else textpipe.LemmaTable()
 
-    corpus = corpus.lemmatized(table, vocab, ambiguity)
-    # Vocabulary membership is decided once per distinct string; filtered
-    # lengths are the kept tokens per document.
-    in_vocab = np.fromiter(
-        map(vocab.__contains__, corpus.strings), dtype=bool, count=len(corpus.strings)
-    )
-    keep = in_vocab[corpus.token_ids]
-    doc_of = np.repeat(np.arange(len(corpus), dtype=np.int32), corpus.lengths)
-    lengths = np.bincount(doc_of[keep], minlength=len(corpus))
-    del doc_of
-    nonempty = lengths > 0
-    empty = len(corpus) - int(np.count_nonzero(nonempty))
-    if empty:
-        logger.warning(
-            "%d document(s) had no tokens after vocabulary filtering and were dropped",
-            empty,
-        )
-    kept = Corpus(
-        doc_ids=tuple(compress(corpus.doc_ids, nonempty)),
-        votes=corpus.votes[nonempty],
-        token_ids=corpus.token_ids[keep],
-        lengths=lengths[nonempty],
-        strings=corpus.strings,
-    )
-    del keep
-
-    counted = count_terms(kept, raw_lengths=corpus.lengths[nonempty])
-    counted = filter_min_df(counted, min_df)
-    weighted = apply_weighting(counted, scheme, nf_length=nf_length)
-
-    raw_we = emotion_product(weighted, kept.votes)
-    normalized = column_normalize(raw_we, emotions.labels, mode=col_norm)
+    counted = count_terms(corpus.lemmatized(table, vocab, ambiguity), vocab)
+    weighted = apply_weighting(counted, scheme, nf_length=nf_length, min_df=min_df)
+    del counted  # frees the raw counts where weighting copied them
+    normalized = column_normalize(emotion_product(weighted), corpus.emotions, mode=col_norm)
     words, scaled, dropped_rows = row_scale(normalized, weighted.words)
     if not words:
         raise LexiconError("empty lexicon: every word row had zero mass")
@@ -261,9 +224,9 @@ def build_lexicon(
         ("ambiguity", ambiguity),
         ("entries", str(len(words))),
         ("dropped-zero-rows", str(dropped_rows)),
-        ("dropped-empty-docs", str(empty)),
+        ("dropped-empty-docs", str(len(corpus) - weighted.n_docs)),
     ]
-    return EmotionLexicon(emotions.labels, words, scaled, provenance=provenance)
+    return EmotionLexicon(corpus.emotions, words, scaled, provenance=provenance)
 
 
 def write_lexicon(lex: EmotionLexicon, sink) -> None:

@@ -14,6 +14,7 @@ import logging
 import math
 from functools import cached_property
 from itertools import compress
+from typing import Container
 
 import numpy as np
 
@@ -34,12 +35,12 @@ TFIDF_VARIANT = "count*ln(N/df)"
 @dataclasses.dataclass(frozen=True, eq=False)
 class TermDocumentMatrix:
     """Words-by-documents weights in CSR form plus the metadata needed to
-    re-weight them.
+    re-weight them and multiply them into the votes.
 
     ``doc_lengths`` holds the vocabulary-filtered token count per document
-    and ``raw_doc_lengths`` (when available) the pre-filter count;
-    ``doc_freq`` is the number of documents containing each word, taken from
-    the raw counts.
+    and ``raw_doc_lengths`` the pre-filter count; ``doc_freq`` is the number
+    of documents containing each word, taken from the raw counts. Row ``j``
+    of ``votes`` is the vote fractions of ``doc_ids[j]``.
     """
 
     words: tuple[str, ...]
@@ -49,8 +50,9 @@ class TermDocumentMatrix:
     data: np.ndarray
     scheme: str
     doc_lengths: np.ndarray
+    raw_doc_lengths: np.ndarray
     doc_freq: np.ndarray
-    raw_doc_lengths: np.ndarray | None = None
+    votes: np.ndarray
 
     @property
     def n_docs(self) -> int:
@@ -60,35 +62,41 @@ class TermDocumentMatrix:
     def row_index(self) -> dict[str, int]:
         return {word: i for i, word in enumerate(self.words)}
 
-    def entry_rows(self) -> np.ndarray:
-        """The row of every stored entry, in storage order."""
-        return np.repeat(np.arange(len(self.words)), np.diff(self.indptr))
 
+def count_terms(corpus: Corpus, vocab: Container[str]) -> TermDocumentMatrix:
+    """Count the tokens of ``corpus`` that ``vocab`` holds into a sparse
+    words-by-documents matrix.
 
-def count_terms(corpus: Corpus, *, raw_lengths: np.ndarray | None = None) -> TermDocumentMatrix:
-    """Count raw term occurrences into a sparse words-by-documents matrix.
-
-    Tokens are expected to be vocabulary-filtered already; raw-text
-    documents, which have no tokens, count as empty. Empty documents are
-    skipped; a corpus with zero non-empty documents is an error. Rows cover
-    exactly the words occurring at least once, in sorted order; columns
-    follow corpus order. ``raw_lengths``, one per document of ``corpus``,
-    are the pre-filter lengths kept for normalized frequency.
+    Other tokens are dropped, and so are the documents left with no token,
+    with a warning; raw-text documents, which have no tokens until
+    lemmatized, count as empty. A corpus with zero non-empty documents is an
+    error. Rows cover exactly the words occurring at least once, in sorted
+    order; columns follow corpus order. The kept documents' pre-filter
+    lengths and votes go with the matrix.
     """
-    nonempty = corpus.lengths > 0
-    if not nonempty.any():
+    # Vocabulary membership is decided once per distinct string.
+    in_vocab = np.fromiter(
+        map(vocab.__contains__, corpus.strings), dtype=bool, count=len(corpus.strings)
+    )
+    keep = in_vocab[corpus.token_ids]
+    doc_of = np.repeat(np.arange(len(corpus), dtype=np.int32), corpus.lengths)
+    lengths = np.bincount(doc_of[keep], minlength=len(corpus))
+    del doc_of
+    nonempty = lengths > 0
+    empty = len(corpus) - int(np.count_nonzero(nonempty))
+    if empty:
+        logger.warning(
+            "%d document(s) had no tokens after vocabulary filtering and were dropped",
+            empty,
+        )
+    if empty == len(corpus):
         raise MatrixError("corpus has no non-empty documents")
     doc_ids = tuple(compress(corpus.doc_ids, nonempty))
     if len(set(doc_ids)) != len(doc_ids):
         raise MatrixError("duplicate document ids in corpus")
-    raw_doc_lengths = None
-    if raw_lengths is not None:
-        if np.shape(raw_lengths) != (len(corpus),):
-            raise MatrixError(
-                f"expected {len(corpus)} raw document lengths, got shape {np.shape(raw_lengths)}"
-            )
-        raw_doc_lengths = np.asarray(raw_lengths, dtype=np.float64)[nonempty]
-    lengths = corpus.lengths[nonempty]
+    token_ids = corpus.token_ids[keep]
+    del keep
+    lengths = lengths[nonempty]
 
     # The ids that occur are ranked in sorted word order up front, so every
     # occurrence becomes one int64 key row * n_docs + col; the sorted distinct
@@ -97,12 +105,13 @@ def count_terms(corpus: Corpus, *, raw_lengths: np.ndarray | None = None) -> Ter
     # found by hand, which at 10k x 500 tokens peaks 115 MiB lower than
     # np.unique.
     occurs = np.zeros(len(corpus.strings), dtype=bool)
-    occurs[corpus.token_ids] = True
+    occurs[token_ids] = True
     used = sorted(np.flatnonzero(occurs).tolist(), key=corpus.strings.__getitem__)
     words = tuple(map(corpus.strings.__getitem__, used))
     row_of = np.zeros(len(corpus.strings), dtype=np.int64)
     row_of[used] = np.arange(len(used))
-    keys = row_of[corpus.token_ids]
+    keys = row_of[token_ids]
+    del token_ids
     keys *= len(doc_ids)
     keys += np.repeat(np.arange(len(doc_ids), dtype=np.int32), lengths)
     keys.sort()
@@ -118,38 +127,25 @@ def count_terms(corpus: Corpus, *, raw_lengths: np.ndarray | None = None) -> Ter
         data=counts.astype(np.float64),
         scheme="raw",
         doc_lengths=lengths,
+        raw_doc_lengths=corpus.lengths[nonempty],
         doc_freq=doc_freq,
-        raw_doc_lengths=raw_doc_lengths,
-    )
-
-
-def _keep_entries(
-    tdm: TermDocumentMatrix, data: np.ndarray, keep: np.ndarray, **changes
-) -> TermDocumentMatrix:
-    """``tdm`` holding only the entries of ``data`` where ``keep`` is true;
-    rows left with no entry are dropped, with their words and doc_freq."""
-    per_row = np.bincount(tdm.entry_rows()[keep], minlength=len(tdm.words))
-    rows = np.flatnonzero(per_row)
-    return dataclasses.replace(
-        tdm,
-        words=tuple(tdm.words[i] for i in rows),
-        indptr=np.concatenate(([0], np.cumsum(per_row[rows]))),
-        indices=tdm.indices[keep],
-        data=data[keep],
-        doc_freq=tdm.doc_freq[rows],
-        **changes,
+        votes=corpus.votes[nonempty],
     )
 
 
 def apply_weighting(
-    raw: TermDocumentMatrix, scheme: str, *, nf_length: str = "filtered"
+    raw: TermDocumentMatrix, scheme: str, *, nf_length: str = "filtered", min_df: int = 1
 ) -> TermDocumentMatrix:
-    """Transform a raw-count matrix entrywise under ``scheme``.
+    """Drop the rows that cannot carry weight, then weight the rest of a
+    raw-count matrix entrywise under ``scheme``.
 
-    ``normalized`` divides each column by its document length (filtered
-    length by default, pre-filter length with ``nf_length="raw"``); sparsity
-    is unchanged. ``tfidf`` may zero out ubiquitous terms (df = N); such rows
-    are dropped from the matrix and the drop count is logged.
+    Rows found in fewer than ``min_df`` documents are dropped, and under
+    ``tfidf`` so are the ubiquitous ones (df = N): ln(N / df) is positive
+    for every other row, and counts are at least 1, so those are exactly the
+    rows tf-idf would zero. Each drop count is logged. ``normalized`` divides
+    each column by its document length (filtered length by default,
+    pre-filter length with ``nf_length="raw"``). Document lengths describe
+    the token streams, not the surviving rows.
     """
     if scheme not in SCHEMES:
         raise MatrixError(f"unknown weighting scheme {scheme!r}: expected one of {SCHEMES}")
@@ -157,55 +153,44 @@ def apply_weighting(
         raise MatrixError(f"apply_weighting expects raw counts, got scheme {raw.scheme!r}")
     if nf_length not in NF_LENGTH_MODES:
         raise MatrixError(f"unknown nf length mode {nf_length!r}")
-    if scheme == "raw":
-        return dataclasses.replace(raw, data=raw.data.copy())
+    if min_df < 1:
+        raise MatrixError(f"min-df must be at least 1, got {min_df}")
 
-    if scheme == "normalized":
-        if nf_length == "filtered":
-            lengths = raw.doc_lengths
-        else:
-            if raw.raw_doc_lengths is None:
-                raise MatrixError(
-                    "nf_length='raw' requires raw document lengths in the matrix metadata"
-                )
-            lengths = raw.raw_doc_lengths
-        if np.any(lengths <= 0):
-            raise MatrixError("document with non-positive length in metadata")
-        return dataclasses.replace(
-            raw, data=raw.data / lengths[raw.indices], scheme="normalized"
-        )
-
-    # tfidf: scale every row by ln(N / df); df = N rows become all-zero. The log
-    # is math.log, once per distinct df: numpy's log may differ in the last bit.
-    dfs, inverse = np.unique(raw.doc_freq, return_inverse=True)
-    idf = np.array([math.log(raw.n_docs / df) for df in dfs.tolist()])[inverse]
-    data = raw.data * np.repeat(idf, np.diff(raw.indptr))
-    out = _keep_entries(raw, data, data != 0, scheme="tfidf")
-    if len(out.words) < len(raw.words):
-        logger.info(
-            "tf-idf zeroed %d ubiquitous term(s) (df = N); dropped from the matrix",
-            len(raw.words) - len(out.words),
-        )
-    return out
-
-
-def filter_min_df(tdm: TermDocumentMatrix, min_df: int) -> TermDocumentMatrix:
-    """Drop rows whose document frequency is below ``min_df`` (raw counts only).
-
-    Document lengths are left untouched: they describe the filtered token
-    streams, not the surviving rows.
-    """
-    if min_df <= 1:
-        return tdm
-    if tdm.scheme != "raw":
-        raise MatrixError("min-df filtering applies to raw counts")
-    keep = tdm.doc_freq >= min_df
+    keep = raw.doc_freq >= min_df
     if not keep.any():
         raise MatrixError(f"min-df {min_df} removed every term")
-    if keep.all():
-        return tdm
-    logger.info("min-df %d dropped %d term(s)", min_df, len(keep) - np.count_nonzero(keep))
-    return _keep_entries(tdm, tdm.data, np.repeat(keep, np.diff(tdm.indptr)))
+    rare = len(keep) - int(np.count_nonzero(keep))
+    if rare:
+        logger.info("min-df %d dropped %d term(s)", min_df, rare)
+    if scheme == "tfidf":
+        keep &= raw.doc_freq < raw.n_docs
+        ubiquitous = len(keep) - rare - int(np.count_nonzero(keep))
+        if ubiquitous:
+            logger.info(
+                "tf-idf zeroed %d ubiquitous term(s) (df = N); dropped from the matrix",
+                ubiquitous,
+            )
+    if not keep.all():
+        entries = np.repeat(keep, raw.doc_freq)
+        raw = dataclasses.replace(
+            raw,
+            words=tuple(compress(raw.words, keep)),
+            indptr=np.concatenate(([0], np.cumsum(raw.doc_freq[keep]))),
+            indices=raw.indices[entries],
+            data=raw.data[entries],
+            doc_freq=raw.doc_freq[keep],
+        )
+
+    if scheme == "raw":
+        return raw
+    if scheme == "normalized":
+        lengths = raw.doc_lengths if nf_length == "filtered" else raw.raw_doc_lengths
+        return dataclasses.replace(raw, data=raw.data / lengths[raw.indices], scheme="normalized")
+    # tfidf: scale every row by ln(N / df). The log is math.log, once per
+    # distinct df: numpy's log may differ in the last bit.
+    dfs, inverse = np.unique(raw.doc_freq, return_inverse=True)
+    idf = np.array([math.log(raw.n_docs / df) for df in dfs.tolist()])[inverse]
+    return dataclasses.replace(raw, data=raw.data * np.repeat(idf, raw.doc_freq), scheme="tfidf")
 
 
 def write_matrix_dump(tdm: TermDocumentMatrix, sink) -> None:

@@ -119,8 +119,8 @@ def test_column_scale_invariance(emotions):
             for doc_id, tokens, votes in triples
             if (filtered := [t for t in tokens if t in vocab])
         )
-        weighted = apply_weighting(count_terms(kept), "normalized")
-        raw_we = emotion_product(weighted, kept.votes)
+        weighted = apply_weighting(count_terms(kept, vocab), "normalized")
+        raw_we = emotion_product(weighted)
         labels = emotions.labels
         base_words, base_rows, _ = row_scale(
             column_normalize(raw_we, labels), weighted.words
@@ -354,6 +354,7 @@ def test_scale_target(tmp_path, emotions):
         records = Corpus(
             doc_ids=tuple(f"d{j:05d}" for j in range(n_docs)),
             votes=votes,
+            emotions=emotions.labels,
             token_ids=ids.astype(np.int32).ravel(),
             lengths=np.full(n_docs, doc_len),
             strings=tuple(vocab_words),

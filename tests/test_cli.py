@@ -218,6 +218,18 @@ class TestBuild:
         messages = [r.message for r in caplog.records if r.levelname == "ERROR"]
         assert any("load-corpus" in m and "line 6: non-numeric vote" in m for m in messages)
 
+    @pytest.mark.parametrize("min_df", [0, -3])
+    def test_min_df_below_one_exits_one(self, workdir, caplog, min_df):
+        assert main(build_args(workdir, min_df=min_df)) == 1
+        messages = [r.message for r in caplog.records if r.levelname == "ERROR"]
+        assert messages == [f"build-lexicon: min-df must be at least 1, got {min_df}"]
+        assert not (workdir / "lex.tsv").exists()
+
+    def test_nan_min_votes_sum_exits_one(self, workdir, caplog):
+        assert main(build_args(workdir, min_votes_sum="nan")) == 1
+        messages = [r.message for r in caplog.records if r.levelname == "ERROR"]
+        assert messages == ["load-corpus: min vote sum must be a number, got nan"]
+
 
 @pytest.fixture()
 def built(workdir):
@@ -317,6 +329,13 @@ class TestEval:
         (built / "gold.tsv").write_text("garbage\n", encoding="utf-8")
         assert main(self.eval_args(built)) == 1
         assert any("load-gold" in r.message for r in caplog.records)
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    def test_non_finite_threshold_exits_one(self, built, caplog, threshold):
+        args = self.eval_args(built, labels=built / "labels.tsv", threshold=threshold)
+        assert main(args) == 1
+        messages = [r.message for r in caplog.records if r.levelname == "ERROR"]
+        assert messages == [f"evaluate: threshold must be finite, got {threshold}"]
 
     def test_unmappable_source_exits_nonzero(self, built, caplog):
         (built / "mapping.tsv").write_text("FEAR\tTERROR\n", encoding="utf-8")

@@ -50,8 +50,8 @@ class TestEmotionProduct:
             doc(emotions, "d0", ["wa#n"], {"E1": 1.0}),
             doc(emotions, "d1", ["wb#n", "wb#n"], {"E2": 1.0}),
         ]
-        wd = count_terms(corpus_of(records, emotions))
-        out = emotion_product(wd, np.eye(2))
+        corpus = corpus_of(records, emotions)
+        out = emotion_product(count_terms(corpus, corpus.strings))
         np.testing.assert_allclose(out, [[1.0, 0.0], [0.0, 2.0]], atol=1e-15)
 
     def test_one_hot_votes_concentrate_one_column(self):
@@ -60,8 +60,8 @@ class TestEmotionProduct:
             doc(emotions, "d0", ["a#n", "b#n"], {"E2": 1.0}),
             doc(emotions, "d1", ["a#n"], {"E2": 1.0}),
         ]
-        wd = count_terms(corpus_of(records, emotions))
-        out = emotion_product(wd, np.array([[0, 1, 0], [0, 1, 0]], dtype=float))
+        corpus = corpus_of(records, emotions)
+        out = emotion_product(count_terms(corpus, corpus.strings))
         assert np.all(out[:, [0, 2]] == 0)
         assert np.all(out[:, 1] > 0)
 
@@ -79,19 +79,12 @@ class TestEmotionProduct:
             doc(emotions, f"d{j}", streams[j], dict(zip(emotions.labels, votes[j])))
             for j in range(4)
         ]
-        wd = count_terms(corpus_of(records, emotions))
-        out = emotion_product(wd, votes)
+        corpus = corpus_of(records, emotions)
+        wd = count_terms(corpus, corpus.strings)
+        out = emotion_product(wd)
         dense_weights = dense_reference.dense(wd)
         expected = dense_product(dense_weights.tolist(), votes.tolist())
         np.testing.assert_allclose(out, expected, atol=1e-12)
-
-    @pytest.mark.parametrize("shape", [(2, 2), (0, 2), (1,)])
-    def test_vote_array_of_wrong_shape_rejected(self, shape):
-        emotions = EmotionSet(["E1", "E2"])
-        records = [doc(emotions, "d0", ["a#n"], {"E1": 1.0})]
-        wd = count_terms(corpus_of(records, emotions))
-        with pytest.raises(LexiconError, match=r"vote array has shape .*expected \(1, emotions\)"):
-            emotion_product(wd, np.ones(shape))
 
 
 class TestColumnNormalize:
@@ -297,6 +290,17 @@ class TestBuildLexicon:
         assert set(lex.words) == set(expected)
         for word, row in expected.items():
             np.testing.assert_allclose(lex.row(word), row, atol=1e-9)
+
+    def test_columns_follow_the_corpus_emotions(self):
+        """A corpus parsed with its own label order labels the lexicon with it."""
+        emotions = EmotionSet(reversed(EmotionSet.default().labels))
+        others = {label: 1 / 7 for label in emotions.labels if label != "SAD"}
+        corpus = corpus_of(
+            [("d0", ["sad#a"], {"SAD": 1.0}), ("d1", ["other#n"], others)], emotions
+        )
+        lex = build_lexicon(corpus, VocabularyFilter(["sad#a", "other#n"]), "raw")
+        assert lex.emotions == corpus.emotions
+        assert lex.row("sad#a")[lex.emotions.index("SAD")] == 1.0
 
     def test_empty_lexicon_is_error(self, emotions):
         records = corpus_of([doc(emotions, "d0", ["a#n"], {"AFRAID": 1.0})], emotions)
@@ -657,3 +661,5 @@ def test_jsonl_corpus_build_matches_dense_reference(
     assert set(lex.words) == set(expected)
     for word, row in expected.items():
         np.testing.assert_allclose(lex.row(word), row, atol=1e-9)
+    empty = sum(not set(candidates) & set(PROPERTY_VOCAB) for _, candidates, _ in triples)
+    assert dict(lex.provenance)["dropped-empty-docs"] == str(empty)

@@ -15,7 +15,6 @@ from moodlex import (
     MatrixError,
     apply_weighting,
     count_terms,
-    filter_min_df,
     write_matrix_dump,
 )
 
@@ -28,9 +27,15 @@ def records_from(token_streams):
     return corpus_of((f"d{i}", tokens, {"AFRAID": 1.0}) for i, tokens in enumerate(token_streams))
 
 
+def counted(token_streams):
+    """The raw counts of every token of ``token_streams``."""
+    records = records_from(token_streams)
+    return count_terms(records, records.strings)
+
+
 class TestCountTerms:
     def test_simple_counts(self):
-        tdm = count_terms(records_from([["kill#v", "kill#v", "war#n"]]))
+        tdm = counted([["kill#v", "kill#v", "war#n"]])
         dense = dense_reference.dense(tdm)
         assert tdm.words == ("kill#v", "war#n")
         assert dense[tdm.row_index["kill#v"], 0] == 2
@@ -38,7 +43,7 @@ class TestCountTerms:
         assert tdm.scheme == "raw"
 
     def test_absent_word_has_no_stored_entry(self):
-        tdm = count_terms(records_from([["a#n"], ["b#n"]]))
+        tdm = counted([["a#n"], ["b#n"]])
         assert len(tdm.data) == 2  # one entry per (word, doc) that occurs
 
     def test_random_corpus_matches_nested_loop_recount(self):
@@ -47,7 +52,7 @@ class TestCountTerms:
             [f"w{int(k)}#n" for k in rng.integers(0, 12, size=int(rng.integers(1, 30)))]
             for _ in range(10)
         ]
-        tdm = count_terms(records_from(streams))
+        tdm = counted(streams)
         words, counts = dense_count(streams)
         assert list(tdm.words) == words
         dense = dense_reference.dense(tdm)
@@ -56,25 +61,27 @@ class TestCountTerms:
                 assert dense[wi, dj] == counts[wi][dj]
 
     def test_doc_freq_and_lengths_metadata(self):
-        tdm = count_terms(records_from([["a#n", "b#n"], ["a#n", "a#n", "c#n"]]))
+        tdm = counted([["a#n", "b#n"], ["a#n", "a#n", "c#n"]])
         assert tdm.doc_freq[tdm.row_index["a#n"]] == 2
         assert tdm.doc_freq[tdm.row_index["b#n"]] == 1
         np.testing.assert_array_equal(tdm.doc_lengths, [2, 3])
 
     def test_empty_documents_skipped(self):
-        tdm = count_terms(records_from([["a#n"], [], ["b#n"]]))
+        tdm = counted([["a#n"], [], ["b#n"]])
         assert tdm.doc_ids == ("d0", "d2")
 
     def test_all_empty_is_error(self):
         with pytest.raises(MatrixError, match="no non-empty"):
-            count_terms(records_from([[], []]))
+            counted([[], []])
 
-    def test_raw_lengths_passthrough_and_missing(self):
-        records = records_from([["a#n"], [], ["b#n"]])
-        tdm = count_terms(records, raw_lengths=np.array([5, 2, 3]))
-        np.testing.assert_array_equal(tdm.raw_doc_lengths, [5, 3])
-        with pytest.raises(MatrixError, match="expected 3 raw document lengths"):
-            count_terms(records, raw_lengths=np.array([5, 3]))
+    def test_vocabulary_filter_and_raw_lengths(self):
+        records = records_from([["a#n", "x#n"], ["x#n", "x#n"], ["b#n", "a#n", "y#v"]])
+        tdm = count_terms(records, {"a#n", "b#n"})
+        assert tdm.words == ("a#n", "b#n")
+        assert tdm.doc_ids == ("d0", "d2")
+        np.testing.assert_array_equal(tdm.doc_lengths, [1, 2])
+        np.testing.assert_array_equal(tdm.raw_doc_lengths, [2, 3])
+        np.testing.assert_array_equal(tdm.votes, records.votes[[0, 2]])
 
 
 class TestScalarWeights:
@@ -109,13 +116,13 @@ class TestScalarWeights:
 
 class TestApplyWeighting:
     def test_raw_is_identity(self):
-        tdm = count_terms(records_from([["a#n", "b#n", "a#n"]]))
+        tdm = counted([["a#n", "b#n", "a#n"]])
         out = apply_weighting(tdm, "raw")
         assert out.scheme == "raw"
         np.testing.assert_array_equal(dense_reference.dense(out), dense_reference.dense(tdm))
 
     def test_tfidf_drops_ubiquitous_term(self):
-        tdm = count_terms(records_from([["a#n", "b#n"], ["a#n"]]))
+        tdm = counted([["a#n", "b#n"], ["a#n"]])
         out = apply_weighting(tdm, "tfidf")
         assert "a#n" not in out.words  # df = N, ln 1 = 0, row dropped
         assert "b#n" in out.words
@@ -126,7 +133,7 @@ class TestApplyWeighting:
             [f"w{int(k)}#n" for k in rng.integers(0, 8, size=int(rng.integers(1, 12)))]
             for _ in range(6)
         ]
-        tdm = apply_weighting(count_terms(records_from(streams)), "normalized")
+        tdm = apply_weighting(counted(streams), "normalized")
         words, counts = dense_count(streams)
         dense = dense_reference.dense(tdm)
         for wi, word in enumerate(words):
@@ -140,7 +147,7 @@ class TestApplyWeighting:
             [f"w{int(k)}#n" for k in rng.integers(0, 6, size=int(rng.integers(1, 9)))]
             for _ in range(5)
         ]
-        raw = count_terms(records_from(streams))
+        raw = counted(streams)
         out = apply_weighting(raw, "tfidf")
         raw_dense = dense_reference.dense(raw)
         out_dense = dense_reference.dense(out)
@@ -157,7 +164,7 @@ class TestApplyWeighting:
         n = 300
         # Word k occurs once in each of the first k documents: df = k.
         streams = [[f"w{k:03d}#n" for k in range(j + 1, n + 1)] for j in range(n)]
-        out = apply_weighting(count_terms(records_from(streams)), "tfidf")
+        out = apply_weighting(counted(streams), "tfidf")
         assert len(out.words) == n - 1  # df = N scores ln 1 = 0 and is dropped
         for row, word in enumerate(out.words):
             df = int(word[1:4])
@@ -170,13 +177,13 @@ class TestApplyWeighting:
         streams = [tokens for _, tokens, _ in docs if tokens]
         filtered = [[t for t in s if t in set(words)] for s in streams]
         filtered = [s for s in filtered if s]
-        tdm = apply_weighting(count_terms(records_from(filtered)), "normalized")
+        tdm = apply_weighting(counted(filtered), "normalized")
         sums = dense_reference.dense(tdm).sum(axis=0)
         np.testing.assert_allclose(sums, 1.0, atol=1e-9)
 
     def test_nf_raw_length_mode(self):
-        records = records_from([["a#n", "b#n"]])
-        tdm = count_terms(records, raw_lengths=np.array([4]))
+        records = records_from([["a#n", "out#n", "b#n", "out#n"]])
+        tdm = count_terms(records, {"a#n", "b#n"})
         out = apply_weighting(tdm, "normalized", nf_length="raw")
         dense = dense_reference.dense(out)
         assert dense[out.row_index["a#n"], 0] == 0.25
@@ -187,7 +194,7 @@ class TestApplyWeighting:
         rng = np.random.default_rng(53)
         universe = [f"w{int(i)}#n" for i in range(10)] + ["out1#n", "out2#n"]
         vocab = set(universe[:10])
-        streams, filtered, raw_lens = [], [], []
+        streams, filtered = [], []
         for j in range(8):
             tokens = [universe[int(k)] for k in rng.integers(0, 12, size=int(rng.integers(2, 15)))]
             kept = [t for t in tokens if t in vocab]
@@ -195,8 +202,7 @@ class TestApplyWeighting:
                 continue
             streams.append(tokens)
             filtered.append(kept)
-            raw_lens.append(len(tokens))
-        tdm = count_terms(records_from(filtered), raw_lengths=np.array(raw_lens))
+        tdm = count_terms(records_from(streams), vocab)
         out = apply_weighting(tdm, "normalized", nf_length="raw")
         sums = dense_reference.dense(out).sum(axis=0)
         for j, (tokens, kept) in enumerate(zip(streams, filtered)):
@@ -205,18 +211,13 @@ class TestApplyWeighting:
             if len(kept) == len(tokens):
                 assert sums[j] == pytest.approx(1.0, abs=1e-9)
 
-    def test_nf_raw_mode_requires_lengths(self):
-        tdm = count_terms(records_from([["a#n"]]))
-        with pytest.raises(MatrixError, match="raw document lengths"):
-            apply_weighting(tdm, "normalized", nf_length="raw")
-
     def test_no_new_entries_created(self):
         rng = np.random.default_rng(43)
         streams = [
             [f"w{int(k)}#n" for k in rng.integers(0, 10, size=int(rng.integers(1, 15)))]
             for _ in range(8)
         ]
-        raw = count_terms(records_from(streams))
+        raw = counted(streams)
         raw_pattern = set(zip(*dense_reference.dense(raw).nonzero()))
         for scheme in ("raw", "normalized", "tfidf"):
             out = apply_weighting(raw, scheme)
@@ -225,13 +226,13 @@ class TestApplyWeighting:
                 assert (raw_wi, dj) in raw_pattern
 
     def test_requires_raw_input(self):
-        tdm = count_terms(records_from([["a#n"]]))
+        tdm = counted([["a#n"]])
         weighted = apply_weighting(tdm, "normalized")
         with pytest.raises(MatrixError, match="expects raw counts"):
             apply_weighting(weighted, "tfidf")
 
     def test_unknown_scheme(self):
-        tdm = count_terms(records_from([["a#n"]]))
+        tdm = counted([["a#n"]])
         with pytest.raises(MatrixError, match="unknown weighting scheme"):
             apply_weighting(tdm, "bm25")
 
@@ -241,7 +242,7 @@ class TestApplyWeighting:
             [f"w{int(k)}#n" for k in rng.integers(0, 7, size=int(rng.integers(1, 10)))]
             for _ in range(6)
         ]
-        raw = count_terms(records_from(streams))
+        raw = counted(streams)
         out = apply_weighting(raw, "tfidf")
         raw_dense = dense_reference.dense(raw)
         out_words = set(out.words)
@@ -258,23 +259,19 @@ class TestApplyWeighting:
 
 class TestMinDf:
     def test_filters_rare_terms(self):
-        tdm = count_terms(records_from([["a#n", "b#n"], ["a#n"]]))
-        out = filter_min_df(tdm, 2)
+        tdm = counted([["a#n", "b#n"], ["a#n"]])
+        out = apply_weighting(tdm, "raw", min_df=2)
         assert out.words == ("a#n",)
 
-    def test_noop_for_one(self):
-        tdm = count_terms(records_from([["a#n"]]))
-        assert filter_min_df(tdm, 1) is tdm
-
     def test_error_when_everything_removed(self):
-        tdm = count_terms(records_from([["a#n"]]))
+        tdm = counted([["a#n"]])
         with pytest.raises(MatrixError, match="removed every term"):
-            filter_min_df(tdm, 5)
+            apply_weighting(tdm, "raw", min_df=5)
 
 
 class TestDump:
     def test_header_and_triples(self):
-        tdm = apply_weighting(count_terms(records_from([["a#n", "a#n", "b#n"]])), "normalized")
+        tdm = apply_weighting(counted([["a#n", "a#n", "b#n"]]), "normalized")
         buf = io.StringIO()
         write_matrix_dump(tdm, buf)
         lines = buf.getvalue().splitlines()
@@ -300,7 +297,7 @@ class TestDump:
         """The same bytes as formatting each weight on its own, under every
         scheme and for arbitrary positive weights, few of them distinct."""
         streams = [[f"w{i}#n" for i in doc] + ["all#n"] for doc in ids]
-        tdm = apply_weighting(count_terms(records_from(streams)), scheme)
+        tdm = apply_weighting(counted(streams), scheme)
         if pool is not None:
             weights = np.array([rnd.choice(pool) for _ in range(len(tdm.data))])
             tdm = dataclasses.replace(tdm, data=weights)

@@ -1,11 +1,12 @@
-"""Byte contract: the data lines of every output of ``build``, ``score``,
-``eval`` and ``stats``, over a matrix of options on inputs that
-``bench/gen.py`` generates, hash to the digests in
-``tests/data/output_digests.tsv``.
+"""Byte contract: every output of ``build``, ``score``, ``eval`` and
+``stats``, over a matrix of options on inputs that ``bench/gen.py``
+generates, hashes to the digests in ``tests/data/output_digests.tsv``.
 
-Data lines are the lines that do not start with ``#``: the metadata names
-temporary paths and the tool version. Every value of every option is used at
-least once, and each weighting scheme runs with and without the matrix dump.
+Every line is hashed except ``# command:``, which names temporary paths, and
+``# tool-version:``. The rest of the metadata is pinned with the data: input
+hashes, lexicon provenance such as ``# entries`` and ``# dropped-empty-docs``,
+and the dump header. Every value of every option is used at least once, and
+each weighting scheme runs with and without the matrix dump.
 Change the table only together with a note of which outputs change and why;
 to regenerate it::
 
@@ -29,6 +30,9 @@ TABLE = ROOT / "tests" / "data" / "output_digests.tsv"
 SEEDS = (1, 2)
 DOCS = 60
 HEADLINES = 300
+
+#: Metadata lines left out of the digest.
+UNPINNED = (b"# command: ", b"# tool-version: ")
 
 #: The eight default emotions in reverse order and lower case.
 REVERSED = "sad,inspired,happy,dont_care,annoyed,angry,amused,afraid"
@@ -108,13 +112,13 @@ def _generate(root: Path, seed: int) -> dict[str, str]:
 
 
 def _digests(argv: list[str], outputs: list[str], dirs: dict[str, str], out: Path) -> list[str]:
-    """Run one case in process; the sha256 of each output's data lines."""
+    """Run one case in process; the sha256 of each output's pinned lines."""
     argv = [a.format(out=out, **dirs) for a in argv]
     assert main(argv) == 0, argv
     digests = []
     for option in outputs:
         data = Path(argv[argv.index(f"--{option}") + 1]).read_bytes().splitlines(keepends=True)
-        digests.append(hashlib.sha256(b"".join(l for l in data if not l.startswith(b"#"))).hexdigest())
+        digests.append(hashlib.sha256(b"".join(l for l in data if not l.startswith(UNPINNED))).hexdigest())
     return digests
 
 

@@ -8,6 +8,8 @@ merely close.
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -19,7 +21,6 @@ from moodlex import (
     apply_weighting,
     count_terms,
     emotion_product,
-    filter_min_df,
 )
 
 from corpora import corpus_of
@@ -87,13 +88,17 @@ corpora = st.lists(
 @example([[0], [1]], False, 2, "raw", "filtered", 2)  # min-df drops every row
 def test_matches_scipy(word_ids, everywhere, min_df, scheme, nf_length, seed):
     """Empty documents are skipped, a word in every document (df = N) is
-    dropped by tf-idf, and min-df may drop rows or every row."""
+    dropped by tf-idf, and min-df may drop rows or every row. Each document
+    also holds up to three tokens outside the vocabulary."""
     streams = [
         [f"w{i}#n" for i in doc] + (["all#n"] if everywhere and doc else []) for doc in word_ids
     ]
     rng = np.random.default_rng(seed)
     raw_lengths = np.array([len(tokens) + int(rng.integers(0, 4)) for tokens in streams])
-    records = corpus_of((f"d{j}", tokens, VOTES) for j, tokens in enumerate(streams))
+    records = corpus_of(
+        (f"d{j}", tokens + ["oov#n"] * (n - len(tokens)), VOTES)
+        for j, (tokens, n) in enumerate(zip(streams, raw_lengths))
+    )
     kept_ids = tuple(f"d{j}" for j, tokens in enumerate(streams) if tokens)
     votes = rng.random((len(kept_ids), len(EMOTIONS)))
     expected = scipy_pipeline(
@@ -105,12 +110,13 @@ def test_matches_scipy(word_ids, everywhere, min_df, scheme, nf_length, seed):
         votes,
     )
 
-    counted = count_terms(records, raw_lengths=raw_lengths)
+    counted = count_terms(records, set(records.strings) - {"oov#n"})
+    counted = dataclasses.replace(counted, votes=votes)
     if expected is None:
         with pytest.raises(MatrixError, match="removed every term"):
-            filter_min_df(counted, min_df)
+            apply_weighting(counted, scheme, min_df=min_df)
         return
-    tdm = apply_weighting(filter_min_df(counted, min_df), scheme, nf_length=nf_length)
+    tdm = apply_weighting(counted, scheme, nf_length=nf_length, min_df=min_df)
     words, doc_freq, mat, product = expected
     assert list(tdm.words) == words
     assert tdm.doc_ids == kept_ids
@@ -118,7 +124,7 @@ def test_matches_scipy(word_ids, everywhere, min_df, scheme, nf_length, seed):
     assert np.array_equal(tdm.indptr, mat.indptr)
     assert np.array_equal(tdm.indices, mat.indices)
     assert np.array_equal(tdm.data, mat.data)
-    got = emotion_product(tdm, votes)
+    got = emotion_product(tdm)
     assert np.array_equal(got, product)
 
 
@@ -131,8 +137,8 @@ def test_product_matches_scipy_on_long_rows():
         (f"d{j}", [f"w{int(i)}#n" for i in rng.integers(0, n_words, size=30)], VOTES)
         for j in range(n_docs)
     )
-    tdm = apply_weighting(count_terms(records), "normalized")
+    tdm = apply_weighting(count_terms(records, records.strings), "normalized")
     votes = rng.dirichlet(np.full(len(EMOTIONS), 0.4), size=n_docs)
     mat = sparse.csr_matrix((tdm.data, tdm.indices, tdm.indptr), shape=(n_words, n_docs))
-    got = emotion_product(tdm, votes)
+    got = emotion_product(dataclasses.replace(tdm, votes=votes))
     assert np.array_equal(got, np.asarray(mat @ votes))
