@@ -26,7 +26,7 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__
 from .errors import MoodlexError
-from .sink import format_float, open_sink, open_source
+from .sink import format_float, open_sink, open_source, row_format
 
 logger = logging.getLogger(__name__)
 
@@ -109,8 +109,11 @@ def _emotion_set(labels_csv: str | None):
 def cmd_build(args: argparse.Namespace) -> int:
     from .corpus import load_corpus
     from .lexicon import build_lexicon, write_lexicon
+    from .matrix import check_min_df
     from .textpipe import LemmaTable, VocabularyFilter
-    emotions = _stage("configure", _emotion_set, args.emotions)
+    with _in_stage("configure"):
+        emotions = _emotion_set(args.emotions)
+        check_min_df(args.min_df)
     corpus = _stage(
         "load-corpus", load_corpus, args.corpus, emotions, min_votes_sum=args.min_votes_sum
     )
@@ -153,9 +156,10 @@ def cmd_build(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    from .evaluate import EmotionMapping, evaluate_all, load_gold, load_labels
+    from .evaluate import EmotionMapping, check_threshold, evaluate_all, load_gold, load_labels
     from .lexicon import read_lexicon
     from .textpipe import LemmaTable
+    _stage("configure", check_threshold, args.threshold)
     lex = _stage("read-lexicon", read_lexicon, args.lexicon)
     table = None
     if args.lemma_table:
@@ -234,15 +238,11 @@ def cmd_score(args: argparse.Namespace) -> int:
 
     metadata = _metadata("score", args)
     rows = zip(entries, scores.tolist(), covered.tolist(), lengths.tolist())
+    line = f"%s\t{row_format(len(lex.emotions))}\t%d\t%d\n"
     with _in_stage("write-scores"), open_sink(args.output) as fh:
         _write_metadata(fh, metadata)
         fh.write("id\t" + "\t".join(lex.emotions) + "\tcovered\ttotal\n")
-        fh.write(
-            "".join(
-                f"{line_id}\t" + "\t".join(map(format_float, vec)) + f"\t{n}\t{total}\n"
-                for (line_id, _), vec, n, total in rows
-            )
-        )
+        fh.write("".join(line % (line_id, *vec, n, total) for (line_id, _), vec, n, total in rows))
     logger.info("scored %d line(s)", len(entries))
     return 0
 

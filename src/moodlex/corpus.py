@@ -4,8 +4,9 @@ A corpus file carries one JSON object per line with fields ``id``, exactly
 one of ``tokens`` (array of lemma#pos strings) or ``text`` (raw string), and
 ``votes`` (map from emotion label to a non-negative number). Parsing is
 single-pass and order-preserving. It yields one columnar :class:`Corpus`:
-each distinct token string is checked once and numbered, and the documents'
-tokens are one ``int32`` array of those numbers.
+each distinct token string is numbered as it is first read, and the
+documents' tokens are one ``int32`` array of those numbers. The votes and
+the distinct strings are validated in bulk once every line is read.
 """
 
 from __future__ import annotations
@@ -14,8 +15,9 @@ import json
 import logging
 import math
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from itertools import count
+from itertools import count, islice
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -152,7 +154,15 @@ def validate_votes(raw: Mapping[str, float], emotions: EmotionSet) -> np.ndarray
     proportionally; negative entries, all-zero votes, and sums further from
     1 are rejected rather than silently fixed.
     """
-    values = np.zeros(len(emotions), dtype=np.float64)
+    scaled, errors = _unit_rows(np.array([_vote_row(raw, emotions)]), emotions.labels)
+    if errors:
+        raise VoteError(errors[0])
+    return scaled[0]
+
+
+def _vote_row(raw: Mapping[str, object], emotions: EmotionSet) -> list[float]:
+    """The values of ``raw`` in ``emotions`` order, zero where a label is absent."""
+    row = [0.0] * len(emotions)
     key_of: dict[str, object] = {}
     for key, value in raw.items():
         label = str(key).strip().upper()
@@ -161,24 +171,8 @@ def validate_votes(raw: Mapping[str, float], emotions: EmotionSet) -> np.ndarray
         key_of[label] = key
         # EmotionSet.index raises CorpusError for unknown labels: that is a
         # hard error, not a per-record validation failure.
-        values[emotions.index(label)] = _vote_value(label, value)
-    if not np.all(np.isfinite(values)):
-        raise VoteError("votes must be finite (NaN or infinity found)")
-    negative = np.flatnonzero(values < 0)
-    if negative.size:
-        label = emotions.labels[int(negative[0])]
-        raise VoteError(f"negative vote for {label}")
-    total = float(values.sum())
-    if total <= 0.0:
-        raise VoteError("document with no votes")
-    # The 1e-9 slack keeps sums at the exact tolerance boundary (e.g. two
-    # decimal entries adding up to a displayed 0.99) from being rejected over
-    # binary representation noise.
-    if abs(total - 1.0) > VOTE_SUM_TOLERANCE + 1e-9:
-        raise VoteError(
-            f"vote sum {total:.6g} outside 1 +/- {VOTE_SUM_TOLERANCE:g}; record looks corrupt"
-        )
-    return values / total
+        row[emotions.index(label)] = _vote_value(label, value)
+    return row
 
 
 def _vote_value(label: str, value: object) -> float:
@@ -189,6 +183,38 @@ def _vote_value(label: str, value: object) -> float:
         except (TypeError, ValueError, OverflowError):
             pass
     raise VoteError(f"non-numeric vote for {label}: {value!r}")
+
+
+def _unit_rows(votes: np.ndarray, labels: tuple[str, ...]) -> tuple[np.ndarray, dict[int, str]]:
+    """Each row of the (documents x emotions) ``votes`` divided by its sum,
+    and the error of each row that is not a vote distribution, by row.
+
+    A row must be finite, non-negative and not all zero, and its sum (numpy's
+    pairwise sum, row by row) within VOTE_SUM_TOLERANCE of 1.
+    """
+    with np.errstate(all="ignore"):  # the bad rows are reported, not warned about
+        finite = np.isfinite(votes).all(axis=1)
+        negative = (votes < 0).any(axis=1)
+        totals = votes.sum(axis=1)
+        # The 1e-9 slack keeps sums at the exact tolerance boundary (e.g. two
+        # decimal entries adding up to a displayed 0.99) from being rejected
+        # over binary representation noise.
+        off = np.abs(totals - 1.0) > VOTE_SUM_TOLERANCE + 1e-9
+        scaled = votes / totals[:, None]
+    errors = {}
+    for row in np.flatnonzero(~finite | negative | (totals <= 0.0) | off).tolist():
+        total = float(totals[row])
+        if not finite[row]:
+            errors[row] = "votes must be finite (NaN or infinity found)"
+        elif negative[row]:
+            errors[row] = f"negative vote for {labels[int(np.argmax(votes[row] < 0))]}"
+        elif total <= 0.0:
+            errors[row] = "document with no votes"
+        else:
+            errors[row] = (
+                f"vote sum {total:.6g} outside 1 +/- {VOTE_SUM_TOLERANCE:g}; record looks corrupt"
+            )
+    return scaled, errors
 
 
 class _MalformedRecord(Exception):
@@ -228,29 +254,60 @@ def _record_fields(obj: object) -> tuple[str, list | None, str | None, Mapping]:
     return doc_id, tokens, text, votes
 
 
-class _TokenIds(dict):
-    """Token string -> id, numbered 0, 1, 2, ... on first lookup, when the
-    string is checked."""
-
-    def __missing__(self, token) -> int:
-        if not isinstance(token, str):
-            raise _MalformedRecord(f"token {token!r} is not a string")
-        try:
-            textpipe.check_lemma_pos(token)
-        except TextPipeError as exc:
-            raise _MalformedRecord(f"bad token {token!r}: {exc}") from None
-        self[token] = token_id = len(self)
-        return token_id
-
-
-def _token_ids(tokens: list, id_of: _TokenIds) -> list[int]:
+def _token_error(token: object) -> str | None:
+    """Why ``token`` cannot be a corpus token, or None if it can."""
+    if not isinstance(token, str):
+        return f"token {token!r} is not a string"
     try:
-        return list(map(id_of.__getitem__, tokens))
+        textpipe.check_lemma_pos(token)
+    except TextPipeError as exc:
+        return f"bad token {token!r}: {exc}"
+    return None
+
+
+def _number_tokens(tokens: list, id_of: defaultdict) -> list[int]:
+    """The ids of a record's tokens; ``id_of`` numbers each new one on.
+
+    A token that is not a string raises TypeError, and ``id_of`` forgets the
+    tokens it numbered for this record, so no later record's token that
+    equals one of them (a 1 after a true) is taken for it.
+    """
+    known = len(id_of)
+    try:
+        ids = [*map(id_of.__getitem__, tokens)]  # an unhashable token fails here
+        # Joining the new keys fails on a hashable one that is not a string.
+        "".join(islice(reversed(id_of), len(id_of) - known))
     except TypeError:
-        # An unhashable token (a JSON array or object) fails the lookup
-        # itself. Every token before it passed, so it is the first non-string.
-        bad = next(tok for tok in tokens if not isinstance(tok, str))
-        raise _MalformedRecord(f"token {bad!r} is not a string") from None
+        for token in [*islice(reversed(id_of), len(id_of) - known)]:
+            del id_of[token]
+        id_of.default_factory = count(known).__next__
+        raise
+    return ids
+
+
+def _token_errors(
+    token_ids: np.ndarray, lengths: np.ndarray, strings: tuple[str, ...]
+) -> dict[int, str]:
+    """By document, the error naming its first token that is not lemma#pos.
+
+    The distinct ``strings`` are checked all at once; only if that fails is
+    each one checked on its own, to find the documents and their first bad
+    token.
+    """
+    try:
+        textpipe.check_lemma_pos_all(strings)
+        return {}
+    except TextPipeError:
+        pass
+    errors = {i: e for i, e in enumerate(map(_token_error, strings)) if e is not None}
+    is_bad = np.zeros(len(strings), dtype=bool)
+    is_bad[list(errors)] = True
+    at = np.flatnonzero(is_bad[token_ids])  # ascending, so each document's first comes first
+    doc = np.searchsorted(np.cumsum(lengths), at, side="right")
+    first = np.diff(doc, prepend=-1) != 0
+    return {
+        d: errors[token_ids[p]] for d, p in zip(doc[first].tolist(), at[first].tolist())
+    }
 
 
 def parse_corpus(
@@ -266,18 +323,25 @@ def parse_corpus(
     total count). Duplicate document ids and unknown emotion labels abort
     immediately. Documents whose raw vote sum is below ``min_votes_sum`` are
     dropped before validation.
+
+    Each record's votes become one row and its tokens ids, as it is read;
+    once every line is read, the vote rows are validated as one array and
+    the distinct token strings checked all at once. A line with bad votes
+    reports them, not its tokens, and a line with bad tokens names the first.
     """
     emotions = emotions if emotions is not None else EmotionSet.default()
     if min_votes_sum is not None and math.isnan(min_votes_sum):
         raise CorpusError("min vote sum must be a number, got nan")
     doc_ids: list[str] = []
-    votes: list[np.ndarray] = []
+    doc_lines = array("q")
+    votes = array("d")
     lengths = array("q")
     token_ids = array("i")
     texts: dict[int, str] = {}
-    id_of = _TokenIds()
+    # Token string -> id, numbered 0, 1, 2, ... in order of first occurrence.
+    id_of: defaultdict[str, int] = defaultdict(count().__next__)
     seen: dict[str, int] = {}
-    failures: list[tuple[int, str]] = []
+    failures: dict[int, str] = {}
     dropped_low_votes = 0
     for lineno, line in enumerate(stream, start=1):
         stripped = line.strip()
@@ -304,20 +368,26 @@ def parse_corpus(
                     if raw_sum < min_votes_sum:
                         dropped_low_votes += 1
                         continue
-                doc_votes = validate_votes(votes_raw, emotions)
+                row = _vote_row(votes_raw, emotions)
             except VoteError as exc:
                 raise _MalformedRecord(str(exc)) from None
             if tokens is None:
                 texts[len(doc_ids)] = text
                 lengths.append(0)
             else:
-                # The record's ids go straight into the int32 array.
-                token_ids.fromlist(_token_ids(tokens, id_of))
+                try:
+                    ids = _number_tokens(tokens, id_of)
+                except TypeError:
+                    vote_errors = _unit_rows(np.array([row]), emotions.labels)[1]
+                    message = vote_errors.get(0) or next(filter(None, map(_token_error, tokens)))
+                    raise _MalformedRecord(message) from None
+                token_ids.fromlist(ids)
                 lengths.append(len(tokens))
             doc_ids.append(doc_id)
-            votes.append(doc_votes)
+            doc_lines.append(lineno)
+            votes.fromlist(row)
         except _MalformedRecord as exc:
-            failures.append((lineno, str(exc)))
+            failures[lineno] = str(exc)
     if dropped_low_votes:
         logger.info(
             "%s: dropped %d document(s) below min vote sum %g",
@@ -325,19 +395,29 @@ def parse_corpus(
             dropped_low_votes,
             min_votes_sum,
         )
+    doc_votes, vote_errors = _unit_rows(
+        np.frombuffer(votes).reshape(len(doc_ids), len(emotions)), emotions.labels
+    )
+    token_ids = np.frombuffer(token_ids, dtype=np.int32)
+    lengths = np.frombuffer(lengths, dtype=np.int64)
+    strings = tuple(id_of)
+    # A line's vote error wins over its token error.
+    for doc, message in {**_token_errors(token_ids, lengths, strings), **vote_errors}.items():
+        failures[doc_lines[doc]] = message
     if failures:
-        shown = "; ".join(f"line {n}: {msg}" for n, msg in failures[:_MAX_REPORTED_LINES])
-        suffix = "" if len(failures) <= _MAX_REPORTED_LINES else "; ..."
+        ordered = sorted(failures.items())
+        shown = "; ".join(f"line {n}: {msg}" for n, msg in ordered[:_MAX_REPORTED_LINES])
+        suffix = "" if len(ordered) <= _MAX_REPORTED_LINES else "; ..."
         raise CorpusError(
-            f"{source}: {len(failures)} malformed line(s): {shown}{suffix}"
+            f"{source}: {len(ordered)} malformed line(s): {shown}{suffix}"
         )
     return Corpus(
         doc_ids=tuple(doc_ids),
-        votes=np.array(votes, dtype=np.float64).reshape(len(doc_ids), len(emotions)),
+        votes=doc_votes,
         emotions=emotions.labels,
-        token_ids=np.frombuffer(token_ids, dtype=np.int32),
-        lengths=np.frombuffer(lengths, dtype=np.int64),
-        strings=tuple(id_of),
+        token_ids=token_ids,
+        lengths=lengths,
+        strings=strings,
         texts=texts,
     )
 

@@ -213,6 +213,12 @@ def precision_recall_f1(tp: int, fp: int, fn: int) -> ClassificationMetrics:
     return ClassificationMetrics(precision=precision, recall=recall, f1=f1)
 
 
+def check_threshold(threshold: float) -> None:
+    """Raise :class:`EvaluationError` unless ``threshold`` is finite."""
+    if not math.isfinite(threshold):
+        raise EvaluationError(f"threshold must be finite, got {threshold}")
+
+
 def evaluate_classification(
     gold: GoldSet,
     mapping: EmotionMapping,
@@ -227,8 +233,7 @@ def evaluate_classification(
     precision/recall/F1, never an error."""
     if minmax not in MINMAX_SCOPES:
         raise EvaluationError(f"unknown minmax scope {minmax!r}")
-    if not math.isfinite(threshold):
-        raise EvaluationError(f"threshold must be finite, got {threshold}")
+    check_threshold(threshold)
     targets = _check_mapping(mapping, gold)
     if not targets:  # every target discarded or unmapped, as in evaluate_regression
         return {}
@@ -363,7 +368,8 @@ def load_labels(path, gold: GoldSet) -> GoldSet:
     lines; headlines absent from the file keep an empty label set."""
     row_of = dict(zip(gold.ids, count()))
     column_of = dict(zip(gold.emotions, count()))
-    labels = np.zeros(gold.gold.shape, dtype=bool)
+    rows: list[int] = []
+    columns: list[int] = []
     seen: set[str] = set()
     with open_source(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -389,5 +395,8 @@ def load_labels(path, gold: GoldSet) -> GoldSet:
                 raise EvaluationError(
                     f"{path}:{lineno}: label(s) outside the gold emotion set: {sorted(unknown)}"
                 )
-            labels[row_of[headline_id], [column_of[n] for n in names]] = True
+            rows.extend([row_of[headline_id]] * len(names))
+            columns.extend(map(column_of.__getitem__, names))
+    labels = np.zeros(gold.gold.shape, dtype=bool)
+    labels[rows, columns] = True
     return replace(gold, labels=labels)

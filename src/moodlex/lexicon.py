@@ -17,7 +17,7 @@ import numpy as np
 
 from . import textpipe
 from .errors import LexiconError, TextPipeError
-from .sink import format_float, open_sink, open_source
+from .sink import open_sink, open_source, row_format
 
 if TYPE_CHECKING:  # annotations only: reading and scoring never import these
     from .corpus import Corpus
@@ -239,8 +239,9 @@ def write_lexicon(lex: EmotionLexicon, sink) -> None:
         for key, value in lex.provenance:
             fh.write(f"# {key}: {value}\n")
         fh.write(HEADER_KEY + "\t" + "\t".join(lex.emotions) + "\n")
+        line = f"%s\t{row_format(len(lex.emotions))}\n"
         for word, row in zip(lex.words, lex.scores.tolist()):
-            fh.write(word + "\t" + "\t".join(map(format_float, row)) + "\n")
+            fh.write(line % (word, *row))
 
 
 def read_lexicon(source) -> EmotionLexicon:
@@ -259,16 +260,17 @@ def read_lexicon(source) -> EmotionLexicon:
 
 
 def _read_lexicon_lines(fh, source: str) -> EmotionLexicon:
-    # Lines are checked as text while reading; the scores go into one flat
-    # list and are checked as one array. Before a text error is raised, the
-    # rows read so far are checked too, so the error names the first bad line.
+    # Lines are checked as text while reading; the word keys are checked all
+    # at once and the scores go into one flat list checked as one array.
+    # Before a text error is raised, the rows read so far are checked too, so
+    # the error names the first bad line.
     provenance: list[tuple[str, str]] = []
     emotions: tuple[str, ...] | None = None
     line_of: dict[str, int] = {}
     values: list[float] = []
 
     def fail(lineno: int, message: str) -> LexiconError:
-        _check_scores(values, len(emotions), line_of, source)
+        _check_rows(line_of, values, len(emotions), source)
         return LexiconError(f"{source}:{lineno}: {message}")
 
     for lineno, raw in enumerate(fh, start=1):
@@ -293,43 +295,52 @@ def _read_lexicon_lines(fh, source: str) -> EmotionLexicon:
         if len(fields) != 1 + len(emotions):
             raise fail(lineno, f"expected {1 + len(emotions)} columns, got {len(fields)}")
         word = fields[0]
-        try:
-            textpipe.check_lemma_pos(word)
-        except TextPipeError as exc:
-            raise fail(lineno, f"bad word key: {exc}") from None
         if word in line_of:
             raise fail(lineno, f"duplicate row for {word!r}")
+        line_of[word] = lineno
         try:
             values.extend(map(float, fields[1:]))
         except ValueError:
-            del values[len(line_of) * len(emotions) :]  # this row's parsed part
+            # This row's parsed part goes; its key is still checked first.
+            del values[(len(line_of) - 1) * len(emotions) :]
             raise fail(lineno, "non-numeric score") from None
-        line_of[word] = lineno
     if emotions is None:
         raise LexiconError(f"{source}: missing lexicon header")
     if not line_of:
         raise LexiconError(f"{source}: lexicon has no rows")
-    scores = _check_scores(values, len(emotions), line_of, source)
+    scores = _check_rows(line_of, values, len(emotions), source)
     return EmotionLexicon(emotions, list(line_of), scores, provenance=provenance)
 
 
-def _check_scores(
-    values: list[float], width: int, line_of: dict[str, int], source: str
+def _check_rows(
+    line_of: dict[str, int], values: list[float], width: int, source: str
 ) -> np.ndarray:
-    """The scores as a (rows, width) array, once every row is finite,
-    non-negative and sums to 1 within tolerance; else an error naming the
-    line of the first bad row."""
-    scores = np.array(values, dtype=np.float64).reshape(len(line_of), width)
+    """The scores as a (rows, width) array, once every word key is lemma#pos
+    and every row of scores is finite, non-negative and sums to 1 within
+    tolerance; else an error naming the line of the first bad row, where a
+    bad key comes before bad scores. ``values`` may lack the last row's."""
+    first, message = len(line_of), ""
+    try:
+        textpipe.check_lemma_pos_all(line_of)
+    except TextPipeError:
+        for row, word in enumerate(line_of):
+            try:
+                textpipe.check_lemma_pos(word)
+            except TextPipeError as exc:
+                first, message = row, f"bad word key: {exc}"
+                break
+    scores = np.array(values, dtype=np.float64).reshape(-1, width)
     with np.errstate(invalid="ignore", over="ignore"):
         bad_value = ~np.isfinite(scores).all(axis=1) | (scores < 0).any(axis=1)
         sums = scores.sum(axis=1)
         bad = np.flatnonzero(bad_value | (np.abs(sums - 1.0) > READ_ROW_SUM_TOLERANCE))
-    if bad.size:
-        row = int(bad[0])
-        lineno = list(line_of.values())[row]
-        if bad_value[row]:
-            raise LexiconError(f"{source}:{lineno}: scores must be finite and >= 0")
-        raise LexiconError(
-            f"{source}:{lineno}: row sum {sums[row]:.9g} outside 1 +/- {READ_ROW_SUM_TOLERANCE:g}"
-        )
+    if bad.size and bad[0] < first:
+        first = int(bad[0])
+        if bad_value[first]:
+            message = "scores must be finite and >= 0"
+        else:
+            message = f"row sum {sums[first]:.9g} outside 1 +/- {READ_ROW_SUM_TOLERANCE:g}"
+    if message:
+        lineno = list(line_of.values())[first]
+        raise LexiconError(f"{source}:{lineno}: {message}")
     return scores

@@ -133,6 +133,12 @@ def count_terms(corpus: Corpus, vocab: Container[str]) -> TermDocumentMatrix:
     )
 
 
+def check_min_df(min_df: int) -> None:
+    """Raise :class:`MatrixError` unless ``min_df`` keeps some row: at least 1."""
+    if min_df < 1:
+        raise MatrixError(f"min-df must be at least 1, got {min_df}")
+
+
 def apply_weighting(
     raw: TermDocumentMatrix, scheme: str, *, nf_length: str = "filtered", min_df: int = 1
 ) -> TermDocumentMatrix:
@@ -153,8 +159,7 @@ def apply_weighting(
         raise MatrixError(f"apply_weighting expects raw counts, got scheme {raw.scheme!r}")
     if nf_length not in NF_LENGTH_MODES:
         raise MatrixError(f"unknown nf length mode {nf_length!r}")
-    if min_df < 1:
-        raise MatrixError(f"min-df must be at least 1, got {min_df}")
+    check_min_df(min_df)
 
     keep = raw.doc_freq >= min_df
     if not keep.any():
@@ -199,9 +204,14 @@ def write_matrix_dump(tdm: TermDocumentMatrix, sink) -> None:
 
     ``sink`` is a text stream or a path; a path is written atomically."""
     # Each distinct weight is formatted once, each doc_id cell built once.
-    # searchsorted gives the indices np.unique's return_inverse would, with
-    # a quarter of the temporary memory (47 vs 190 MiB at 4.85M entries).
-    values = np.unique(tdm.data)
+    # The distinct weights are the sorted ones that differ from their
+    # predecessor (a plain np.unique imports numpy.ma, 10-17 ms), and
+    # searchsorted gives the indices its return_inverse would, with a quarter
+    # of the temporary memory (47 vs 190 MiB at 4.85M entries).
+    values = np.sort(tdm.data)
+    distinct = np.ones(values.size, dtype=bool)
+    distinct[1:] = values[1:] != values[:-1]
+    values = values[distinct]
     which = np.searchsorted(values, tdm.data)
     weights = [format_float(value) + "\n" for value in values.tolist()]
     cells = [doc_id + "\t" for doc_id in tdm.doc_ids]

@@ -8,7 +8,7 @@ Every output file appears whole or not at all. A path is written to a
 temporary file in the same directory and renamed over the target only when
 writing finished without an error, so a failed or interrupted run never
 leaves a partial file, nor clobbers an earlier one. Every float in an output
-is written by :data:`format_float`.
+is written by :data:`format_float`, or in rows by :func:`row_format`.
 """
 
 from __future__ import annotations
@@ -24,6 +24,12 @@ SERIALIZED_DIGITS = 9
 
 #: A float as every output file writes it, at SERIALIZED_DIGITS significant digits.
 format_float = f"{{:.{SERIALIZED_DIGITS}g}}".format
+
+
+def row_format(width: int) -> str:
+    """A ``%`` format for ``width`` floats separated by tabs, each written as
+    :data:`format_float` writes it (``"%.9g" % x == format(x, ".9g")``)."""
+    return "\t".join([f"%.{SERIALIZED_DIGITS}g"] * width)
 
 
 @contextmanager

@@ -10,7 +10,7 @@ immutable after load.
 from __future__ import annotations
 
 import re
-from itertools import count
+from itertools import count, islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -31,6 +31,9 @@ _TOKEN_RE = re.compile(r"[^\W\d_]+")
 _ASCII_LETTERS = "".join(chr(c).lower() if chr(c).isalpha() else " " for c in range(128))
 # For a str pattern, \s matches exactly the characters str.isspace accepts.
 _SPACE_RE = re.compile(r"\s")
+# A line break not followed by a whole lemma#pos key line. The literal \n
+# lets the search jump from line to line.
+_NOT_A_KEY_RE = re.compile(rf"\n(?!\S+#[{''.join(POS_TAGS)}]$)", re.M)
 
 
 def check_lemma_pos(token: str) -> None:
@@ -52,6 +55,32 @@ def check_lemma_pos(token: str) -> None:
         raise TextPipeError(f"lemma must be lower-case with no whitespace: {lemma!r}")
 
 
+def check_lemma_pos_all(tokens: Iterable[str]) -> None:
+    """Raise what :func:`check_lemma_pos` raises for the first of ``tokens``
+    it rejects, if any.
+
+    Up to 2**15 tokens are checked at once, each after a line break in one
+    string: no token may hold a line break, each line must be a lemma#pos key
+    and the whole string lower-case. Only when that fails are those tokens
+    checked one by one. The bound keeps the string small next to the tokens.
+    """
+    tokens = iter(tokens)
+    while chunk := list(islice(tokens, 1 << 15)):
+        try:
+            joined = "\n" + "\n".join(chunk)
+        except TypeError:  # a token that is not a string
+            pass
+        else:
+            if (
+                joined.count("\n") == len(chunk)
+                and not _NOT_A_KEY_RE.search(joined)
+                and joined == joined.lower()
+            ):
+                continue
+        for token in chunk:
+            check_lemma_pos(token)
+
+
 class VocabularyFilter(frozenset):
     """Exact-membership whitelist of lemma#pos entries: a frozenset whose
     entries are checked once, when it is made.
@@ -62,8 +91,7 @@ class VocabularyFilter(frozenset):
 
     def __new__(cls, entries: Iterable[str]):
         unique = dict.fromkeys(entries)  # distinct, in input order
-        for entry in unique:
-            check_lemma_pos(entry)
+        check_lemma_pos_all(unique)
         if not unique:
             raise VocabularyError("vocabulary filter has no entries")
         return super().__new__(cls, unique)
@@ -84,7 +112,7 @@ class VocabularyFilter(frozenset):
         try:
             return cls(first_line)
         except TextPipeError:
-            # The constructor checks entries in file order, once each; only
+            # The constructor checks the distinct entries all at once; only
             # now is the first bad line looked up, to name it.
             for entry, lineno in first_line.items():
                 try:

@@ -7,13 +7,15 @@ shares no code path with the sparse implementations it checks.
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from moodlex import LexiconError, MatrixError, TextPipeError
+from moodlex import CorpusError, LexiconError, MatrixError, TextPipeError, VoteError
+from moodlex.corpus import VOTE_SUM_TOLERANCE, Corpus
 from moodlex.lexicon import HEADER_KEY, READ_ROW_SUM_TOLERANCE, EmotionLexicon
 from moodlex.matrix import TFIDF_VARIANT
 
@@ -50,6 +52,141 @@ class _LemmaPos:
 def lemma_pos_reference(token: str) -> None:
     """Raise the TextPipeError the key check gives for ``token``, if any."""
     _LemmaPos.parse(token)
+
+
+def votes_reference(raw, emotions) -> np.ndarray:
+    """One record's votes, checked and divided by their sum on their own."""
+    values = np.zeros(len(emotions), dtype=np.float64)
+    key_of = {}
+    for key, value in raw.items():
+        label = str(key).strip().upper()
+        if label in key_of:
+            raise VoteError(f"votes name {label} twice: {key_of[label]!r} and {key!r}")
+        key_of[label] = key
+        values[emotions.index(label)] = _vote_value_reference(label, value)
+    if not np.all(np.isfinite(values)):
+        raise VoteError("votes must be finite (NaN or infinity found)")
+    for label, value in zip(emotions.labels, values.tolist()):
+        if value < 0:
+            raise VoteError(f"negative vote for {label}")
+    total = float(values.sum())
+    if total <= 0.0:
+        raise VoteError("document with no votes")
+    if abs(total - 1.0) > VOTE_SUM_TOLERANCE + 1e-9:
+        raise VoteError(
+            f"vote sum {total:.6g} outside 1 +/- {VOTE_SUM_TOLERANCE:g}; record looks corrupt"
+        )
+    return values / total
+
+
+def _vote_value_reference(label, value) -> float:
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise VoteError(f"non-numeric vote for {label}: {value!r}")
+
+
+def _record_reference(obj):
+    """A record's id, tokens, text and votes, or the message of its first fault."""
+    if not isinstance(obj, dict):
+        return "record is not an object"
+    if "id" not in obj:
+        return "missing 'id' field"
+    doc_id = obj["id"]
+    if not isinstance(doc_id, str) or not doc_id:
+        return "'id' must be a non-empty string"
+    if "\t" in doc_id or "\r" in doc_id or "\n" in doc_id:
+        return "'id' must not contain a tab, CR or LF"
+    if any(0xD800 <= ord(c) <= 0xDFFF for c in doc_id):
+        return "'id' must be encodable as UTF-8 (no lone surrogates)"
+    if ("tokens" in obj) == ("text" in obj):
+        return "record must have exactly one of 'tokens' or 'text'"
+    if "tokens" in obj and not isinstance(obj["tokens"], list):
+        return "'tokens' must be an array of lemma#pos strings"
+    if "text" in obj and not isinstance(obj["text"], str):
+        return "'text' must be a string"
+    if "votes" not in obj:
+        return "missing 'votes' field"
+    if not isinstance(obj["votes"], dict):
+        return "'votes' must be a map from emotion label to number"
+    return doc_id, obj.get("tokens"), obj.get("text"), obj["votes"]
+
+
+def parse_corpus_reference(lines, emotions, *, min_votes_sum=None, source="<stream>") -> Corpus:
+    """Corpus parser that takes one line at a time through every check: the
+    record, the votes (dropped below ``min_votes_sum`` first), then each
+    token in order, numbering each new string as it passes."""
+    if min_votes_sum is not None and math.isnan(min_votes_sum):
+        raise CorpusError("min vote sum must be a number, got nan")
+    doc_ids, votes, lengths, token_ids, texts = [], [], [], [], {}
+    id_of: dict[str, int] = {}
+    seen: dict[str, int] = {}
+    failures = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line.strip())
+        except json.JSONDecodeError as exc:
+            failures.append(f"line {lineno}: invalid JSON ({exc.msg})")
+            continue
+        except RecursionError:
+            failures.append(f"line {lineno}: invalid JSON (nesting too deep)")
+            continue
+        record = _record_reference(obj)
+        if isinstance(record, str):
+            failures.append(f"line {lineno}: {record}")
+            continue
+        doc_id, tokens, text, raw_votes = record
+        if doc_id in seen:
+            raise CorpusError(
+                f"{source}: duplicate doc id {doc_id!r} on lines {seen[doc_id]} and {lineno}"
+            )
+        seen[doc_id] = lineno
+        try:
+            if min_votes_sum is not None:
+                labels = [str(k).strip().upper() for k in raw_votes]
+                values = [_vote_value_reference(l, v) for l, v in zip(labels, raw_votes.values())]
+                if sum(values) < min_votes_sum:
+                    continue
+            row = votes_reference(raw_votes, emotions)
+        except VoteError as exc:
+            failures.append(f"line {lineno}: {exc}")
+            continue
+        ids = []
+        for token in tokens if tokens is not None else ():
+            if not isinstance(token, str):
+                failures.append(f"line {lineno}: token {token!r} is not a string")
+                break
+            try:
+                lemma_pos_reference(token)
+            except TextPipeError as exc:
+                failures.append(f"line {lineno}: bad token {token!r}: {exc}")
+                break
+            ids.append(id_of.setdefault(token, len(id_of)))
+        else:
+            if tokens is None:
+                texts[len(doc_ids)] = text
+            doc_ids.append(doc_id)
+            votes.append(row)
+            token_ids.extend(ids)
+            lengths.append(len(ids))
+    if failures:
+        suffix = "; ..." if len(failures) > 20 else ""
+        raise CorpusError(
+            f"{source}: {len(failures)} malformed line(s): {'; '.join(failures[:20])}{suffix}"
+        )
+    return Corpus(
+        doc_ids=tuple(doc_ids),
+        votes=np.array(votes, dtype=np.float64).reshape(len(doc_ids), len(emotions)),
+        emotions=emotions.labels,
+        token_ids=np.array(token_ids, dtype=np.int32),
+        lengths=np.array(lengths, dtype=np.int64),
+        strings=tuple(id_of),
+        texts=texts,
+    )
 
 
 def candidates_reference(surface: str, table, vocab, policy: str) -> list[str]:

@@ -222,8 +222,15 @@ class TestBuild:
     def test_min_df_below_one_exits_one(self, workdir, caplog, min_df):
         assert main(build_args(workdir, min_df=min_df)) == 1
         messages = [r.message for r in caplog.records if r.levelname == "ERROR"]
-        assert messages == [f"build-lexicon: min-df must be at least 1, got {min_df}"]
+        assert messages == [f"configure: min-df must be at least 1, got {min_df}"]
         assert not (workdir / "lex.tsv").exists()
+
+    def test_min_df_checked_before_any_input_is_read(self, workdir, caplog):
+        args = build_args(workdir, min_df=0)
+        args[2] = "/nonexistent/corpus.jsonl"
+        assert main(args) == 1
+        messages = [r.message for r in caplog.records if r.levelname == "ERROR"]
+        assert messages == ["configure: min-df must be at least 1, got 0"]
 
     def test_nan_min_votes_sum_exits_one(self, workdir, caplog):
         assert main(build_args(workdir, min_votes_sum="nan")) == 1
@@ -335,7 +342,16 @@ class TestEval:
         args = self.eval_args(built, labels=built / "labels.tsv", threshold=threshold)
         assert main(args) == 1
         messages = [r.message for r in caplog.records if r.levelname == "ERROR"]
-        assert messages == [f"evaluate: threshold must be finite, got {threshold}"]
+        assert messages == [f"configure: threshold must be finite, got {threshold}"]
+
+    @pytest.mark.parametrize("threshold", ["nan", "inf"])
+    def test_non_finite_threshold_exits_one_without_labels(self, built, caplog, threshold):
+        args = self.eval_args(built, threshold=threshold)
+        args[2] = "/nonexistent/lex.tsv"  # checked before any input is read
+        assert main(args) == 1
+        messages = [r.message for r in caplog.records if r.levelname == "ERROR"]
+        assert messages == [f"configure: threshold must be finite, got {threshold}"]
+        assert not (built / "report.tsv").exists()
 
     def test_unmappable_source_exits_nonzero(self, built, caplog):
         (built / "mapping.tsv").write_text("FEAR\tTERROR\n", encoding="utf-8")
@@ -768,7 +784,8 @@ MODULES_PROBE = (
     "if sys.argv[1:]:\n"
     "    import moodlex.cli\n"
     "    assert moodlex.cli.main(sys.argv[1:]) == 0\n"
-    "print(*sorted(m for m in sys.modules if m.split('.')[0] in ('json', 'moodlex', 'scipy')))\n"
+    "print(*sorted(m for m in sys.modules\n"
+    "             if m.split('.')[0] in ('json', 'moodlex', 'scipy') or m == 'numpy.ma'))\n"
 )
 
 SCORE_MODULES = {
@@ -780,7 +797,9 @@ SCORE_MODULES = {
 def test_no_subcommand_loads_scipy(built, subcommand):
     """No subcommand imports scipy, and each loads only the moodlex modules it
     runs: ``score`` loads neither ``evaluate`` nor the corpus and matrix
-    modules, nor ``json``; ``build`` and ``stats`` never load ``evaluate``."""
+    modules, nor ``json``; ``build`` and ``stats`` never load ``evaluate``.
+    ``build`` with the matrix dump, ``score`` and ``eval`` never load
+    ``numpy.ma``, which a plain ``np.unique`` imports."""
     (built / "headlines.tsv").write_text("h1\tawe\nh2\tkill war\n", encoding="utf-8")
     argv = {
         "import": [],
@@ -806,7 +825,7 @@ def test_no_subcommand_loads_scipy(built, subcommand):
         "eval": SCORE_MODULES | {"moodlex.evaluate"},
     }
     absent = {
-        "build": {"moodlex.evaluate"},
+        "build": {"moodlex.evaluate", "numpy.ma"},
         "stats": {"moodlex.evaluate", "moodlex.lexicon", "moodlex.matrix"},
     }
     if subcommand in exact:

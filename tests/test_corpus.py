@@ -24,7 +24,7 @@ from moodlex import (
 from moodlex.corpus import VOTE_SUM_TOLERANCE
 
 from corpora import SMALL_DOCS, doc_tokens
-from dense_reference import candidates_reference
+from dense_reference import candidates_reference, parse_corpus_reference
 
 
 def line(doc_id, votes, tokens=("awe#n",), text=None):
@@ -204,13 +204,13 @@ class TestParseCorpus:
         from moodlex import textpipe
 
         calls = []
-        original = textpipe.check_lemma_pos
+        original = textpipe.check_lemma_pos_all
 
-        def counting(token):
-            calls.append(token)
-            return original(token)
+        def counting(tokens):
+            calls.extend(tokens)
+            return original(tokens)
 
-        monkeypatch.setattr(textpipe, "check_lemma_pos", counting)
+        monkeypatch.setattr(textpipe, "check_lemma_pos_all", counting)
         stream = [
             line("a", {"AFRAID": 1.0}, tokens=["awe#n", "war#n", "awe#n"]),
             line("b", {"AFRAID": 1.0}, tokens=["war#n", "kill#v"]),
@@ -432,3 +432,73 @@ def test_any_json_line_gives_documents_or_a_corpus_error(emotions, lines, min_vo
     except CorpusError:
         return
     assert len(corpus) <= len(lines)
+
+
+# Records whose votes and tokens may both be bad, so the two checks meet on one line.
+VOTED_TOKEN_RECORDS = st.fixed_dictionaries(
+    {
+        "id": st.sampled_from(["d1", "d2", "d3", "d4"]),
+        "tokens": st.lists(TOKENS, max_size=4),
+        "votes": VOTES,
+    }
+)
+
+
+def parsed_or_error(parse, lines, emotions, min_votes_sum):
+    try:
+        return parse(lines, emotions, min_votes_sum=min_votes_sum)
+    except CorpusError as exc:
+        return str(exc)
+
+
+def assert_same_parse(lines, emotions, min_votes_sum=None):
+    got = parsed_or_error(parse_corpus, lines, emotions, min_votes_sum)
+    want = parsed_or_error(parse_corpus_reference, lines, emotions, min_votes_sum)
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    assert got.doc_ids == want.doc_ids and got.emotions == want.emotions
+    assert got.strings == want.strings and got.texts == want.texts
+    for name in ("token_ids", "lengths"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype
+        assert getattr(got, name).tolist() == getattr(want, name).tolist()
+    assert got.votes.dtype == np.float64 and got.votes.shape == want.votes.shape
+    assert got.votes.tobytes() == want.votes.tobytes()  # bit for bit
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    lines=st.lists(
+        LINES | st.lists(VOTED_TOKEN_RECORDS.map(json.dumps), max_size=2), max_size=3
+    ).map(lambda parts: [line for part in parts for line in part]),
+    min_votes_sum=st.none() | st.floats(0.0, 2.0),
+)
+def test_matches_the_per_line_reference_parser(emotions, lines, min_votes_sum):
+    """Bulk vote and token checks give the error text, or the corpus with the
+    bit-identical votes, of a parser that checks one line at a time."""
+    assert_same_parse(lines, emotions, min_votes_sum)
+
+
+def test_errors_found_in_bulk_merge_in_line_order(emotions):
+    def bad_lines(i):
+        return [
+            "{not json",
+            line(f"v{i}", {"AFRAID": 0.4}, tokens=["BAD#z"]),  # the vote error wins
+            line(f"t{i}", {"SAD": 1.0}, tokens=["awe#n", "Awe#n", "x"]),
+            line(f"u{i}", {"SAD": 1.0}, tokens=["awe#n", True]),
+            line(f"w{i}", {"SAD": 1.0}, tokens=[1, "BAD#z"]),  # 1 is not taken for true
+            line(f"n{i}", {"SAD": -1.0, "HAPPY": 2.0}, tokens=[["x"]]),
+            line(f"z{i}", {"SAD": 0.0}),
+        ]
+
+    stream = [line("ok", {"SAD": 1.0})] + [l for i in range(4) for l in bad_lines(i)]
+    with pytest.raises(CorpusError) as info:
+        parse_corpus(stream, emotions)
+    message = str(info.value)
+    assert message.startswith("<stream>: 28 malformed line(s): line 2: invalid JSON")
+    assert "line 3: vote sum 0.4 outside" in message and message.endswith("; ...")
+    assert "line 4: bad token 'Awe#n': lemma must be lower-case" in message
+    assert "line 5: token True is not a string" in message
+    assert "line 6: token 1 is not a string" in message
+    assert "line 7: negative vote for SAD" in message
+    assert_same_parse(stream, emotions)

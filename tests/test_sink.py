@@ -9,6 +9,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from moodlex import (
     EmotionMapping,
@@ -21,7 +23,7 @@ from moodlex import (
     read_lexicon,
 )
 from moodlex.cli import _read_score_input
-from moodlex.sink import open_sink, open_source
+from moodlex.sink import format_float, open_sink, open_source, row_format
 
 from corpora import doc_tokens
 
@@ -87,6 +89,14 @@ def test_stream_and_stdout_pass_through(capsys):
     with open_sink(None) as fh:
         fh.write("to stdout\n")
     assert capsys.readouterr().out == "to stdout\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(row=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=9))
+@example(row=[0.0, -0.0, 5e-324, -5e-324, float("inf"), float("-inf"), float("nan")])
+@example(row=[1e16, 123456789.5, 0.1 + 0.2, 1 / 3, 2.0**-1074 * 3, 1.7976931348623157e308])
+def test_row_format_writes_each_float_as_format_float(row):
+    assert row_format(len(row)) % tuple(row) == "\t".join(map(format_float, row))
 
 
 def read_all(path):

@@ -33,6 +33,7 @@ KEY_PIECES = st.sampled_from(
 )
 PIECED = st.lists(KEY_PIECES, max_size=6).map("".join)
 KEYS = st.builds("{}#{}".format, PIECED, st.sampled_from(["v", "n", "a", "r", "z", "", "N"]))
+GOOD_KEYS = st.from_regex(r"[a-zé.'#]{1,4}#[vnar]", fullmatch=True)
 
 
 def check_outcome(check, token):
@@ -98,6 +99,40 @@ class TestCheckToken:
             lemma_pos_reference, token
         )
 
+    @settings(max_examples=500, deadline=None)
+    @given(
+        tokens=st.lists(
+            st.one_of(GOOD_KEYS, GOOD_KEYS, st.text(), PIECED, KEYS, st.integers()), max_size=5
+        )
+    )
+    @example(tokens=["a#v\nb#n"])
+    @example(tokens=[])
+    @example(tokens=[""])
+    @example(tokens=["ok#n", 5])
+    @example(tokens=["ok#n", "ok#n\n"])
+    def test_bulk_check_matches_each(self, tokens):
+        """check_lemma_pos_all raises exactly when check_lemma_pos rejects some
+        token, and what it raises for the first one."""
+
+        def outcome(check, arg):
+            try:
+                check(arg)
+            except Exception as exc:
+                return type(exc), str(exc)
+            return None
+
+        first = next(filter(None, (outcome(textpipe.check_lemma_pos, t) for t in tokens)), None)
+        assert outcome(textpipe.check_lemma_pos_all, tokens) == first
+
+    def test_bulk_check_names_the_first_bad_token_across_chunks(self):
+        keys = [f"w{i}#n" for i in range(2**15 + 3)]
+        assert textpipe.check_lemma_pos_all(iter(keys)) is None
+        with pytest.raises(TextPipeError, match="invalid pos tag 'z'"):
+            textpipe.check_lemma_pos_all(keys + ["late#z"])
+        keys[5] = "Early#n"
+        with pytest.raises(TextPipeError, match="'Early'"):
+            textpipe.check_lemma_pos_all(keys + ["late#z"])
+
 
 class TestVocabularyFilter:
     def test_empty_is_configuration_error(self):
@@ -132,13 +167,13 @@ class TestVocabularyFilter:
         path = tmp_path / "vocab.txt"
         path.write_text("awe#n\nkill#v\n# awe#n\nawe#n\n\n kill#v\nwar#n\n", encoding="utf-8")
         calls = []
-        check = textpipe.check_lemma_pos
+        check = textpipe.check_lemma_pos_all
 
-        def counted(token):
-            calls.append(token)
-            check(token)
+        def counted(tokens):
+            calls.extend(tokens)
+            check(tokens)
 
-        monkeypatch.setattr(textpipe, "check_lemma_pos", counted)
+        monkeypatch.setattr(textpipe, "check_lemma_pos_all", counted)
         vocab = VocabularyFilter.from_file(path)
         assert sorted(vocab) == ["awe#n", "kill#v", "war#n"]
         assert sorted(calls) == ["awe#n", "kill#v", "war#n"]
