@@ -26,7 +26,15 @@ os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from . import __version__
 from .errors import MoodlexError
-from .sink import format_float, open_sink, open_source, row_format
+from .sink import (
+    first_misfit,
+    format_float,
+    format_rows,
+    open_sink,
+    read_rows,
+    row_format,
+    split_cells,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -107,13 +115,14 @@ def _emotion_set(labels_csv: str | None):
 
 
 def cmd_build(args: argparse.Namespace) -> int:
-    from .corpus import load_corpus
+    from .corpus import check_min_votes_sum, load_corpus
     from .lexicon import build_lexicon, write_lexicon
     from .matrix import check_min_df
     from .textpipe import LemmaTable, VocabularyFilter
     with _in_stage("configure"):
         emotions = _emotion_set(args.emotions)
         check_min_df(args.min_df)
+        check_min_votes_sum(args.min_votes_sum)
     corpus = _stage(
         "load-corpus", load_corpus, args.corpus, emotions, min_votes_sum=args.min_votes_sum
     )
@@ -207,49 +216,45 @@ def cmd_eval(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_score_input(path) -> list[tuple[str, str]]:
-    lines: list[tuple[str, str]] = []
-    with open_source(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\r\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise MoodlexError(
-                    f"{path}:{lineno}: expected 'id<TAB>text', got {len(fields)} fields"
-                )
-            lines.append((fields[0], fields[1]))
-    return lines
+def _read_score_input(path) -> tuple[list[str], list[str]]:
+    """The ids and the texts of the ``id<TAB>text`` rows of the file at ``path``."""
+    rows, linenos = read_rows(path)
+    at, got = first_misfit(rows, 2)
+    if at < len(rows):
+        raise MoodlexError(f"{path}:{linenos[at]}: expected 'id<TAB>text', got {got} fields")
+    cells = split_cells(rows)
+    return cells[0::2], cells[1::2]
 
 
 def cmd_score(args: argparse.Namespace) -> int:
     from .lexicon import read_lexicon, score_ids
-    from .textpipe import LemmaTable, lemmatize_ids, tokenize
+    from .textpipe import LemmaTable, lemmatize_ids, tokenize_all
     lex = _stage("read-lexicon", read_lexicon, args.lexicon)
     table = LemmaTable()
     if args.lemma_table:
         table = _stage("load-lemma-table", LemmaTable.from_file, args.lemma_table)
-    entries = _stage("read-input", _read_score_input, args.input)
+    ids, texts = _stage("read-input", _read_score_input, args.input)
     token_ids, lengths, strings = lemmatize_ids(
-        (tokenize(text) for _, text in entries), table, vocab=lex, policy=args.ambiguity
+        tokenize_all(texts), table, vocab=lex, policy=args.ambiguity
     )
     scores, covered = score_ids(token_ids, lengths, strings, lex)
 
     metadata = _metadata("score", args)
-    rows = zip(entries, scores.tolist(), covered.tolist(), lengths.tolist())
     line = f"%s\t{row_format(len(lex.emotions))}\t%d\t%d\n"
+    columns = [ids, *scores.T.tolist(), covered.tolist(), lengths.tolist()]
     with _in_stage("write-scores"), open_sink(args.output) as fh:
         _write_metadata(fh, metadata)
         fh.write("id\t" + "\t".join(lex.emotions) + "\tcovered\ttotal\n")
-        fh.write("".join(line % (line_id, *vec, n, total) for (line_id, _), vec, n, total in rows))
-    logger.info("scored %d line(s)", len(entries))
+        fh.write(format_rows(line, columns))
+    logger.info("scored %d line(s)", len(ids))
     return 0
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    from .corpus import corpus_stats, load_corpus
-    emotions = _stage("configure", _emotion_set, args.emotions)
+    from .corpus import check_min_votes_sum, corpus_stats, load_corpus
+    with _in_stage("configure"):
+        emotions = _emotion_set(args.emotions)
+        check_min_votes_sum(args.min_votes_sum)
     corpus = _stage(
         "load-corpus", load_corpus, args.corpus, emotions, min_votes_sum=args.min_votes_sum
     )

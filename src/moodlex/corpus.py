@@ -310,6 +310,12 @@ def _token_errors(
     }
 
 
+def check_min_votes_sum(min_votes_sum: float | None) -> None:
+    """Raise :class:`CorpusError` if ``min_votes_sum`` is NaN."""
+    if min_votes_sum is not None and math.isnan(min_votes_sum):
+        raise CorpusError("min vote sum must be a number, got nan")
+
+
 def parse_corpus(
     stream: Iterable[str],
     emotions: EmotionSet | None = None,
@@ -330,8 +336,7 @@ def parse_corpus(
     reports them, not its tokens, and a line with bad tokens names the first.
     """
     emotions = emotions if emotions is not None else EmotionSet.default()
-    if min_votes_sum is not None and math.isnan(min_votes_sum):
-        raise CorpusError("min vote sum must be a number, got nan")
+    check_min_votes_sum(min_votes_sum)
     doc_ids: list[str] = []
     doc_lines = array("q")
     votes = array("d")

@@ -13,7 +13,8 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, replace
-from itertools import count
+from itertools import compress, count, repeat
+from operator import is_, is_not, not_
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -21,7 +22,15 @@ import numpy as np
 from . import textpipe
 from .errors import EvaluationError
 from .lexicon import EmotionLexicon, score_ids
-from .sink import open_source
+from .sink import (
+    first_misfit,
+    first_repeat,
+    first_true,
+    open_source,
+    parse_floats,
+    read_rows,
+    split_cells,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -309,51 +318,52 @@ def load_gold(
     rejected. The headlines come out sorted by id, whatever the line order.
     """
     table = lemma_table if lemma_table is not None else textpipe.LemmaTable()
-    emotions: tuple[str, ...] | None = None
-    parsed: list[tuple[str, str, list[float]]] = []
-    with open_source(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\r\n")
-            if not line.strip() or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if emotions is None:
-                if len(fields) < 3 or fields[0] != "id" or fields[1] != "text":
-                    raise EvaluationError(
-                        f"{path}:{lineno}: expected header 'id<TAB>text<TAB>EMOTION...'"
-                    )
-                emotions = tuple(f.strip().upper() for f in fields[2:])
-                if len(set(emotions)) != len(emotions):
-                    raise EvaluationError(f"{path}:{lineno}: duplicate emotion columns")
-                continue
-            if len(fields) != 2 + len(emotions):
-                raise EvaluationError(
-                    f"{path}:{lineno}: expected {2 + len(emotions)} columns, got {len(fields)}"
-                )
-            headline_id, text = fields[0], fields[1]
-            try:
-                values = [float(v) for v in fields[2:]]
-            except ValueError:
-                raise EvaluationError(f"{path}:{lineno}: non-numeric gold score") from None
-            if not all(math.isfinite(v) and 0 <= v <= 100 for v in values):
-                raise EvaluationError(
-                    f"{path}:{lineno}: gold scores must lie in [0, 1] or [0, 100]"
-                )
-            parsed.append((headline_id, text, values))
-    if emotions is None:
+    rows, linenos = read_rows(path)
+    if not rows:
         raise EvaluationError(f"{path}: missing gold header")
-    if not parsed:
+    fields = rows[0].split("\t")
+    if len(fields) < 3 or fields[0] != "id" or fields[1] != "text":
+        raise EvaluationError(
+            f"{path}:{linenos[0]}: expected header 'id<TAB>text<TAB>EMOTION...'"
+        )
+    emotions = tuple(f.strip().upper() for f in fields[2:])
+    if len(set(emotions)) != len(emotions):
+        raise EvaluationError(f"{path}:{linenos[0]}: duplicate emotion columns")
+    del rows[0], linenos[0]
+    # Each check reads the rows before the first bad one found so far, in the
+    # order a line's faults are reported: the last fault found is the first
+    # bad line's first fault.
+    width, end, fault = len(emotions), len(rows), None
+    at, got = first_misfit(rows, width + 2)
+    if at < end:
+        end, fault = at, f"expected {width + 2} columns, got {got}"
+    cells = split_cells(rows[:end])
+    del rows  # cells hold all of the rows' text
+    ids, texts = cells[0 :: width + 2], cells[1 :: width + 2]
+    del cells[0 :: width + 2], cells[0 :: width + 1]
+    values, parsed = parse_floats(cells)
+    if parsed < len(cells):
+        end, fault = parsed // width, "non-numeric gold score"
+    del cells  # freed before the texts are lemmatized
+    gold = values[: end * width].reshape(end, width)
+    with np.errstate(invalid="ignore"):
+        at = first_true((~((gold >= 0) & (gold <= 100)).all(axis=1)).tolist(), end)
+    if at < end:
+        end, fault = at, "gold scores must lie in [0, 1] or [0, 100]"
+    if fault is not None:
+        raise EvaluationError(f"{path}:{linenos[end]}: {fault}")
+    if not ids:
         raise EvaluationError(f"{path}: no gold headlines")
-    parsed.sort(key=lambda p: p[0])
-    ids = tuple(p[0] for p in parsed)
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    ids = tuple(map(ids.__getitem__, order))
     if len(set(ids)) != len(ids):
         raise EvaluationError(f"{path}: duplicate headline ids")
-    gold = np.array([p[2] for p in parsed], dtype=np.float64)
+    gold = gold[order]
     if (gold > 1.0).any():
         logger.info("gold scores detected on a 0-100 scale; dividing by 100")
         gold /= 100.0
     token_ids, lengths, strings = textpipe.lemmatize_ids(
-        (textpipe.tokenize(text) for _, text, _ in parsed),
+        textpipe.tokenize_all(list(map(texts.__getitem__, order))),
         table,
         vocab=lex,
         policy=ambiguity,
@@ -366,37 +376,38 @@ def load_gold(
 def load_labels(path, gold: GoldSet) -> GoldSet:
     """Attach classification gold labels from ``id<TAB>LABEL[,LABEL...]``
     lines; headlines absent from the file keep an empty label set."""
-    row_of = dict(zip(gold.ids, count()))
+    rows, linenos = read_rows(path, strip=True)
+    # Checked as in load_gold: the last fault found is the first bad line's.
+    end, fault = len(rows), None
+    at, _ = first_misfit(rows, 2)
+    if at < end:
+        end, fault = at, "expected 'id<TAB>LABEL[,LABEL...]'"
+    cells = split_cells(rows[:end])
+    ids, fields = cells[0::2], cells[1::2]
+    heads = list(map(dict(zip(gold.ids, count())).get, ids))
+    at = first_true(map(is_, heads, repeat(None)), end)
+    if at < end:
+        end, fault = at, f"unknown headline id {ids[at]!r}"
+    at = first_repeat(heads, end)
+    if at < end:
+        end, fault = at, f"duplicate labels for {ids[at]!r}"
+    # A field that is exactly one emotion name is its column; any other is
+    # split at commas, its names stripped and upper-cased.
     column_of = dict(zip(gold.emotions, count()))
-    rows: list[int] = []
-    columns: list[int] = []
-    seen: set[str] = set()
-    with open_source(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split("\t")
-            if len(fields) != 2:
-                raise EvaluationError(
-                    f"{path}:{lineno}: expected 'id<TAB>LABEL[,LABEL...]'"
-                )
-            headline_id, label_field = fields
-            if headline_id not in row_of:
-                raise EvaluationError(
-                    f"{path}:{lineno}: unknown headline id {headline_id!r}"
-                )
-            if headline_id in seen:
-                raise EvaluationError(f"{path}:{lineno}: duplicate labels for {headline_id!r}")
-            seen.add(headline_id)
-            names = {l.strip().upper() for l in label_field.split(",") if l.strip()}
-            unknown = names - column_of.keys()
-            if unknown:
-                raise EvaluationError(
-                    f"{path}:{lineno}: label(s) outside the gold emotion set: {sorted(unknown)}"
-                )
-            rows.extend([row_of[headline_id]] * len(names))
-            columns.extend(map(column_of.__getitem__, names))
+    plain = {e: j for e, j in column_of.items() if "," not in e and e.strip().upper() == e}
+    columns = list(map(plain.get, fields[:end]))
+    is_plain = list(map(is_not, columns, repeat(None)))
+    label_rows, label_columns = list(compress(heads, is_plain)), list(compress(columns, is_plain))
+    for at in compress(count(), map(not_, is_plain)):
+        names = {l.strip().upper() for l in fields[at].split(",") if l.strip()}
+        unknown = names - column_of.keys()
+        if unknown:
+            end, fault = at, f"label(s) outside the gold emotion set: {sorted(unknown)}"
+            break
+        label_rows += [heads[at]] * len(names)
+        label_columns += map(column_of.__getitem__, names)
+    if fault is not None:
+        raise EvaluationError(f"{path}:{linenos[end]}: {fault}")
     labels = np.zeros(gold.gold.shape, dtype=bool)
-    labels[rows, columns] = True
+    labels[label_rows, label_columns] = True
     return replace(gold, labels=labels)

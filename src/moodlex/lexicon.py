@@ -10,14 +10,25 @@ immutable. A token stream scores the mean of its covered tokens' rows.
 from __future__ import annotations
 
 import logging
-from itertools import repeat
+from itertools import compress, count, repeat
+from operator import itemgetter
 from typing import TYPE_CHECKING, Iterator, Sequence
 
 import numpy as np
 
 from . import textpipe
 from .errors import LexiconError, TextPipeError
-from .sink import open_sink, open_source, row_format
+from .sink import (
+    first_misfit,
+    first_repeat,
+    first_true,
+    format_rows,
+    open_sink,
+    open_source,
+    parse_floats,
+    row_format,
+    split_cells,
+)
 
 if TYPE_CHECKING:  # annotations only: reading and scoring never import these
     from .corpus import Corpus
@@ -240,8 +251,7 @@ def write_lexicon(lex: EmotionLexicon, sink) -> None:
             fh.write(f"# {key}: {value}\n")
         fh.write(HEADER_KEY + "\t" + "\t".join(lex.emotions) + "\n")
         line = f"%s\t{row_format(len(lex.emotions))}\n"
-        for word, row in zip(lex.words, lex.scores.tolist()):
-            fh.write(line % (word, *row))
+        fh.write(format_rows(line, [lex.words, *lex.scores.T.tolist()]))
 
 
 def read_lexicon(source) -> EmotionLexicon:
@@ -260,87 +270,68 @@ def read_lexicon(source) -> EmotionLexicon:
 
 
 def _read_lexicon_lines(fh, source: str) -> EmotionLexicon:
-    # Lines are checked as text while reading; the word keys are checked all
-    # at once and the scores go into one flat list checked as one array.
-    # Before a text error is raised, the rows read so far are checked too, so
-    # the error names the first bad line.
+    # Read whole: the metadata lines and the header one at a time, then the
+    # rows a column at a time. Each check reads the rows before the first bad
+    # one found so far, in the order a line's faults are reported, so the
+    # last fault found is the first bad line's first fault.
+    lines = list(map(str.rstrip, fh, repeat("\r\n")))
     provenance: list[tuple[str, str]] = []
-    emotions: tuple[str, ...] | None = None
-    line_of: dict[str, int] = {}
-    values: list[float] = []
-
-    def fail(lineno: int, message: str) -> LexiconError:
-        _check_rows(line_of, values, len(emotions), source)
-        return LexiconError(f"{source}:{lineno}: {message}")
-
-    for lineno, raw in enumerate(fh, start=1):
-        line = raw.rstrip("\r\n")
+    for at, line in enumerate(lines):
         if not line.strip():
             continue
-        if emotions is None and line.startswith("#"):
-            body = line[1:].lstrip()
-            key, sep, value = body.partition(": ")
-            provenance.append((key, value) if sep else (body, ""))
-            continue
-        fields = line.split("\t")
-        if emotions is None:
-            if fields[0] != HEADER_KEY or len(fields) < 2:
-                raise LexiconError(
-                    f"{source}:{lineno}: expected header '{HEADER_KEY}<TAB>EMOTION...'"
-                )
-            emotions = tuple(fields[1:])
-            if len(set(emotions)) != len(emotions):
-                raise LexiconError(f"{source}:{lineno}: duplicate emotion columns")
-            continue
-        if len(fields) != 1 + len(emotions):
-            raise fail(lineno, f"expected {1 + len(emotions)} columns, got {len(fields)}")
-        word = fields[0]
-        if word in line_of:
-            raise fail(lineno, f"duplicate row for {word!r}")
-        line_of[word] = lineno
-        try:
-            values.extend(map(float, fields[1:]))
-        except ValueError:
-            # This row's parsed part goes; its key is still checked first.
-            del values[(len(line_of) - 1) * len(emotions) :]
-            raise fail(lineno, "non-numeric score") from None
-    if emotions is None:
+        if not line.startswith("#"):
+            break
+        body = line[1:].lstrip()
+        key, sep, value = body.partition(": ")
+        provenance.append((key, value) if sep else (body, ""))
+    else:
         raise LexiconError(f"{source}: missing lexicon header")
-    if not line_of:
+    fields = line.split("\t")
+    if fields[0] != HEADER_KEY or len(fields) < 2:
+        raise LexiconError(f"{source}:{at + 1}: expected header '{HEADER_KEY}<TAB>EMOTION...'")
+    emotions = tuple(fields[1:])
+    if len(set(emotions)) != len(emotions):
+        raise LexiconError(f"{source}:{at + 1}: duplicate emotion columns")
+    linenos = list(compress(count(at + 2), map(str.strip, lines[at + 1 :])))
+    if not linenos:
         raise LexiconError(f"{source}: lexicon has no rows")
-    scores = _check_rows(line_of, values, len(emotions), source)
-    return EmotionLexicon(emotions, list(line_of), scores, provenance=provenance)
-
-
-def _check_rows(
-    line_of: dict[str, int], values: list[float], width: int, source: str
-) -> np.ndarray:
-    """The scores as a (rows, width) array, once every word key is lemma#pos
-    and every row of scores is finite, non-negative and sums to 1 within
-    tolerance; else an error naming the line of the first bad row, where a
-    bad key comes before bad scores. ``values`` may lack the last row's."""
-    first, message = len(line_of), ""
+    rows = [lines[n - 1] for n in linenos]
+    width, end, fault = len(emotions), len(rows), None
+    at, got = first_misfit(rows, width + 1)
+    if at < end:
+        end, fault = at, f"expected {1 + width} columns, got {got}"
+    # The keys are split off first, so that they do not lie strewn among the
+    # score cells in memory, which are freed once parsed.
+    words = list(map(itemgetter(0), map(str.partition, rows[:end], repeat("\t"))))
+    cells = split_cells(rows[:end])
+    del lines, rows, cells[0 :: width + 1]
+    at = first_repeat(words, end)
+    if at < end:
+        end, fault = at, f"duplicate row for {words[at]!r}"
     try:
-        textpipe.check_lemma_pos_all(line_of)
+        textpipe.check_lemma_pos_all(words[:end])
     except TextPipeError:
-        for row, word in enumerate(line_of):
+        for at, word in enumerate(words[:end]):
             try:
                 textpipe.check_lemma_pos(word)
             except TextPipeError as exc:
-                first, message = row, f"bad word key: {exc}"
+                end, fault = at, f"bad word key: {exc}"
                 break
-    scores = np.array(values, dtype=np.float64).reshape(-1, width)
+    values, parsed = parse_floats(cells[: end * width])
+    if parsed < end * width:
+        end, fault = parsed // width, "non-numeric score"
+    scores = values[: end * width].reshape(end, width)
     with np.errstate(invalid="ignore", over="ignore"):
         bad_value = ~np.isfinite(scores).all(axis=1) | (scores < 0).any(axis=1)
         sums = scores.sum(axis=1)
-        bad = np.flatnonzero(bad_value | (np.abs(sums - 1.0) > READ_ROW_SUM_TOLERANCE))
-    if bad.size and bad[0] < first:
-        first = int(bad[0])
-        if bad_value[first]:
-            message = "scores must be finite and >= 0"
-        else:
-            message = f"row sum {sums[first]:.9g} outside 1 +/- {READ_ROW_SUM_TOLERANCE:g}"
-    if message:
-        lineno = list(line_of.values())[first]
-        raise LexiconError(f"{source}:{lineno}: {message}")
-    return scores
+        bad = bad_value | (np.abs(sums - 1.0) > READ_ROW_SUM_TOLERANCE)
+    at = first_true(bad.tolist(), end)
+    if at < end:
+        end, fault = at, (
+            "scores must be finite and >= 0"
+            if bad_value[at]
+            else f"row sum {sums[at]:.9g} outside 1 +/- {READ_ROW_SUM_TOLERANCE:g}"
+        )
+    if fault is not None:
+        raise LexiconError(f"{source}:{linenos[end]}: {fault}")
+    return EmotionLexicon(emotions, words, scores, provenance=provenance)

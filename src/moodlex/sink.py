@@ -2,13 +2,16 @@
 
 Every input file is read as UTF-8 text with a leading byte order mark
 ignored, and a byte that does not decode is reported with the file, line and
-column it sits in.
+column it sits in. Tab-separated inputs are read whole and checked a column
+at a time by the helpers below; each check reads only the rows before the
+first bad row found so far, so an error names the first bad line.
 
 Every output file appears whole or not at all. A path is written to a
 temporary file in the same directory and renamed over the target only when
 writing finished without an error, so a failed or interrupted run never
 leaves a partial file, nor clobbers an earlier one. Every float in an output
-is written by :data:`format_float`, or in rows by :func:`row_format`.
+is written by :data:`format_float`, or in rows by :func:`row_format` and
+:func:`format_rows`.
 """
 
 from __future__ import annotations
@@ -16,8 +19,10 @@ from __future__ import annotations
 import os
 import stat
 import sys
-from contextlib import contextmanager
-from typing import IO, Iterator
+from contextlib import contextmanager, suppress
+from itertools import chain, compress, count, islice, repeat
+from operator import ne
+from typing import IO, Iterable, Iterator, Sequence
 
 #: Significant digits of every float written to an output file.
 SERIALIZED_DIGITS = 9
@@ -30,6 +35,65 @@ def row_format(width: int) -> str:
     """A ``%`` format for ``width`` floats separated by tabs, each written as
     :data:`format_float` writes it (``"%.9g" % x == format(x, ".9g")``)."""
     return "\t".join([f"%.{SERIALIZED_DIGITS}g"] * width)
+
+
+def format_rows(line: str, columns: Sequence[Sequence]) -> str:
+    """``line % row`` for every row of ``columns`` (one sequence per field),
+    all by one ``%`` format of ``line`` repeated once per row."""
+    return (line * len(columns[0])) % tuple(chain.from_iterable(zip(*columns)))
+
+
+def read_rows(path, *, strip: bool = False) -> tuple[list[str], list[int]]:
+    """The rows of the text file at ``path``, read whole, and the 1-based
+    number of the line each row is on.
+
+    A row is a line without its line break, or with ``strip`` without the
+    whitespace around it, that is neither blank nor starts with ``#``.
+    """
+    with open_source(path) as fh:
+        lines = list(map(str.strip, fh)) if strip else list(map(str.rstrip, fh, repeat("\r\n")))
+    linenos = [n for n, line in enumerate(lines, 1) if line.strip() and line[0] != "#"]
+    return [lines[n - 1] for n in linenos], linenos
+
+
+def first_misfit(rows: Sequence[str], fields: int) -> tuple[int, int]:
+    """The index of the first of ``rows`` that has not ``fields``
+    tab-separated fields (``len(rows)`` if none), and how many it has."""
+    tabs = list(map(str.count, rows, repeat("\t")))
+    at = first_true(map(ne, tabs, repeat(fields - 1)), len(rows))
+    return at, tabs[at] + 1 if at < len(rows) else fields
+
+
+def first_repeat(keys: Sequence, stop: int) -> int:
+    """The index of the first of ``keys`` that equals an earlier one, or
+    ``stop`` if none of the first ``stop`` does."""
+    first_at = dict(zip(reversed(keys[:stop]), reversed(range(stop))))
+    return first_true(map(ne, map(first_at.__getitem__, keys), count()), stop)
+
+
+def split_cells(rows: Sequence[str]) -> list[str]:
+    """The tab-separated fields of all ``rows``, row after row, in one list."""
+    return "\t".join(rows).split("\t") if rows else []
+
+
+def parse_floats(cells: Sequence[str]):
+    """``float`` of the ``cells`` as one ``float64`` array, and how many of
+    them ``float`` accepts before the first it rejects (``len(cells)`` if it
+    rejects none); the array holds the floats of those cells."""
+    import numpy as np  # not loaded by the command line before a subcommand needs it
+    try:
+        return np.fromiter(map(float, cells), np.float64, len(cells)), len(cells)
+    except ValueError:
+        parsed: list[float] = []
+        with suppress(ValueError):
+            parsed.extend(map(float, cells))
+        return np.array(parsed, dtype=np.float64), len(parsed)
+
+
+def first_true(flags: Iterable, stop: int) -> int:
+    """The index of the first true one of ``flags``, or ``stop`` if none of
+    the first ``stop`` is true."""
+    return next(compress(count(), islice(flags, stop)), stop)
 
 
 @contextmanager

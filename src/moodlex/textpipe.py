@@ -10,8 +10,9 @@ immutable after load.
 from __future__ import annotations
 
 import re
-from itertools import count, islice
-from typing import Iterable, Iterator
+from collections import defaultdict
+from itertools import chain, count, islice, repeat
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -27,13 +28,18 @@ AMBIGUITY_POLICIES = ("all", "first")
 # Maximal runs of Unicode letters; digits, underscores and punctuation are
 # token boundaries, so "22" or the digit tail of "abc123" never survive.
 _TOKEN_RE = re.compile(r"[^\W\d_]+")
-# The same for ASCII text, as a str.translate table: letters lowered, the rest spaces.
-_ASCII_LETTERS = "".join(chr(c).lower() if chr(c).isalpha() else " " for c in range(128))
+# The same for ASCII text, as a str.translate table: letters lowered, line
+# breaks kept and the rest spaces.
+_ASCII_LETTERS = "".join(
+    chr(c).lower() if chr(c).isalpha() or chr(c) == "\n" else " " for c in range(128)
+)
 # For a str pattern, \s matches exactly the characters str.isspace accepts.
 _SPACE_RE = re.compile(r"\s")
 # A line break not followed by a whole lemma#pos key line. The literal \n
 # lets the search jump from line to line.
 _NOT_A_KEY_RE = re.compile(rf"\n(?!\S+#[{''.join(POS_TAGS)}]$)", re.M)
+# What lemmatize_ids puts after each stream's tokens.
+_END = object()
 
 
 def check_lemma_pos(token: str) -> None:
@@ -200,6 +206,16 @@ def tokenize(text: str) -> list[str]:
     return [t.lower() for t in _TOKEN_RE.findall(text)]
 
 
+def tokenize_all(texts: Sequence[str]) -> Iterator[list[str]]:
+    """``map(tokenize, texts)``: an ASCII batch free of line breaks is
+    joined, one text per line, and translated and split at the line breaks
+    at once; each text's tokens are only made when they are read."""
+    joined = "\n".join(texts)
+    if joined.isascii() and joined.count("\n") == len(texts) - 1:
+        return map(str.split, joined.translate(_ASCII_LETTERS).split("\n"))
+    return map(tokenize, texts)
+
+
 def _candidate_grid(
     row_of: dict[str, int], table: LemmaTable, members: frozenset, first: bool
 ) -> tuple[np.ndarray, tuple[str, ...]]:
@@ -242,7 +258,7 @@ def _candidate_grid(
     grid[unmapped, POS_TAGS.index("n")] = [surfaces[i] + "#n" for i in unmapped.tolist()]
     licensed[unmapped, POS_TAGS.index("n")] = True
     candidates = grid[licensed].tolist()
-    id_of = dict(zip(dict.fromkeys(candidates), count()))
+    id_of = defaultdict(count().__next__)  # numbered in order of first occurrence
     ids = np.full(grid.shape, -1, dtype=np.int32)
     ids[licensed] = np.fromiter(map(id_of.__getitem__, candidates), np.int32, len(candidates))
     return ids, tuple(id_of)
@@ -273,25 +289,21 @@ def lemmatize_ids(
         raise TextPipeError(
             f"unknown ambiguity policy {policy!r}: expected one of {AMBIGUITY_POLICIES}"
         )
-    # Tokens are numbered by where their surface form first occurs, a stream
-    # at a time so that no stream's strings are kept, then renumbered 0, 1, ...
-    first_at: dict[str, int] = {}
-    at, bounds, position = [], [0], count()
-    for tokens in streams:
-        at.extend(map(first_at.setdefault, tokens, position))
-        bounds.append(len(at))
-    row_of = dict(zip(first_at, count()))
-    row_at = np.zeros(len(at), np.int32)
-    row_at[np.fromiter(first_at.values(), np.intp, len(first_at))] = np.arange(len(first_at))
-    rows = row_at[at]
-    del first_at, at, row_at  # token-sized; freed before the grid is built
+    # One lookup numbers every surface form 0, 1, ... by its first occurrence;
+    # a marker after each stream, numbered -1, shows where the stream ends.
+    row_of = defaultdict(count().__next__, {_END: -1})
+    rows = np.fromiter(
+        map(row_of.__getitem__, chain.from_iterable(map(chain, streams, repeat((_END,))))),
+        np.int32,
+    )
+    del row_of[_END]
     grid, strings = _candidate_grid(row_of, table, frozenset(vocab), policy == "first")
-    # Each token takes its surface form's row of the grid; read row by row,
-    # the valid ids are the candidate tokens in order.
-    expanded = grid[rows]
-    del rows
+    # Each token takes its surface form's row of the grid, and each end marker
+    # the last row, of -1s; read row by row, the valid ids are the candidate
+    # tokens in order.
+    expanded = np.vstack([grid, np.full(len(POS_TAGS), -1, np.int32)])[rows]
     licensed = expanded >= 0
     token_ids = expanded[licensed]
     del expanded
-    ends = np.concatenate(([0], np.cumsum(np.count_nonzero(licensed, axis=1))))
-    return token_ids, np.diff(ends[bounds]), strings
+    ends = np.cumsum(np.count_nonzero(licensed, axis=1))[rows < 0]
+    return token_ids, np.diff(ends, prepend=0), strings

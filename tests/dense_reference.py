@@ -14,10 +14,20 @@ from fractions import Fraction
 
 import numpy as np
 
-from moodlex import CorpusError, LexiconError, MatrixError, TextPipeError, VoteError
+from moodlex import (
+    CorpusError,
+    EvaluationError,
+    LexiconError,
+    MatrixError,
+    MoodlexError,
+    TextPipeError,
+    VoteError,
+)
 from moodlex.corpus import VOTE_SUM_TOLERANCE, Corpus
-from moodlex.lexicon import HEADER_KEY, READ_ROW_SUM_TOLERANCE, EmotionLexicon
+from moodlex.evaluate import GoldSet
+from moodlex.lexicon import HEADER_KEY, READ_ROW_SUM_TOLERANCE, EmotionLexicon, score_ids
 from moodlex.matrix import TFIDF_VARIANT
+from moodlex.textpipe import LemmaTable, lemmatize_ids, tokenize
 
 _POS_TAGS = ("v", "n", "a", "r")
 
@@ -302,6 +312,107 @@ def read_lexicon_lines_reference(fh, source: str) -> EmotionLexicon:
     if not rows:
         raise LexiconError(f"{source}: lexicon has no rows")
     return EmotionLexicon(emotions, list(rows), list(rows.values()), provenance=provenance)
+
+
+def _numbered_lines(path, strip=False):
+    """(line number, line) of every line that is neither blank nor a ``#``
+    comment, one line at a time, as text mode splits them."""
+    with open(path, encoding="utf-8-sig") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip() if strip else raw.rstrip("\r\n")
+            if line.strip() and not line.startswith("#"):
+                yield lineno, line
+
+
+def load_gold_reference(path, lex, *, lemma_table=None, ambiguity="all") -> GoldSet:
+    """Gold loader that takes one line at a time through every check (the
+    header, the field count, the numbers, their range), then tokenizes each
+    headline on its own."""
+    emotions = None
+    parsed = []
+    for lineno, line in _numbered_lines(path):
+        fields = line.split("\t")
+        if emotions is None:
+            if len(fields) < 3 or fields[0] != "id" or fields[1] != "text":
+                raise EvaluationError(
+                    f"{path}:{lineno}: expected header 'id<TAB>text<TAB>EMOTION...'"
+                )
+            emotions = tuple(f.strip().upper() for f in fields[2:])
+            if len(set(emotions)) != len(emotions):
+                raise EvaluationError(f"{path}:{lineno}: duplicate emotion columns")
+            continue
+        if len(fields) != 2 + len(emotions):
+            raise EvaluationError(
+                f"{path}:{lineno}: expected {2 + len(emotions)} columns, got {len(fields)}"
+            )
+        try:
+            values = [float(v) for v in fields[2:]]
+        except ValueError:
+            raise EvaluationError(f"{path}:{lineno}: non-numeric gold score") from None
+        if not all(math.isfinite(v) and 0 <= v <= 100 for v in values):
+            raise EvaluationError(f"{path}:{lineno}: gold scores must lie in [0, 1] or [0, 100]")
+        parsed.append((fields[0], fields[1], values))
+    if emotions is None:
+        raise EvaluationError(f"{path}: missing gold header")
+    if not parsed:
+        raise EvaluationError(f"{path}: no gold headlines")
+    parsed.sort(key=lambda p: p[0])
+    ids = tuple(p[0] for p in parsed)
+    if len(set(ids)) != len(ids):
+        raise EvaluationError(f"{path}: duplicate headline ids")
+    gold = np.array([p[2] for p in parsed], dtype=np.float64)
+    if (gold > 1.0).any():
+        gold /= 100.0
+    token_ids, lengths, strings = lemmatize_ids(
+        [tokenize(text) for _, text, _ in parsed],
+        lemma_table if lemma_table is not None else LemmaTable(),
+        vocab=lex,
+        policy=ambiguity,
+    )
+    scores, covered = score_ids(token_ids, lengths, strings, lex)
+    labels = np.zeros(gold.shape, dtype=bool)
+    return GoldSet(emotions, ids, gold, labels, lex.emotions, scores, covered, lengths)
+
+
+def load_labels_reference(path, gold: GoldSet) -> GoldSet:
+    """Label loader that takes one line at a time through every check: the
+    field count, the id, duplicates, then each comma-separated name."""
+    labels = np.zeros(gold.gold.shape, dtype=bool)
+    seen = set()
+    for lineno, line in _numbered_lines(path, strip=True):
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise EvaluationError(f"{path}:{lineno}: expected 'id<TAB>LABEL[,LABEL...]'")
+        headline_id, label_field = fields
+        if headline_id not in gold.ids:
+            raise EvaluationError(f"{path}:{lineno}: unknown headline id {headline_id!r}")
+        if headline_id in seen:
+            raise EvaluationError(f"{path}:{lineno}: duplicate labels for {headline_id!r}")
+        seen.add(headline_id)
+        names = {l.strip().upper() for l in label_field.split(",") if l.strip()}
+        unknown = names - set(gold.emotions)
+        if unknown:
+            raise EvaluationError(
+                f"{path}:{lineno}: label(s) outside the gold emotion set: {sorted(unknown)}"
+            )
+        for name in names:
+            labels[gold.ids.index(headline_id), gold.emotions.index(name)] = True
+    return GoldSet(
+        gold.emotions, gold.ids, gold.gold, labels, gold.sources, gold.scores, gold.covered,
+        gold.lengths,
+    )
+
+
+def read_score_input_reference(path) -> tuple[list[str], list[str]]:
+    """The ids and texts of a score input, one line at a time."""
+    ids, texts = [], []
+    for lineno, line in _numbered_lines(path):
+        fields = line.split("\t")
+        if len(fields) != 2:
+            raise MoodlexError(f"{path}:{lineno}: expected 'id<TAB>text', got {len(fields)} fields")
+        ids.append(fields[0])
+        texts.append(fields[1])
+    return ids, texts
 
 
 def dense(tdm):

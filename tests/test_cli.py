@@ -12,9 +12,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from moodlex import read_lexicon, tokenize
-from moodlex.cli import _config_echo, build_parser, main
+from moodlex import MoodlexError, read_lexicon, tokenize
+from moodlex.cli import _config_echo, _read_score_input, build_parser, main
+
+from dense_reference import read_score_input_reference
 
 CORPUS_LINES = [
     {"id": "d1", "tokens": ["awe#n", "kill#v", "war#n"], "votes": {"AFRAID": 0.5, "SAD": 0.5}},
@@ -235,7 +239,14 @@ class TestBuild:
     def test_nan_min_votes_sum_exits_one(self, workdir, caplog):
         assert main(build_args(workdir, min_votes_sum="nan")) == 1
         messages = [r.message for r in caplog.records if r.levelname == "ERROR"]
-        assert messages == ["load-corpus: min vote sum must be a number, got nan"]
+        assert messages == ["configure: min vote sum must be a number, got nan"]
+
+    def test_min_votes_sum_checked_before_any_input_is_read(self, workdir, caplog):
+        args = build_args(workdir, min_votes_sum="nan")
+        args[2] = "/nonexistent/corpus.jsonl"
+        assert main(args) == 1
+        messages = [r.message for r in caplog.records if r.levelname == "ERROR"]
+        assert messages == ["configure: min vote sum must be a number, got nan"]
 
 
 @pytest.fixture()
@@ -472,6 +483,35 @@ class TestScore:
         args[2] = str(built / "absent.tsv")
         assert main(args) == 1
         assert any("read-lexicon" in r.message for r in caplog.records)
+
+
+SCORE_LINES = st.sampled_from(
+    ["h1\tKill war", "h2\t", "\tno id", "h3", "h4\ta\tb", "", "  ", "# c", "#\tx", " #\tx",
+     "h5\tCafé\x0bDÉJÀ"]
+) | st.text(st.characters(blacklist_categories=("Cs",)), max_size=8)
+
+
+def read_or_error(read, path):
+    try:
+        return read(path)
+    except MoodlexError as exc:
+        return type(exc), str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lines=st.lists(SCORE_LINES, max_size=6),
+    ends=st.lists(st.sampled_from(["\n", "\r\n", ""]), min_size=6, max_size=6),
+)
+@example(lines=["h1\ta", "h2\ta\tb", "h3"], ends=["\n"] * 6)
+def test_score_input_matches_per_line_reference(tmp_path_factory, lines, ends):
+    """The whole-file score input reader gives the rows, or the error text,
+    of one that reads a line at a time."""
+    path = tmp_path_factory.getbasetemp() / "score-input.tsv"
+    path.write_bytes("".join(map("".join, zip(lines, ends))).encode("utf-8"))
+    assert read_or_error(_read_score_input, path) == read_or_error(
+        read_score_input_reference, path
+    )
 
 
 class TestBadInput:
@@ -994,6 +1034,12 @@ class TestStats:
             ("AFRAID", "AMUSED", "ANGRY", "ANNOYED", "DONT_CARE", "HAPPY", "INSPIRED", "SAD")
         ):
             assert float(emotion_rows[label]) == pytest.approx(stats.mean_votes[i], abs=1e-9)
+
+    def test_nan_min_votes_sum_checked_before_any_input_is_read(self, caplog):
+        args = ["stats", "--corpus", "/nonexistent/corpus.jsonl", "--min-votes-sum", "nan"]
+        assert main(args) == 1
+        messages = [r.message for r in caplog.records if r.levelname == "ERROR"]
+        assert messages == ["configure: min vote sum must be a number, got nan"]
 
     def test_empty_corpus_exits_nonzero(self, tmp_path, caplog):
         corpus = tmp_path / "corpus.jsonl"

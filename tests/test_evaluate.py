@@ -2,11 +2,12 @@
 
 from __future__ import annotations
 
+import re
 from collections import namedtuple
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from moodlex import (
@@ -27,7 +28,13 @@ from moodlex import (
 )
 
 from corpora import token_columns
-from dense_reference import exact_pearson, fsum_pearson, mean_scores
+from dense_reference import (
+    exact_pearson,
+    fsum_pearson,
+    load_gold_reference,
+    load_labels_reference,
+    mean_scores,
+)
 
 EMOTIONS = ("AFRAID", "AMUSED", "ANGRY", "ANNOYED", "DONT_CARE", "HAPPY", "INSPIRED", "SAD")
 
@@ -628,3 +635,154 @@ class TestGoldLoading:
         bad_label.write_text("h1\tTERROR\n", encoding="utf-8")
         with pytest.raises(EvaluationError, match="outside the gold emotion set"):
             load_labels(bad_label, gold)
+
+
+# Files drawn to reach every check of the gold and label readers: blank and
+# comment lines (and a "#" that is not at the start), CRLF line ends, wrong
+# field counts, non-numeric, NaN, infinite and out-of-range scores, and
+# duplicate and unknown ids.
+LINE_ENDS = st.sampled_from(["\n", "\r\n"])
+OTHER_LINES = st.sampled_from(["", "   ", "\t", "# note", "#", " # not a comment"])
+HEADLINE_IDS = st.sampled_from(["h1", "h2", "h3", "h10", "", " h1"])
+HEADLINE_TEXTS = st.sampled_from(
+    ["afraid", "Amused and ANGRY", "half-afraid!", "café angry", ""]
+) | st.text(st.characters(blacklist_categories=("Cs",)), max_size=6)
+GOLD_VALUES = st.sampled_from(
+    ["0.5", "0", "1", "0.25", "80", "100", "100.5", "-0.2", "-0", "nan", "inf", "1e2", " 0.3",
+     "1_0", "x", ""]
+)
+GOLD_ROWS = st.builds(
+    lambda hid, text, values: "\t".join([hid, text, *values]),
+    HEADLINE_IDS,
+    HEADLINE_TEXTS,
+    st.lists(GOLD_VALUES, min_size=1, max_size=3),
+)
+GOLD_HEADERS = st.sampled_from(
+    ["id\ttext\tFEAR\tJOY", "id\ttext\tfear\t JOY ", "id\ttext\tFEAR\tfear", "id\ttext",
+     "ident\ttext\tFEAR\tJOY"]
+)
+
+
+def tsv(lines, ends):
+    """The lines joined, each ended by the next of ``ends`` (the last maybe not at all)."""
+    return "".join(line + end for line, end in zip(lines, ends + [""] * len(lines)))
+
+
+@st.composite
+def gold_files(draw):
+    lines = [draw(GOLD_HEADERS)] + draw(st.lists(GOLD_ROWS | OTHER_LINES, max_size=6))
+    if draw(st.booleans()):
+        lines.insert(0, draw(OTHER_LINES))
+    return tsv(lines, draw(st.lists(LINE_ENDS, min_size=len(lines) - 1, max_size=len(lines))))
+
+
+LABEL_FIELDS = st.sampled_from(
+    ["FEAR", "JOY", "fear", " Joy", "FEAR,JOY", "FEAR, joy,", ",", "A,B", "A", "B", "TERROR",
+     "FEAR,TERROR", "JOY\tFEAR", ""]
+)
+LABEL_ROWS = st.builds("{}\t{}".format, HEADLINE_IDS | st.just("hX"), LABEL_FIELDS)
+
+
+@st.composite
+def label_files(draw):
+    lines = draw(st.lists(LABEL_ROWS | OTHER_LINES | st.just("h1"), max_size=6))
+    return tsv(lines, draw(st.lists(LINE_ENDS, min_size=len(lines), max_size=len(lines))))
+
+
+PARSER_LEXICON = EmotionLexicon(
+    EMOTIONS,
+    ["afraid#a", "amused#a", "angry#a", "half#n"],
+    [one_hot(0), one_hot(1), one_hot(2), two_mass(0, 0.5)],
+)
+# "A,B" is one emotion whose name holds a comma: a label field "A,B" names
+# the emotions A and B, not it.
+LABELED_GOLD = (
+    "id\ttext\tFEAR\tJOY\tA,B\tA\n"
+    "h1\tafraid\t1\t0\t0\t0\nh2\tx\t0\t1\t0\t0\nh10\tx\t0\t0\t1\t1\n"
+)
+
+
+def loaded_or_error(load, *args, **kwargs):
+    try:
+        return load(*args, **kwargs)
+    except EvaluationError as exc:
+        return str(exc)
+
+
+def assert_same_gold(got, want):
+    if isinstance(want, str) or isinstance(got, str):
+        assert got == want
+        return
+    for name in ("emotions", "ids", "sources"):
+        assert getattr(got, name) == getattr(want, name)
+    for name in ("gold", "labels", "scores", "covered", "lengths"):
+        assert getattr(got, name).dtype == getattr(want, name).dtype
+        assert getattr(got, name).shape == getattr(want, name).shape
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()  # bit for bit
+
+
+class TestReadersMatchPerLineReference:
+    """The whole-file readers give the result, or the error text, of readers
+    that take one line at a time through every check."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(content=gold_files())
+    @example(content="id\ttext\tFEAR\tJOY\nh1\ta\t0\t1\nh2\tb\t120\t1\nh3\tc\t1\n")
+    @example(content="id\ttext\tFEAR\tJOY\nh1\ta\t0\nh2\tb\tx\t1\n")
+    @example(content="id\ttext\tFEAR\tJOY\nh1\ta\t0\tnan\nh2\tb\tx\t1\n")
+    @example(content="id\ttext\tFEAR\tJOY\r\n# c\r\n\r\nh2\tb\t0\t1\r\nh1\ta\t50\t1\r\n")
+    @example(content="id\ttext\tFEAR\tJOY\n")
+    def test_gold(self, tmp_path_factory, content):
+        path = tmp_path_factory.getbasetemp() / "gold.tsv"
+        path.write_bytes(content.encode("utf-8"))
+        assert_same_gold(
+            loaded_or_error(load_gold, path, PARSER_LEXICON),
+            loaded_or_error(load_gold_reference, path, PARSER_LEXICON),
+        )
+
+    @settings(max_examples=400, deadline=None)
+    @given(content=label_files())
+    @example(content="h1\tafraid, happy\nh2\tJOY\n")
+    @example(content="h2\tJOY\nh1\tFEAR\tJOY\nh2\tFEAR\n")
+    @example(content="h2\tJOY\nh2\tFEAR\nhX\tFEAR\n")
+    @example(content="h1\tA,B\nh2\tA,B,TERROR\n")
+    def test_labels(self, tmp_path_factory, content):
+        base = tmp_path_factory.getbasetemp()
+        gold_path, labels_path = base / "labeled-gold.tsv", base / "labels.tsv"
+        gold_path.write_text(LABELED_GOLD, encoding="utf-8")
+        labels_path.write_bytes(content.encode("utf-8"))
+        gold = load_gold(gold_path, PARSER_LEXICON)
+        assert_same_gold(
+            loaded_or_error(load_labels, labels_path, gold),
+            loaded_or_error(load_labels_reference, labels_path, gold),
+        )
+
+    @pytest.mark.parametrize("content", ["h1\tfear\n", "h1\t JOY\n", "h1\tJOY\n", "h1\tA,B\n"])
+    def test_labels_of_a_gold_set_made_in_code(self, tmp_path, content):
+        """Emotion names that are not upper case or hold a comma, as a GoldSet
+        made in code may have, are still read as the per-line reader reads them."""
+        gold = GoldSet(
+            ("fear", " JOY", "A,B"), ("h1",), np.zeros((1, 3)), np.zeros((1, 3), dtype=bool),
+            ("AFRAID",), np.zeros((1, 1)), np.zeros(1, dtype=np.int64), np.zeros(1, dtype=np.int64),
+        )
+        path = tmp_path / "labels.tsv"
+        path.write_text(content, encoding="utf-8")
+        assert_same_gold(
+            loaded_or_error(load_labels, path, gold),
+            loaded_or_error(load_labels_reference, path, gold),
+        )
+
+    @pytest.mark.parametrize(
+        "rows, line, message",
+        [
+            (["h1\ta\t0\t1", "h2\tb\t120\t1", "h3\tc\t1"], 3, "gold scores must lie in"),
+            (["h1\ta\t0\tx", "h2\tb\tinf\t1"], 2, "non-numeric gold score"),
+            (["h1\ta\t0\t1", "h2\tb\tnan\tx"], 3, "non-numeric gold score"),
+            (["h1\ta\t0\t1", "h2\tb\t-1\t1", "h3\tc\tx\t1"], 3, "gold scores must lie in"),
+        ],
+    )
+    def test_first_bad_gold_line_wins(self, tmp_path, rows, line, message):
+        path = tmp_path / "gold.tsv"
+        path.write_text("id\ttext\tFEAR\tJOY\n" + "".join(r + "\n" for r in rows), encoding="utf-8")
+        with pytest.raises(EvaluationError, match=f"^{re.escape(str(path))}:{line}: {message}"):
+            load_gold(path, PARSER_LEXICON)

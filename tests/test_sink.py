@@ -23,7 +23,7 @@ from moodlex import (
     read_lexicon,
 )
 from moodlex.cli import _read_score_input
-from moodlex.sink import format_float, open_sink, open_source, row_format
+from moodlex.sink import format_float, format_rows, open_sink, open_source, row_format
 
 from corpora import doc_tokens
 
@@ -97,6 +97,21 @@ def test_stream_and_stdout_pass_through(capsys):
 @example(row=[1e16, 123456789.5, 0.1 + 0.2, 1 / 3, 2.0**-1074 * 3, 1.7976931348623157e308])
 def test_row_format_writes_each_float_as_format_float(row):
     assert row_format(len(row)) % tuple(row) == "\t".join(map(format_float, row))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(
+            st.text(max_size=4), st.lists(st.floats(), min_size=2, max_size=2), st.integers()
+        ),
+        max_size=5,
+    )
+)
+def test_format_rows_formats_each_row_as_its_line(rows):
+    line = f"%s\t{row_format(2)}\t%d\n"
+    columns = [[w for w, _, _ in rows], *zip(*[v for _, v, _ in rows]), [n for _, _, n in rows]]
+    assert format_rows(line, columns) == "".join(line % (w, *v, n) for w, v, n in rows)
 
 
 def read_all(path):

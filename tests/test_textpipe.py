@@ -81,6 +81,26 @@ class TestTokenize:
     def test_matches_regex_reference(self, text):
         assert tokenize(text) == [t.lower() for t in re.findall(r"[^\W\d_]+", text)]
 
+    # A batch that is ASCII and free of line breaks is tokenized at once, any
+    # other text by text; both must give what tokenize gives each text.
+    @settings(max_examples=300, deadline=None)
+    @given(
+        texts=st.lists(
+            st.text(st.characters(max_codepoint=127), max_size=12)
+            | st.text(max_size=8)
+            | st.sampled_from(["a\nb", "\n", "Kill\r\nWAR", "x\x0by", "déjà\nvu"]),
+            max_size=6,
+        )
+    )
+    @example(texts=[])
+    @example(texts=[""])
+    @example(texts=["", ""])
+    @example(texts=["Iraq car bombings kill 22", "a\tb c"])
+    @example(texts=["ASCII only", "then\na break"])
+    @example(texts=["ASCII only", "Café"])
+    def test_batch_matches_each(self, texts):
+        assert list(textpipe.tokenize_all(texts)) == list(map(tokenize, texts))
+
 
 class TestCheckToken:
     @pytest.mark.parametrize("token", ["kill#v", "awe#n", "déjà#r", "a#a", "x.y'z#n"])
