@@ -218,10 +218,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def _read_score_input(path) -> tuple[list[str], list[str]]:
     """The ids and the texts of the ``id<TAB>text`` rows of the file at ``path``."""
-    rows, linenos = read_rows(path)
-    at, got = first_misfit(rows, 2)
-    if at < len(rows):
-        raise MoodlexError(f"{path}:{linenos[at]}: expected 'id<TAB>text', got {got} fields")
+    rows, linenos, _ = read_rows(path)
+    at, fault = first_misfit(rows, 2)
+    if fault is not None:
+        raise MoodlexError(f"{path}:{linenos[at]}: {fault}")
     cells = split_cells(rows)
     return cells[0::2], cells[1::2]
 

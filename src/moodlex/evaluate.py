@@ -26,7 +26,6 @@ from .sink import (
     first_misfit,
     first_repeat,
     first_true,
-    open_source,
     parse_floats,
     read_rows,
     split_cells,
@@ -87,27 +86,20 @@ class EmotionMapping:
 
     @classmethod
     def from_file(cls, path) -> "EmotionMapping":
-        """Load ``TARGET<TAB>SOURCE`` lines; ``TARGET<TAB>-`` discards a target."""
-        pairs: dict[str, str] = {}
-        discarded: list[str] = []
-        with open_source(path) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.strip()
-                if not line or line.startswith("#"):
-                    continue
-                fields = line.split("\t")
-                if len(fields) != 2:
-                    raise EvaluationError(
-                        f"{path}:{lineno}: expected 'TARGET<TAB>SOURCE', got {line!r}"
-                    )
-                target, source = fields[0].strip().upper(), fields[1].strip().upper()
-                if target in pairs or target in discarded:
-                    raise EvaluationError(f"{path}:{lineno}: duplicate target {target!r}")
-                if source == "-":
-                    discarded.append(target)
-                else:
-                    pairs[target] = source
-        return cls(pairs=pairs, discarded=tuple(discarded))
+        """Load ``TARGET<TAB>SOURCE`` rows, each name stripped and upper-cased;
+        ``TARGET<TAB>-`` discards a target."""
+        rows, linenos, _ = read_rows(path)
+        # Checked as in load_gold: the last fault found is the first bad line's.
+        end, fault = first_misfit(rows, 2)
+        names = [name.strip().upper() for name in split_cells(rows[:end])]
+        targets, sources = names[0::2], names[1::2]
+        at = first_repeat(targets, end)
+        if at < end:
+            end, fault = at, f"duplicate target {targets[at]!r}"
+        if fault is not None:
+            raise EvaluationError(f"{path}:{linenos[end]}: {fault}")
+        pairs = {t: s for t, s in zip(targets, sources) if s != "-"}
+        return cls(pairs=pairs, discarded=tuple(t for t in targets if t not in pairs))
 
 
 @dataclass(frozen=True)
@@ -318,7 +310,7 @@ def load_gold(
     rejected. The headlines come out sorted by id, whatever the line order.
     """
     table = lemma_table if lemma_table is not None else textpipe.LemmaTable()
-    rows, linenos = read_rows(path)
+    rows, linenos, _ = read_rows(path)
     if not rows:
         raise EvaluationError(f"{path}: missing gold header")
     fields = rows[0].split("\t")
@@ -333,10 +325,8 @@ def load_gold(
     # Each check reads the rows before the first bad one found so far, in the
     # order a line's faults are reported: the last fault found is the first
     # bad line's first fault.
-    width, end, fault = len(emotions), len(rows), None
-    at, got = first_misfit(rows, width + 2)
-    if at < end:
-        end, fault = at, f"expected {width + 2} columns, got {got}"
+    width = len(emotions)
+    end, fault = first_misfit(rows, width + 2)
     cells = split_cells(rows[:end])
     del rows  # cells hold all of the rows' text
     ids, texts = cells[0 :: width + 2], cells[1 :: width + 2]
@@ -376,12 +366,9 @@ def load_gold(
 def load_labels(path, gold: GoldSet) -> GoldSet:
     """Attach classification gold labels from ``id<TAB>LABEL[,LABEL...]``
     lines; headlines absent from the file keep an empty label set."""
-    rows, linenos = read_rows(path, strip=True)
+    rows, linenos, _ = read_rows(path)
     # Checked as in load_gold: the last fault found is the first bad line's.
-    end, fault = len(rows), None
-    at, _ = first_misfit(rows, 2)
-    if at < end:
-        end, fault = at, "expected 'id<TAB>LABEL[,LABEL...]'"
+    end, fault = first_misfit(rows, 2)
     cells = split_cells(rows[:end])
     ids, fields = cells[0::2], cells[1::2]
     heads = list(map(dict(zip(gold.ids, count())).get, ids))

@@ -10,7 +10,7 @@ immutable. A token stream scores the mean of its covered tokens' rows.
 from __future__ import annotations
 
 import logging
-from itertools import compress, count, repeat
+from itertools import repeat
 from operator import itemgetter
 from typing import TYPE_CHECKING, Iterator, Sequence
 
@@ -24,8 +24,8 @@ from .sink import (
     first_true,
     format_rows,
     open_sink,
-    open_source,
     parse_floats,
+    read_rows,
     row_format,
     split_cells,
 )
@@ -255,56 +255,45 @@ def write_lexicon(lex: EmotionLexicon, sink) -> None:
 
 
 def read_lexicon(source) -> EmotionLexicon:
-    """Parse a serialized lexicon, validating scores and per-row sums.
+    """Parse a serialized lexicon from a path or a text stream, validating
+    scores and per-row sums.
 
-    Metadata lines are preserved in ``provenance`` so that reading and
-    re-writing a well-formed file reproduces it byte for byte.
+    The comment lines above the header are kept in ``provenance``, so that
+    reading and re-writing a well-formed file reproduces it byte for byte.
     """
-    if hasattr(source, "read"):
-        return _read_lexicon_lines(source, "<stream>")
     try:
-        with open_source(source) as fh:
-            return _read_lexicon_lines(fh, str(source))
+        rows, linenos, comments = read_rows(source)
     except OSError as exc:
         raise LexiconError(f"cannot read lexicon: {exc}") from None
-
-
-def _read_lexicon_lines(fh, source: str) -> EmotionLexicon:
-    # Read whole: the metadata lines and the header one at a time, then the
-    # rows a column at a time. Each check reads the rows before the first bad
-    # one found so far, in the order a line's faults are reported, so the
-    # last fault found is the first bad line's first fault.
-    lines = list(map(str.rstrip, fh, repeat("\r\n")))
-    provenance: list[tuple[str, str]] = []
-    for at, line in enumerate(lines):
-        if not line.strip():
-            continue
-        if not line.startswith("#"):
-            break
+    source = "<stream>" if hasattr(source, "read") else str(source)
+    if not rows:
+        raise LexiconError(f"{source}: missing lexicon header")
+    fields = rows[0].split("\t")
+    if fields[0] != HEADER_KEY or len(fields) < 2:
+        raise LexiconError(
+            f"{source}:{linenos[0]}: expected header '{HEADER_KEY}<TAB>EMOTION...'"
+        )
+    emotions = tuple(fields[1:])
+    if len(set(emotions)) != len(emotions):
+        raise LexiconError(f"{source}:{linenos[0]}: duplicate emotion columns")
+    provenance = []
+    for line in comments:
         body = line[1:].lstrip()
         key, sep, value = body.partition(": ")
         provenance.append((key, value) if sep else (body, ""))
-    else:
-        raise LexiconError(f"{source}: missing lexicon header")
-    fields = line.split("\t")
-    if fields[0] != HEADER_KEY or len(fields) < 2:
-        raise LexiconError(f"{source}:{at + 1}: expected header '{HEADER_KEY}<TAB>EMOTION...'")
-    emotions = tuple(fields[1:])
-    if len(set(emotions)) != len(emotions):
-        raise LexiconError(f"{source}:{at + 1}: duplicate emotion columns")
-    linenos = list(compress(count(at + 2), map(str.strip, lines[at + 1 :])))
-    if not linenos:
+    del rows[0], linenos[0]
+    if not rows:
         raise LexiconError(f"{source}: lexicon has no rows")
-    rows = [lines[n - 1] for n in linenos]
-    width, end, fault = len(emotions), len(rows), None
-    at, got = first_misfit(rows, width + 1)
-    if at < end:
-        end, fault = at, f"expected {1 + width} columns, got {got}"
+    # The rows are checked a column at a time. Each check reads the rows
+    # before the first bad one found so far, in the order a line's faults are
+    # reported, so the last fault found is the first bad line's first fault.
+    width = len(emotions)
+    end, fault = first_misfit(rows, width + 1)
     # The keys are split off first, so that they do not lie strewn among the
     # score cells in memory, which are freed once parsed.
     words = list(map(itemgetter(0), map(str.partition, rows[:end], repeat("\t"))))
     cells = split_cells(rows[:end])
-    del lines, rows, cells[0 :: width + 1]
+    del rows, cells[0 :: width + 1]
     at = first_repeat(words, end)
     if at < end:
         end, fault = at, f"duplicate row for {words[at]!r}"

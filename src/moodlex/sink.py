@@ -2,9 +2,11 @@
 
 Every input file is read as UTF-8 text with a leading byte order mark
 ignored, and a byte that does not decode is reported with the file, line and
-column it sits in. Tab-separated inputs are read whole and checked a column
-at a time by the helpers below; each check reads only the rows before the
-first bad row found so far, so an error names the first bad line.
+column it sits in. Every line-oriented input is read whole by
+:func:`read_rows`, under one rule for line breaks, blank lines, comments and
+fields, and checked a column at a time by the helpers below; each check reads
+only the rows before the first bad row found so far, so an error names the
+first bad line.
 
 Every output file appears whole or not at all. A path is written to a
 temporary file in the same directory and renamed over the target only when
@@ -43,25 +45,42 @@ def format_rows(line: str, columns: Sequence[Sequence]) -> str:
     return (line * len(columns[0])) % tuple(chain.from_iterable(zip(*columns)))
 
 
-def read_rows(path, *, strip: bool = False) -> tuple[list[str], list[int]]:
-    """The rows of the text file at ``path``, read whole, and the 1-based
-    number of the line each row is on.
+def read_rows(source) -> tuple[list[str], list[int], list[str]]:
+    """The rows of the text at ``source``, a path or a text stream, read
+    whole; the 1-based number of the line each row is on; and the comment
+    lines above the first row.
 
-    A row is a line without its line break, or with ``strip`` without the
-    whitespace around it, that is neither blank nor starts with ``#``.
+    Every line-oriented input is read by this one rule. A line is read
+    without its line break. A blank line (whitespace only) is skipped, and so
+    is a comment, ``#`` alone or followed by whitespace, wherever it appears.
+    Every other line is a row, and its fields are the text between its tabs,
+    as written. A metadata line is ``# key: value`` and a lemma#pos key holds
+    no whitespace, so no key is ever read as a comment.
     """
-    with open_source(path) as fh:
-        lines = list(map(str.strip, fh)) if strip else list(map(str.rstrip, fh, repeat("\r\n")))
-    linenos = [n for n, line in enumerate(lines, 1) if line.strip() and line[0] != "#"]
-    return [lines[n - 1] for n in linenos], linenos
+    with open_source(source) as fh:
+        text = fh.read()
+    if "\r" in text:  # a stream's line breaks, as text mode reads a file's
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    del text
+    # Only a line that starts with "#" is sliced, to tell a comment from a row.
+    linenos = [
+        n for n, line in enumerate(lines, 1)
+        if line and not line.isspace() and (line[0] != "#" or line[:2].rstrip() != "#")
+    ]
+    above = lines[: linenos[0] - 1 if linenos else len(lines)]
+    return [lines[n - 1] for n in linenos], linenos, list(filter(str.strip, above))
 
 
-def first_misfit(rows: Sequence[str], fields: int) -> tuple[int, int]:
+def first_misfit(rows: Sequence[str], fields: int) -> tuple[int, str | None]:
     """The index of the first of ``rows`` that has not ``fields``
-    tab-separated fields (``len(rows)`` if none), and how many it has."""
+    tab-separated fields and the fault text for it, or ``len(rows)`` and
+    ``None`` if every row has."""
     tabs = list(map(str.count, rows, repeat("\t")))
     at = first_true(map(ne, tabs, repeat(fields - 1)), len(rows))
-    return at, tabs[at] + 1 if at < len(rows) else fields
+    if at == len(rows):
+        return at, None
+    return at, f"expected {fields} tab-separated fields, got {tabs[at] + 1}"
 
 
 def first_repeat(keys: Sequence, stop: int) -> int:
@@ -99,13 +118,16 @@ def first_true(flags: Iterable, stop: int) -> int:
 @contextmanager
 def open_source(path) -> Iterator[IO[str]]:
     """Yield a UTF-8 text stream over the file at ``path``, without a
-    leading byte order mark.
+    leading byte order mark; an open stream is used as is, and not closed.
 
     Reads are plain text-mode reads. Only when one fails to decode is the
     file read again as bytes, to re-raise the error for the first line that
     does not decode, naming ``path``, the 1-based line number and the 1-based
     byte column in that line.
     """
+    if hasattr(path, "read"):
+        yield path
+        return
     with open(path, encoding="utf-8-sig") as fh:
         try:
             yield fh

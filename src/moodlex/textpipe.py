@@ -12,12 +12,13 @@ from __future__ import annotations
 import re
 from collections import defaultdict
 from itertools import chain, count, islice, repeat
+from operator import ne
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .errors import TextPipeError, VocabularyError
-from .sink import open_source
+from .sink import first_misfit, first_true, read_rows
 
 #: Coarse part-of-speech tags, in the order candidates are scanned per surface
 #: form. Verbs come first so that e.g. "kill" yields kill#v before kill#n.
@@ -104,23 +105,23 @@ class VocabularyFilter(frozenset):
 
     @classmethod
     def from_file(cls, path) -> "VocabularyFilter":
-        """Load one lemma#pos per line; ``#`` at column 1 starts a comment."""
-        first_line: dict[str, int] = {}  # distinct entry -> line it first appears on
-        with open_source(path) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                if raw.startswith("#"):
-                    continue
-                line = raw.strip()
-                if line:
-                    first_line.setdefault(line, lineno)
-        if not first_line:
+        """Load one lemma#pos per row of the file at ``path``, read by
+        :func:`sink.read_rows`, each entry stripped. A ``#``-led entry such as
+        ``#tag#n`` is an entry; a comment is ``#`` alone or followed by
+        whitespace."""
+        rows, linenos, _ = read_rows(path)
+        at, fault = first_misfit(rows, 1)
+        if fault is not None:
+            raise VocabularyError(f"{path}:{linenos[at]}: {fault}")
+        entries = list(map(str.strip, rows))
+        if not entries:
             raise VocabularyError(f"{path}: vocabulary file contains no entries")
         try:
-            return cls(first_line)
+            return cls(entries)
         except TextPipeError:
             # The constructor checks the distinct entries all at once; only
             # now is the first bad line looked up, to name it.
-            for entry, lineno in first_line.items():
+            for entry, lineno in zip(entries, linenos):
                 try:
                     check_lemma_pos(entry)
                 except TextPipeError as exc:
@@ -171,30 +172,20 @@ class LemmaTable:
 
     @classmethod
     def from_file(cls, path) -> "LemmaTable":
-        """Load ``surface<TAB>pos<TAB>lemma`` lines, then an optional
-        ``[rules]`` section of ``pos<TAB>suffix<TAB>replacement`` lines."""
-        entries: list[tuple[str, str, str]] = []
-        rules: list[tuple[str, str, str]] = []
-        in_rules = False
-        with open_source(path) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                line = raw.rstrip("\r\n")
-                if not line.strip():
-                    continue
-                if line.strip() == "[rules]":
-                    in_rules = True
-                    continue
-                fields = line.split("\t")
-                if len(fields) != 3:
-                    raise TextPipeError(
-                        f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
-                    )
-                if in_rules:
-                    rules.append((fields[0], fields[1], fields[2]))
-                else:
-                    entries.append((fields[0], fields[1], fields[2]))
+        """Load ``surface<TAB>pos<TAB>lemma`` rows, then an optional
+        ``[rules]`` section of ``pos<TAB>suffix<TAB>replacement`` rows, from
+        the file at ``path``, read by :func:`sink.read_rows`."""
+        rows, linenos, _ = read_rows(path)
+        kept = [n for n, row in enumerate(rows) if row != "[rules]"]
+        at, fault = first_misfit([rows[n] for n in kept], 3)
+        if fault is not None:
+            raise TextPipeError(f"{path}:{linenos[kept[at]]}: {fault}")
+        fields = [tuple(rows[n].split("\t")) for n in kept]
+        # The entries are the rows before the first [rules] line: the kept
+        # rows that keep their own index.
+        split = first_true(map(ne, kept, count()), len(kept))
         try:
-            return cls(entries, rules)
+            return cls(fields[:split], fields[split:])
         except TextPipeError as exc:
             raise TextPipeError(f"{path}: {exc}") from exc
 

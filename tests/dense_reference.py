@@ -268,10 +268,11 @@ def read_lexicon_lines_reference(fh, source: str) -> EmotionLexicon:
         line = raw.rstrip("\r\n")
         if not line.strip():
             continue
-        if emotions is None and line.startswith("#"):
-            body = line[1:].lstrip()
-            key, sep, value = body.partition(": ")
-            provenance.append((key, value) if sep else (body, ""))
+        if line[:2].rstrip() == "#":
+            if emotions is None:
+                body = line[1:].lstrip()
+                key, sep, value = body.partition(": ")
+                provenance.append((key, value) if sep else (body, ""))
             continue
         fields = line.split("\t")
         if emotions is None:
@@ -285,7 +286,8 @@ def read_lexicon_lines_reference(fh, source: str) -> EmotionLexicon:
             continue
         if len(fields) != 1 + len(emotions):
             raise LexiconError(
-                f"{source}:{lineno}: expected {1 + len(emotions)} columns, got {len(fields)}"
+                f"{source}:{lineno}: expected {1 + len(emotions)} tab-separated fields, "
+                f"got {len(fields)}"
             )
         word = fields[0]
         try:
@@ -314,13 +316,14 @@ def read_lexicon_lines_reference(fh, source: str) -> EmotionLexicon:
     return EmotionLexicon(emotions, list(rows), list(rows.values()), provenance=provenance)
 
 
-def _numbered_lines(path, strip=False):
-    """(line number, line) of every line that is neither blank nor a ``#``
-    comment, one line at a time, as text mode splits them."""
+def _numbered_lines(path):
+    """(line number, line) of every line that is neither blank nor a
+    comment (``#`` alone or followed by whitespace), one line at a time, as
+    text mode splits them."""
     with open(path, encoding="utf-8-sig") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip() if strip else raw.rstrip("\r\n")
-            if line.strip() and not line.startswith("#"):
+            line = raw.rstrip("\r\n")
+            if line.strip() and line[:2].rstrip() != "#":
                 yield lineno, line
 
 
@@ -343,7 +346,8 @@ def load_gold_reference(path, lex, *, lemma_table=None, ambiguity="all") -> Gold
             continue
         if len(fields) != 2 + len(emotions):
             raise EvaluationError(
-                f"{path}:{lineno}: expected {2 + len(emotions)} columns, got {len(fields)}"
+                f"{path}:{lineno}: expected {2 + len(emotions)} tab-separated fields, "
+                f"got {len(fields)}"
             )
         try:
             values = [float(v) for v in fields[2:]]
@@ -379,10 +383,12 @@ def load_labels_reference(path, gold: GoldSet) -> GoldSet:
     field count, the id, duplicates, then each comma-separated name."""
     labels = np.zeros(gold.gold.shape, dtype=bool)
     seen = set()
-    for lineno, line in _numbered_lines(path, strip=True):
+    for lineno, line in _numbered_lines(path):
         fields = line.split("\t")
         if len(fields) != 2:
-            raise EvaluationError(f"{path}:{lineno}: expected 'id<TAB>LABEL[,LABEL...]'")
+            raise EvaluationError(
+                f"{path}:{lineno}: expected 2 tab-separated fields, got {len(fields)}"
+            )
         headline_id, label_field = fields
         if headline_id not in gold.ids:
             raise EvaluationError(f"{path}:{lineno}: unknown headline id {headline_id!r}")
@@ -409,7 +415,9 @@ def read_score_input_reference(path) -> tuple[list[str], list[str]]:
     for lineno, line in _numbered_lines(path):
         fields = line.split("\t")
         if len(fields) != 2:
-            raise MoodlexError(f"{path}:{lineno}: expected 'id<TAB>text', got {len(fields)} fields")
+            raise MoodlexError(
+                f"{path}:{lineno}: expected 2 tab-separated fields, got {len(fields)}"
+            )
         ids.append(fields[0])
         texts.append(fields[1])
     return ids, texts

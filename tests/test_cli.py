@@ -83,6 +83,26 @@ class TestBuild:
         assert len(lex) == 6
         np.testing.assert_allclose(lex.scores.sum(axis=1), 1.0, atol=1e-9)
 
+    @pytest.mark.parametrize("first", [True, False], ids=["first-line", "later-line"])
+    def test_hash_led_key_is_kept(self, workdir, first):
+        """``#tag#n`` is a valid lemma#pos key: as a vocabulary line and a
+        corpus token it becomes a lexicon row, which read_lexicon reads back."""
+        records = [
+            dict(CORPUS_LINES[0], tokens=["#tag#n", *CORPUS_LINES[0]["tokens"]]),
+            *CORPUS_LINES[1:],
+        ]
+        (workdir / "corpus.jsonl").write_text(
+            "".join(json.dumps(rec) + "\n" for rec in records), encoding="utf-8"
+        )
+        vocab = "#tag#n\n" + VOCAB if first else VOCAB + "#tag#n\n"
+        (workdir / "vocab.txt").write_text(vocab, encoding="utf-8")
+        assert main(build_args(workdir)) == 0
+        lines = (workdir / "lex.tsv").read_text(encoding="utf-8").splitlines()
+        assert [l.split("\t")[0] for l in lines if l.startswith("#tag#n\t")] == ["#tag#n"]
+        lex = read_lexicon(workdir / "lex.tsv")
+        assert lex.words[0] == "#tag#n" and len(lex) == 7
+        np.testing.assert_allclose(lex.row("#tag#n").sum(), 1.0)
+
     def test_rerun_is_byte_identical(self, workdir):
         assert main(build_args(workdir)) == 0
         first = (workdir / "lex.tsv").read_bytes()
@@ -711,17 +731,19 @@ MALFORMED = {
 MALFORMED_ERRORS = {
     ("score", "lex.tsv", "empty"): "read-lexicon: lex.tsv: missing lexicon header",
     ("score", "lex.tsv", "header-only"): "read-lexicon: lex.tsv: lexicon has no rows",
-    ("score", "lex.tsv", "truncated"): "read-lexicon: lex.tsv:19: expected 9 columns, got 4",
+    ("score", "lex.tsv", "truncated"):
+        "read-lexicon: lex.tsv:19: expected 9 tab-separated fields, got 4",
     ("eval", "lex.tsv", "empty"): "read-lexicon: lex.tsv: missing lexicon header",
     ("eval", "lex.tsv", "header-only"): "read-lexicon: lex.tsv: lexicon has no rows",
-    ("eval", "lex.tsv", "truncated"): "read-lexicon: lex.tsv:19: expected 9 columns, got 4",
+    ("eval", "lex.tsv", "truncated"):
+        "read-lexicon: lex.tsv:19: expected 9 tab-separated fields, got 4",
     ("eval", "gold.tsv", "empty"): "load-gold: gold.tsv: missing gold header",
     ("eval", "gold.tsv", "header-only"): "load-gold: gold.tsv: no gold headlines",
-    ("eval", "gold.tsv", "truncated"): "load-gold: gold.tsv:5: expected 5 columns, got 2",
-    ("eval", "labels.tsv", "truncated"):
-        "load-labels: labels.tsv:2: expected 'id<TAB>LABEL[,LABEL...]'",
+    ("eval", "gold.tsv", "truncated"):
+        "load-gold: gold.tsv:5: expected 5 tab-separated fields, got 2",
+    # A truncated labels.tsv ends in "h2<TAB>": an empty label field, so no labels.
     ("eval", "mapping.tsv", "truncated"):
-        "load-mapping: mapping.tsv:3: expected 'TARGET<TAB>SOURCE', got 'DISGU'",
+        "load-mapping: mapping.tsv:3: expected 2 tab-separated fields, got 1",
 }
 
 
@@ -763,8 +785,8 @@ def test_malformed_input_files(built, monkeypatch, caplog, subcommand, name, fix
 
 
 # (file, fixture) -> the one error message of a build; every case not listed
-# succeeds, and CRLF line ends build the same lexicon and dump as LF. The
-# lemma table has no comment syntax, so its "header" line is malformed.
+# succeeds, and CRLF line ends build the same lexicon and dump as LF. Every
+# "header" line is "# header", a comment in each of these files but the corpus.
 MALFORMED_BUILD_ERRORS = {
     ("corpus.jsonl", "empty"): "build-lexicon: corpus has no non-empty documents",
     ("corpus.jsonl", "header-only"):
@@ -774,8 +796,6 @@ MALFORMED_BUILD_ERRORS = {
     ("vocab.txt", "empty"): "load-vocabulary: vocab.txt: vocabulary file contains no entries",
     ("vocab.txt", "header-only"): "load-vocabulary: vocab.txt: vocabulary file contains no entries",
     ("vocab.txt", "truncated"): "load-vocabulary: vocab.txt:6: not a lemma#pos token: 'happ'",
-    ("lemmas.tsv", "header-only"):
-        "load-lemma-table: lemmas.tsv:1: expected 3 tab-separated fields, got 1",
     ("lemmas.tsv", "truncated"):
         "load-lemma-table: lemmas.tsv:1: expected 3 tab-separated fields, got 2",
 }

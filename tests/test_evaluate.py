@@ -605,7 +605,7 @@ class TestGoldLoading:
         with pytest.raises(EvaluationError, match="expected header"):
             load_gold(path, tiny_lexicon)
         path = self.write_gold(tmp_path, ["h1\ttext\t0.5"])
-        with pytest.raises(EvaluationError, match="expected 4 columns"):
+        with pytest.raises(EvaluationError, match="expected 4 tab-separated fields, got 3"):
             load_gold(path, tiny_lexicon)
 
     def test_duplicate_ids_rejected(self, tmp_path, tiny_lexicon):

@@ -437,7 +437,7 @@ class TestSerialization:
             ("AFRAID\tSAD\n", "expected header"),
             ("Lemma#PoS\tAFRAID\nw#n\tnope\n", ":2: non-numeric"),
             ("Lemma#PoS\tAFRAID\tSAD\nw#n\t0.9\t0.2\n", ":2: row sum"),
-            ("Lemma#PoS\tAFRAID\tSAD\nw#n\t0.5\n", ":2: expected 3 columns"),
+            ("Lemma#PoS\tAFRAID\tSAD\nw#n\t0.5\n", ":2: expected 3 tab-separated fields, got 2"),
             ("Lemma#PoS\tAFRAID\nw#n\t1\nw#n\t1\n", ":3: duplicate row"),
             ("Lemma#PoS\tAFRAID\nW#n\t1\n", ":2: bad word key"),
             ("Lemma#PoS\tAFRAID\tAFRAID\nw#n\t0.5\t0.5\n", "duplicate emotion"),
@@ -564,7 +564,7 @@ class TestReadLexiconProperties:
             (["w#n\t1\t0.1", "x#n\t-1\t2"], 2, "row sum 1.1"),
             (["w#n\t0.5\t0.5", "x#n\tnan\t1", "W#n\t1\t0"], 3, "scores must be finite"),
             (["w#n\t0.5\t0.5", "x#n\t2\t-1", "x#n\tnope\t1"], 3, "scores must be finite"),
-            (["w#n\t0.5\t0.5", "x#n\t1\t0", "y#n\t1"], 4, "expected 3 columns"),
+            (["w#n\t0.5\t0.5", "x#n\t1\t0", "y#n\t1"], 4, "expected 3 tab-separated fields, got 2"),
         ],
     )
     def test_first_bad_line_wins(self, rows, line, message):

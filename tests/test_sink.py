@@ -16,6 +16,7 @@ from moodlex import (
     EmotionMapping,
     GoldSet,
     LemmaTable,
+    MoodlexError,
     VocabularyFilter,
     load_corpus,
     load_gold,
@@ -23,7 +24,9 @@ from moodlex import (
     read_lexicon,
 )
 from moodlex.cli import _read_score_input
-from moodlex.sink import format_float, format_rows, open_sink, open_source, row_format
+from moodlex.sink import (
+    format_float, format_rows, open_sink, open_source, read_rows, row_format
+)
 
 from corpora import doc_tokens
 
@@ -158,6 +161,14 @@ def test_source_passes_other_errors_through(tmp_path):
         read_all(tmp_path / "absent.tsv")
 
 
+def test_read_rows_reads_a_stream_by_the_one_rule():
+    """A stream's CRLF and CR line ends are line breaks too; blank lines and
+    comments are skipped, a #-led line with no whitespace after the # is a
+    row, and the comment lines above the first row come back as written."""
+    text = "# a: b\r\n\r\n#\tc\n##v\t1\r# later\n \n#x\t\n"
+    assert read_rows(io.StringIO(text)) == (["##v\t1", "#x\t"], [4, 7], ["# a: b", "#\tc"])
+
+
 def _lexicon_summary(path):
     lex = read_lexicon(path)
     return lex.emotions, lex.words, lex.scores.tolist(), lex.provenance
@@ -173,37 +184,85 @@ def _gold_summary(gold):
     return gold.emotions, gold.ids, gold.sources, *(a.tolist() for a in arrays)
 
 
-ONE_HEADLINE = GoldSet(
-    ("FEAR",), ("h1",), np.array([[0.5]]), np.zeros((1, 1), dtype=bool),
-    ("AFRAID",), np.ones((1, 1)), np.ones(1, dtype=np.int64), np.ones(1, dtype=np.int64),
+HEADLINES = GoldSet(
+    ("FEAR",), ("#h2", "h1"), np.array([[0.2], [0.5]]), np.zeros((2, 1), dtype=bool),
+    ("AFRAID",), np.ones((2, 1)), np.ones(2, dtype=np.int64), np.ones(2, dtype=np.int64),
 )
 
 
-# Each input reader: a small valid input, and a comparable summary of what the
-# reader makes of that input.
+# Each input reader: a small valid input, a comparable summary of what the
+# reader makes of that input, and for the line-oriented readers a valid row
+# that starts with "#" and may follow the input (None for the JSONL corpus).
 READERS = {
-    "vocabulary": ("awe#n\nwar#n\n", lambda p: sorted(VocabularyFilter.from_file(p))),
-    "lemma-table": ("surf\tn\tsurf\n[rules]\nv\ts\t\n", lambda p: vars(LemmaTable.from_file(p))),
+    "vocabulary": (
+        "awe#n\nwar#n\n", lambda p: sorted(VocabularyFilter.from_file(p)), "#tag#n"
+    ),
+    "lemma-table": ("surf\tn\tsurf\n", lambda p: vars(LemmaTable.from_file(p)), "#s\tn\t#s"),
     "corpus": (
         '{"id": "d1", "tokens": ["awe#n"], "votes": {"SAD": 1}}\n',
         _corpus_summary,
+        None,
     ),
-    "lexicon": (GOLDEN.read_text(encoding="utf-8"), _lexicon_summary),
-    "mapping": ("FEAR\tAFRAID\nJOY\t-\n", EmotionMapping.from_file),
+    "lexicon": (
+        GOLDEN.read_text(encoding="utf-8"), _lexicon_summary, "#tag#n" + "\t0.125" * 8
+    ),
+    "mapping": ("FEAR\tAFRAID\nJOY\t-\n", EmotionMapping.from_file, "#SAD\t-"),
     "gold": (
         "id\ttext\tFEAR\nh1\tAwe of war\t0.5\n",
         lambda p: _gold_summary(load_gold(p, read_lexicon(GOLDEN))),
+        "#h0\tWar\t0.1",
     ),
-    "labels": ("h1\tFEAR\n", lambda p: _gold_summary(load_labels(p, ONE_HEADLINE))),
-    "score-input": ("h1\tAwe of war\n", _read_score_input),
+    "labels": (
+        "h1\tFEAR\n", lambda p: _gold_summary(load_labels(p, HEADLINES)), "#h2\tFEAR"
+    ),
+    "score-input": ("h1\tAwe of war\n", _read_score_input, "#h2\tWar"),
 }
+LINE_READERS = sorted(name for name, (_, _, row) in READERS.items() if row is not None)
 
 
 @pytest.mark.parametrize("reader", sorted(READERS))
 def test_leading_bom_is_ignored(tmp_path, reader):
-    text, read = READERS[reader]
+    text, read, _ = READERS[reader]
     plain = tmp_path / "plain.txt"
     plain.write_bytes(text.encode("utf-8"))
     marked = tmp_path / "marked.txt"
     marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
     assert read(marked) == read(plain)
+
+
+def _read_text(tmp_path, read, text):
+    path = tmp_path / "in.txt"
+    path.write_bytes(text.encode("utf-8"))
+    return read(path)
+
+
+@pytest.mark.parametrize("reader", LINE_READERS)
+@pytest.mark.parametrize("extra", ["\tx", "\t"], ids=["extra-field", "trailing-tab"])
+def test_field_count_error_names_the_line(tmp_path, reader, extra):
+    """A row with a field too many, even an empty one after a trailing tab,
+    is rejected with its path, its line and the one field-count text."""
+    text, read, row = READERS[reader]
+    width, lineno = row.count("\t") + 1, text.count("\n") + 2
+    with pytest.raises(MoodlexError) as caught:
+        _read_text(tmp_path, read, text + "\n" + row + extra + "\n")
+    message = f"expected {width} tab-separated fields, got {width + 1}"
+    assert str(caught.value) == f"{tmp_path / 'in.txt'}:{lineno}: {message}"
+
+
+@pytest.mark.parametrize("reader", LINE_READERS)
+@pytest.mark.parametrize(
+    "variant",
+    [
+        lambda text, row: (text + row + "\n").replace("\n", "\r\n"),
+        lambda text, row: text.replace("\n", "\n \t\n") + "\n" + row + "\n\n",
+        lambda text, row: text + "# note\n#\n#\tx: y\n" + row + "\n# end",
+    ],
+    ids=["crlf", "blank-lines", "comments"],
+)
+def test_one_line_rule(tmp_path, reader, variant):
+    """Every line-oriented reader reads CRLF line ends as LF ones and skips
+    blank lines and comments, and a #-led row is a row."""
+    text, read, row = READERS[reader]
+    with_row = _read_text(tmp_path, read, text + row + "\n")
+    assert with_row != _read_text(tmp_path, read, text)
+    assert _read_text(tmp_path, read, variant(text, row)) == with_row

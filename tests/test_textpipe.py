@@ -223,6 +223,10 @@ class TestLemmaTable:
         path.write_text("only two\tfields\n", encoding="utf-8")
         with pytest.raises(TextPipeError, match="lemmas.tsv:1"):
             LemmaTable.from_file(path)
+        # The section line is exactly [rules]: padded, it is a one-field row.
+        path.write_text("went\tv\tgo\n[rules] \nv\ts\t\n", encoding="utf-8")
+        with pytest.raises(TextPipeError, match="lemmas.tsv:2: expected 3 tab-separated fields, got 1"):
+            LemmaTable.from_file(path)
 
     def test_conflicting_entries_rejected(self):
         with pytest.raises(TextPipeError, match="conflicting"):
