@@ -365,7 +365,8 @@ def load_gold(
 
 def load_labels(path, gold: GoldSet) -> GoldSet:
     """Attach classification gold labels from ``id<TAB>LABEL[,LABEL...]``
-    lines; headlines absent from the file keep an empty label set."""
+    lines; headlines absent from the file keep an empty label set. A label
+    field must name at least one emotion."""
     rows, linenos, _ = read_rows(path)
     # Checked as in load_gold: the last fault found is the first bad line's.
     end, fault = first_misfit(rows, 2)
@@ -387,6 +388,9 @@ def load_labels(path, gold: GoldSet) -> GoldSet:
     label_rows, label_columns = list(compress(heads, is_plain)), list(compress(columns, is_plain))
     for at in compress(count(), map(not_, is_plain)):
         names = {l.strip().upper() for l in fields[at].split(",") if l.strip()}
+        if not names:
+            end, fault = at, f"label field names no emotion: {fields[at]!r}"
+            break
         unknown = names - column_of.keys()
         if unknown:
             end, fault = at, f"label(s) outside the gold emotion set: {sorted(unknown)}"

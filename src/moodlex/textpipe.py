@@ -16,6 +16,7 @@ from operator import ne
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import TextPipeError, VocabularyError
 from .sink import first_misfit, first_true, read_rows
@@ -143,16 +144,22 @@ class LemmaTable:
         rules: Iterable[tuple[str, str, str]] = (),
     ):
         self._entries: dict[str, dict[str, str]] = {p: {} for p in POS_TAGS}
-        for surface, pos, lemma in entries:
-            self._check_pos(pos)
-            if self._entries[pos].setdefault(surface, lemma) != lemma:
-                raise TextPipeError(f"conflicting lemma table entries for {surface!r}#{pos}")
         self._rules: dict[str, list[tuple[str, str]]] = {p: [] for p in POS_TAGS}
+        for surface, pos, lemma in entries:
+            self._add_entry(surface, pos, lemma)
         for pos, suffix, replacement in rules:
-            self._check_pos(pos)
-            if not suffix:
-                raise TextPipeError("suffix rule with empty suffix")
-            self._rules[pos].append((suffix, replacement))
+            self._add_rule(pos, suffix, replacement)
+
+    def _add_entry(self, surface: str, pos: str, lemma: str) -> None:
+        self._check_pos(pos)
+        if self._entries[pos].setdefault(surface, lemma) != lemma:
+            raise TextPipeError(f"conflicting lemma table entries for {surface!r}#{pos}")
+
+    def _add_rule(self, pos: str, suffix: str, replacement: str) -> None:
+        self._check_pos(pos)
+        if not suffix:
+            raise TextPipeError("suffix rule with empty suffix")
+        self._rules[pos].append((suffix, replacement))
 
     @staticmethod
     def _check_pos(pos: str) -> None:
@@ -180,14 +187,17 @@ class LemmaTable:
         at, fault = first_misfit([rows[n] for n in kept], 3)
         if fault is not None:
             raise TextPipeError(f"{path}:{linenos[kept[at]]}: {fault}")
-        fields = [tuple(rows[n].split("\t")) for n in kept]
         # The entries are the rows before the first [rules] line: the kept
         # rows that keep their own index.
         split = first_true(map(ne, kept, count()), len(kept))
-        try:
-            return cls(fields[:split], fields[split:])
-        except TextPipeError as exc:
-            raise TextPipeError(f"{path}: {exc}") from exc
+        table = cls()
+        adds = chain(repeat(table._add_entry, split), repeat(table._add_rule))
+        for add, n in zip(adds, kept):
+            try:
+                add(*rows[n].split("\t"))
+            except TextPipeError as exc:
+                raise TextPipeError(f"{path}:{linenos[n]}: {exc}") from exc
+        return table
 
 
 def tokenize(text: str) -> list[str]:
@@ -207,38 +217,66 @@ def tokenize_all(texts: Sequence[str]) -> Iterator[list[str]]:
     return map(tokenize, texts)
 
 
-def _candidate_grid(
-    row_of: dict[str, int], table: LemmaTable, members: frozenset, first: bool
-) -> tuple[np.ndarray, tuple[str, ...]]:
-    """The distinct surface forms ``row_of`` numbers 0, 1, ..., resolved all
-    together, one tag at a time: a (forms x POS_TAGS) ``int32`` grid of candidate
-    ids, -1 where a tag licenses none, and the candidate strings, numbered row by row."""
-    surfaces = list(row_of)
-    grid = np.empty((len(surfaces), len(POS_TAGS)), dtype=object)
-    licensed = np.zeros(grid.shape, dtype=bool)
+def _tag_hits(
+    surfaces: list[str], row_of: dict[str, int], table: LemmaTable, vocab: Iterable[str]
+) -> Iterator[dict[int, str]]:
+    """For each tag of POS_TAGS in turn, the candidate string that the table
+    or ``vocab`` licenses for each surface form with one, by its row.
+
+    ``vocab`` is read once, into the lemmas each tag licenses: ``lemma#pos``
+    is a key exactly when ``lemma`` is in ``lemmas[pos]``, as no tag holds a
+    ``#``. The identity forms are then the tag's lemmas that ``row_of``
+    holds, each rule rewrite is one lookup in the tag's lemmas, and a
+    candidate string is made only once it is licensed.
+    """
+    lemmas = {pos: set() for pos in POS_TAGS}
+    add = {pos: lemmas[pos].add for pos in POS_TAGS}
+    for lemma, sep, pos in map(str.rpartition, vocab, repeat("#")):
+        if sep and pos in add:
+            add[pos](lemma)
     # The last `width` code points of each form, right-aligned: all a suffix test reads.
     width = max((len(x) for rules in table._rules.values() for x, _ in rules), default=0)
     if width:  # else no rule reads it
-        ends = np.array([s[-width:].rjust(width, "\0") for s in surfaces], dtype=f"U{width}")
-        ends = ends.view(np.uint32).reshape(-1, width)
-    for col, pos in enumerate(POS_TAGS):
+        # The forms joined, each after `width` NULs, as code points: each
+        # form's end is the window of `width` code points before its stop.
+        lengths = np.fromiter(map(len, surfaces), np.intp, len(surfaces))
+        pad = "\0" * width
+        codes = np.frombuffer((pad + pad.join(surfaces)).encode("utf-32-le", "surrogatepass"), "<u4")
+        ends = sliding_window_view(codes, width)[np.cumsum(lengths + width) - width]
+    for pos in POS_TAGS:
         tail = "#" + pos
+        known = lemmas[pos]
         # Identity forms the vocabulary holds, overridden by table hits; then
         # the rules in file order, for the surface forms still without a hit.
-        identities = members.intersection([s + tail for s in surfaces])
-        hits = {row_of[hit[: -len(tail)]]: hit for hit in identities}
+        hits = {row_of[s]: s + tail for s in filter(row_of.__contains__, known)}
         entries = table._entries[pos]
         hits.update((row_of[s], entries[s] + tail) for s in entries.keys() & row_of.keys())
         for suffix, replacement in table._rules[pos]:
-            # A NUL-padded short form may match a suffix it lacks: each is checked again.
+            # NUL padding may match a suffix: a form shorter than it is left out.
             matches = np.all([ends[:, -k] == ord(c) for k, c in enumerate(suffix[::-1], 1)], axis=0)
             rewrites = {
-                surfaces[i][: -len(suffix)] + replacement + tail: i
-                for i in np.flatnonzero(matches).tolist()
-                if i not in hits and surfaces[i].endswith(suffix)
+                i: surfaces[i][: -len(suffix)] + replacement
+                for i in np.flatnonzero(matches & (lengths >= len(suffix))).tolist()
+                if i not in hits
             }
-            # A rewrite that would empty the surface leaves the tail alone: skipped.
-            hits.update((rewrites[r], r) for r in members.intersection(rewrites) - {tail})
+            # A rewrite that would empty the surface is skipped.
+            hits.update((i, r + tail) for i, r in rewrites.items() if r and r in known)
+        yield hits
+
+
+def _candidate_grid(
+    row_of: dict[str, int], table: LemmaTable, vocab: Iterable[str], first: bool
+) -> tuple[np.ndarray, tuple[str, ...]]:
+    """The distinct surface forms ``row_of`` numbers 0, 1, ..., resolved all
+    together, one tag at a time (:func:`_tag_hits`): a (forms x POS_TAGS)
+    ``int32`` grid of candidate ids, -1 where a tag licenses none, and the
+    candidate strings, numbered row by row."""
+    surfaces = list(row_of)
+    grid = np.empty((len(surfaces), len(POS_TAGS)), dtype=object)
+    licensed = np.zeros(grid.shape, dtype=bool)
+    # The lemma sets and form ends are freed when _tag_hits ends, before the
+    # numbering below, where the memory peaks.
+    for col, hits in enumerate(_tag_hits(surfaces, row_of, table, vocab)):
         grid[list(hits), col] = list(hits.values())
         licensed[list(hits), col] = True
     if first:
@@ -267,7 +305,9 @@ def lemmatize_ids(
     Each occurrence of a surface form yields every candidate licensed by the
     exception table or ``vocab`` (identity form first, then suffix-rule
     rewrites), scanned in POS_TAGS order. ``vocab`` is a
-    :class:`VocabularyFilter`, a set of lemma#pos strings, or a lexicon.
+    :class:`VocabularyFilter`, a set of lemma#pos strings, or a lexicon: it
+    is iterated once, into one set of lemmas per pos tag, and each identity
+    form or rewrite is then one set lookup.
     Under the default ``all`` policy every licensed candidate is emitted;
     ``first`` keeps only the first.
 
@@ -288,7 +328,7 @@ def lemmatize_ids(
         np.int32,
     )
     del row_of[_END]
-    grid, strings = _candidate_grid(row_of, table, frozenset(vocab), policy == "first")
+    grid, strings = _candidate_grid(row_of, table, vocab, policy == "first")
     # Each token takes its surface form's row of the grid, and each end marker
     # the last row, of -1s; read row by row, the valid ids are the candidate
     # tokens in order.

@@ -396,6 +396,10 @@ def load_labels_reference(path, gold: GoldSet) -> GoldSet:
             raise EvaluationError(f"{path}:{lineno}: duplicate labels for {headline_id!r}")
         seen.add(headline_id)
         names = {l.strip().upper() for l in label_field.split(",") if l.strip()}
+        if not names:
+            raise EvaluationError(
+                f"{path}:{lineno}: label field names no emotion: {label_field!r}"
+            )
         unknown = names - set(gold.emotions)
         if unknown:
             raise EvaluationError(

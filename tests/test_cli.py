@@ -741,7 +741,9 @@ MALFORMED_ERRORS = {
     ("eval", "gold.tsv", "header-only"): "load-gold: gold.tsv: no gold headlines",
     ("eval", "gold.tsv", "truncated"):
         "load-gold: gold.tsv:5: expected 5 tab-separated fields, got 2",
-    # A truncated labels.tsv ends in "h2<TAB>": an empty label field, so no labels.
+    # A truncated labels.tsv ends in "h2<TAB>": a label field that names no emotion.
+    ("eval", "labels.tsv", "truncated"):
+        "load-labels: labels.tsv:2: label field names no emotion: ''",
     ("eval", "mapping.tsv", "truncated"):
         "load-mapping: mapping.tsv:3: expected 2 tab-separated fields, got 1",
 }

@@ -636,6 +636,17 @@ class TestGoldLoading:
         with pytest.raises(EvaluationError, match="outside the gold emotion set"):
             load_labels(bad_label, gold)
 
+    @pytest.mark.parametrize("field", ["", ",", " , "])
+    def test_label_field_naming_no_emotion_rejected(self, tmp_path, tiny_lexicon, field):
+        # What a writer cut off after the tab leaves: not an empty label set.
+        gold = load_gold(self.write_gold(tmp_path, ["h1\tafraid\t0.9\t0.0"]), tiny_lexicon)
+        path = tmp_path / "labels.tsv"
+        path.write_text(f"# labels\nh1\t{field}\n", encoding="utf-8")
+        with pytest.raises(
+            EvaluationError, match=f"^{re.escape(str(path))}:2: label field names no emotion"
+        ):
+            load_labels(path, gold)
+
 
 # Files drawn to reach every check of the gold and label readers: blank and
 # comment lines (and a "#" that is not at the start), CRLF line ends, wrong
@@ -678,7 +689,7 @@ def gold_files(draw):
 
 LABEL_FIELDS = st.sampled_from(
     ["FEAR", "JOY", "fear", " Joy", "FEAR,JOY", "FEAR, joy,", ",", "A,B", "A", "B", "TERROR",
-     "FEAR,TERROR", "JOY\tFEAR", ""]
+     "FEAR,TERROR", "JOY\tFEAR", "", " , "]
 )
 LABEL_ROWS = st.builds("{}\t{}".format, HEADLINE_IDS | st.just("hX"), LABEL_FIELDS)
 

@@ -217,7 +217,7 @@ class TestLemmaTable:
         assert list(table.rule_rewrites("s", "v")) == []
 
     def test_bad_pos_and_field_count(self, tmp_path):
-        with pytest.raises(TextPipeError):
+        with pytest.raises(TextPipeError, match="^invalid pos tag 'z' in lemma table$"):
             LemmaTable(entries=[("x", "z", "y")])
         path = tmp_path / "lemmas.tsv"
         path.write_text("only two\tfields\n", encoding="utf-8")
@@ -231,6 +231,25 @@ class TestLemmaTable:
     def test_conflicting_entries_rejected(self):
         with pytest.raises(TextPipeError, match="conflicting"):
             LemmaTable(entries=[("went", "v", "go"), ("went", "v", "wend")])
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("went\tv\tgo\n[rules]\nx\ts\t\n", "3: invalid pos tag 'x' in lemma table"),
+            ("went\tx\tgo\n", "1: invalid pos tag 'x' in lemma table"),
+            ("went\tv\tgo\n\n[rules]\nv\ts\t\nn\t\ta\n", "5: suffix rule with empty suffix"),
+            (
+                "# table\nwent\tv\tgo\nwent\tn\twent\nwent\tv\twend\n",
+                "4: conflicting lemma table entries for 'went'#v",
+            ),
+        ],
+        ids=["rule-pos", "entry-pos", "empty-suffix", "conflict"],
+    )
+    def test_from_file_names_the_bad_line(self, tmp_path, text, message):
+        path = tmp_path / "badpos.tsv"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(TextPipeError, match=f"^{re.escape(str(path))}:{message}$"):
+            LemmaTable.from_file(path)
 
 
 class TestLemmatize:
@@ -347,33 +366,37 @@ TABLES = st.builds(
 def make_vocab(form, words):
     """``words`` as a set, a VocabularyFilter or a lexicon, or no words at
     all (an empty set, which licenses table hits only). Only the set keeps
-    keys with an empty lemma, such as "#v", which shows whether a rewrite
-    that would empty a surface is skipped."""
+    words that are not lemma#pos keys: "#v", with an empty lemma, shows
+    whether a rewrite that would empty a surface is skipped, and "aav", "#"
+    or "a#" whether a tag is only ever read after a "#"."""
     if form == "empty":
         return set()
     if form == "set":
         return set(words)
-    valid = sorted({w for w in words if not w.startswith("#")}) or ["a#n"]
+    valid = [w for w in sorted(set(words)) if not check_outcome(textpipe.check_lemma_pos, w)]
+    valid = valid or ["a#n"]
     if form == "filter":
         return VocabularyFilter(valid)
     return EmotionLexicon(["X"], valid, np.ones((len(valid), 1)))
 
 
 # Every key with a lemma of at most two letters, less a drawn few: most
-# rewrites are licensed, so rule order decides often.
+# rewrites are licensed, so rule order decides often. Words with a "#" in
+# the lemma, or none before the tag, are drawn too.
 KEYS_AB = [
     f"{lemma}#{pos}"
     for lemma in ("", "a", "b", "aa", "ab", "ba", "bb")
     for pos in textpipe.POS_TAGS
-]
+] + ["a#b#v", "##n", "#", "ab", "a#", "aav", "b#an"]
 VOCABS = st.builds(
     lambda form, dropped: make_vocab(form, [k for k in KEYS_AB if k not in dropped]),
     st.sampled_from(["empty", "set", "filter", "lexicon"]),
     st.sets(st.sampled_from(KEYS_AB)),
 )
-STREAMS = st.lists(
-    st.lists(st.text(alphabet="ab", min_size=1, max_size=3), max_size=8), max_size=4
+SURFACES = st.text(alphabet="ab", min_size=1, max_size=3) | st.sampled_from(
+    ["a#", "#b", "a#b", "#"]
 )
+STREAMS = st.lists(st.lists(SURFACES, max_size=8), max_size=4)
 
 
 class TestLemmatizeAll:
@@ -398,6 +421,13 @@ class TestLemmatizeAll:
         vocab=make_vocab("lexicon", ["aa#v", "ab#v", "b#v"]),
         policy="first",
         streams=[["aab", "ab", "b"]],
+    )
+    # "#"s in surfaces and in keys: only a tag after a "#" licenses a lemma.
+    @example(
+        table=LemmaTable(rules=[("v", "b", ""), ("n", "b", "#")]),
+        vocab={"aav", "a#b#v", "##n", "#", "ab", "a#", "b#an", "a##v"},
+        policy="all",
+        streams=[["a", "a#b", "#", "a#", "#b", "b"]],
     )
     # Table hits, identity licensing, rule rewrites and pass-through.
     @example(
@@ -425,7 +455,7 @@ class TestLemmatizeAll:
             raise AssertionError("membership checked through __contains__")
 
         monkeypatch.setattr(textpipe, "_candidate_grid", counting)
-        # Membership is taken once per call as a frozenset, never per lookup.
+        # The vocabulary is read once per call, never checked key by key.
         monkeypatch.setattr(VocabularyFilter, "__contains__", no_membership_calls)
         streams = [["men", "runs", "men"], [], ["runs", "abed", "men"], ["abed"]]
         out = doc_tokens(lemmatize_ids(iter(streams), MEMO_TABLE, vocab=MEMO_VOCAB))
