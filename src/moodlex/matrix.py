@@ -14,7 +14,7 @@ import logging
 import math
 from functools import cached_property
 from itertools import compress
-from typing import Container
+from typing import Container, Sequence
 
 import numpy as np
 
@@ -198,37 +198,58 @@ def apply_weighting(
     return dataclasses.replace(raw, data=raw.data * np.repeat(idf, raw.doc_freq), scheme="tfidf")
 
 
+#: Table bytes per block of dump lines: a block's temporaries are a few times
+#: this, small enough to leave the peak RSS where the rest of the build set it.
+DUMP_BLOCK_BYTES = 1 << 16
+
+
+def _byte_table(strings: Sequence[str], end: str) -> np.ndarray:
+    """Each string's UTF-8 bytes and then ``end``'s in one ``uint16`` row,
+    padded with 256, which no byte equals, and viewed as one ``np.void``."""
+    lengths = np.fromiter(map(len, map(str.encode, strings)), np.intp, len(strings)) + len(end)
+    width = int(lengths.max())
+    table = np.full((len(strings), width), 256, dtype=np.uint16)
+    table[np.arange(width) < lengths[:, None]] = np.frombuffer(
+        (end.join(strings) + end).encode(), np.uint8
+    )
+    return table.view(np.dtype((np.void, 2 * width)))[:, 0]
+
+
 def write_matrix_dump(tdm: TermDocumentMatrix, sink) -> None:
     """Write ``lemma#pos<TAB>doc_id<TAB>weight`` triples in row-major order,
     after a header recording scheme, corpus size, and the tf-idf variant.
+    ``sink`` is a text stream or a path; a path is written atomically.
 
-    ``sink`` is a text stream or a path; a path is written atomically."""
-    # Each distinct weight is formatted once, each doc_id cell built once.
-    # The distinct weights are the sorted ones that differ from their
-    # predecessor (a plain np.unique imports numpy.ma, 10-17 ms), and
-    # searchsorted gives the indices its return_inverse would, with a quarter
-    # of the temporary memory (47 vs 190 MiB at 4.85M entries).
-    values = np.sort(tdm.data)
-    distinct = np.ones(values.size, dtype=bool)
-    distinct[1:] = values[1:] != values[:-1]
-    values = values[distinct]
-    which = np.searchsorted(values, tdm.data)
-    weights = [format_float(value) + "\n" for value in values.tolist()]
-    cells = [doc_id + "\t" for doc_id in tdm.doc_ids]
-    bounds = tdm.indptr.tolist()
+    Each distinct weight is formatted once, and the sorted copy that finds
+    them is the only temporary as long as the matrix (a float ``np.unique``
+    would import ``numpy.ma``). Lines are assembled in blocks of
+    :data:`DUMP_BLOCK_BYTES`: each takes its word, doc id and weight cells
+    from three byte tables, drops their padding and is written at once.
+    """
+    data = tdm.data
     with open_sink(sink) as fh:
-        fh.write(
-            f"# scheme={tdm.scheme}\tn_docs={tdm.n_docs}\ttfidf_variant={TFIDF_VARIANT}\n"
-        )
-        for word, start, stop in zip(tdm.words, bounds, bounds[1:]):
-            head = word + "\t"
-            fh.write(
-                "".join(
-                    [
-                        head + cells[col] + weights[w]
-                        for col, w in zip(
-                            tdm.indices[start:stop].tolist(), which[start:stop].tolist()
-                        )
-                    ]
-                )
-            )
+        fh.write(f"# scheme={tdm.scheme}\tn_docs={tdm.n_docs}\ttfidf_variant={TFIDF_VARIANT}\n")
+        if not data.size:
+            return
+        values = np.sort(data)
+        values = values[np.concatenate(([True], values[1:] != values[:-1]))]
+        weights = _byte_table(list(map(format_float, values.tolist())), "\n")
+        heads = _byte_table(tdm.words, "\t")
+        cells = _byte_table(tdm.doc_ids, "\t")
+        line = np.dtype([("head", heads.dtype), ("cell", cells.dtype), ("weight", weights.dtype)])
+        step = max(1, DUMP_BLOCK_BYTES // line.itemsize)
+        for start in range(0, data.size, step):
+            stop = min(start + step, data.size)
+            # The rows holding entries start:stop, each repeated once per entry.
+            first = int(np.searchsorted(tdm.indptr, start, "right")) - 1
+            last = int(np.searchsorted(tdm.indptr, stop))
+            bounds = tdm.indptr[first : last + 1].clip(start, stop)
+            block = np.empty(stop - start, dtype=line)
+            block["head"] = heads[np.repeat(np.arange(first, last), np.diff(bounds))]
+            block["cell"] = cells[tdm.indices[start:stop]]
+            # Searched for in sorted order, the weights take few, predictable
+            # steps each; in storage order nf weights took twice as long.
+            order = data[start:stop].argsort()
+            block["weight"][order] = weights[np.searchsorted(values, data[start:stop][order])]
+            units = block.view(np.uint16)
+            fh.write(units[units != 256].astype(np.uint8).tobytes().decode("utf-8"))

@@ -336,21 +336,27 @@ class TestEmotionLexicon:
         with pytest.raises(LexiconError, match="not an array of numbers"):
             EmotionLexicon(["A", "B"], ["u#n", "w#n"], [[0.5, 0.5], [1.0]])
 
-    def test_duplicate_words(self):
+    @pytest.mark.parametrize(
+        "words", [["w#n", "u#n", "w#n"], ["u#n", "u#n", "w#n"], ["u#n", "w#n", "w#n"]]
+    )
+    def test_duplicate_words(self, words):
         with pytest.raises(LexiconError, match="duplicate words"):
-            EmotionLexicon(["A"], ["w#n", "u#n", "w#n"], [[1.0], [1.0], [1.0]])
+            EmotionLexicon(["A"], words, [[1.0], [1.0], [1.0]])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.25])
     def test_scores_finite_and_non_negative(self, bad):
         with pytest.raises(LexiconError, match="finite and non-negative"):
             EmotionLexicon(["A", "B"], ["u#n", "w#n"], [[0.5, 0.5], [1.25, bad]])
 
-    def test_unsorted_words_come_out_sorted_with_their_rows(self):
-        lex = EmotionLexicon(
-            ["A", "B"], ["zebra#n", "apple#n", "mango#n"], [[1.0, 0.0], [0.0, 1.0], [0.5, 0.5]]
-        )
-        assert lex.words == ("apple#n", "mango#n", "zebra#n")
-        np.testing.assert_array_equal(lex.scores, [[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]])
+    @pytest.mark.parametrize("order", [(2, 0, 1), (0, 2, 1), (1, 0, 2), (0, 1, 2)])
+    def test_words_come_out_sorted_with_their_rows(self, order):
+        words = ("apple#n", "mango#n", "zebra#n")
+        rows = [[0.0, 1.0], [0.5, 0.5], [1.0, 0.0]]
+        scores = np.array([rows[i] for i in order])
+        lex = EmotionLexicon(["A", "B"], [words[i] for i in order], scores)
+        scores[:] = 7.0
+        assert lex.words == words
+        np.testing.assert_array_equal(lex.scores, rows)
         np.testing.assert_array_equal(lex.row("zebra#n"), [1.0, 0.0])
 
     @pytest.mark.parametrize("words", [["u#n", "w#n"], ["w#n", "u#n"]])

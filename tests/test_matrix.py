@@ -5,10 +5,11 @@ from __future__ import annotations
 import dataclasses
 import io
 import math
+import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from moodlex import (
@@ -17,10 +18,15 @@ from moodlex import (
     count_terms,
     write_matrix_dump,
 )
+from moodlex.matrix import DUMP_BLOCK_BYTES
 
 import dense_reference
 from corpora import corpus_of
 from dense_reference import dense_count, make_random_corpus, normalized_frequency, tfidf_weight
+
+
+#: Words and doc ids of 1 to 40 code points, of 1 to 4 UTF-8 bytes each.
+NAMES = st.text(alphabet="aé文😀", min_size=1, max_size=40)
 
 
 def records_from(token_streams):
@@ -292,15 +298,42 @@ class TestDump:
             ),
         ),
         st.randoms(use_true_random=False),
+        st.lists(NAMES.map(lambda lemma: lemma[:38] + "#n"), min_size=10, max_size=10, unique=True),
+        st.lists(NAMES, min_size=8, max_size=8, unique=True),
     )
-    def test_bytes_match_per_entry_writer(self, ids, scheme, pool, rnd):
+    @example(  # tf-idf over one document drops every row: the header alone
+        [[0]],
+        "tfidf",
+        None,
+        random.Random(0),
+        [f"w{i}#n" for i in range(10)],
+        [f"d{j}" for j in range(8)],
+    )
+    def test_bytes_match_per_entry_writer(self, ids, scheme, pool, rnd, words, doc_ids):
         """The same bytes as formatting each weight on its own, under every
-        scheme and for arbitrary positive weights, few of them distinct."""
-        streams = [[f"w{i}#n" for i in doc] + ["all#n"] for doc in ids]
-        tdm = apply_weighting(counted(streams), scheme)
+        scheme, for arbitrary positive weights, few of them distinct, and for
+        words and doc ids of 1 to 40 code points of 1 to 4 UTF-8 bytes each."""
+        streams = [[words[i] for i in doc] + ["all#n"] for doc in ids]
+        records = corpus_of(
+            (doc_id, tokens, {"AFRAID": 1.0}) for doc_id, tokens in zip(doc_ids, streams)
+        )
+        tdm = apply_weighting(count_terms(records, records.strings), scheme)
         if pool is not None:
             weights = np.array([rnd.choice(pool) for _ in range(len(tdm.data))])
             tdm = dataclasses.replace(tdm, data=weights)
+        got, want = io.StringIO(), io.StringIO()
+        write_matrix_dump(tdm, got)
+        dense_reference.write_matrix_dump_reference(tdm, want)
+        assert got.getvalue() == want.getvalue()
+
+    def test_bytes_match_per_entry_writer_across_blocks(self):
+        """Rows longer than a block of lines: blocks end inside rows."""
+        # A line holds at least 6 bytes, each 2 bytes of table, so a block
+        # holds at most DUMP_BLOCK_BYTES // 12 lines, fewer than one row.
+        n_docs = DUMP_BLOCK_BYTES // 8
+        tdm = counted([["a#n", "bé#v", "文😀#n"]] * n_docs)
+        rng = np.random.default_rng(7)
+        tdm = dataclasses.replace(tdm, data=rng.choice([0.5, 1 / 3, 2.0, 1e-300], tdm.data.size))
         got, want = io.StringIO(), io.StringIO()
         write_matrix_dump(tdm, got)
         dense_reference.write_matrix_dump_reference(tdm, want)
