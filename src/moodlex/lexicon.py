@@ -75,17 +75,14 @@ class EmotionLexicon:
         expected = (len(words), len(self.emotions))
         if values.shape != expected:
             raise LexiconError(f"scores have shape {values.shape}, expected {expected}")
-        words = tuple(words)
-        # Strictly increasing words, as build_lexicon and a written file give
-        # them, are sorted and unique already.
-        if all(map(lt, words, words[1:])):
-            self._words, self._scores = words, values.copy()
-        else:
-            order = sorted(range(len(words)), key=words.__getitem__)
-            self._words = tuple(map(words.__getitem__, order))
-            if len(set(self._words)) != len(self._words):
-                raise LexiconError("duplicate words in lexicon rows")
-            self._scores = values[order]  # fancy indexing copies
+        # Sorted words come in as build_lexicon and a written file give them,
+        # and timsort takes one pass over them; sorted, they are unique when
+        # each is less than the next.
+        order = sorted(range(len(words)), key=words.__getitem__)
+        self._words = tuple(map(words.__getitem__, order))
+        if not all(map(lt, self._words, self._words[1:])):
+            raise LexiconError("duplicate words in lexicon rows")
+        self._scores = values[order]  # fancy indexing copies
         if not np.isfinite(self._scores).all() or (self._scores < 0).any():
             raise LexiconError("lexicon scores must be finite and non-negative")
         self._row_of = dict(zip(self._words, range(len(self._words))))

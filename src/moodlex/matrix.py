@@ -14,7 +14,7 @@ import logging
 import math
 from functools import cached_property
 from itertools import compress
-from typing import Container, Sequence
+from typing import Container
 
 import numpy as np
 
@@ -198,21 +198,10 @@ def apply_weighting(
     return dataclasses.replace(raw, data=raw.data * np.repeat(idf, raw.doc_freq), scheme="tfidf")
 
 
-#: Table bytes per block of dump lines: a block's temporaries are a few times
-#: this, small enough to leave the peak RSS where the rest of the build set it.
+#: Bytes of text per block of dump lines: a block's temporaries are about
+#: twenty times this, small enough to leave the peak RSS where the rest of the
+#: build set it.
 DUMP_BLOCK_BYTES = 1 << 16
-
-
-def _byte_table(strings: Sequence[str], end: str) -> np.ndarray:
-    """Each string's UTF-8 bytes and then ``end``'s in one ``uint16`` row,
-    padded with 256, which no byte equals, and viewed as one ``np.void``."""
-    lengths = np.fromiter(map(len, map(str.encode, strings)), np.intp, len(strings)) + len(end)
-    width = int(lengths.max())
-    table = np.full((len(strings), width), 256, dtype=np.uint16)
-    table[np.arange(width) < lengths[:, None]] = np.frombuffer(
-        (end.join(strings) + end).encode(), np.uint8
-    )
-    return table.view(np.dtype((np.void, 2 * width)))[:, 0]
 
 
 def write_matrix_dump(tdm: TermDocumentMatrix, sink) -> None:
@@ -220,36 +209,56 @@ def write_matrix_dump(tdm: TermDocumentMatrix, sink) -> None:
     after a header recording scheme, corpus size, and the tf-idf variant.
     ``sink`` is a text stream or a path; a path is written atomically.
 
-    Each distinct weight is formatted once, and the sorted copy that finds
-    them is the only temporary as long as the matrix (a float ``np.unique``
-    would import ``numpy.ma``). Lines are assembled in blocks of
-    :data:`DUMP_BLOCK_BYTES`: each takes its word, doc id and weight cells
-    from three byte tables, drops their padding and is written at once.
+    Every word, doc id and distinct weight is held once, as UTF-8 bytes in
+    one buffer. Each block of lines, at most :data:`DUMP_BLOCK_BYTES` of text
+    or one longer line, is gathered from it and written at once. The sorted
+    copy that finds the distinct weights is the only temporary as long as
+    the matrix (a float ``np.unique`` would import ``numpy.ma``).
     """
-    data = tdm.data
+    data, indptr = tdm.data, tdm.indptr
     with open_sink(sink) as fh:
         fh.write(f"# scheme={tdm.scheme}\tn_docs={tdm.n_docs}\ttfidf_variant={TFIDF_VARIANT}\n")
         if not data.size:
             return
         values = np.sort(data)
         values = values[np.concatenate(([True], values[1:] != values[:-1]))]
-        weights = _byte_table(list(map(format_float, values.tolist())), "\n")
-        heads = _byte_table(tdm.words, "\t")
-        cells = _byte_table(tdm.doc_ids, "\t")
-        line = np.dtype([("head", heads.dtype), ("cell", cells.dtype), ("weight", weights.dtype)])
-        step = max(1, DUMP_BLOCK_BYTES // line.itemsize)
-        for start in range(0, data.size, step):
-            stop = min(start + step, data.size)
+        # Cell i is the bytes at[i]:at[i] + size[i] of text: the words and doc
+        # ids, each ended by a tab, then the distinct weights, each by a line break.
+        texts = [*tdm.words, *tdm.doc_ids, *map(format_float, values.tolist())]
+        n_words, n_tabbed = len(tdm.words), len(tdm.words) + tdm.n_docs
+        text = "\t".join(texts[:n_tabbed]) + "\t" + "\n".join(texts[n_tabbed:]) + "\n"
+        text = np.frombuffer(text.encode(), np.uint8)
+        size = np.fromiter(map(len, map(str.encode, texts)), np.intp, len(texts)) + 1
+        at = size.cumsum() - size
+        widest = [int(part.max()) for part in np.split(size, (n_words, n_tabbed))]
+        # A block holds at most DUMP_BLOCK_BYTES of text, or one longer line.
+        count_up = np.arange(max(DUMP_BLOCK_BYTES, sum(widest)))
+        start, window = 0, DUMP_BLOCK_BYTES // 16
+        while start < data.size:
             # The rows holding entries start:stop, each repeated once per entry.
-            first = int(np.searchsorted(tdm.indptr, start, "right")) - 1
-            last = int(np.searchsorted(tdm.indptr, stop))
-            bounds = tdm.indptr[first : last + 1].clip(start, stop)
-            block = np.empty(stop - start, dtype=line)
-            block["head"] = heads[np.repeat(np.arange(first, last), np.diff(bounds))]
-            block["cell"] = cells[tdm.indices[start:stop]]
+            stop = min(start + window, data.size)
+            first = int(indptr.searchsorted(start, "right")) - 1
+            last = int(indptr.searchsorted(stop))
+            per_row = np.diff(indptr[first : last + 1].clip(start, stop))
+            rows = np.repeat(np.arange(first, last), per_row)
+            docs = tdm.indices[start:stop] + n_words
+            # Keep the lines that fit the block even with the widest weight.
+            room = (size[rows] + size[docs] + widest[2]).cumsum()
+            n = max(1, int(room.searchsorted(DUMP_BLOCK_BYTES, "right")))
+            stop, window = start + n, n + n // 4 + 1
+            cells = np.empty((n, 3), np.intp)
+            cells[:, 0], cells[:, 1] = rows[:n], docs[:n]
             # Searched for in sorted order, the weights take few, predictable
-            # steps each; in storage order nf weights took twice as long.
+            # steps each: on the build-tokens benchmark matrix (1,777 distinct
+            # nf weights) a search in storage order took twice as long. It is
+            # faster only when there are very few distinct weights.
             order = data[start:stop].argsort()
-            block["weight"][order] = weights[np.searchsorted(values, data[start:stop][order])]
-            units = block.view(np.uint16)
-            fh.write(units[units != 256].astype(np.uint8).tobytes().decode("utf-8"))
+            cells[order, 2] = values.searchsorted(data[start:stop][order]) + n_tabbed
+            # Byte j of cell c is text[at[c] + j]: the gather index counts up
+            # through each cell from its start.
+            counts = size[cells.ravel()]
+            ends = counts.cumsum()
+            index = np.repeat(at[cells.ravel()] - ends + counts, counts)
+            index += count_up[: ends[-1]]
+            fh.write(str(text[index], "utf-8"))
+            start = stop

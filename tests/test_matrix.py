@@ -6,6 +6,7 @@ import dataclasses
 import io
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -327,14 +328,56 @@ class TestDump:
         assert got.getvalue() == want.getvalue()
 
     def test_bytes_match_per_entry_writer_across_blocks(self):
-        """Rows longer than a block of lines: blocks end inside rows."""
-        # A line holds at least 6 bytes, each 2 bytes of table, so a block
-        # holds at most DUMP_BLOCK_BYTES // 12 lines, fewer than one row.
+        """Rows longer than a block: blocks end inside rows, each on a line."""
+        # A line holds at least 9 bytes, so each row of 8,192 lines holds
+        # more than DUMP_BLOCK_BYTES.
         n_docs = DUMP_BLOCK_BYTES // 8
         tdm = counted([["a#n", "bé#v", "文😀#n"]] * n_docs)
         rng = np.random.default_rng(7)
         tdm = dataclasses.replace(tdm, data=rng.choice([0.5, 1 / 3, 2.0, 1e-300], tdm.data.size))
-        got, want = io.StringIO(), io.StringIO()
+        got, want = WriteLog(), io.StringIO()
         write_matrix_dump(tdm, got)
         dense_reference.write_matrix_dump_reference(tdm, want)
-        assert got.getvalue() == want.getvalue()
+        assert "".join(got.writes) == want.getvalue()
+        blocks = got.writes[1:]
+        assert len(blocks) > 3
+        assert all(len(block.encode()) <= DUMP_BLOCK_BYTES for block in blocks)
+        assert all(block.endswith("\n") for block in blocks)
+
+    def test_long_names_cost_only_their_bytes(self):
+        """A doc id of 80,000 bytes, longer than a block, and a key of 10,002
+        bytes among 2,000 documents: the same bytes, in blocks of at most
+        DUMP_BLOCK_BYTES or one line, no table padded to the longest name
+        (that would take 2,000 x 80,001 bytes at least), and blocks that grow
+        back after the long line instead of holding one line each."""
+        long_id, long_key = "é" * 40_000, "k" * 10_000 + "#n"
+        records = corpus_of(
+            (long_id if j == 0 else f"d{j}", ["a#n", long_key] if j == 1 else ["a#n"], [1.0])
+            for j in range(2_000)
+        )
+        tdm = apply_weighting(count_terms(records, records.strings), "normalized")
+        got, want = WriteLog(), io.StringIO()
+        tracemalloc.start()
+        try:
+            write_matrix_dump(tdm, got)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        dense_reference.write_matrix_dump_reference(tdm, want)
+        assert "".join(got.writes) == want.getvalue()
+        assert all(
+            len(block.encode()) <= DUMP_BLOCK_BYTES or block.count("\n") == 1
+            for block in got.writes[1:]
+        )
+        assert peak < 4 << 20
+        assert len(got.writes) < 100
+
+
+class WriteLog:
+    """A text sink that keeps each write apart."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
