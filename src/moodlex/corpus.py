@@ -290,23 +290,20 @@ def _token_errors(
 ) -> dict[int, str]:
     """By document, the error naming its first token that is not lemma#pos.
 
-    The distinct ``strings`` are checked all at once; only if that fails is
-    each one checked on its own, to find the documents and their first bad
-    token.
+    The distinct ``strings`` are checked once, by :func:`textpipe.key_faults`,
+    and the documents holding a bad one are then found from the ids.
     """
-    try:
-        textpipe.check_lemma_pos_all(strings)
+    faults = textpipe.key_faults(strings)
+    if not faults:
         return {}
-    except TextPipeError:
-        pass
-    errors = {i: e for i, e in enumerate(map(_token_error, strings)) if e is not None}
     is_bad = np.zeros(len(strings), dtype=bool)
-    is_bad[list(errors)] = True
+    is_bad[list(faults)] = True
     at = np.flatnonzero(is_bad[token_ids])  # ascending, so each document's first comes first
     doc = np.searchsorted(np.cumsum(lengths), at, side="right")
     first = np.diff(doc, prepend=-1) != 0
+    bad = token_ids[at[first]].tolist()
     return {
-        d: errors[token_ids[p]] for d, p in zip(doc[first].tolist(), at[first].tolist())
+        d: f"bad token {strings[t]!r}: {faults[t]}" for d, t in zip(doc[first].tolist(), bad)
     }
 
 
@@ -338,7 +335,6 @@ def parse_corpus(
     emotions = emotions if emotions is not None else EmotionSet.default()
     check_min_votes_sum(min_votes_sum)
     doc_ids: list[str] = []
-    doc_lines = array("q")
     votes = array("d")
     lengths = array("q")
     token_ids = array("i")
@@ -389,7 +385,6 @@ def parse_corpus(
                 token_ids.fromlist(ids)
                 lengths.append(len(tokens))
             doc_ids.append(doc_id)
-            doc_lines.append(lineno)
             votes.fromlist(row)
         except _MalformedRecord as exc:
             failures[lineno] = str(exc)
@@ -408,7 +403,7 @@ def parse_corpus(
     strings = tuple(id_of)
     # A line's vote error wins over its token error.
     for doc, message in {**_token_errors(token_ids, lengths, strings), **vote_errors}.items():
-        failures[doc_lines[doc]] = message
+        failures[seen[doc_ids[doc]]] = message
     if failures:
         ordered = sorted(failures.items())
         shown = "; ".join(f"line {n}: {msg}" for n, msg in ordered[:_MAX_REPORTED_LINES])

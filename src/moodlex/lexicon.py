@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 from itertools import repeat
 from operator import itemgetter, lt
-from typing import TYPE_CHECKING, Iterator, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -112,6 +112,14 @@ class EmotionLexicon:
             raise LexiconError(f"word {word!r} not in lexicon") from None
 
 
+def _row_sums(owner: np.ndarray, columns: Iterable[np.ndarray], n: int) -> np.ndarray:
+    """The ``(n, len(columns))`` sums by owner: row ``i`` of column ``k`` adds
+    the entries of ``columns[k]`` whose ``owner`` is ``i``, in index order,
+    from 0.0. The word-by-emotion mass and the headline scores add up here."""
+    sums = np.column_stack([np.bincount(owner, weights=c, minlength=n) for c in columns])
+    return sums.astype(np.float64, copy=False)  # an empty owner gives int64 zeros
+
+
 def score_ids(
     token_ids: np.ndarray, lengths: Sequence[int], strings: Sequence[str], lex: EmotionLexicon
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -130,11 +138,8 @@ def score_ids(
     hit = rows >= 0
     owner, rows = owner[hit], rows[hit]
     covered = np.bincount(owner, minlength=len(lengths))
-    sums = np.zeros((len(lengths), len(lex.emotions)), dtype=np.float64)
-    # One column at a time, so only one column of the covered rows is
-    # gathered at once; each sum still runs in token order.
-    for j in range(len(lex.emotions)):
-        np.add.at(sums[:, j], owner, lex.scores[rows, j])
+    # Only one column of the covered rows is gathered at once.
+    sums = _row_sums(owner, (column[rows] for column in lex.scores.T), len(lengths))
     scored = covered > 0
     sums[scored] /= covered[scored, None]
     return sums, covered
@@ -145,13 +150,8 @@ def emotion_product(wd: TermDocumentMatrix) -> np.ndarray:
     documents of the word's weight times the document's vote fraction."""
     # Each word's entries are added in storage order starting from 0.0, the
     # order a CSR matrix-vector product uses, so the sums match it bit for bit.
-    rows = np.repeat(np.arange(len(wd.words)), np.diff(wd.indptr))
-    return np.column_stack(
-        [
-            np.bincount(rows, weights=wd.data * wd.votes[wd.indices, k], minlength=len(wd.words))
-            for k in range(wd.votes.shape[1])
-        ]
-    )
+    rows = np.repeat(np.arange(len(wd.words)), wd.doc_freq)
+    return _row_sums(rows, (wd.data * votes[wd.indices] for votes in wd.votes.T), len(wd.words))
 
 
 def column_normalize(
@@ -300,15 +300,10 @@ def read_lexicon(source) -> EmotionLexicon:
     at = first_repeat(words, end)
     if at < end:
         end, fault = at, f"duplicate row for {words[at]!r}"
-    try:
-        textpipe.check_lemma_pos_all(words[:end])
-    except TextPipeError:
-        for at, word in enumerate(words[:end]):
-            try:
-                textpipe.check_lemma_pos(word)
-            except TextPipeError as exc:
-                end, fault = at, f"bad word key: {exc}"
-                break
+    faults = textpipe.key_faults(words)
+    at = min(faults, default=end)
+    if at < end:
+        end, fault = at, f"bad word key: {faults[at]}"
     values, parsed = parse_floats(cells[: end * width])
     if parsed < end * width:
         end, fault = parsed // width, "non-numeric score"

@@ -39,8 +39,8 @@ class TermDocumentMatrix:
 
     ``doc_lengths`` holds the vocabulary-filtered token count per document
     and ``raw_doc_lengths`` the pre-filter count; ``doc_freq`` is the number
-    of documents containing each word, taken from the raw counts. Row ``j``
-    of ``votes`` is the vote fractions of ``doc_ids[j]``.
+    of documents containing each word, its row's entry count, as no stored
+    weight is zero. Row ``j`` of ``votes`` is the vote fractions of ``doc_ids[j]``.
     """
 
     words: tuple[str, ...]
@@ -51,12 +51,15 @@ class TermDocumentMatrix:
     scheme: str
     doc_lengths: np.ndarray
     raw_doc_lengths: np.ndarray
-    doc_freq: np.ndarray
     votes: np.ndarray
 
     @property
     def n_docs(self) -> int:
         return len(self.doc_ids)
+
+    @property
+    def doc_freq(self) -> np.ndarray:
+        return np.diff(self.indptr)
 
     @cached_property
     def row_index(self) -> dict[str, int]:
@@ -128,7 +131,6 @@ def count_terms(corpus: Corpus, vocab: Container[str]) -> TermDocumentMatrix:
         scheme="raw",
         doc_lengths=lengths,
         raw_doc_lengths=corpus.lengths[nonempty],
-        doc_freq=doc_freq,
         votes=corpus.votes[nonempty],
     )
 
@@ -183,7 +185,6 @@ def apply_weighting(
             indptr=np.concatenate(([0], np.cumsum(raw.doc_freq[keep]))),
             indices=raw.indices[entries],
             data=raw.data[entries],
-            doc_freq=raw.doc_freq[keep],
         )
 
     if scheme == "raw":

@@ -185,7 +185,10 @@ def open_sink(target) -> Iterator[IO[str]]:
     tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
     # O_EXCL never reuses an existing file; mode 0o666 is narrowed by the
     # umask, exactly as for a plain open().
-    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    except OSError as exc:  # named by its target: the temporary name is random
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with open(fd, "w", encoding="utf-8", newline="\n") as fh:
             yield fh

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
-from itertools import chain, count, islice, repeat
+from itertools import chain, count, repeat
 from operator import ne
 from typing import Iterable, Iterator, Sequence
 
@@ -63,30 +63,28 @@ def check_lemma_pos(token: str) -> None:
         raise TextPipeError(f"lemma must be lower-case with no whitespace: {lemma!r}")
 
 
-def check_lemma_pos_all(tokens: Iterable[str]) -> None:
-    """Raise what :func:`check_lemma_pos` raises for the first of ``tokens``
-    it rejects, if any.
+def key_faults(keys: Sequence[str]) -> dict[int, str]:
+    """The text of what :func:`check_lemma_pos` raises for each of ``keys``
+    it rejects, by index, in ascending order.
 
-    Up to 2**15 tokens are checked at once, each after a line break in one
-    string: no token may hold a line break, each line must be a lemma#pos key
-    and the whole string lower-case. Only when that fails are those tokens
-    checked one by one. The bound keeps the string small next to the tokens.
+    Up to 2**15 keys are checked at once, each after a line break in one
+    string: no key may hold a line break, each line must be a lemma#pos key
+    and the whole string lower-case. Only a chunk that fails that is checked
+    key by key. The bound keeps the string small next to the keys. A key that
+    is not a string makes the join raise ``TypeError``.
     """
-    tokens = iter(tokens)
-    while chunk := list(islice(tokens, 1 << 15)):
-        try:
-            joined = "\n" + "\n".join(chunk)
-        except TypeError:  # a token that is not a string
-            pass
-        else:
-            if (
-                joined.count("\n") == len(chunk)
-                and not _NOT_A_KEY_RE.search(joined)
-                and joined == joined.lower()
-            ):
-                continue
-        for token in chunk:
-            check_lemma_pos(token)
+    faults = {}
+    step = 1 << 15
+    for start in range(0, len(keys), step):
+        chunk = keys[start : start + step] if len(keys) > step else keys
+        text = "\n" + "\n".join(chunk)
+        if text.count("\n") > len(chunk) or _NOT_A_KEY_RE.search(text) or text != text.lower():
+            for at, key in enumerate(chunk, start):
+                try:
+                    check_lemma_pos(key)
+                except TextPipeError as exc:
+                    faults[at] = str(exc)
+    return faults
 
 
 class VocabularyFilter(frozenset):
@@ -98,8 +96,9 @@ class VocabularyFilter(frozenset):
     """
 
     def __new__(cls, entries: Iterable[str]):
-        unique = dict.fromkeys(entries)  # distinct, in input order
-        check_lemma_pos_all(unique)
+        unique = list(dict.fromkeys(entries))  # distinct, in input order
+        if faults := key_faults(unique):
+            raise TextPipeError(faults[min(faults)])
         if not unique:
             raise VocabularyError("vocabulary filter has no entries")
         return super().__new__(cls, unique)
@@ -109,7 +108,8 @@ class VocabularyFilter(frozenset):
         """Load one lemma#pos per row of the file at ``path``, read by
         :func:`sink.read_rows`, each entry stripped. A ``#``-led entry such as
         ``#tag#n`` is an entry; a comment is ``#`` alone or followed by
-        whitespace."""
+        whitespace. The constructor checks each distinct entry once; only if
+        it fails are all the entries checked, to name the first bad line."""
         rows, linenos, _ = read_rows(path)
         at, fault = first_misfit(rows, 1)
         if fault is not None:
@@ -119,15 +119,10 @@ class VocabularyFilter(frozenset):
             raise VocabularyError(f"{path}: vocabulary file contains no entries")
         try:
             return cls(entries)
-        except TextPipeError:
-            # The constructor checks the distinct entries all at once; only
-            # now is the first bad line looked up, to name it.
-            for entry, lineno in zip(entries, linenos):
-                try:
-                    check_lemma_pos(entry)
-                except TextPipeError as exc:
-                    raise VocabularyError(f"{path}:{lineno}: {exc}") from exc
-            raise
+        except TextPipeError as exc:
+            faults = key_faults(entries)
+            at = min(faults)
+            raise VocabularyError(f"{path}:{linenos[at]}: {faults[at]}") from exc
 
 
 class LemmaTable:

@@ -204,13 +204,13 @@ class TestParseCorpus:
         from moodlex import textpipe
 
         calls = []
-        original = textpipe.check_lemma_pos_all
+        original = textpipe.key_faults
 
         def counting(tokens):
             calls.extend(tokens)
             return original(tokens)
 
-        monkeypatch.setattr(textpipe, "check_lemma_pos_all", counting)
+        monkeypatch.setattr(textpipe, "key_faults", counting)
         stream = [
             line("a", {"AFRAID": 1.0}, tokens=["awe#n", "war#n", "awe#n"]),
             line("b", {"AFRAID": 1.0}, tokens=["war#n", "kill#v"]),

@@ -81,6 +81,12 @@ class TestCountTerms:
         with pytest.raises(MatrixError, match="no non-empty"):
             counted([[], []])
 
+    def test_duplicate_document_ids_are_an_error(self):
+        # parse_corpus rejects a repeated id, so only a hand-made Corpus has one.
+        records = dataclasses.replace(records_from([["a#n"], ["b#n"]]), doc_ids=("d1", "d1"))
+        with pytest.raises(MatrixError, match="^duplicate document ids in corpus$"):
+            count_terms(records, records.strings)
+
     def test_vocabulary_filter_and_raw_lengths(self):
         records = records_from([["a#n", "x#n"], ["x#n", "x#n"], ["b#n", "a#n", "y#v"]])
         tdm = count_terms(records, {"a#n", "b#n"})

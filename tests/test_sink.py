@@ -58,6 +58,19 @@ def test_failure_leaves_nothing_and_keeps_the_old_file(tmp_path):
     assert os.listdir(tmp_path) == ["out.tsv"]
 
 
+def test_failed_open_names_the_target(tmp_path):
+    target = tmp_path / "missing" / "out.tsv"
+    messages = []
+    for _ in range(2):
+        with pytest.raises(FileNotFoundError) as info:
+            with open_sink(target):
+                pass
+        assert info.value.filename == str(target)
+        messages.append(str(info.value))
+    assert str(target) in messages[0] and ".tmp" not in messages[0]
+    assert messages[0] == messages[1]
+
+
 def test_mode_matches_a_plain_open(tmp_path):
     plain = tmp_path / "plain"
     plain.write_text("x", encoding="utf-8")

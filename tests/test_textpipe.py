@@ -120,38 +120,36 @@ class TestCheckToken:
         )
 
     @settings(max_examples=500, deadline=None)
-    @given(
-        tokens=st.lists(
-            st.one_of(GOOD_KEYS, GOOD_KEYS, st.text(), PIECED, KEYS, st.integers()), max_size=5
-        )
-    )
+    @given(tokens=st.lists(st.one_of(GOOD_KEYS, GOOD_KEYS, st.text(), PIECED, KEYS), max_size=5))
     @example(tokens=["a#v\nb#n"])
     @example(tokens=[])
     @example(tokens=[""])
-    @example(tokens=["ok#n", 5])
     @example(tokens=["ok#n", "ok#n\n"])
+    @example(tokens=["ok#n", "Bad#n", "ok#n", "bad#z"])
     def test_bulk_check_matches_each(self, tokens):
-        """check_lemma_pos_all raises exactly when check_lemma_pos rejects some
-        token, and what it raises for the first one."""
-
-        def outcome(check, arg):
+        """key_faults maps the index of every key check_lemma_pos rejects to
+        the text of what it raises, and holds no other index."""
+        expected = {}
+        for i, token in enumerate(tokens):
             try:
-                check(arg)
-            except Exception as exc:
-                return type(exc), str(exc)
-            return None
+                textpipe.check_lemma_pos(token)
+            except TextPipeError as exc:
+                expected[i] = str(exc)
+        assert textpipe.key_faults(tokens) == expected
 
-        first = next(filter(None, (outcome(textpipe.check_lemma_pos, t) for t in tokens)), None)
-        assert outcome(textpipe.check_lemma_pos_all, tokens) == first
-
-    def test_bulk_check_names_the_first_bad_token_across_chunks(self):
+    def test_bulk_check_reports_bad_keys_in_every_chunk(self):
         keys = [f"w{i}#n" for i in range(2**15 + 3)]
-        assert textpipe.check_lemma_pos_all(iter(keys)) is None
-        with pytest.raises(TextPipeError, match="invalid pos tag 'z'"):
-            textpipe.check_lemma_pos_all(keys + ["late#z"])
+        assert textpipe.key_faults(keys) == {}
         keys[5] = "Early#n"
-        with pytest.raises(TextPipeError, match="'Early'"):
-            textpipe.check_lemma_pos_all(keys + ["late#z"])
+        keys.append("late#z")
+        assert textpipe.key_faults(keys) == {
+            5: "lemma must be lower-case with no whitespace: 'Early'",
+            2**15 + 3: "invalid pos tag 'z': expected one of v, n, a, r",
+        }
+
+    def test_non_string_key_is_a_type_error(self):
+        with pytest.raises(TypeError):
+            textpipe.key_faults(["ok#n", 5])
 
 
 class TestVocabularyFilter:
@@ -187,13 +185,13 @@ class TestVocabularyFilter:
         path = tmp_path / "vocab.txt"
         path.write_text("awe#n\nkill#v\n# awe#n\nawe#n\n\n kill#v\nwar#n\n", encoding="utf-8")
         calls = []
-        check = textpipe.check_lemma_pos_all
+        check = textpipe.key_faults
 
         def counted(tokens):
             calls.extend(tokens)
-            check(tokens)
+            return check(tokens)
 
-        monkeypatch.setattr(textpipe, "check_lemma_pos_all", counted)
+        monkeypatch.setattr(textpipe, "key_faults", counted)
         vocab = VocabularyFilter.from_file(path)
         assert sorted(vocab) == ["awe#n", "kill#v", "war#n"]
         assert sorted(calls) == ["awe#n", "kill#v", "war#n"]
