@@ -74,37 +74,55 @@ def _sha256(path) -> str:
     return digest.hexdigest()
 
 
+def _flag(attr: str) -> str:
+    return "--" + attr.replace("_", "-")
+
+
 def _config_echo(subcommand: str, args: argparse.Namespace) -> str:
     parts = [PROG, subcommand]
     for attr in args.echo:
         value = getattr(args, attr)
         if value is None:
             continue
-        flag = "--" + attr.replace("_", "-")
         if isinstance(value, float):
             # The short form only where it reads back as the same value.
             short = format(value, "g")
             value = short if float(short) == value else repr(value)
         # Quoted so that a shell splits the line back into the same values.
-        parts.extend([flag, shlex.quote(str(value))])
+        parts.extend([_flag(attr), shlex.quote(str(value))])
     return " ".join(parts)
 
 
 def _metadata(subcommand: str, args: argparse.Namespace):
-    """The command echo, then the hash of every input file given, in echo order."""
+    """The command echo, the hash of every input file given (in echo order),
+    then the tool version: every output's metadata lines."""
     lines = [("command", _config_echo(subcommand, args))]
     for attr in args.echo:
         path = getattr(args, attr)
         if attr in INPUT_FILES and path:
             name = attr.replace("_", "-")
             lines.append((f"input-{name}-sha256", _stage(f"hash-{name}", _sha256, path)))
-    return lines
+    return lines + [("tool-version", f"{PROG} {__version__}")]
 
 
-def _write_metadata(fh, metadata) -> None:
-    for key, value in metadata:
-        fh.write(f"# {key}: {value}\n")
-    fh.write(f"# tool-version: {PROG} {__version__}\n")
+def _check_outputs(args: argparse.Namespace) -> None:
+    """Refuse an output path that resolves to an input file or to the other
+    output, which the later write would replace. A target that exists and is
+    not a regular file once links are followed (``/dev/stdout`` on a terminal
+    or a pipe) is written in place, and is not checked."""
+    taken = {
+        os.path.realpath(path): _flag(attr)
+        for attr in args.echo
+        if attr in INPUT_FILES and (path := getattr(args, attr))
+    }
+    for attr in ("output", "dump_matrix"):
+        path = getattr(args, attr, None)
+        if not path or os.path.exists(path) and not os.path.isfile(path):
+            continue
+        real = os.path.realpath(path)
+        if real in taken:
+            raise MoodlexError(f"{_flag(attr)} {path} is the same file as {taken[real]}")
+        taken[real] = _flag(attr)
 
 
 def _emotion_set(labels_csv: str | None):
@@ -134,10 +152,8 @@ def cmd_build(args: argparse.Namespace) -> int:
 
     # The dump is committed only after the lexicon is: a failed build leaves
     # neither file behind.
-    dump = open_sink(args.dump_matrix) if args.dump_matrix else nullcontext()
+    dump = open_sink(args.dump_matrix, metadata) if args.dump_matrix else nullcontext()
     with _in_stage("dump-matrix"), dump as dump_fh:
-        if dump_fh is not None:
-            _write_metadata(dump_fh, metadata)
         lex = _stage(
             "build-lexicon",
             build_lexicon,
@@ -151,7 +167,8 @@ def cmd_build(args: argparse.Namespace) -> int:
             min_df=args.min_df,
             matrix_dump_sink=dump_fh,
         )
-        lex.provenance = metadata + lex.provenance + [("tool-version", f"{PROG} {__version__}")]
+        # The build's own provenance goes before the closing tool version.
+        lex.provenance = metadata[:-1] + lex.provenance + metadata[-1:]
         _stage("write-lexicon", write_lexicon, lex, args.output)
     by_key = dict(lex.provenance)
     logger.info(
@@ -207,10 +224,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         ("coverage", "ALL", "skipped_empty_headlines", str(cov.skipped_empty_headlines)),
     ]
     rows += [("discarded", t, "discarded_target", "no mapping") for t in report.discarded_targets]
-    with _in_stage("write-report"), open_sink(args.output) as fh:
-        _write_metadata(fh, metadata)
+    with _in_stage("write-report"), open_sink(args.output, metadata) as fh:
         fh.write("section\temotion\tmetric\tvalue\n")
-        fh.writelines("\t".join(row) + "\n" for row in rows)
+        fh.write(format_rows("%s\t%s\t%s\t%s\n", list(zip(*rows))))
     for row in rows:
         logger.info("%s %s: %s %s", *row)
     return 0
@@ -242,8 +258,7 @@ def cmd_score(args: argparse.Namespace) -> int:
     metadata = _metadata("score", args)
     line = f"%s\t{row_format(len(lex.emotions))}\t%d\t%d\n"
     columns = [ids, *scores.T.tolist(), covered.tolist(), lengths.tolist()]
-    with _in_stage("write-scores"), open_sink(args.output) as fh:
-        _write_metadata(fh, metadata)
+    with _in_stage("write-scores"), open_sink(args.output, metadata) as fh:
         fh.write("id\t" + "\t".join(lex.emotions) + "\tcovered\ttotal\n")
         fh.write(format_rows(line, columns))
     logger.info("scored %d line(s)", len(ids))
@@ -260,14 +275,11 @@ def cmd_stats(args: argparse.Namespace) -> int:
     )
     stats = _stage("corpus-stats", corpus_stats, corpus)
     metadata = _metadata("stats", args)
-    with _in_stage("write-stats"), open_sink(args.output) as fh:
-        _write_metadata(fh, metadata)
-        fh.write(f"doc_count\t{stats.doc_count}\n")
-        fh.write(f"token_count\t{stats.token_count}\n")
-        fh.write(f"mean_doc_length\t{format_float(stats.mean_doc_length)}\n")
-        fh.write("emotion\tmean_votes\n")
-        for label, mean in zip(corpus.emotions, stats.mean_votes.tolist()):
-            fh.write(f"{label}\t{format_float(mean)}\n")
+    names = ["doc_count", "token_count", "mean_doc_length", "emotion", *corpus.emotions]
+    values = [stats.doc_count, stats.token_count, format_float(stats.mean_doc_length), "mean_votes"]
+    values += map(format_float, stats.mean_votes.tolist())
+    with _in_stage("write-stats"), open_sink(args.output, metadata) as fh:
+        fh.write(format_rows("%s\t%s\n", [names, values]))
     logger.info(
         "%d document(s), %d token(s), mean length %.1f",
         stats.doc_count,
@@ -344,6 +356,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s")
     try:
+        _stage("configure", _check_outputs, args)
         return args.func(args)
     except _StageError as exc:
         logger.error("%s", exc)

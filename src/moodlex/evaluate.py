@@ -331,8 +331,11 @@ def load_gold(
     del rows  # cells hold all of the rows' text
     ids, texts = cells[0 :: width + 2], cells[1 :: width + 2]
     del cells[0 :: width + 2], cells[0 :: width + 1]
+    at = first_repeat(ids, end)
+    if at < end:
+        end, fault = at, f"duplicate headline id {ids[at]!r}"
     values, parsed = parse_floats(cells)
-    if parsed < len(cells):
+    if parsed < end * width:
         end, fault = parsed // width, "non-numeric gold score"
     del cells  # freed before the texts are lemmatized
     gold = values[: end * width].reshape(end, width)
@@ -346,8 +349,6 @@ def load_gold(
         raise EvaluationError(f"{path}: no gold headlines")
     order = sorted(range(len(ids)), key=ids.__getitem__)
     ids = tuple(map(ids.__getitem__, order))
-    if len(set(ids)) != len(ids):
-        raise EvaluationError(f"{path}: duplicate headline ids")
     gold = gold[order]
     if (gold > 1.0).any():
         logger.info("gold scores detected on a 0-100 scale; dividing by 100")

@@ -249,9 +249,7 @@ def write_lexicon(lex: EmotionLexicon, sink) -> None:
     scores at 9 significant digits. ``sink`` is a text stream or a path; a
     path is written atomically."""
 
-    with open_sink(sink) as fh:
-        for key, value in lex.provenance:
-            fh.write(f"# {key}: {value}\n")
+    with open_sink(sink, lex.provenance) as fh:
         fh.write(HEADER_KEY + "\t" + "\t".join(lex.emotions) + "\n")
         line = f"%s\t{row_format(len(lex.emotions))}\n"
         fh.write(format_rows(line, [lex.words, *lex.scores.T.tolist()]))

@@ -8,7 +8,8 @@ fields, and checked a column at a time by the helpers below; each check reads
 only the rows before the first bad row found so far, so an error names the
 first bad line.
 
-Every output file appears whole or not at all. A path is written to a
+Every output file appears whole or not at all, its ``# key: value`` metadata
+lines first: :func:`open_sink` writes both. A path is written to a
 temporary file in the same directory and renamed over the target only when
 writing finished without an error, so a failed or interrupted run never
 leaves a partial file, nor clobbers an earlier one. Every float in an output
@@ -156,8 +157,9 @@ def _locate_decode_error(path) -> UnicodeDecodeError | None:
 
 
 @contextmanager
-def open_sink(target) -> Iterator[IO[str]]:
-    """Yield a text stream for ``target``.
+def open_sink(target, comments: Iterable[tuple[str, str]] = ()) -> Iterator[IO[str]]:
+    """Yield a text stream for ``target``, with a ``# key: value`` line for
+    each pair of ``comments`` already written to it.
 
     ``None`` means standard output, flushed once the block ends without an
     error, and an open stream is used as is; neither is closed. A path gets
@@ -165,11 +167,14 @@ def open_sink(target) -> Iterator[IO[str]]:
     file (a symlink, FIFO or device such as ``/dev/stdout``) is opened and
     written in place, since renaming over it would replace the node itself.
     """
+    comment_lines = "".join(f"# {key}: {value}\n" for key, value in comments)
     if target is None:
+        sys.stdout.write(comment_lines)
         yield sys.stdout
         sys.stdout.flush()
         return
     if hasattr(target, "write"):
+        target.write(comment_lines)
         yield target
         return
     path = os.fspath(target)
@@ -179,6 +184,7 @@ def open_sink(target) -> Iterator[IO[str]]:
         in_place = False
     if in_place:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(comment_lines)
             yield fh
         return
     head, tail = os.path.split(path)
@@ -191,6 +197,7 @@ def open_sink(target) -> Iterator[IO[str]]:
         raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with open(fd, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(comment_lines)
             yield fh
         os.replace(tmp, path)
     except BaseException:

@@ -329,10 +329,11 @@ def _numbered_lines(path):
 
 def load_gold_reference(path, lex, *, lemma_table=None, ambiguity="all") -> GoldSet:
     """Gold loader that takes one line at a time through every check (the
-    header, the field count, the numbers, their range), then tokenizes each
-    headline on its own."""
+    header, the field count, a repeated id, the numbers, their range), then
+    tokenizes each headline on its own."""
     emotions = None
     parsed = []
+    seen = set()
     for lineno, line in _numbered_lines(path):
         fields = line.split("\t")
         if emotions is None:
@@ -349,6 +350,9 @@ def load_gold_reference(path, lex, *, lemma_table=None, ambiguity="all") -> Gold
                 f"{path}:{lineno}: expected {2 + len(emotions)} tab-separated fields, "
                 f"got {len(fields)}"
             )
+        if fields[0] in seen:
+            raise EvaluationError(f"{path}:{lineno}: duplicate headline id {fields[0]!r}")
+        seen.add(fields[0])
         try:
             values = [float(v) for v in fields[2:]]
         except ValueError:
@@ -362,8 +366,6 @@ def load_gold_reference(path, lex, *, lemma_table=None, ambiguity="all") -> Gold
         raise EvaluationError(f"{path}: no gold headlines")
     parsed.sort(key=lambda p: p[0])
     ids = tuple(p[0] for p in parsed)
-    if len(set(ids)) != len(ids):
-        raise EvaluationError(f"{path}: duplicate headline ids")
     gold = np.array([p[2] for p in parsed], dtype=np.float64)
     if (gold > 1.0).any():
         gold /= 100.0

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from moodlex import MoodlexError, read_lexicon, tokenize
+from moodlex import MoodlexError, __version__, read_lexicon, tokenize
 from moodlex.cli import _config_echo, _read_score_input, build_parser, main
 
 from dense_reference import read_score_input_reference
@@ -190,6 +190,35 @@ class TestBuild:
         messages = [r.message for r in caplog.records if r.levelname == "ERROR"]
         assert any(m.startswith("write-lexicon: ") for m in messages)
         assert sorted(p.name for p in workdir.iterdir()) == ["corpus.jsonl", "out", "vocab.txt"]
+
+    def test_output_naming_the_other_output_is_refused(self, workdir, caplog):
+        before = {p.name: p.read_bytes() for p in workdir.iterdir()}
+        same = workdir / "same.tsv"
+        assert main(build_args(workdir, output="same.tsv", dump_matrix=same)) == 1
+        messages = [r.message for r in caplog.records if r.levelname == "ERROR"]
+        assert messages == [f"configure: --dump-matrix {same} is the same file as --output"]
+        assert {p.name: p.read_bytes() for p in workdir.iterdir()} == before
+
+    def test_output_naming_an_input_is_refused(self, workdir, caplog):
+        before = {p.name: p.read_bytes() for p in workdir.iterdir()}
+        corpus = workdir / "corpus.jsonl"
+        assert main(build_args(workdir, output="corpus.jsonl")) == 1
+        messages = [r.message for r in caplog.records if r.levelname == "ERROR"]
+        assert messages == [f"configure: --output {corpus} is the same file as --corpus"]
+        assert {p.name: p.read_bytes() for p in workdir.iterdir()} == before
+
+    def test_dump_through_a_symlink_to_an_input_is_refused(self, workdir, caplog):
+        link = workdir / "link.tsv"
+        link.symlink_to(workdir / "vocab.txt")
+        before = (workdir / "vocab.txt").read_bytes()
+        assert main(build_args(workdir, dump_matrix=link)) == 1
+        messages = [r.message for r in caplog.records if r.levelname == "ERROR"]
+        assert messages == [f"configure: --dump-matrix {link} is the same file as --vocab"]
+        assert (workdir / "vocab.txt").read_bytes() == before
+        assert not (workdir / "lex.tsv").exists()
+
+    def test_outputs_to_one_device_are_written_in_place(self, workdir):
+        assert main(build_args(workdir, output=os.devnull, dump_matrix=os.devnull)) == 0
 
     def test_non_default_flags_reach_the_pipeline(self, workdir):
         args = build_args(
@@ -707,6 +736,63 @@ def test_metadata_hashes_every_input_file_given(built, subcommand, files):
         [f"input-{name}-sha256", hashlib.sha256((built / paths[name]).read_bytes()).hexdigest()]
         for name in files
     ]
+
+
+@pytest.mark.parametrize(
+    "subcommand, files",
+    [
+        ("eval", {"lexicon": "lex.tsv", "gold": "gold.tsv", "mapping": "mapping.tsv"}),
+        ("score", {"lexicon": "lex.tsv", "input": "headlines.tsv"}),
+        ("stats", {"corpus": "corpus.jsonl"}),
+    ],
+)
+def test_output_naming_an_input_is_refused_before_reading(built, caplog, subcommand, files):
+    """Every subcommand refuses an output that is its last input file, in
+    the configure stage: the other inputs are missing and never read."""
+    (built / "headlines.tsv").write_text("h1\tKill war\n", encoding="utf-8")
+    *missing, (last, name) = files.items()
+    argv = [subcommand, "--output", str(built / name)]
+    for flag, _ in missing:
+        argv += [f"--{flag}", str(built / "missing" / flag)]
+    argv += [f"--{last}", str(built / name)]
+    before = {p.name: p.read_bytes() for p in built.iterdir() if p.is_file()}
+    assert main(argv) == 1
+    messages = [r.message for r in caplog.records if r.levelname == "ERROR"]
+    assert messages == [f"configure: --output {built / name} is the same file as --{last}"]
+    assert {p.name: p.read_bytes() for p in built.iterdir() if p.is_file()} == before
+
+
+def test_every_output_opens_with_its_metadata_block(built):
+    """The command, the input hashes in parser order, the lexicon's build
+    provenance, then the tool version; the dump's own header follows it."""
+    (built / "headlines.tsv").write_text("h1\tKill war\n", encoding="utf-8")
+    assert main(build_args(built, output="lex2.tsv", dump_matrix=built / "dump.tsv")) == 0
+    lexicon, gold = str(built / "lex.tsv"), str(built / "gold.tsv")
+    assert main(["score", "--lexicon", lexicon, "--input", str(built / "headlines.tsv"),
+                 "--output", str(built / "scores.tsv")]) == 0
+    assert main(["eval", "--lexicon", lexicon, "--gold", gold,
+                 "--mapping", str(built / "mapping.tsv"), "--output", str(built / "report.tsv")]) == 0
+    assert main(["stats", "--corpus", str(built / "corpus.jsonl"),
+                 "--output", str(built / "stats.tsv")]) == 0
+    provenance = ["scheme", "col-norm", "nf-length", "min-df", "ambiguity", "entries",
+                  "dropped-zero-rows", "dropped-empty-docs"]
+    expected = {
+        "lex2.tsv": ["corpus", "vocab", *provenance],
+        "dump.tsv": ["corpus", "vocab"],
+        "scores.tsv": ["lexicon", "input"],
+        "report.tsv": ["lexicon", "gold", "mapping"],
+        "stats.tsv": ["corpus"],
+    }
+    version = f"# tool-version: moodlex {__version__}"
+    for name, keys in expected.items():
+        lines = (built / name).read_text(encoding="utf-8").splitlines()
+        end = lines.index(version)
+        assert lines[0].startswith("# command: ")
+        assert [l[2:].split(": ")[0] for l in lines[1:end]] == [
+            k if k in provenance else f"input-{k}-sha256" for k in keys
+        ]
+        after = lines[end + 1]
+        assert after.startswith("# scheme=") if name == "dump.tsv" else not after.startswith("#")
 
 
 def _header_only(name, text):

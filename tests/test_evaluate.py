@@ -610,7 +610,7 @@ class TestGoldLoading:
 
     def test_duplicate_ids_rejected(self, tmp_path, tiny_lexicon):
         path = self.write_gold(tmp_path, ["h1\ta\t0.5\t0.5", "h1\tb\t0.1\t0.2"])
-        with pytest.raises(EvaluationError, match="duplicate headline ids"):
+        with pytest.raises(EvaluationError, match=r"gold\.tsv:3: duplicate headline id 'h1'$"):
             load_gold(path, tiny_lexicon)
 
     def test_labels_attach_and_validate(self, tmp_path, tiny_lexicon):
@@ -750,6 +750,22 @@ class TestReadersMatchPerLineReference:
             loaded_or_error(load_gold, path, PARSER_LEXICON),
             loaded_or_error(load_gold_reference, path, PARSER_LEXICON),
         )
+
+    @pytest.mark.parametrize(
+        "rows, fault",
+        [
+            ("h1\ta\t0\t1\nh2\tb\t0\t1\nh1\tc\tx\t1\n", "4: duplicate headline id 'h1'"),
+            ("h1\ta\t0\t1\nh1\tb\t0\n", "3: expected 4 tab-separated fields, got 3"),
+            ("h1\ta\t0\t1\nh2\tb\tx\t1\nh1\tc\t0\t1\n", "3: non-numeric gold score"),
+            ("h1\ta\t0\t1\nh1\tb\t0\t120\n", "3: duplicate headline id 'h1'"),
+            ("h1\ta\t0\t1\nh1\tb\t0\t1\nh2\tc\tx\t1\n", "3: duplicate headline id 'h1'"),
+        ],
+    )
+    def test_gold_repeated_id_after_field_count_before_numbers(self, tmp_path, rows, fault):
+        path = tmp_path / "gold.tsv"
+        path.write_text("id\ttext\tFEAR\tJOY\n" + rows, encoding="utf-8")
+        for load in (load_gold, load_gold_reference):
+            assert loaded_or_error(load, path, PARSER_LEXICON) == f"{path}:{fault}"
 
     @settings(max_examples=400, deadline=None)
     @given(content=label_files())

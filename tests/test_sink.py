@@ -107,6 +107,62 @@ def test_stream_and_stdout_pass_through(capsys):
     assert capsys.readouterr().out == "to stdout\n"
 
 
+COMMENTS = [("command", "moodlex build --output out.tsv"), ("note", "a: b")]
+COMMENT_BLOCK = "# command: moodlex build --output out.tsv\n# note: a: b\n"
+
+
+def test_comments_come_first_in_a_new_path_and_a_symlink(tmp_path):
+    new = tmp_path / "new.tsv"
+    real = tmp_path / "real.tsv"
+    real.write_text("old\n", encoding="utf-8")
+    link = tmp_path / "link.tsv"
+    link.symlink_to(real)
+    for target in (new, link):
+        with open_sink(target, COMMENTS) as fh:
+            fh.write("row\n")
+    assert new.read_text(encoding="utf-8") == COMMENT_BLOCK + "row\n"
+    assert link.is_symlink()
+    assert real.read_text(encoding="utf-8") == COMMENT_BLOCK + "row\n"
+
+
+def test_comments_come_first_in_a_fifo(tmp_path):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    # A reader opened without blocking lets the write end open at once.
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)
+    try:
+        with open_sink(fifo, COMMENTS) as fh:
+            fh.write("row\n")
+        assert os.read(reader, 1 << 16) == (COMMENT_BLOCK + "row\n").encode()
+    finally:
+        os.close(reader)
+
+
+def test_comments_come_first_in_a_stream_and_stdout(capsys):
+    buf = io.StringIO()
+    with open_sink(buf, COMMENTS) as fh:
+        fh.write("row\n")
+    assert buf.getvalue() == COMMENT_BLOCK + "row\n"
+    with open_sink(None, COMMENTS) as fh:
+        fh.write("row\n")
+    assert capsys.readouterr().out == COMMENT_BLOCK + "row\n"
+
+
+def test_failing_comment_block_leaves_no_file(tmp_path):
+    target = tmp_path / "out.tsv"
+    # A lone surrogate has no UTF-8 encoding.
+    with pytest.raises(UnicodeEncodeError):
+        with open_sink(target, [("note", "\ud800")]):
+            pytest.fail("the block ran after its comments failed")
+    assert os.listdir(tmp_path) == []
+    target.write_text("old\n", encoding="utf-8")
+    with pytest.raises(UnicodeEncodeError):
+        with open_sink(target, [("note", "\ud800")]):
+            pass
+    assert os.listdir(tmp_path) == ["out.tsv"]
+    assert target.read_text(encoding="utf-8") == "old\n"
+
+
 @settings(max_examples=300, deadline=None)
 @given(row=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=9))
 @example(row=[0.0, -0.0, 5e-324, -5e-324, float("inf"), float("-inf"), float("nan")])
