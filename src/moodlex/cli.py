@@ -32,6 +32,7 @@ from .sink import (
     format_rows,
     open_sink,
     read_rows,
+    replaced_file,
     row_format,
     split_cells,
 )
@@ -105,11 +106,14 @@ def _metadata(subcommand: str, args: argparse.Namespace):
     return lines + [("tool-version", f"{PROG} {__version__}")]
 
 
-def _check_outputs(args: argparse.Namespace) -> None:
-    """Refuse an output path that resolves to an input file or to the other
-    output, which the later write would replace. A target that exists and is
-    not a regular file once links are followed (``/dev/stdout`` on a terminal
-    or a pipe) is written in place, and is not checked."""
+def _check_args(args: argparse.Namespace) -> None:
+    """Refuse an option value holding a line break, which would split the
+    ``# command:`` line, and an output that replaces an input file or the
+    other output. An output written in place is not checked."""
+    for attr in args.echo:
+        value = getattr(args, attr)
+        if isinstance(value, str) and ("\n" in value or "\r" in value):
+            raise MoodlexError(f"{_flag(attr)} {value!r} holds a line break")
     taken = {
         os.path.realpath(path): _flag(attr)
         for attr in args.echo
@@ -117,12 +121,16 @@ def _check_outputs(args: argparse.Namespace) -> None:
     }
     for attr in ("output", "dump_matrix"):
         path = getattr(args, attr, None)
-        if not path or os.path.exists(path) and not os.path.isfile(path):
+        if not path or (real := replaced_file(path)) is None:
             continue
-        real = os.path.realpath(path)
         if real in taken:
             raise MoodlexError(f"{_flag(attr)} {path} is the same file as {taken[real]}")
         taken[real] = _flag(attr)
+
+
+def _lemma_table(path):
+    from .textpipe import LemmaTable
+    return _stage("load-lemma-table", LemmaTable.from_file, path) if path else None
 
 
 def _emotion_set(labels_csv: str | None):
@@ -136,7 +144,7 @@ def cmd_build(args: argparse.Namespace) -> int:
     from .corpus import check_min_votes_sum, load_corpus
     from .lexicon import build_lexicon, write_lexicon
     from .matrix import check_min_df
-    from .textpipe import LemmaTable, VocabularyFilter
+    from .textpipe import VocabularyFilter
     with _in_stage("configure"):
         emotions = _emotion_set(args.emotions)
         check_min_df(args.min_df)
@@ -145,9 +153,7 @@ def cmd_build(args: argparse.Namespace) -> int:
         "load-corpus", load_corpus, args.corpus, emotions, min_votes_sum=args.min_votes_sum
     )
     vocab = _stage("load-vocabulary", VocabularyFilter.from_file, args.vocab)
-    table = None
-    if args.lemma_table:
-        table = _stage("load-lemma-table", LemmaTable.from_file, args.lemma_table)
+    table = _lemma_table(args.lemma_table)
     metadata = _metadata("build", args)
 
     # The dump is committed only after the lexicon is: a failed build leaves
@@ -184,12 +190,9 @@ def cmd_build(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     from .evaluate import EmotionMapping, check_threshold, evaluate_all, load_gold, load_labels
     from .lexicon import read_lexicon
-    from .textpipe import LemmaTable
     _stage("configure", check_threshold, args.threshold)
     lex = _stage("read-lexicon", read_lexicon, args.lexicon)
-    table = None
-    if args.lemma_table:
-        table = _stage("load-lemma-table", LemmaTable.from_file, args.lemma_table)
+    table = _lemma_table(args.lemma_table)
     gold = _stage(
         "load-gold", load_gold, args.gold, lex, lemma_table=table, ambiguity=args.ambiguity
     )
@@ -243,17 +246,11 @@ def _read_score_input(path) -> tuple[list[str], list[str]]:
 
 
 def cmd_score(args: argparse.Namespace) -> int:
-    from .lexicon import read_lexicon, score_ids
-    from .textpipe import LemmaTable, lemmatize_ids, tokenize_all
+    from .lexicon import read_lexicon, score_texts
     lex = _stage("read-lexicon", read_lexicon, args.lexicon)
-    table = LemmaTable()
-    if args.lemma_table:
-        table = _stage("load-lemma-table", LemmaTable.from_file, args.lemma_table)
+    table = _lemma_table(args.lemma_table)
     ids, texts = _stage("read-input", _read_score_input, args.input)
-    token_ids, lengths, strings = lemmatize_ids(
-        tokenize_all(texts), table, vocab=lex, policy=args.ambiguity
-    )
-    scores, covered = score_ids(token_ids, lengths, strings, lex)
+    scores, covered, lengths = score_texts(texts, lex, table, args.ambiguity)
 
     metadata = _metadata("score", args)
     line = f"%s\t{row_format(len(lex.emotions))}\t%d\t%d\n"
@@ -356,7 +353,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s")
     try:
-        _stage("configure", _check_outputs, args)
+        _stage("configure", _check_args, args)
         return args.func(args)
     except _StageError as exc:
         logger.error("%s", exc)

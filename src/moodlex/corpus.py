@@ -58,6 +58,9 @@ class EmotionSet:
             raise CorpusError("emotion set must not be empty")
         if any(not label for label in normalized):
             raise CorpusError("emotion labels must be non-empty")
+        # Labels become fields of tab-separated, line-oriented outputs, as ids do.
+        if bad := [label for label in normalized if any(c in label for c in "\t\r\n")]:
+            raise CorpusError(f"emotion labels must not contain a tab, CR or LF: {bad[0]!r}")
         if len(set(normalized)) != len(normalized):
             raise CorpusError(f"duplicate emotion labels in {normalized}")
         self._labels = normalized
@@ -106,7 +109,7 @@ class Corpus:
         return len(self.doc_ids)
 
     def lemmatized(
-        self, table: textpipe.LemmaTable, vocab: Iterable[str], policy: str
+        self, table: textpipe.LemmaTable | None, vocab: Iterable[str], policy: str
     ) -> "Corpus":
         """This corpus with each raw-text document's lemma#pos candidates
         (:func:`textpipe.lemmatize_ids`) as its tokens.

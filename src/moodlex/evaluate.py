@@ -2,7 +2,7 @@
 metrics, label mapping, and coverage statistics.
 
 A gold set is columnar, its headlines sorted by id, and all of them are
-scored once, by one ``lexicon.score_ids`` call when the set is loaded, so
+scored once, by one ``lexicon.score_texts`` call when the set is loaded, so
 metrics aggregate in headline-id order and reports are deterministic. Gold
 scores arriving on a 0-100 scale are auto-detected (any value above 1) and
 divided by 100.
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import textpipe
 from .errors import EvaluationError
-from .lexicon import EmotionLexicon, score_ids
+from .lexicon import EmotionLexicon, score_texts
 from .sink import (
     first_misfit,
     first_repeat,
@@ -309,7 +309,6 @@ def load_gold(
     exceeding 1 and divided by 100); negative values or values above 100 are
     rejected. The headlines come out sorted by id, whatever the line order.
     """
-    table = lemma_table if lemma_table is not None else textpipe.LemmaTable()
     rows, linenos, _ = read_rows(path)
     if not rows:
         raise EvaluationError(f"{path}: missing gold header")
@@ -353,13 +352,9 @@ def load_gold(
     if (gold > 1.0).any():
         logger.info("gold scores detected on a 0-100 scale; dividing by 100")
         gold /= 100.0
-    token_ids, lengths, strings = textpipe.lemmatize_ids(
-        textpipe.tokenize_all(list(map(texts.__getitem__, order))),
-        table,
-        vocab=lex,
-        policy=ambiguity,
+    scores, covered, lengths = score_texts(
+        list(map(texts.__getitem__, order)), lex, lemma_table, ambiguity
     )
-    scores, covered = score_ids(token_ids, lengths, strings, lex)
     labels = np.zeros(gold.shape, dtype=bool)
     return GoldSet(emotions, ids, gold, labels, lex.emotions, scores, covered, lengths)
 

@@ -9,7 +9,6 @@ immutable. A token stream scores the mean of its covered tokens' rows.
 
 from __future__ import annotations
 
-import logging
 from itertools import repeat
 from operator import itemgetter, lt
 from typing import TYPE_CHECKING, Iterable, Iterator, Sequence
@@ -33,8 +32,6 @@ from .sink import (
 if TYPE_CHECKING:  # annotations only: reading and scoring never import these
     from .corpus import Corpus
     from .matrix import TermDocumentMatrix
-
-logger = logging.getLogger(__name__)
 
 HEADER_KEY = "Lemma#PoS"
 COL_NORM_MODES = ("sum", "max")
@@ -145,6 +142,21 @@ def score_ids(
     return sums, covered
 
 
+def score_texts(
+    texts: Sequence[str],
+    lex: EmotionLexicon,
+    table: textpipe.LemmaTable | None = None,
+    policy: str = "all",
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`score_ids` of ``texts`` lemmatized to the candidates ``lex``
+    licenses (:func:`textpipe.lemmatize_ids`), and each text's token count."""
+    token_ids, lengths, strings = textpipe.lemmatize_ids(
+        textpipe.tokenize_all(texts), table, vocab=lex, policy=policy
+    )
+    scores, covered = score_ids(token_ids, lengths, strings, lex)
+    return scores, covered, lengths
+
+
 def emotion_product(wd: TermDocumentMatrix) -> np.ndarray:
     """Raw words-by-emotions mass: for each word and emotion, the sum over
     documents of the word's weight times the document's vote fraction."""
@@ -206,30 +218,18 @@ def build_lexicon(
     into the votes, column-normalized and row-scaled. Filtering and counting
     work on token ids, never on the token strings.
     """
-    from .matrix import SCHEMES, apply_weighting, count_terms, write_matrix_dump
-    if scheme not in SCHEMES:
-        raise LexiconError(f"unknown weighting scheme {scheme!r}: expected one of {SCHEMES}")
+    from .matrix import apply_weighting, count_terms, write_matrix_dump
     # Checked up front: token-only corpora never reach lemmatize.
     if ambiguity not in textpipe.AMBIGUITY_POLICIES:
         raise TextPipeError(
             f"unknown ambiguity policy {ambiguity!r}: "
             f"expected one of {textpipe.AMBIGUITY_POLICIES}"
         )
-    table = lemma_table if lemma_table is not None else textpipe.LemmaTable()
-
-    counted = count_terms(corpus.lemmatized(table, vocab, ambiguity), vocab)
+    counted = count_terms(corpus.lemmatized(lemma_table, vocab, ambiguity), vocab)
     weighted = apply_weighting(counted, scheme, nf_length=nf_length, min_df=min_df)
     del counted  # frees the raw counts where weighting copied them
     normalized = column_normalize(emotion_product(weighted), corpus.emotions, mode=col_norm)
     words, scaled, dropped_rows = row_scale(normalized, weighted.words)
-    if not words:
-        raise LexiconError("empty lexicon: every word row had zero mass")
-    if dropped_rows:
-        logger.info("dropped %d all-zero lexicon row(s)", dropped_rows)
-    # Written only once the lexicon is known to build.
-    if matrix_dump_sink is not None:
-        write_matrix_dump(weighted, matrix_dump_sink)
-
     provenance = [
         ("scheme", scheme),
         ("col-norm", col_norm),
@@ -240,7 +240,10 @@ def build_lexicon(
         ("dropped-zero-rows", str(dropped_rows)),
         ("dropped-empty-docs", str(len(corpus) - weighted.n_docs)),
     ]
-    return EmotionLexicon(corpus.emotions, words, scaled, provenance=provenance)
+    lex = EmotionLexicon(corpus.emotions, words, scaled, provenance=provenance)
+    if matrix_dump_sink is not None:
+        write_matrix_dump(weighted, matrix_dump_sink)
+    return lex
 
 
 def write_lexicon(lex: EmotionLexicon, sink) -> None:

@@ -10,11 +10,11 @@ first bad line.
 
 Every output file appears whole or not at all, its ``# key: value`` metadata
 lines first: :func:`open_sink` writes both. A path is written to a
-temporary file in the same directory and renamed over the target only when
-writing finished without an error, so a failed or interrupted run never
-leaves a partial file, nor clobbers an earlier one. Every float in an output
-is written by :data:`format_float`, or in rows by :func:`row_format` and
-:func:`format_rows`.
+temporary file next to the file it replaces (links followed) and renamed
+over that file only when writing finished without an error, so a failed or
+interrupted run never leaves a partial file, nor clobbers an earlier one.
+Every float in an output is written by :data:`format_float`, or in rows by
+:func:`row_format` and :func:`format_rows`.
 """
 
 from __future__ import annotations
@@ -156,6 +156,15 @@ def _locate_decode_error(path) -> UnicodeDecodeError | None:
     return None
 
 
+def replaced_file(path) -> str | None:
+    """The real path of the file a write to ``path`` replaces, links followed,
+    or ``None`` for a node that is not a regular file, written in place."""
+    with suppress(FileNotFoundError):
+        if not stat.S_ISREG(os.stat(path).st_mode):
+            return None
+    return os.path.realpath(path)
+
+
 @contextmanager
 def open_sink(target, comments: Iterable[tuple[str, str]] = ()) -> Iterator[IO[str]]:
     """Yield a text stream for ``target``, with a ``# key: value`` line for
@@ -163,9 +172,11 @@ def open_sink(target, comments: Iterable[tuple[str, str]] = ()) -> Iterator[IO[s
 
     ``None`` means standard output, flushed once the block ends without an
     error, and an open stream is used as is; neither is closed. A path gets
-    UTF-8 text with ``\\n`` line ends. An existing target that is not a regular
-    file (a symlink, FIFO or device such as ``/dev/stdout``) is opened and
-    written in place, since renaming over it would replace the node itself.
+    UTF-8 text with ``\\n`` line ends, and replaces the file that
+    :func:`replaced_file` names (a symlink stays a link). A node that is not
+    a regular file (a FIFO, or a device such as ``/dev/stdout`` on a terminal
+    or a pipe) is opened and written in place, since renaming over it would
+    replace the node itself.
     """
     comment_lines = "".join(f"# {key}: {value}\n" for key, value in comments)
     if target is None:
@@ -178,16 +189,13 @@ def open_sink(target, comments: Iterable[tuple[str, str]] = ()) -> Iterator[IO[s
         yield target
         return
     path = os.fspath(target)
-    try:
-        in_place = not stat.S_ISREG(os.lstat(path).st_mode)
-    except FileNotFoundError:
-        in_place = False
-    if in_place:
+    real = replaced_file(path)
+    if real is None:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(comment_lines)
             yield fh
         return
-    head, tail = os.path.split(path)
+    head, tail = os.path.split(real)
     tmp = os.path.join(head, f".{tail}.{os.urandom(6).hex()}.tmp")
     # O_EXCL never reuses an existing file; mode 0o666 is narrowed by the
     # umask, exactly as for a plain open().
@@ -199,7 +207,7 @@ def open_sink(target, comments: Iterable[tuple[str, str]] = ()) -> Iterator[IO[s
         with open(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(comment_lines)
             yield fh
-        os.replace(tmp, path)
+        os.replace(tmp, real)
     except BaseException:
         try:
             os.unlink(tmp)

@@ -290,7 +290,7 @@ def _candidate_grid(
 
 def lemmatize_ids(
     streams: Iterable[Iterable[str]],
-    table: LemmaTable,
+    table: LemmaTable | None = None,
     *,
     vocab: Iterable[str],
     policy: str = "all",
@@ -298,11 +298,11 @@ def lemmatize_ids(
     """Map streams of surface tokens to lemma#pos candidate tokens, as ids.
 
     Each occurrence of a surface form yields every candidate licensed by the
-    exception table or ``vocab`` (identity form first, then suffix-rule
-    rewrites), scanned in POS_TAGS order. ``vocab`` is a
-    :class:`VocabularyFilter`, a set of lemma#pos strings, or a lexicon: it
-    is iterated once, into one set of lemmas per pos tag, and each identity
-    form or rewrite is then one set lookup.
+    exception ``table`` (``None`` for an empty one) or ``vocab`` (identity
+    form first, then suffix-rule rewrites), scanned in POS_TAGS order.
+    ``vocab`` is a :class:`VocabularyFilter`, a set of lemma#pos strings, or
+    a lexicon: it is iterated once, into one set of lemmas per pos tag, and
+    each identity form or rewrite is then one set lookup.
     Under the default ``all`` policy every licensed candidate is emitted;
     ``first`` keeps only the first.
 
@@ -323,7 +323,7 @@ def lemmatize_ids(
         np.int32,
     )
     del row_of[_END]
-    grid, strings = _candidate_grid(row_of, table, vocab, policy == "first")
+    grid, strings = _candidate_grid(row_of, table or LemmaTable(), vocab, policy == "first")
     # Each token takes its surface form's row of the grid, and each end marker
     # the last row, of -1s; read row by row, the valid ids are the candidate
     # tokens in order.

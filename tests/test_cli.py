@@ -184,6 +184,36 @@ class TestBuild:
         assert (workdir / "lex.tsv").read_text(encoding="utf-8") == "earlier lexicon\n"
         assert (workdir / "dump.tsv").read_text(encoding="utf-8") == "earlier dump\n"
 
+    def test_failed_build_keeps_the_file_a_dump_link_names(self, workdir, caplog):
+        # Six of the eight emotion columns receive no votes at all.
+        lines = [
+            {"id": "d1", "tokens": ["awe#n", "war#n"], "votes": {"AFRAID": 1.0}},
+            {"id": "d2", "tokens": ["game#n"], "votes": {"SAD": 1.0}},
+        ]
+        (workdir / "corpus.jsonl").write_text(
+            "".join(json.dumps(r) + "\n" for r in lines), encoding="utf-8"
+        )
+        real = workdir / "real_dump.tsv"
+        real.write_text("earlier dump\n", encoding="utf-8")
+        link = workdir / "dlink.tsv"
+        link.symlink_to(real)
+        before = sorted(p.name for p in workdir.iterdir())
+        assert main(build_args(workdir, dump_matrix=link)) == 1
+        messages = [r.message for r in caplog.records if r.levelname == "ERROR"]
+        assert any("build-lexicon: emotion column(s) with zero mass" in m for m in messages)
+        assert real.read_text(encoding="utf-8") == "earlier dump\n"
+        assert link.is_symlink()
+        assert sorted(p.name for p in workdir.iterdir()) == before
+
+    def test_emotion_label_with_a_tab_exits_one(self, workdir, caplog):
+        before = {p.name: p.read_bytes() for p in workdir.iterdir()}
+        assert main(build_args(workdir, emotions="A\tB,C")) == 1
+        messages = [r.message for r in caplog.records if r.levelname == "ERROR"]
+        assert messages == [
+            "configure: emotion labels must not contain a tab, CR or LF: 'A\\tB'"
+        ]
+        assert {p.name: p.read_bytes() for p in workdir.iterdir()} == before
+
     def test_output_that_is_a_directory_exits_one(self, workdir, caplog):
         (workdir / "out").mkdir()
         assert main(build_args(workdir, output="out")) == 1
@@ -411,6 +441,18 @@ class TestEval:
         assert main(args) == 1
         messages = [r.message for r in caplog.records if r.levelname == "ERROR"]
         assert messages == [f"configure: threshold must be finite, got {threshold}"]
+        assert not (built / "report.tsv").exists()
+
+    def test_skip_with_no_covered_headline_exits_one(self, built, caplog):
+        (built / "gold.tsv").write_text(
+            "id\ttext\tFEAR\tJOY\tDISGUST\n"
+            "h1\tZebra quark\t0.3\t0.3\t0.2\n"
+            "h2\tNothing known\t0.5\t0.1\t0.4\n",
+            encoding="utf-8",
+        )
+        assert main(self.eval_args(built, uncovered="skip")) == 1
+        messages = [r.message for r in caplog.records if r.levelname == "ERROR"]
+        assert messages == ["evaluate: no headlines left to evaluate"]
         assert not (built / "report.tsv").exists()
 
     def test_unmappable_source_exits_nonzero(self, built, caplog):
@@ -702,6 +744,23 @@ def test_paths_echo_back_through_a_shell_split(path):
     assert echo[:2] == ["moodlex", "build"]
     again = parser.parse_args(echo[1:])
     assert vars(again) == vars(args)
+
+
+@pytest.mark.parametrize("value", ["we\nird", "we\rird"], ids=["LF", "CR"])
+@pytest.mark.parametrize("option", ["corpus", "emotions"])
+def test_option_value_with_a_line_break_is_refused(workdir, caplog, option, value):
+    """The ``# command:`` line echoes every option value: one holding a line
+    break would split it, so it is refused before any input is read."""
+    if option == "corpus":
+        value = str(workdir / f"{value}.jsonl")
+        (workdir / "corpus.jsonl").rename(value)
+    before = {p.name: p.read_bytes() for p in workdir.iterdir()}
+    args = build_args(workdir, emotions="AFRAID,SAD")
+    args[args.index(f"--{option}") + 1] = value
+    assert main(args) == 1
+    messages = [r.message for r in caplog.records if r.levelname == "ERROR"]
+    assert messages == [f"configure: --{option} {value!r} holds a line break"]
+    assert {p.name: p.read_bytes() for p in workdir.iterdir()} == before
 
 
 @pytest.mark.parametrize(
@@ -1029,6 +1088,21 @@ class TestCommandExit:
             assert proc.wait(timeout=120) == 1
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("ERROR write-scores: "), err
+
+    def test_stdout_redirected_to_a_file_gets_the_same_bytes(self, built):
+        proc = self.command([*self.SCORE, "--output", "scores.tsv"], built)
+        proc.communicate(timeout=120)
+        assert proc.returncode == 0
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        with open(built / "redirected.tsv", "w", encoding="utf-8") as out:
+            subprocess.run(
+                [sys.executable, "-m", "moodlex.cli", *self.SCORE, "--output", "/dev/stdout"],
+                cwd=built, env=env, stdout=out, check=True, timeout=120,
+            )
+        lines = (built / "redirected.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+        expected = (built / "scores.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+        assert lines[0] == expected[0].replace("scores.tsv", "/dev/stdout")
+        assert lines[1:] == expected[1:]
 
     def test_usage_error_exits_two(self, workdir):
         proc = self.command(["score", "--input", "many.tsv"], workdir)

@@ -59,6 +59,12 @@ class TestEmotionSet:
         with pytest.raises(CorpusError):
             EmotionSet(["JOY", ""])
 
+    @pytest.mark.parametrize("label", ["A\tB", "A\rB", "A\nB"])
+    def test_label_with_tab_or_line_break_is_refused(self, label):
+        # A label is a field of the lexicon, scores and stats outputs.
+        with pytest.raises(CorpusError, match="must not contain a tab, CR or LF: 'A"):
+            EmotionSet([label, "C"])
+
     def test_unknown_label(self, emotions):
         with pytest.raises(CorpusError, match="unknown emotion"):
             emotions.index("DISGUST")
@@ -285,6 +291,16 @@ class TestParseCorpus:
         stream = [line("ok", {"HAPPY": 1.0}), line(doc_id, {"HAPPY": 1.0})]
         with pytest.raises(CorpusError, match="1 malformed line.*line 2: 'id' must not contain"):
             parse_corpus(stream, emotions)
+
+    @pytest.mark.parametrize("tokens", ["awe#n", {"awe#n": 1}, None], ids=["string", "map", "null"])
+    def test_tokens_that_are_not_an_array_are_a_malformed_line(self, emotions, tokens):
+        record = {"id": "b", "tokens": tokens, "votes": {"HAPPY": 1.0}}
+        stream = [line("ok", {"HAPPY": 1.0}), json.dumps(record)]
+        with pytest.raises(CorpusError) as info:
+            parse_corpus(stream, emotions)
+        message = str(info.value)
+        assert "1 malformed line(s)" in message
+        assert "line 2: 'tokens' must be an array of lemma#pos strings" in message
 
     def test_order_preserving_and_deterministic(self, emotions):
         stream = [line(f"d{i}", {"AFRAID": 0.5, "SAD": 0.5}) for i in range(10)]

@@ -515,16 +515,16 @@ class TestEvaluateAll:
 
     @pytest.mark.parametrize("uncovered", ["zero", "skip"])
     def test_scores_each_headline_once(self, tmp_path, tiny_lexicon, monkeypatch, uncovered):
-        from moodlex import evaluate
+        from moodlex import lexicon
 
         calls = []
-        original = evaluate.score_ids
+        original = lexicon.score_ids
 
         def counting(*args):
             calls.append(args)
             return original(*args)
 
-        monkeypatch.setattr(evaluate, "score_ids", counting)
+        monkeypatch.setattr(lexicon, "score_ids", counting)
         path = tmp_path / "gold.tsv"
         path.write_text(
             "id\ttext\tFEAR\tJOY\n"

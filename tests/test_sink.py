@@ -25,7 +25,7 @@ from moodlex import (
 )
 from moodlex.cli import _read_score_input
 from moodlex.sink import (
-    format_float, format_rows, open_sink, open_source, read_rows, row_format
+    format_float, format_rows, open_sink, open_source, read_rows, replaced_file, row_format
 )
 
 from corpora import doc_tokens
@@ -95,6 +95,41 @@ def test_symlink_is_written_through(tmp_path):
         fh.write("new\n")
     assert link.is_symlink()
     assert real.read_text(encoding="utf-8") == "new\n"
+
+
+def test_failure_through_a_symlink_keeps_the_target(tmp_path):
+    # The link and its target in different directories: the temporary file
+    # goes next to the target, where the rename is atomic.
+    (tmp_path / "links").mkdir()
+    (tmp_path / "files").mkdir()
+    real = tmp_path / "files" / "real.tsv"
+    real.write_text("old\n", encoding="utf-8")
+    link = tmp_path / "links" / "link.tsv"
+    link.symlink_to(real)
+    with pytest.raises(RuntimeError, match="stop"):
+        with open_sink(link, COMMENTS) as fh:
+            fh.write("new\n")
+            fh.flush()
+            raise RuntimeError("stop")
+    assert link.is_symlink()
+    assert real.read_text(encoding="utf-8") == "old\n"
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["files", "link.tsv", "links", "real.tsv"]
+
+
+def test_replaced_file_follows_links_and_skips_other_nodes(tmp_path):
+    real = tmp_path / "real.tsv"
+    real.write_text("old\n", encoding="utf-8")
+    link = tmp_path / "link.tsv"
+    link.symlink_to(real)
+    dangling = tmp_path / "dangling.tsv"
+    dangling.symlink_to(tmp_path / "absent.tsv")
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    assert replaced_file(real) == replaced_file(link) == os.path.realpath(real)
+    assert replaced_file(tmp_path / "new.tsv") == os.path.realpath(tmp_path / "new.tsv")
+    assert replaced_file(dangling) == os.path.realpath(tmp_path / "absent.tsv")
+    assert replaced_file(fifo) is None
+    assert replaced_file(os.devnull) is None
 
 
 def test_stream_and_stdout_pass_through(capsys):
