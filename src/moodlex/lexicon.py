@@ -145,8 +145,8 @@ def score_ids(
 def score_texts(
     texts: Sequence[str],
     lex: EmotionLexicon,
-    table: textpipe.LemmaTable | None = None,
-    policy: str = "all",
+    table: textpipe.LemmaTable | None,
+    policy: str,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`score_ids` of ``texts`` lemmatized to the candidates ``lex``
     licenses (:func:`textpipe.lemmatize_ids`), and each text's token count."""

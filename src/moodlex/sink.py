@@ -158,11 +158,18 @@ def _locate_decode_error(path) -> UnicodeDecodeError | None:
 
 def replaced_file(path) -> str | None:
     """The real path of the file a write to ``path`` replaces, links followed,
-    or ``None`` for a node that is not a regular file, written in place."""
+    or ``None`` for a node written in place: one that is not a regular file,
+    or a file the real path does not name (a deleted or anonymous file that
+    ``/dev/stdout`` or another ``/proc`` fd link opens)."""
+    real = os.path.realpath(path)
+    try:
+        opened = os.stat(path)
+    except FileNotFoundError:
+        return real
     with suppress(FileNotFoundError):
-        if not stat.S_ISREG(os.stat(path).st_mode):
-            return None
-    return os.path.realpath(path)
+        if stat.S_ISREG(opened.st_mode) and os.path.samestat(opened, os.stat(real)):
+            return real
+    return None
 
 
 @contextmanager
@@ -173,10 +180,14 @@ def open_sink(target, comments: Iterable[tuple[str, str]] = ()) -> Iterator[IO[s
     ``None`` means standard output, flushed once the block ends without an
     error, and an open stream is used as is; neither is closed. A path gets
     UTF-8 text with ``\\n`` line ends, and replaces the file that
-    :func:`replaced_file` names (a symlink stays a link). A node that is not
-    a regular file (a FIFO, or a device such as ``/dev/stdout`` on a terminal
-    or a pipe) is opened and written in place, since renaming over it would
-    replace the node itself.
+    :func:`replaced_file` names (a symlink stays a link). The replacement is
+    a new file renamed into that file's directory, so the run needs write
+    permission on the directory, and the file gets a new inode: its mode is
+    0o666 less the umask, its owner is the writer, and a hard link to the old
+    file keeps the old bytes. A node that is not a regular file (a FIFO, or a
+    device such as ``/dev/stdout`` on a terminal or a pipe), or a file with
+    no name to rename over, is opened and written in place, since renaming
+    over it would replace the node itself or write a stray file.
     """
     comment_lines = "".join(f"# {key}: {value}\n" for key, value in comments)
     if target is None:

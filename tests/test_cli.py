@@ -8,6 +8,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -1103,6 +1104,27 @@ class TestCommandExit:
         expected = (built / "scores.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
         assert lines[0] == expected[0].replace("scores.tsv", "/dev/stdout")
         assert lines[1:] == expected[1:]
+
+    # A redirect to a file with no name (an anonymous temporary file): the
+    # scores reach that file, and no stray file appears in its directory.
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc fd links")
+    def test_stdout_redirected_to_a_file_with_no_name_gets_the_scores(self, built):
+        proc = self.command([*self.SCORE, "--output", "scores.tsv"], built)
+        proc.communicate(timeout=120)
+        assert proc.returncode == 0
+        before = sorted(built.iterdir())
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        with tempfile.TemporaryFile(dir=built) as out:
+            subprocess.run(
+                [sys.executable, "-m", "moodlex.cli", *self.SCORE, "--output", "/dev/stdout"],
+                cwd=built, env=env, stdout=out, check=True, timeout=120,
+            )
+            out.seek(0)
+            lines = out.read().decode("utf-8").splitlines(keepends=True)
+        expected = (built / "scores.tsv").read_text(encoding="utf-8").splitlines(keepends=True)
+        assert lines[0] == expected[0].replace("scores.tsv", "/dev/stdout")
+        assert lines[1:] == expected[1:]
+        assert sorted(built.iterdir()) == before
 
     def test_usage_error_exits_two(self, workdir):
         proc = self.command(["score", "--input", "many.tsv"], workdir)

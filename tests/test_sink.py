@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import io
 import os
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -130,6 +131,24 @@ def test_replaced_file_follows_links_and_skips_other_nodes(tmp_path):
     assert replaced_file(dangling) == os.path.realpath(tmp_path / "absent.tsv")
     assert replaced_file(fifo) is None
     assert replaced_file(os.devnull) is None
+
+
+# A file with no name, opened through its /proc fd link as /dev/stdout opens
+# a redirect: its real path names no file, or another one, so it is written
+# in place and no stray file appears next to it.
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc fd links")
+@pytest.mark.parametrize("unlinked", [True, False], ids=["deleted", "anonymous"])
+def test_file_with_no_name_is_written_in_place(tmp_path, unlinked):
+    named = tmp_path / "gone.tsv"
+    with open(named, "w+b") if unlinked else tempfile.TemporaryFile(dir=tmp_path) as fh:
+        if unlinked:
+            os.unlink(named)
+        link = f"/proc/self/fd/{fh.fileno()}"
+        assert replaced_file(link) is None
+        with open_sink(link, COMMENTS) as out:
+            out.write("new\n")
+        assert fh.read().decode("utf-8") == COMMENT_BLOCK + "new\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_stream_and_stdout_pass_through(capsys):
