@@ -23,6 +23,7 @@ from .sink import (
     first_true,
     format_rows,
     open_sink,
+    parse_columns,
     parse_floats,
     read_rows,
     row_format,
@@ -84,6 +85,15 @@ class EmotionLexicon:
             raise LexiconError("lexicon scores must be finite and non-negative")
         self._row_of = dict(zip(self._words, range(len(self._words))))
         self.provenance = [(str(k), str(v)) for k, v in provenance]
+
+    @classmethod
+    def _of_checked_rows(cls, emotions, words, scores, provenance) -> "EmotionLexicon":
+        """The lexicon of strictly increasing ``words`` and checked ``scores``,
+        which it keeps: made without the constructor's sort, copy and checks."""
+        lex = cls.__new__(cls)
+        lex.emotions, lex._words, lex._scores = emotions, tuple(words), scores
+        lex.provenance, lex._row_of = provenance, dict(zip(lex._words, range(len(words))))
+        return lex
 
     @property
     def words(self) -> tuple[str, ...]:
@@ -262,6 +272,10 @@ def read_lexicon(source) -> EmotionLexicon:
     """Parse a serialized lexicon from a path or a text stream, validating
     scores and per-row sums.
 
+    Sorted rows that pass the one-pass checks are kept as read; any other
+    file is checked a column at a time, which names its first bad line or
+    reads it as the constructor does.
+
     The comment lines above the header are kept in ``provenance``, so that
     reading and re-writing a well-formed file reproduces it byte for byte.
     """
@@ -278,6 +292,8 @@ def read_lexicon(source) -> EmotionLexicon:
             f"{source}:{linenos[0]}: expected header '{HEADER_KEY}<TAB>EMOTION...'"
         )
     emotions = tuple(fields[1:])
+    if not all(emotions):
+        raise LexiconError(f"{source}:{linenos[0]}: empty emotion name")
     if len(set(emotions)) != len(emotions):
         raise LexiconError(f"{source}:{linenos[0]}: duplicate emotion columns")
     provenance = []
@@ -288,10 +304,21 @@ def read_lexicon(source) -> EmotionLexicon:
     del rows[0], linenos[0]
     if not rows:
         raise LexiconError(f"{source}: lexicon has no rows")
-    # The rows are checked a column at a time. Each check reads the rows
+    width = len(emotions)
+    scores = parse_columns(rows, 1, width)
+    if scores is not None:
+        words = list(map(itemgetter(0), map(str.partition, rows, repeat("\t"))))
+        with np.errstate(invalid="ignore", over="ignore"):
+            if (  # NaN fails the sign check, and infinity the row sum
+                all(map(lt, words, words[1:]))
+                and (scores >= 0).all()
+                and (np.abs(scores.sum(axis=1) - 1.0) <= READ_ROW_SUM_TOLERANCE).all()
+                and not textpipe.key_faults(words)
+            ):
+                return EmotionLexicon._of_checked_rows(emotions, words, scores, provenance)
+    # Else the rows are checked a column at a time. Each check reads the rows
     # before the first bad one found so far, in the order a line's faults are
     # reported, so the last fault found is the first bad line's first fault.
-    width = len(emotions)
     end, fault = first_misfit(rows, width + 1)
     # The keys are split off first, so that they do not lie strewn among the
     # score cells in memory, which are freed once parsed.

@@ -4,9 +4,11 @@ Every input file is read as UTF-8 text with a leading byte order mark
 ignored, and a byte that does not decode is reported with the file, line and
 column it sits in. Every line-oriented input is read whole by
 :func:`read_rows`, under one rule for line breaks, blank lines, comments and
-fields, and checked a column at a time by the helpers below; each check reads
-only the rows before the first bad row found so far, so an error names the
-first bad line.
+fields. A reader parses its score columns with one ``np.loadtxt`` pass,
+:func:`parse_columns`, and checks them as whole arrays. Only when a whole-array
+check fails are the rows checked a column at a time by the helpers below, to
+locate the fault: each check reads only the rows before the first bad row
+found so far, so an error names the first bad line.
 
 Every output file appears whole or not at all, its ``# key: value`` metadata
 lines first: :func:`open_sink` writes both. A path is written to a
@@ -71,6 +73,28 @@ def read_rows(source) -> tuple[list[str], list[int], list[str]]:
     ]
     above = lines[: linenos[0] - 1 if linenos else len(lines)]
     return [lines[n - 1] for n in linenos], linenos, list(filter(str.strip, above))
+
+
+def parse_columns(rows: Sequence[str], skip: int, width: int):
+    """The ``float64`` array of the ``width`` fields after the first ``skip``
+    of every row, parsed by one ``np.loadtxt`` call; ``None`` (check the rows
+    a column at a time) unless every row has exactly ``skip + width`` fields
+    and every cell parses as ``float`` parses it."""
+    import numpy as np  # not loaded by the command line before a subcommand needs it
+    text = "\t".join(rows)
+    # loadtxt refuses a short row, so the total makes every count exact. It
+    # strips \x1c-\x1f, which float() refuses, and NUL is declined with them.
+    if text.count("\t") != len(rows) * (skip + width) - 1 or any(
+        map(text.__contains__, "\0\x1c\x1d\x1e\x1f")
+    ):
+        return None
+    del text
+    try:
+        values = np.loadtxt(rows, delimiter="\t", usecols=range(skip, skip + width),
+                            comments=None, quotechar=None, ndmin=2)
+    except ValueError:  # a cell that float() may read, as "1_0", or may not
+        return None
+    return values if len(values) == len(rows) else None  # loadtxt skips an empty row
 
 
 def first_misfit(rows: Sequence[str], fields: int) -> tuple[int, str | None]:

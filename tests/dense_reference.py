@@ -281,6 +281,8 @@ def read_lexicon_lines_reference(fh, source: str) -> EmotionLexicon:
                     f"{source}:{lineno}: expected header '{HEADER_KEY}<TAB>EMOTION...'"
                 )
             emotions = tuple(fields[1:])
+            if not all(emotions):
+                raise LexiconError(f"{source}:{lineno}: empty emotion name")
             if len(set(emotions)) != len(emotions):
                 raise LexiconError(f"{source}:{lineno}: duplicate emotion columns")
             continue
@@ -342,6 +344,8 @@ def load_gold_reference(path, lex, *, lemma_table=None, ambiguity="all") -> Gold
                     f"{path}:{lineno}: expected header 'id<TAB>text<TAB>EMOTION...'"
                 )
             emotions = tuple(f.strip().upper() for f in fields[2:])
+            if not all(emotions):
+                raise EvaluationError(f"{path}:{lineno}: empty emotion name")
             if len(set(emotions)) != len(emotions):
                 raise EvaluationError(f"{path}:{lineno}: duplicate emotion columns")
             continue

@@ -682,6 +682,31 @@ class TestBadInput:
         assert sorted(p.name for p in workdir.iterdir()) == ["corpus.jsonl", "vocab.txt"]
 
     @pytest.mark.parametrize(
+        "subcommand, name, old, new, where",
+        [
+            ("score", "lex.tsv", "\tSAD\n", "\tSAD\t\n", "read-lexicon: lex.tsv:13"),
+            ("eval", "gold.tsv", "\tDISGUST\n", "\tDISGUST\t\n", "load-gold: gold.tsv:1"),
+            ("eval", "mapping.tsv", "\nJOY\t", "\n\t", "load-mapping: mapping.tsv:2"),
+        ],
+        ids=["lexicon-header", "gold-header", "mapping-target"],
+    )
+    def test_empty_emotion_name_names_its_line(
+        self, built, monkeypatch, caplog, subcommand, name, old, new, where
+    ):
+        """An emotion name left empty by a trailing tab in a header, or by a
+        mapping row that starts with a tab, is refused at its line."""
+        monkeypatch.chdir(built)
+        Path("lemmas.tsv").write_text("killed\tv\tkill\n", encoding="utf-8")
+        Path("headlines.tsv").write_text("h1\tawe\n", encoding="utf-8")
+        text = Path(name).read_text(encoding="utf-8")
+        assert text.count(old) == 1
+        Path(name).write_text(text.replace(old, new), encoding="utf-8")
+        assert main(self.COMMANDS[subcommand]) == 1
+        messages = [r.message for r in caplog.records if r.levelname == "ERROR"]
+        assert messages == [f"{where}: empty emotion name"]
+        assert not Path("out.tsv").exists()
+
+    @pytest.mark.parametrize(
         "subcommand, name, stage, lineno",
         [
             ("build", "corpus.jsonl", "load-corpus", 3),

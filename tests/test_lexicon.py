@@ -578,6 +578,28 @@ class TestReadLexiconProperties:
         with pytest.raises(LexiconError, match=f"^<stream>:{line}: {message}"):
             read_lexicon(io.StringIO(content))
 
+    def test_unsorted_rows_read_as_the_sorted_file(self):
+        lines = GOLDEN.read_text(encoding="utf-8").splitlines(keepends=True)
+        first = next(i for i, line in enumerate(lines) if line.startswith("Lemma#PoS\t")) + 1
+        shuffled = lines[:first] + lines[first:][::-1]
+        assert shuffled != lines
+        sorted_lex = read_lexicon(GOLDEN)
+        unsorted_lex = read_lexicon(io.StringIO("".join(shuffled)))
+        assert unsorted_lex.words == sorted_lex.words
+        assert unsorted_lex.scores.tobytes() == sorted_lex.scores.tobytes()
+        assert unsorted_lex.provenance == sorted_lex.provenance
+
+    def test_bad_key_past_the_first_key_chunk_names_its_line(self):
+        """The keys are checked 2**15 at a time: a bad key in the row after the
+        first chunk, which still sorts last, is named at its line."""
+        rows = [f"w{i:06d}#n\t1\n" for i in range(2**15)] + ["zzz#x\t1\n"]
+        content = "# scheme: raw\nLemma#PoS\tA\n" + "".join(rows)
+        with pytest.raises(LexiconError) as caught:
+            read_lexicon(io.StringIO(content))
+        assert str(caught.value) == (
+            f"<stream>:{2**15 + 3}: bad word key: invalid pos tag 'x': expected one of v, n, a, r"
+        )
+
     @settings(max_examples=200, deadline=None)
     @given(lex=valid_lexicons())
     def test_write_read_is_identity_on_bytes(self, lex):

@@ -6,13 +6,17 @@ from __future__ import annotations
 import io
 import os
 import tempfile
+from contextlib import nullcontext
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import moodlex.evaluate
+import moodlex.lexicon
 from moodlex import (
     EmotionMapping,
     GoldSet,
@@ -389,3 +393,118 @@ def test_one_line_rule(tmp_path, reader, variant):
     with_row = _read_text(tmp_path, read, text + row + "\n")
     assert with_row != _read_text(tmp_path, read, text)
     assert _read_text(tmp_path, read, variant(text, row)) == with_row
+
+
+# Score cells from a hostile alphabet: spaces that float() and np.loadtxt
+# both strip, ones that only loadtxt strips (\x1c-\x1f), NUL, underscores and
+# digits that only float() reads, NaN, infinity, signs and exponents.
+HOSTILE = st.sampled_from(
+    [" ", "\x0b", "\x0c", "\xa0", "\u2003", "\u3000", "\x85", "\u2028", "\x1c", "\x1d",
+     "\x1e", "\x1f", "\x00", "_", "+", "-", "e", "e-1", "E+0", "nan", "inf", "\u0661", "\uff10"]
+)
+ARABIC_INDIC = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))
+FULL_WIDTH = str.maketrans("0123456789", "".join(map(chr, range(0xFF10, 0xFF1A))))
+
+
+def hostile_cells(value):
+    """``value`` as written, or changed by the hostile alphabet: written in
+    other digits, with an underscore, sign or exponent, or with characters
+    around or inside it."""
+    return st.one_of(
+        st.just(value),
+        st.sampled_from([
+            value.translate(ARABIC_INDIC), value.translate(FULL_WIDTH),
+            value.replace("0", "0_0", 1), "+" + value, value + "e0",
+        ]),
+        st.builds(lambda pre, post: pre + value + post, HOSTILE | st.just(""), HOSTILE),
+        st.builds(lambda at, c: value[:at] + c + value[at:], st.integers(0, len(value)), HOSTILE),
+    )
+
+
+#: Rows of two scores that sum to 1, as a lexicon's rows must.
+UNIT_ROWS = [("0.5", "0.5"), ("1", "0"), ("0.25", "0.75"), ("1e-1", "9e-1"), ("-0", "1")]
+
+
+@st.composite
+def hostile_lexicons(draw):
+    keys = st.sampled_from(["awe#n", "kill#v", "war#n", "zoo#n"])
+    words = draw(st.lists(keys, min_size=1, max_size=4, unique=True))
+    if draw(st.booleans()):
+        words.sort()
+    lines = ["# scheme: raw", "Lemma#PoS\tA\tB"]
+    for word in words:
+        cells = [draw(hostile_cells(value)) for value in draw(st.sampled_from(UNIT_ROWS))]
+        lines.append("\t".join([word, *cells]))
+    return "".join(line + "\n" for line in lines)
+
+
+@st.composite
+def hostile_gold_files(draw):
+    lines = ["id\ttext\tFEAR\tJOY"]
+    for hid in draw(st.lists(st.sampled_from(["h1", "h2", "h3"]), min_size=1, max_size=3)):
+        values = [draw(st.sampled_from(["0", "50", "100", "0.5", "1e2", "-0"])) for _ in range(2)]
+        lines.append("\t".join([hid, "afraid war", *(draw(hostile_cells(v)) for v in values)]))
+    return "".join(line + "\n" for line in lines)
+
+
+def _outcome(read, module, path, *args):
+    """What ``read`` gives for ``path``, bulk read first, and what the
+    column-at-a-time locate step alone gives: each the object's fields, its
+    arrays as bytes, or the error text."""
+    outcomes = []
+    for patch in (nullcontext(), mock.patch.object(module, "parse_columns", return_value=None)):
+        with patch:
+            try:
+                got = read(path, *args)
+            except MoodlexError as exc:
+                outcomes.append(str(exc))
+                continue
+        outcomes.append({
+            name: (a.dtype, a.shape, a.tobytes()) if isinstance(a, np.ndarray) else a
+            for name, a in vars(got).items()
+        })
+    return outcomes
+
+
+class TestBulkReadMatchesLocateStep:
+    """A lexicon or gold file read by one np.loadtxt pass and whole-array
+    checks gives the lexicon or gold set, or the error text, that the
+    column-at-a-time checks alone give."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(content=hostile_lexicons())
+    @example(content="Lemma#PoS\tA\tB\nawe#n\t0.5\x1c\t0.5\n")
+    @example(content="Lemma#PoS\tA\tB\nawe#n\t0.5\t0.5\x00\n")
+    @example(content="Lemma#PoS\tA\tB\nawe#n\t1_0\t0\n")
+    @example(content="Lemma#PoS\tA\tB\nwar#n\t1\t0\nawe#n\t\u0661\t0\n")
+    def test_lexicon(self, tmp_path_factory, content):
+        path = tmp_path_factory.getbasetemp() / "hostile-lexicon.tsv"
+        path.write_text(content, encoding="utf-8")
+        bulk, located = _outcome(read_lexicon, moodlex.lexicon, path)
+        assert bulk == located
+
+    @settings(max_examples=400, deadline=None)
+    @given(content=hostile_gold_files())
+    @example(content="id\ttext\tFEAR\tJOY\nh1\ta\t50\x1f\t1\n")
+    @example(content="id\ttext\tFEAR\tJOY\nh1\ta\t1_0\t1\nh2\tb\t\uff15\t0\n")
+    def test_gold(self, tmp_path_factory, content):
+        path = tmp_path_factory.getbasetemp() / "hostile-gold.tsv"
+        path.write_text(content, encoding="utf-8")
+        bulk, located = _outcome(load_gold, moodlex.evaluate, path, read_lexicon(GOLDEN))
+        assert bulk == located
+
+    def test_well_formed_files_skip_the_locate_step(self, tmp_path):
+        """The golden lexicon and a gold file with unsorted ids are read by
+        the one-pass path alone."""
+        path = tmp_path / "gold.tsv"
+        path.write_text(
+            "id\ttext\tFEAR\tJOY\nh2\twar\t0\t100\nh1\tawe\t50\t0.5\n", encoding="utf-8"
+        )
+        ran = AssertionError("the locate step ran")
+        with (
+            mock.patch.object(moodlex.lexicon, "first_misfit", side_effect=ran),
+            mock.patch.object(moodlex.evaluate, "first_misfit", side_effect=ran),
+        ):
+            gold = load_gold(path, read_lexicon(GOLDEN))
+        assert gold.ids == ("h1", "h2")
+        assert gold.gold.tolist() == [[0.5, 0.005], [0.0, 1.0]]
