@@ -26,7 +26,6 @@ from .sink import (
     first_misfit,
     first_repeat,
     first_true,
-    parse_columns,
     parse_floats,
     read_rows,
     split_cells,
@@ -312,9 +311,6 @@ def load_gold(
     Scores must all lie in [0, 1], or all in [0, 100] (detected by any value
     exceeding 1 and divided by 100); negative values or values above 100 are
     rejected. The headlines come out sorted by id, whatever the line order.
-    The scores are parsed in one pass (:func:`parse_columns`) and checked as
-    one array; only a file that fails that is checked a column at a time,
-    which names its first bad line or reads it alike.
     """
     rows, linenos, _ = read_rows(path)
     if not rows:
@@ -330,39 +326,31 @@ def load_gold(
     if len(set(emotions)) != len(emotions):
         raise EvaluationError(f"{path}:{linenos[0]}: duplicate emotion columns")
     del rows[0], linenos[0]
+    # Each check reads the rows before the first bad one found so far, in the
+    # order a line's faults are reported: the last fault found is the first
+    # bad line's first fault.
     width = len(emotions)
-    gold = parse_columns(rows, 2, width)
-    if gold is not None:
-        ids, texts = [*zip(*map(str.split, rows, repeat("\t"), repeat(2)))][:2]
-        with np.errstate(invalid="ignore"):
-            if len(set(ids)) < len(ids) or not ((gold >= 0) & (gold <= 100)).all():
-                gold = None
-    if gold is None:
-        # Each check reads the rows before the first bad one found so far, in
-        # the order a line's faults are reported: the last fault found is the
-        # first bad line's first fault.
-        end, fault = first_misfit(rows, width + 2)
-        cells = split_cells(rows[:end])
-        rows.clear()  # cells hold all of the rows' text
-        ids, texts = cells[0 :: width + 2], cells[1 :: width + 2]
-        del cells[0 :: width + 2], cells[0 :: width + 1]
-        at = first_repeat(ids, end)
-        if at < end:
-            end, fault = at, f"duplicate headline id {ids[at]!r}"
-        values, parsed = parse_floats(cells)
-        if parsed < end * width:
-            end, fault = parsed // width, "non-numeric gold score"
-        del cells  # freed before the texts are lemmatized
-        gold = values[: end * width].reshape(end, width)
-        with np.errstate(invalid="ignore"):
-            at = first_true((~((gold >= 0) & (gold <= 100)).all(axis=1)).tolist(), end)
-        if at < end:
-            end, fault = at, "gold scores must lie in [0, 1] or [0, 100]"
-        if fault is not None:
-            raise EvaluationError(f"{path}:{linenos[end]}: {fault}")
-        if not ids:
-            raise EvaluationError(f"{path}: no gold headlines")
-    del rows
+    end, fault = first_misfit(rows, width + 2)
+    cells = split_cells(rows[:end])
+    del rows  # cells hold all of the rows' text
+    ids, texts = cells[0 :: width + 2], cells[1 :: width + 2]
+    del cells[0 :: width + 2], cells[0 :: width + 1]
+    at = first_repeat(ids, end)
+    if at < end:
+        end, fault = at, f"duplicate headline id {ids[at]!r}"
+    values, parsed = parse_floats(cells)
+    if parsed < end * width:
+        end, fault = parsed // width, "non-numeric gold score"
+    del cells  # freed before the texts are lemmatized
+    gold = values[: end * width].reshape(end, width)
+    with np.errstate(invalid="ignore"):
+        at = first_true((~((gold >= 0) & (gold <= 100)).all(axis=1)).tolist(), end)
+    if at < end:
+        end, fault = at, "gold scores must lie in [0, 1] or [0, 100]"
+    if fault is not None:
+        raise EvaluationError(f"{path}:{linenos[end]}: {fault}")
+    if not ids:
+        raise EvaluationError(f"{path}: no gold headlines")
     order = sorted(range(len(ids)), key=ids.__getitem__)
     ids = tuple(map(ids.__getitem__, order))
     gold = gold[order]

@@ -61,8 +61,8 @@ class EmotionLexicon:
         scores: np.ndarray,
         provenance: Sequence[tuple[str, str]] = (),
     ):
-        self.emotions = tuple(emotions)
-        if not self.emotions:
+        emotions = tuple(emotions)
+        if not emotions:
             raise LexiconError("lexicon needs at least one emotion")
         if not len(words):
             raise LexiconError("empty lexicon")
@@ -70,30 +70,28 @@ class EmotionLexicon:
             values = np.asarray(scores, dtype=np.float64)
         except (TypeError, ValueError) as exc:
             raise LexiconError(f"lexicon scores are not an array of numbers: {exc}") from None
-        expected = (len(words), len(self.emotions))
+        expected = (len(words), len(emotions))
         if values.shape != expected:
             raise LexiconError(f"scores have shape {values.shape}, expected {expected}")
         # Sorted words come in as build_lexicon and a written file give them,
         # and timsort takes one pass over them; sorted, they are unique when
         # each is less than the next.
         order = sorted(range(len(words)), key=words.__getitem__)
-        self._words = tuple(map(words.__getitem__, order))
-        if not all(map(lt, self._words, self._words[1:])):
+        words = tuple(map(words.__getitem__, order))
+        if not all(map(lt, words, words[1:])):
             raise LexiconError("duplicate words in lexicon rows")
-        self._scores = values[order]  # fancy indexing copies
-        if not np.isfinite(self._scores).all() or (self._scores < 0).any():
+        values = values[order]  # fancy indexing copies
+        if not np.isfinite(values).all() or (values < 0).any():
             raise LexiconError("lexicon scores must be finite and non-negative")
+        self._keep(emotions, words, values, provenance)
+
+    def _keep(self, emotions, words, scores, provenance) -> EmotionLexicon:
+        # The one place that sets the attributes: for the constructor, and
+        # for read_lexicon's sorted, checked rows, kept with no sort or copy.
+        self.emotions, self._words, self._scores = tuple(emotions), tuple(words), scores
         self._row_of = dict(zip(self._words, range(len(self._words))))
         self.provenance = [(str(k), str(v)) for k, v in provenance]
-
-    @classmethod
-    def _of_checked_rows(cls, emotions, words, scores, provenance) -> "EmotionLexicon":
-        """The lexicon of strictly increasing ``words`` and checked ``scores``,
-        which it keeps: made without the constructor's sort, copy and checks."""
-        lex = cls.__new__(cls)
-        lex.emotions, lex._words, lex._scores = emotions, tuple(words), scores
-        lex.provenance, lex._row_of = provenance, dict(zip(lex._words, range(len(words))))
-        return lex
+        return self
 
     @property
     def words(self) -> tuple[str, ...]:
@@ -273,8 +271,7 @@ def read_lexicon(source) -> EmotionLexicon:
     scores and per-row sums.
 
     Sorted rows that pass the one-pass checks are kept as read; any other
-    file is checked a column at a time, which names its first bad line or
-    reads it as the constructor does.
+    file is checked a column at a time, to name its first bad line.
 
     The comment lines above the header are kept in ``provenance``, so that
     reading and re-writing a well-formed file reproduces it byte for byte.
@@ -315,7 +312,9 @@ def read_lexicon(source) -> EmotionLexicon:
                 and (np.abs(scores.sum(axis=1) - 1.0) <= READ_ROW_SUM_TOLERANCE).all()
                 and not textpipe.key_faults(words)
             ):
-                return EmotionLexicon._of_checked_rows(emotions, words, scores, provenance)
+                return EmotionLexicon.__new__(EmotionLexicon)._keep(
+                    emotions, words, scores, provenance
+                )
     # Else the rows are checked a column at a time. Each check reads the rows
     # before the first bad one found so far, in the order a line's faults are
     # reported, so the last fault found is the first bad line's first fault.

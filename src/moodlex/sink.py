@@ -4,11 +4,10 @@ Every input file is read as UTF-8 text with a leading byte order mark
 ignored, and a byte that does not decode is reported with the file, line and
 column it sits in. Every line-oriented input is read whole by
 :func:`read_rows`, under one rule for line breaks, blank lines, comments and
-fields. A reader parses its score columns with one ``np.loadtxt`` pass,
-:func:`parse_columns`, and checks them as whole arrays. Only when a whole-array
-check fails are the rows checked a column at a time by the helpers below, to
-locate the fault: each check reads only the rows before the first bad row
-found so far, so an error names the first bad line.
+fields, and checked a column at a time by the helpers below; each check reads
+only the rows before the first bad row found so far, so an error names the
+first bad line. The lexicon reader first tries one ``np.loadtxt`` pass,
+:func:`parse_columns`, and runs these checks only to locate a fault.
 
 Every output file appears whole or not at all, its ``# key: value`` metadata
 lines first: :func:`open_sink` writes both. A path is written to a
@@ -77,9 +76,8 @@ def read_rows(source) -> tuple[list[str], list[int], list[str]]:
 
 def parse_columns(rows: Sequence[str], skip: int, width: int):
     """The ``float64`` array of the ``width`` fields after the first ``skip``
-    of every row, parsed by one ``np.loadtxt`` call; ``None`` (check the rows
-    a column at a time) unless every row has exactly ``skip + width`` fields
-    and every cell parses as ``float`` parses it."""
+    of every row, by one ``np.loadtxt`` call; ``None`` unless every row has
+    ``skip + width`` fields and every cell parses as ``float`` parses it."""
     import numpy as np  # not loaded by the command line before a subcommand needs it
     text = "\t".join(rows)
     # loadtxt refuses a short row, so the total makes every count exact. It

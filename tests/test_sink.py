@@ -15,7 +15,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import moodlex.evaluate
 import moodlex.lexicon
 from moodlex import (
     EmotionMapping,
@@ -438,24 +437,16 @@ def hostile_lexicons(draw):
     return "".join(line + "\n" for line in lines)
 
 
-@st.composite
-def hostile_gold_files(draw):
-    lines = ["id\ttext\tFEAR\tJOY"]
-    for hid in draw(st.lists(st.sampled_from(["h1", "h2", "h3"]), min_size=1, max_size=3)):
-        values = [draw(st.sampled_from(["0", "50", "100", "0.5", "1e2", "-0"])) for _ in range(2)]
-        lines.append("\t".join([hid, "afraid war", *(draw(hostile_cells(v)) for v in values)]))
-    return "".join(line + "\n" for line in lines)
-
-
-def _outcome(read, module, path, *args):
-    """What ``read`` gives for ``path``, bulk read first, and what the
-    column-at-a-time locate step alone gives: each the object's fields, its
+def _outcomes(path):
+    """What ``read_lexicon`` gives for ``path``, bulk read first, and what the
+    column-at-a-time locate step alone gives: each the lexicon's fields, its
     arrays as bytes, or the error text."""
     outcomes = []
-    for patch in (nullcontext(), mock.patch.object(module, "parse_columns", return_value=None)):
+    bulk_declines = mock.patch.object(moodlex.lexicon, "parse_columns", return_value=None)
+    for patch in (nullcontext(), bulk_declines):
         with patch:
             try:
-                got = read(path, *args)
+                got = read_lexicon(path)
             except MoodlexError as exc:
                 outcomes.append(str(exc))
                 continue
@@ -467,9 +458,8 @@ def _outcome(read, module, path, *args):
 
 
 class TestBulkReadMatchesLocateStep:
-    """A lexicon or gold file read by one np.loadtxt pass and whole-array
-    checks gives the lexicon or gold set, or the error text, that the
-    column-at-a-time checks alone give."""
+    """A lexicon read by one np.loadtxt pass and whole-array checks gives the
+    lexicon, or the error text, that the column-at-a-time checks alone give."""
 
     @settings(max_examples=400, deadline=None)
     @given(content=hostile_lexicons())
@@ -480,31 +470,12 @@ class TestBulkReadMatchesLocateStep:
     def test_lexicon(self, tmp_path_factory, content):
         path = tmp_path_factory.getbasetemp() / "hostile-lexicon.tsv"
         path.write_text(content, encoding="utf-8")
-        bulk, located = _outcome(read_lexicon, moodlex.lexicon, path)
+        bulk, located = _outcomes(path)
         assert bulk == located
 
-    @settings(max_examples=400, deadline=None)
-    @given(content=hostile_gold_files())
-    @example(content="id\ttext\tFEAR\tJOY\nh1\ta\t50\x1f\t1\n")
-    @example(content="id\ttext\tFEAR\tJOY\nh1\ta\t1_0\t1\nh2\tb\t\uff15\t0\n")
-    def test_gold(self, tmp_path_factory, content):
-        path = tmp_path_factory.getbasetemp() / "hostile-gold.tsv"
-        path.write_text(content, encoding="utf-8")
-        bulk, located = _outcome(load_gold, moodlex.evaluate, path, read_lexicon(GOLDEN))
-        assert bulk == located
-
-    def test_well_formed_files_skip_the_locate_step(self, tmp_path):
-        """The golden lexicon and a gold file with unsorted ids are read by
-        the one-pass path alone."""
-        path = tmp_path / "gold.tsv"
-        path.write_text(
-            "id\ttext\tFEAR\tJOY\nh2\twar\t0\t100\nh1\tawe\t50\t0.5\n", encoding="utf-8"
-        )
+    def test_the_golden_lexicon_skips_the_locate_step(self):
         ran = AssertionError("the locate step ran")
-        with (
-            mock.patch.object(moodlex.lexicon, "first_misfit", side_effect=ran),
-            mock.patch.object(moodlex.evaluate, "first_misfit", side_effect=ran),
-        ):
-            gold = load_gold(path, read_lexicon(GOLDEN))
-        assert gold.ids == ("h1", "h2")
-        assert gold.gold.tolist() == [[0.5, 0.005], [0.0, 1.0]]
+        with mock.patch.object(moodlex.lexicon, "first_misfit", side_effect=ran):
+            read_lexicon(GOLDEN)
+        bulk, located = _outcomes(GOLDEN)
+        assert bulk == located
