@@ -28,10 +28,10 @@ _EXPORTS = {
         "load_gold load_labels min_max_normalize pearson precision_recall_f1"
     ).split(),
     "lexicon": (
-        "EmotionLexicon build_lexicon column_normalize emotion_product read_lexicon "
-        "row_scale score_ids write_lexicon"
+        "EmotionLexicon build_lexicon column_normalize read_lexicon row_scale score_ids "
+        "write_lexicon"
     ).split(),
-    "matrix": "TermDocumentMatrix apply_weighting count_terms write_matrix_dump".split(),
+    "matrix": "TermDocumentMatrix emotion_mass write_matrix_dump".split(),
     "textpipe": "LemmaTable VocabularyFilter lemmatize_ids tokenize".split(),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -1,4 +1,4 @@
-"""Word-by-emotion lexicon: product, two-stage normalization, serialization, scoring.
+"""Word-by-emotion lexicon: two-stage normalization, serialization, scoring.
 
 The lexicon is the words-by-documents matrix multiplied into the
 documents-by-emotions vote matrix, normalized column-wise (each emotion
@@ -32,7 +32,6 @@ from .sink import (
 
 if TYPE_CHECKING:  # annotations only: reading and scoring never import these
     from .corpus import Corpus
-    from .matrix import TermDocumentMatrix
 
 HEADER_KEY = "Lemma#PoS"
 COL_NORM_MODES = ("sum", "max")
@@ -117,10 +116,14 @@ class EmotionLexicon:
             raise LexiconError(f"word {word!r} not in lexicon") from None
 
 
-def _row_sums(owner: np.ndarray, columns: Iterable[np.ndarray], n: int) -> np.ndarray:
+def _row_sums(owner: np.ndarray, columns: Iterable[np.ndarray], n: int, start=None) -> np.ndarray:
     """The ``(n, len(columns))`` sums by owner: row ``i`` of column ``k`` adds
     the entries of ``columns[k]`` whose ``owner`` is ``i``, in index order,
-    from 0.0. The word-by-emotion mass and the headline scores add up here."""
+    from 0.0, or onto ``start[i, k]``. The word-by-emotion mass and the
+    headline scores add up here."""
+    if start is not None:
+        owner = np.concatenate((np.arange(n), owner))
+        columns = map(np.concatenate, zip(start.T, columns))
     sums = np.column_stack([np.bincount(owner, weights=c, minlength=n) for c in columns])
     return sums.astype(np.float64, copy=False)  # an empty owner gives int64 zeros
 
@@ -163,15 +166,6 @@ def score_texts(
     )
     scores, covered = score_ids(token_ids, lengths, strings, lex)
     return scores, covered, lengths
-
-
-def emotion_product(wd: TermDocumentMatrix) -> np.ndarray:
-    """Raw words-by-emotions mass: for each word and emotion, the sum over
-    documents of the word's weight times the document's vote fraction."""
-    # Each word's entries are added in storage order starting from 0.0, the
-    # order a CSR matrix-vector product uses, so the sums match it bit for bit.
-    rows = np.repeat(np.arange(len(wd.words)), wd.doc_freq)
-    return _row_sums(rows, (wd.data * votes[wd.indices] for votes in wd.votes.T), len(wd.words))
 
 
 def column_normalize(
@@ -222,22 +216,28 @@ def build_lexicon(
 
     Raw-text documents go through tokenize/lemmatize with candidates licensed
     by ``vocab``; pre-annotated token streams are used as-is. Both are then
-    vocabulary-filtered and counted, weighted under ``scheme``, multiplied
-    into the votes, column-normalized and row-scaled. Filtering and counting
-    work on token ids, never on the token strings.
+    vocabulary-filtered, counted, weighted under ``scheme`` and multiplied
+    into the votes (:func:`matrix.emotion_mass`), then column-normalized and
+    row-scaled. Filtering and counting work on token ids, never on the token
+    strings.
     """
-    from .matrix import apply_weighting, count_terms, write_matrix_dump
+    from .matrix import emotion_mass, write_matrix_dump
     # Checked up front: token-only corpora never reach lemmatize.
     if ambiguity not in textpipe.AMBIGUITY_POLICIES:
         raise TextPipeError(
             f"unknown ambiguity policy {ambiguity!r}: "
             f"expected one of {textpipe.AMBIGUITY_POLICIES}"
         )
-    counted = count_terms(corpus.lemmatized(lemma_table, vocab, ambiguity), vocab)
-    weighted = apply_weighting(counted, scheme, nf_length=nf_length, min_df=min_df)
-    del counted  # frees the raw counts where weighting copied them
-    normalized = column_normalize(emotion_product(weighted), corpus.emotions, mode=col_norm)
-    words, scaled, dropped_rows = row_scale(normalized, weighted.words)
+    words, mass, n_docs, tdm = emotion_mass(
+        corpus.lemmatized(lemma_table, vocab, ambiguity),
+        vocab,
+        scheme,
+        nf_length=nf_length,
+        min_df=min_df,
+        keep_matrix=matrix_dump_sink is not None,
+    )
+    normalized = column_normalize(mass, corpus.emotions, mode=col_norm)
+    words, scaled, dropped_rows = row_scale(normalized, words)
     provenance = [
         ("scheme", scheme),
         ("col-norm", col_norm),
@@ -246,11 +246,11 @@ def build_lexicon(
         ("ambiguity", ambiguity),
         ("entries", str(len(words))),
         ("dropped-zero-rows", str(dropped_rows)),
-        ("dropped-empty-docs", str(len(corpus) - weighted.n_docs)),
+        ("dropped-empty-docs", str(len(corpus) - n_docs)),
     ]
     lex = EmotionLexicon(corpus.emotions, words, scaled, provenance=provenance)
-    if matrix_dump_sink is not None:
-        write_matrix_dump(weighted, matrix_dump_sink)
+    if tdm is not None:
+        write_matrix_dump(tdm, matrix_dump_sink)
     return lex
 
 

@@ -1,10 +1,13 @@
-"""Sparse term-by-document matrices under raw, normalized, and tf-idf weights.
+"""Term-by-document weights under raw, normalized, and tf-idf schemes, and
+their product with the documents' emotion votes.
 
-A matrix is held as three plain numpy arrays in compressed sparse row (CSR)
-form: row ``i`` owns the entries ``indptr[i]:indptr[i + 1]`` of ``indices``
-(document columns, ascending) and ``data`` (weights). Counting is integer
-arithmetic and rows follow sorted word order, so the matrix does not depend
-on the order words are first seen. No explicit zeros are ever stored.
+The corpus is read in chunks of whole documents, so no array as long as the
+corpus's (word, document) entries is held unless the matrix dump asks for
+it. The dump's matrix is held as three plain numpy arrays in compressed
+sparse row (CSR) form: row ``i`` owns the entries ``indptr[i]:indptr[i + 1]``
+of ``indices`` (document columns, ascending) and ``data`` (weights).
+Counting is integer arithmetic and rows follow sorted word order, so nothing
+depends on the order words are first seen. No explicit zeros are ever stored.
 """
 
 from __future__ import annotations
@@ -12,14 +15,14 @@ from __future__ import annotations
 import dataclasses
 import logging
 import math
-from functools import cached_property
-from itertools import compress
+from itertools import chain, compress
 from typing import Container
 
 import numpy as np
 
 from .corpus import Corpus
 from .errors import MatrixError
+from .lexicon import _row_sums
 from .sink import format_float, open_sink
 
 logger = logging.getLogger(__name__)
@@ -31,17 +34,13 @@ NF_LENGTH_MODES = ("filtered", "raw")
 #: natural-log inverse document frequency, no smoothing.
 TFIDF_VARIANT = "count*ln(N/df)"
 
+#: Tokens per chunk of whole documents; a longer document is a chunk alone.
+CHUNK_TOKENS = 1 << 18
+
 
 @dataclasses.dataclass(frozen=True, eq=False)
 class TermDocumentMatrix:
-    """Words-by-documents weights in CSR form plus the metadata needed to
-    re-weight them and multiply them into the votes.
-
-    ``doc_lengths`` holds the vocabulary-filtered token count per document
-    and ``raw_doc_lengths`` the pre-filter count; ``doc_freq`` is the number
-    of documents containing each word, its row's entry count, as no stored
-    weight is zero. Row ``j`` of ``votes`` is the vote fractions of ``doc_ids[j]``.
-    """
+    """Words-by-documents weights in CSR form, as the matrix dump writes them."""
 
     words: tuple[str, ...]
     doc_ids: tuple[str, ...]
@@ -49,90 +48,10 @@ class TermDocumentMatrix:
     indices: np.ndarray
     data: np.ndarray
     scheme: str
-    doc_lengths: np.ndarray
-    raw_doc_lengths: np.ndarray
-    votes: np.ndarray
 
     @property
     def n_docs(self) -> int:
         return len(self.doc_ids)
-
-    @property
-    def doc_freq(self) -> np.ndarray:
-        return np.diff(self.indptr)
-
-    @cached_property
-    def row_index(self) -> dict[str, int]:
-        return {word: i for i, word in enumerate(self.words)}
-
-
-def count_terms(corpus: Corpus, vocab: Container[str]) -> TermDocumentMatrix:
-    """Count the tokens of ``corpus`` that ``vocab`` holds into a sparse
-    words-by-documents matrix.
-
-    Other tokens are dropped, and so are the documents left with no token,
-    with a warning; raw-text documents, which have no tokens until
-    lemmatized, count as empty. A corpus with zero non-empty documents is an
-    error. Rows cover exactly the words occurring at least once, in sorted
-    order; columns follow corpus order. The kept documents' pre-filter
-    lengths and votes go with the matrix.
-    """
-    # Vocabulary membership is decided once per distinct string.
-    in_vocab = np.fromiter(
-        map(vocab.__contains__, corpus.strings), dtype=bool, count=len(corpus.strings)
-    )
-    keep = in_vocab[corpus.token_ids]
-    doc_of = np.repeat(np.arange(len(corpus), dtype=np.int32), corpus.lengths)
-    lengths = np.bincount(doc_of[keep], minlength=len(corpus))
-    del doc_of
-    nonempty = lengths > 0
-    empty = len(corpus) - int(np.count_nonzero(nonempty))
-    if empty:
-        logger.warning(
-            "%d document(s) had no tokens after vocabulary filtering and were dropped",
-            empty,
-        )
-    if empty == len(corpus):
-        raise MatrixError("corpus has no non-empty documents")
-    doc_ids = tuple(compress(corpus.doc_ids, nonempty))
-    if len(set(doc_ids)) != len(doc_ids):
-        raise MatrixError("duplicate document ids in corpus")
-    token_ids = corpus.token_ids[keep]
-    del keep
-    lengths = lengths[nonempty]
-
-    # The ids that occur are ranked in sorted word order up front, so every
-    # occurrence becomes one int64 key row * n_docs + col; the sorted distinct
-    # keys are the entries in row-major order and their counts the exact
-    # weights. The keys are built and sorted in place, and the distinct ones
-    # found by hand, which at 10k x 500 tokens peaks 115 MiB lower than
-    # np.unique.
-    occurs = np.zeros(len(corpus.strings), dtype=bool)
-    occurs[token_ids] = True
-    used = sorted(np.flatnonzero(occurs).tolist(), key=corpus.strings.__getitem__)
-    words = tuple(map(corpus.strings.__getitem__, used))
-    row_of = np.zeros(len(corpus.strings), dtype=np.int64)
-    row_of[used] = np.arange(len(used))
-    keys = row_of[token_ids]
-    del token_ids
-    keys *= len(doc_ids)
-    keys += np.repeat(np.arange(len(doc_ids), dtype=np.int32), lengths)
-    keys.sort()
-    first = np.flatnonzero(np.concatenate(([True], keys[1:] != keys[:-1])))
-    counts = np.diff(first, append=keys.size)
-    keys = keys[first]
-    doc_freq = np.bincount(keys // len(doc_ids), minlength=len(words))
-    return TermDocumentMatrix(
-        words=words,
-        doc_ids=doc_ids,
-        indptr=np.concatenate(([0], np.cumsum(doc_freq))),
-        indices=(keys % len(doc_ids)).astype(np.int32),
-        data=counts.astype(np.float64),
-        scheme="raw",
-        doc_lengths=lengths,
-        raw_doc_lengths=corpus.lengths[nonempty],
-        votes=corpus.votes[nonempty],
-    )
 
 
 def check_min_df(min_df: int) -> None:
@@ -141,62 +60,143 @@ def check_min_df(min_df: int) -> None:
         raise MatrixError(f"min-df must be at least 1, got {min_df}")
 
 
-def apply_weighting(
-    raw: TermDocumentMatrix, scheme: str, *, nf_length: str = "filtered", min_df: int = 1
-) -> TermDocumentMatrix:
-    """Drop the rows that cannot carry weight, then weight the rest of a
-    raw-count matrix entrywise under ``scheme``.
+def _chunk_entries(corpus: Corpus, row_of: np.ndarray, n_rows: int, end: int):
+    """Per chunk of whole documents before document ``end``, holding at most
+    :data:`CHUNK_TOKENS` tokens or one document: its first and end document,
+    then the row, the document (counted from the first) and the count of
+    each distinct (row, document) pair, in row-major order. ``row_of`` maps
+    a token id to its row, or to -1 for a token that has none."""
+    ends = np.cumsum(corpus.lengths)
+    a = 0
+    while a < end:
+        start = int(ends[a - 1]) if a else 0
+        b = max(a + 1, int(ends.searchsorted(start + CHUNK_TOKENS, "right")))
+        m = b - a
+        # The key row * m + document is below n_rows * m, and negative for a
+        # token with no row; the sort puts those first, to be cut off.
+        keys = row_of[corpus.token_ids[start : ends[b - 1]]]
+        keys = keys.astype(np.int32 if n_rows * m < 2**31 else np.int64, copy=False)
+        keys *= m
+        keys += np.repeat(np.arange(m, dtype=np.int32), corpus.lengths[a:b])
+        keys.sort()
+        keys = keys[keys.searchsorted(0) :]
+        first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]][: keys.size])
+        yield a, b, *np.divmod(keys[first], m, dtype=np.intp), np.diff(first, append=keys.size)
+        a = b
 
-    Rows found in fewer than ``min_df`` documents are dropped, and under
-    ``tfidf`` so are the ubiquitous ones (df = N): ln(N / df) is positive
-    for every other row, and counts are at least 1, so those are exactly the
-    rows tf-idf would zero. Each drop count is logged. ``normalized`` divides
-    each column by its document length (filtered length by default,
-    pre-filter length with ``nf_length="raw"``). Document lengths describe
-    the token streams, not the surviving rows.
+
+def emotion_mass(
+    corpus: Corpus,
+    vocab: Container[str],
+    scheme: str,
+    *,
+    nf_length: str = "filtered",
+    min_df: int = 1,
+    keep_matrix: bool = False,
+) -> tuple[tuple[str, ...], np.ndarray, int, TermDocumentMatrix | None]:
+    """Count the tokens of ``corpus`` that ``vocab`` holds, weight the counts
+    under ``scheme`` and multiply them into the votes. Returns the kept
+    words, in sorted order; their raw words-by-emotions mass, for each word
+    and emotion the sum over documents of the word's weight times the
+    document's vote fraction; the number of documents counted; and, with
+    ``keep_matrix``, the weighted matrix, else None.
+
+    A document left with no token is dropped, with a warning; a raw-text
+    document has no tokens until lemmatized. No document left is an error.
+    Words found in fewer than ``min_df`` documents are dropped, and under
+    ``tfidf`` so are the ubiquitous ones (df = N), which tf-idf would zero.
+    Each drop is logged; dropping every word is an error. ``normalized``
+    divides a count by its document's length: the filtered length, or the
+    pre-filter length with ``nf_length="raw"``.
+
+    A first pass over the chunks finds the document frequencies and
+    lengths. The second adds each chunk's weighted counts onto every word's
+    sums so far: each word's entries are added in document order from 0.0,
+    as a CSR matrix-vector product adds them, whatever the chunk bound.
     """
     if scheme not in SCHEMES:
         raise MatrixError(f"unknown weighting scheme {scheme!r}: expected one of {SCHEMES}")
-    if raw.scheme != "raw":
-        raise MatrixError(f"apply_weighting expects raw counts, got scheme {raw.scheme!r}")
     if nf_length not in NF_LENGTH_MODES:
         raise MatrixError(f"unknown nf length mode {nf_length!r}")
     check_min_df(min_df)
 
-    keep = raw.doc_freq >= min_df
+    # Rows: the vocabulary words that occur, sorted; membership once per string.
+    in_vocab = np.fromiter(map(vocab.__contains__, corpus.strings), bool, len(corpus.strings))
+    occurs = np.zeros(len(corpus.strings), dtype=bool)
+    occurs[corpus.token_ids] = True
+    used = sorted(np.flatnonzero(occurs & in_vocab).tolist(), key=corpus.strings.__getitem__)
+    row_of = np.full(len(corpus.strings), -1, dtype=np.int32)
+    row_of[used] = np.arange(len(used))
+    doc_freq = np.zeros(len(used), dtype=np.int64)
+    lengths = np.zeros(len(corpus))
+    for a, b, rows, docs, counts in _chunk_entries(corpus, row_of, len(used), len(corpus)):
+        doc_freq += np.bincount(rows, minlength=len(used))
+        lengths[a:b] = np.bincount(docs, weights=counts, minlength=b - a)
+    nonempty = lengths > 0
+    n_docs = int(np.count_nonzero(nonempty))
+    if n_docs < len(corpus):
+        logger.warning(
+            "%d document(s) had no tokens after vocabulary filtering and were dropped",
+            len(corpus) - n_docs,
+        )
+    if not n_docs:
+        raise MatrixError("corpus has no non-empty documents")
+    doc_ids = tuple(compress(corpus.doc_ids, nonempty))
+    if len(set(doc_ids)) != n_docs:
+        raise MatrixError("duplicate document ids in corpus")
+
+    keep = doc_freq >= min_df
     if not keep.any():
         raise MatrixError(f"min-df {min_df} removed every term")
     rare = len(keep) - int(np.count_nonzero(keep))
     if rare:
         logger.info("min-df %d dropped %d term(s)", min_df, rare)
     if scheme == "tfidf":
-        keep &= raw.doc_freq < raw.n_docs
+        keep &= doc_freq < n_docs
+        if not keep.any():
+            raise MatrixError("tf-idf removed every term: each is in every document")
         ubiquitous = len(keep) - rare - int(np.count_nonzero(keep))
         if ubiquitous:
             logger.info(
                 "tf-idf zeroed %d ubiquitous term(s) (df = N); dropped from the matrix",
                 ubiquitous,
             )
-    if not keep.all():
-        entries = np.repeat(keep, raw.doc_freq)
-        raw = dataclasses.replace(
-            raw,
-            words=tuple(compress(raw.words, keep)),
-            indptr=np.concatenate(([0], np.cumsum(raw.doc_freq[keep]))),
-            indices=raw.indices[entries],
-            data=raw.data[entries],
-        )
+    words = tuple(compress(map(corpus.strings.__getitem__, used), keep))
+    # Raw counts times 1; tf-idf's ln(N / df) by math.log (numpy's may differ in the last bit).
+    factor = np.ones(len(used))
+    if scheme == "tfidf":
+        factor = np.array(list(map(math.log, (n_docs / doc_freq).tolist())))
+    nf_lengths = lengths if nf_length == "filtered" else corpus.lengths
 
-    if scheme == "raw":
-        return raw
-    if scheme == "normalized":
-        lengths = raw.doc_lengths if nf_length == "filtered" else raw.raw_doc_lengths
-        return dataclasses.replace(raw, data=raw.data / lengths[raw.indices], scheme="normalized")
-    # tfidf: scale every row by ln(N / df). The log is math.log, once per
-    # distinct df: numpy's log may differ in the last bit.
-    dfs, inverse = np.unique(raw.doc_freq, return_inverse=True)
-    idf = np.array([math.log(raw.n_docs / df) for df in dfs.tolist()])[inverse]
-    return dataclasses.replace(raw, data=raw.data * np.repeat(idf, raw.doc_freq), scheme="tfidf")
+    # Pass 2 keeps pass 1's rows, dropped words too, and ends on pass 1's last chunk.
+    last = (a, b, rows, docs, counts)
+    mass = None  # the first chunk's sums start from 0.0
+    if keep_matrix:
+        sizes = np.where(keep, doc_freq, 0)
+        fill = np.cumsum(sizes) - sizes
+        indptr = np.append(fill[keep], sizes.sum())
+        # One spare last slot takes every entry of a dropped word.
+        indices = np.empty(indptr[-1] + 1, dtype=np.int32)
+        data = np.empty(indptr[-1] + 1)
+        column = np.cumsum(nonempty, dtype=np.int32) - 1
+    for a, _, rows, docs, counts in chain(_chunk_entries(corpus, row_of, len(used), a), [last]):
+        docs += a
+        if scheme == "normalized":
+            weights = counts / nf_lengths[docs]
+        else:
+            weights = counts * factor[rows]
+        products = (weights * votes[docs] for votes in corpus.votes.T)
+        mass = _row_sums(rows, products, len(used), start=mass)
+        if keep_matrix:  # each entry to the next free slot of its row
+            per_row = np.bincount(rows, minlength=len(used))
+            slots = (fill - per_row.cumsum() + per_row)[rows] + np.arange(rows.size)
+            slots[~keep[rows]] = indptr[-1]
+            fill += per_row
+            indices[slots], data[slots] = column[docs], weights
+    if not keep_matrix:
+        return words, mass[keep], n_docs, None
+    tdm = TermDocumentMatrix(words, doc_ids, indptr, indices[:-1], data[:-1], scheme)
+    return words, mass[keep], n_docs, tdm
 
 
 #: Bytes of text per block of dump lines: a block's temporaries are about

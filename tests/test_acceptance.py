@@ -22,7 +22,7 @@ from moodlex import (
     VocabularyFilter,
     build_lexicon,
     column_normalize,
-    emotion_product,
+    emotion_mass,
     evaluate_classification,
     evaluate_regression,
     load_gold,
@@ -33,7 +33,6 @@ from moodlex import (
     write_lexicon,
 )
 from moodlex.cli import main
-from moodlex.matrix import apply_weighting, count_terms
 
 from corpora import corpus_of
 from dense_reference import dense_build, exact_pearson, make_random_corpus
@@ -119,19 +118,14 @@ def test_column_scale_invariance(emotions):
             for doc_id, tokens, votes in triples
             if (filtered := [t for t in tokens if t in vocab])
         )
-        weighted = apply_weighting(count_terms(kept, vocab), "normalized")
-        raw_we = emotion_product(weighted)
+        words, raw_we, _, _ = emotion_mass(kept, vocab, "normalized")
         labels = emotions.labels
-        base_words, base_rows, _ = row_scale(
-            column_normalize(raw_we, labels), weighted.words
-        )
+        base_words, base_rows, _ = row_scale(column_normalize(raw_we, labels), words)
         for c in (0.1, 3.0, 100.0):
             for e in range(len(labels)):
                 scaled = raw_we.copy()
                 scaled[:, e] = scaled[:, e] * c
-                got_words, got_rows, _ = row_scale(
-                    column_normalize(scaled, labels), weighted.words
-                )
+                got_words, got_rows, _ = row_scale(column_normalize(scaled, labels), words)
                 assert got_words == base_words
                 assert np.max(np.abs(got_rows - base_rows)) < 1e-12
 

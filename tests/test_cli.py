@@ -177,6 +177,33 @@ class TestBuild:
         assert any("build-lexicon: emotion column(s) with zero mass" in m for m in messages)
         assert sorted(p.name for p in workdir.iterdir()) == before
 
+    @pytest.mark.parametrize(
+        "docs, min_df",
+        [
+            ([["awe#n", "war#n"]], 1),
+            ([["awe#n", "war#n"], ["war#n", "awe#n", "awe#n"]], 1),
+            ([["awe#n", "war#n"], ["war#n", "game#n", "awe#n"], ["awe#n", "war#n"]], 2),
+        ],
+        ids=["one-document", "shared-terms", "after-min-df"],
+    )
+    def test_tfidf_removing_every_term_exits_one(self, workdir, caplog, docs, min_df):
+        """When every term left is in every document, tf-idf keeps none: the
+        build names that, not the empty emotion columns, and writes nothing."""
+        (workdir / "corpus.jsonl").write_text(
+            "".join(
+                json.dumps({"id": f"d{i}", "tokens": tokens, "votes": {"AFRAID": 0.5, "SAD": 0.5}})
+                + "\n"
+                for i, tokens in enumerate(docs)
+            ),
+            encoding="utf-8",
+        )
+        before = sorted(p.name for p in workdir.iterdir())
+        argv = build_args(workdir, weighting="tfidf", min_df=min_df, dump_matrix=workdir / "dump.tsv")
+        assert main(argv) == 1
+        messages = [r.message for r in caplog.records if r.levelname == "ERROR"]
+        assert messages == ["build-lexicon: tf-idf removed every term: each is in every document"]
+        assert sorted(p.name for p in workdir.iterdir()) == before
+
     def test_failed_build_keeps_earlier_outputs(self, workdir):
         (workdir / "lex.tsv").write_text("earlier lexicon\n", encoding="utf-8")
         (workdir / "dump.tsv").write_text("earlier dump\n", encoding="utf-8")

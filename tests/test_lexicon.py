@@ -1,4 +1,4 @@
-"""Emotion product, two-stage normalization, lexicon build and serialization."""
+"""Emotion mass, two-stage normalization, lexicon build and serialization."""
 
 from __future__ import annotations
 
@@ -21,8 +21,7 @@ from moodlex import (
     VocabularyFilter,
     build_lexicon,
     column_normalize,
-    count_terms,
-    emotion_product,
+    emotion_mass,
     load_corpus,
     read_lexicon,
     row_scale,
@@ -43,6 +42,12 @@ def doc(emotions, doc_id, tokens, votes):
     return doc_id, tokens, votes
 
 
+def product(corpus):
+    """The raw mass of every token of ``corpus``, and its matrix."""
+    _, mass, _, tdm = emotion_mass(corpus, corpus.strings, "raw", keep_matrix=True)
+    return mass, tdm
+
+
 class TestEmotionProduct:
     def test_identity_multiplication(self):
         emotions = EmotionSet(["E1", "E2"])
@@ -51,7 +56,7 @@ class TestEmotionProduct:
             doc(emotions, "d1", ["wb#n", "wb#n"], {"E2": 1.0}),
         ]
         corpus = corpus_of(records, emotions)
-        out = emotion_product(count_terms(corpus, corpus.strings))
+        out, _ = product(corpus)
         np.testing.assert_allclose(out, [[1.0, 0.0], [0.0, 2.0]], atol=1e-15)
 
     def test_one_hot_votes_concentrate_one_column(self):
@@ -61,7 +66,7 @@ class TestEmotionProduct:
             doc(emotions, "d1", ["a#n"], {"E2": 1.0}),
         ]
         corpus = corpus_of(records, emotions)
-        out = emotion_product(count_terms(corpus, corpus.strings))
+        out, _ = product(corpus)
         assert np.all(out[:, [0, 2]] == 0)
         assert np.all(out[:, 1] > 0)
 
@@ -80,8 +85,7 @@ class TestEmotionProduct:
             for j in range(4)
         ]
         corpus = corpus_of(records, emotions)
-        wd = count_terms(corpus, corpus.strings)
-        out = emotion_product(wd)
+        out, wd = product(corpus)
         dense_weights = dense_reference.dense(wd)
         expected = dense_product(dense_weights.tolist(), votes.tolist())
         np.testing.assert_allclose(out, expected, atol=1e-12)

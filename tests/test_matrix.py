@@ -1,25 +1,33 @@
-"""Term-document matrix construction and the three weighting schemes."""
+"""Counting, the three weighting schemes, the product with the votes, and the dump."""
 
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
 import io
+import itertools
 import math
-import random
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from moodlex import (
+    EmotionSet,
+    LemmaTable,
     MatrixError,
-    apply_weighting,
-    count_terms,
+    VocabularyFilter,
+    build_lexicon,
+    emotion_mass,
+    load_corpus,
+    write_lexicon,
     write_matrix_dump,
 )
-from moodlex.matrix import DUMP_BLOCK_BYTES
+from moodlex import matrix
+from moodlex.matrix import DUMP_BLOCK_BYTES, TFIDF_VARIANT, TermDocumentMatrix
 
 import dense_reference
 from corpora import corpus_of
@@ -34,10 +42,19 @@ def records_from(token_streams):
     return corpus_of((f"d{i}", tokens, {"AFRAID": 1.0}) for i, tokens in enumerate(token_streams))
 
 
-def counted(token_streams):
-    """The raw counts of every token of ``token_streams``."""
+def matrix_of(records, vocab, scheme, **options):
+    """The weighted matrix that :func:`emotion_mass` keeps for the dump."""
+    return emotion_mass(records, vocab, scheme, keep_matrix=True, **options)[3]
+
+
+def counted(token_streams, scheme="raw", **options):
+    """The matrix of every token of ``token_streams``, raw counts by default."""
     records = records_from(token_streams)
-    return count_terms(records, records.strings)
+    return matrix_of(records, records.strings, scheme, **options)
+
+
+def doc_freq(tdm):
+    return np.diff(tdm.indptr)
 
 
 class TestCountTerms:
@@ -45,8 +62,8 @@ class TestCountTerms:
         tdm = counted([["kill#v", "kill#v", "war#n"]])
         dense = dense_reference.dense(tdm)
         assert tdm.words == ("kill#v", "war#n")
-        assert dense[tdm.row_index["kill#v"], 0] == 2
-        assert dense[tdm.row_index["war#n"], 0] == 1
+        assert dense[tdm.words.index("kill#v"), 0] == 2
+        assert dense[tdm.words.index("war#n"), 0] == 1
         assert tdm.scheme == "raw"
 
     def test_absent_word_has_no_stored_entry(self):
@@ -68,14 +85,19 @@ class TestCountTerms:
                 assert dense[wi, dj] == counts[wi][dj]
 
     def test_doc_freq_and_lengths_metadata(self):
-        tdm = counted([["a#n", "b#n"], ["a#n", "a#n", "c#n"]])
-        assert tdm.doc_freq[tdm.row_index["a#n"]] == 2
-        assert tdm.doc_freq[tdm.row_index["b#n"]] == 1
-        np.testing.assert_array_equal(tdm.doc_lengths, [2, 3])
+        streams = [["a#n", "b#n"], ["a#n", "a#n", "c#n"]]
+        tdm = counted(streams, "normalized")
+        np.testing.assert_array_equal(doc_freq(tdm), [2, 1, 1])
+        # Each count is divided by its document's length, 2 and 3.
+        np.testing.assert_array_equal(
+            dense_reference.dense(tdm), [[1 / 2, 2 / 3], [1 / 2, 0], [0, 1 / 3]]
+        )
 
-    def test_empty_documents_skipped(self):
-        tdm = counted([["a#n"], [], ["b#n"]])
-        assert tdm.doc_ids == ("d0", "d2")
+    def test_empty_documents_skipped(self, caplog):
+        records = records_from([["a#n"], [], ["b#n"]])
+        words, mass, n_docs, tdm = emotion_mass(records, records.strings, "raw", keep_matrix=True)
+        assert tdm.doc_ids == ("d0", "d2") and n_docs == 2
+        assert "1 document(s) had no tokens after vocabulary filtering" in caplog.text
 
     def test_all_empty_is_error(self):
         with pytest.raises(MatrixError, match="no non-empty"):
@@ -85,16 +107,70 @@ class TestCountTerms:
         # parse_corpus rejects a repeated id, so only a hand-made Corpus has one.
         records = dataclasses.replace(records_from([["a#n"], ["b#n"]]), doc_ids=("d1", "d1"))
         with pytest.raises(MatrixError, match="^duplicate document ids in corpus$"):
-            count_terms(records, records.strings)
+            emotion_mass(records, records.strings, "raw")
 
     def test_vocabulary_filter_and_raw_lengths(self):
-        records = records_from([["a#n", "x#n"], ["x#n", "x#n"], ["b#n", "a#n", "y#v"]])
-        tdm = count_terms(records, {"a#n", "b#n"})
-        assert tdm.words == ("a#n", "b#n")
-        assert tdm.doc_ids == ("d0", "d2")
-        np.testing.assert_array_equal(tdm.doc_lengths, [1, 2])
-        np.testing.assert_array_equal(tdm.raw_doc_lengths, [2, 3])
-        np.testing.assert_array_equal(tdm.votes, records.votes[[0, 2]])
+        streams = [["a#n", "x#n"], ["x#n", "x#n"], ["b#n", "a#n", "y#v"]]
+        votes = [[0.5, 0.5], [1.0, 0.0], [0.25, 0.75]]
+        records = corpus_of(
+            ((f"d{i}", tokens, v) for i, (tokens, v) in enumerate(zip(streams, votes))),
+            EmotionSet(["E1", "E2"]),
+        )
+        vocab = {"a#n", "b#n"}
+        filtered = matrix_of(records, vocab, "normalized")
+        raw = matrix_of(records, vocab, "normalized", nf_length="raw")
+        assert filtered.words == raw.words == ("a#n", "b#n")
+        assert filtered.doc_ids == raw.doc_ids == ("d0", "d2")
+        # Filtered lengths 1 and 2; pre-filter lengths 2 and 3.
+        np.testing.assert_array_equal(dense_reference.dense(filtered), [[1, 1 / 2], [0, 1 / 2]])
+        np.testing.assert_array_equal(dense_reference.dense(raw), [[1 / 2, 1 / 3], [0, 1 / 3]])
+        # The mass takes the votes of the kept documents d0 and d2.
+        words, mass, n_docs, _ = emotion_mass(records, vocab, "raw")
+        np.testing.assert_array_equal(mass, [[0.75, 1.25], [0.25, 0.75]])
+
+
+@pytest.fixture(scope="module")
+def generated(tmp_path_factory):
+    """``bench/gen.py``'s token and raw-text corpora of 24 documents, each
+    with its vocabulary; the raw-text one lemmatized once, here."""
+    gen_py = Path(__file__).resolve().parents[1] / "bench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("bench_gen", gen_py)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    corpora = {}
+    for kind in ("tokens", "text"):
+        root = tmp_path_factory.mktemp(kind)
+        gen.generate_build(str(root), 3, docs=24, text=kind == "text", min_df=1, tfidf=False)
+        vocab = VocabularyFilter.from_file(root / "vocab.txt")
+        table = LemmaTable.from_file(root / "lemmas.tsv") if kind == "text" else None
+        corpus = load_corpus(root / "corpus.jsonl", EmotionSet.default())
+        corpora[kind] = corpus.lemmatized(table, vocab, "all"), vocab
+    return corpora
+
+
+@pytest.mark.parametrize("kind", ["tokens", "text"])
+def test_chunk_bound_changes_no_byte(generated, monkeypatch, kind):
+    """Chunks of one document, of 997 tokens (about two documents) and of
+    the whole corpus give the same lexicon and dump bytes, and the same
+    score bits before rounding, under every scheme, min-df and nf length:
+    each chunk continues every word's sum."""
+    corpus, vocab = generated[kind]
+    outputs = {}
+    for bound in (1, 997, 1 << 18, 1 << 30):
+        monkeypatch.setattr(matrix, "CHUNK_TOKENS", bound)
+        for scheme, min_df, nf_length in itertools.product(
+            matrix.SCHEMES, (1, 2), matrix.NF_LENGTH_MODES
+        ):
+            lexicon, dump = io.StringIO(), io.StringIO()
+            lex = build_lexicon(
+                corpus, vocab, scheme, min_df=min_df, nf_length=nf_length, matrix_dump_sink=dump
+            )
+            write_lexicon(lex, lexicon)
+            outputs.setdefault((scheme, min_df, nf_length), set()).add(
+                (lexicon.getvalue(), dump.getvalue(), lex.scores.tobytes())
+            )
+    assert len(outputs) == 12
+    assert all(len(kept) == 1 for kept in outputs.values())
 
 
 class TestScalarWeights:
@@ -129,16 +205,27 @@ class TestScalarWeights:
 
 class TestApplyWeighting:
     def test_raw_is_identity(self):
-        tdm = counted([["a#n", "b#n", "a#n"]])
-        out = apply_weighting(tdm, "raw")
+        out = counted([["a#n", "b#n", "a#n"]], "raw")
         assert out.scheme == "raw"
-        np.testing.assert_array_equal(dense_reference.dense(out), dense_reference.dense(tdm))
+        np.testing.assert_array_equal(dense_reference.dense(out), [[2], [1]])
 
-    def test_tfidf_drops_ubiquitous_term(self):
-        tdm = counted([["a#n", "b#n"], ["a#n"]])
-        out = apply_weighting(tdm, "tfidf")
+    def test_tfidf_drops_ubiquitous_term(self, caplog):
+        caplog.set_level("INFO", logger="moodlex.matrix")
+        out = counted([["a#n", "b#n"], ["a#n"]], "tfidf")
         assert "a#n" not in out.words  # df = N, ln 1 = 0, row dropped
         assert "b#n" in out.words
+        assert caplog.messages == [
+            "tf-idf zeroed 1 ubiquitous term(s) (df = N); dropped from the matrix"
+        ]
+
+    @pytest.mark.parametrize(
+        "streams",
+        [[["a#n", "b#n"]], [["a#n", "b#n"], ["b#n", "a#n", "a#n"]]],
+        ids=["one-document", "shared-terms"],
+    )
+    def test_tfidf_removing_every_term_is_an_error(self, streams):
+        with pytest.raises(MatrixError, match="^tf-idf removed every term"):
+            counted(streams, "tfidf")
 
     def test_normalized_matches_dense_entrywise_oracle(self):
         rng = np.random.default_rng(31)
@@ -146,13 +233,13 @@ class TestApplyWeighting:
             [f"w{int(k)}#n" for k in rng.integers(0, 8, size=int(rng.integers(1, 12)))]
             for _ in range(6)
         ]
-        tdm = apply_weighting(counted(streams), "normalized")
+        tdm = counted(streams, "normalized")
         words, counts = dense_count(streams)
         dense = dense_reference.dense(tdm)
         for wi, word in enumerate(words):
             for dj, stream in enumerate(streams):
                 expected = counts[wi][dj] / len(stream)
-                assert dense[tdm.row_index[word], dj] == pytest.approx(expected, abs=1e-15)
+                assert dense[tdm.words.index(word), dj] == pytest.approx(expected, abs=1e-15)
 
     def test_tfidf_matches_scalar_formula(self):
         rng = np.random.default_rng(37)
@@ -161,15 +248,15 @@ class TestApplyWeighting:
             for _ in range(5)
         ]
         raw = counted(streams)
-        out = apply_weighting(raw, "tfidf")
+        out = counted(streams, "tfidf")
         raw_dense = dense_reference.dense(raw)
         out_dense = dense_reference.dense(out)
         for word in out.words:
-            wi_raw = raw.row_index[word]
-            df = int(raw.doc_freq[wi_raw])
+            wi_raw = raw.words.index(word)
+            df = int(doc_freq(raw)[wi_raw])
             for dj in range(len(streams)):
                 expected = tfidf_weight(raw_dense[wi_raw, dj], df, raw.n_docs)
-                assert out_dense[out.row_index[word], dj] == pytest.approx(expected, abs=1e-15)
+                assert out_dense[out.words.index(word), dj] == pytest.approx(expected, abs=1e-15)
 
     def test_tfidf_idf_is_math_log_bit_for_bit(self):
         """Every df from 1 to N = 300 gets exactly math.log(N / df); numpy's
@@ -177,7 +264,7 @@ class TestApplyWeighting:
         n = 300
         # Word k occurs once in each of the first k documents: df = k.
         streams = [[f"w{k:03d}#n" for k in range(j + 1, n + 1)] for j in range(n)]
-        out = apply_weighting(counted(streams), "tfidf")
+        out = counted(streams, "tfidf")
         assert len(out.words) == n - 1  # df = N scores ln 1 = 0 and is dropped
         for row, word in enumerate(out.words):
             df = int(word[1:4])
@@ -190,16 +277,15 @@ class TestApplyWeighting:
         streams = [tokens for _, tokens, _ in docs if tokens]
         filtered = [[t for t in s if t in set(words)] for s in streams]
         filtered = [s for s in filtered if s]
-        tdm = apply_weighting(counted(filtered), "normalized")
+        tdm = counted(filtered, "normalized")
         sums = dense_reference.dense(tdm).sum(axis=0)
         np.testing.assert_allclose(sums, 1.0, atol=1e-9)
 
     def test_nf_raw_length_mode(self):
         records = records_from([["a#n", "out#n", "b#n", "out#n"]])
-        tdm = count_terms(records, {"a#n", "b#n"})
-        out = apply_weighting(tdm, "normalized", nf_length="raw")
+        out = matrix_of(records, {"a#n", "b#n"}, "normalized", nf_length="raw")
         dense = dense_reference.dense(out)
-        assert dense[out.row_index["a#n"], 0] == 0.25
+        assert dense[out.words.index("a#n"), 0] == 0.25
         columns = dense_reference.dense(out).sum(axis=0)
         assert columns[0] == pytest.approx(0.5)  # 2 of 4 raw tokens survived
 
@@ -215,8 +301,7 @@ class TestApplyWeighting:
                 continue
             streams.append(tokens)
             filtered.append(kept)
-        tdm = count_terms(records_from(streams), vocab)
-        out = apply_weighting(tdm, "normalized", nf_length="raw")
+        out = matrix_of(records_from(streams), vocab, "normalized", nf_length="raw")
         sums = dense_reference.dense(out).sum(axis=0)
         for j, (tokens, kept) in enumerate(zip(streams, filtered)):
             assert sums[j] == pytest.approx(len(kept) / len(tokens), abs=1e-12)
@@ -233,21 +318,16 @@ class TestApplyWeighting:
         raw = counted(streams)
         raw_pattern = set(zip(*dense_reference.dense(raw).nonzero()))
         for scheme in ("raw", "normalized", "tfidf"):
-            out = apply_weighting(raw, scheme)
+            out = counted(streams, scheme)
             for wi, dj in zip(*dense_reference.dense(out).nonzero()):
-                raw_wi = raw.row_index[out.words[wi]]
+                raw_wi = raw.words.index(out.words[wi])
                 assert (raw_wi, dj) in raw_pattern
 
-    def test_requires_raw_input(self):
-        tdm = counted([["a#n"]])
-        weighted = apply_weighting(tdm, "normalized")
-        with pytest.raises(MatrixError, match="expects raw counts"):
-            apply_weighting(weighted, "tfidf")
-
-    def test_unknown_scheme(self):
-        tdm = counted([["a#n"]])
+    def test_unknown_scheme_and_nf_length(self):
         with pytest.raises(MatrixError, match="unknown weighting scheme"):
-            apply_weighting(tdm, "bm25")
+            counted([["a#n"]], "bm25")
+        with pytest.raises(MatrixError, match="unknown nf length mode"):
+            counted([["a#n"]], "normalized", nf_length="both")
 
     def test_tfidf_zero_iff_absent_or_ubiquitous(self):
         rng = np.random.default_rng(47)
@@ -256,35 +336,47 @@ class TestApplyWeighting:
             for _ in range(6)
         ]
         raw = counted(streams)
-        out = apply_weighting(raw, "tfidf")
+        out = counted(streams, "tfidf")
         raw_dense = dense_reference.dense(raw)
         out_words = set(out.words)
         for word in raw.words:
-            wi = raw.row_index[word]
-            df = int(raw.doc_freq[wi])
+            wi = raw.words.index(word)
+            df = int(doc_freq(raw)[wi])
             if df == raw.n_docs:
                 assert word not in out_words
                 continue
             for dj in range(raw.n_docs):
-                value = dense_reference.dense(out)[out.row_index[word], dj]
+                value = dense_reference.dense(out)[out.words.index(word), dj]
                 assert (value == 0.0) == (raw_dense[wi, dj] == 0.0)
 
 
 class TestMinDf:
-    def test_filters_rare_terms(self):
-        tdm = counted([["a#n", "b#n"], ["a#n"]])
-        out = apply_weighting(tdm, "raw", min_df=2)
+    def test_filters_rare_terms(self, caplog):
+        caplog.set_level("INFO", logger="moodlex.matrix")
+        out = counted([["a#n", "b#n"], ["a#n"]], "raw", min_df=2)
         assert out.words == ("a#n",)
+        assert caplog.messages == ["min-df 2 dropped 1 term(s)"]
+
+    def test_both_drops_are_logged_and_leave_the_rest(self, caplog):
+        caplog.set_level("INFO", logger="moodlex.matrix")
+        streams = [["a#n", "b#n", "c#n"], ["a#n", "b#n"], ["a#n"]]
+        out = counted(streams, "tfidf", min_df=2)
+        assert out.words == ("b#n",)
+        assert caplog.messages == [
+            "min-df 2 dropped 1 term(s)",
+            "tf-idf zeroed 1 ubiquitous term(s) (df = N); dropped from the matrix",
+        ]
 
     def test_error_when_everything_removed(self):
-        tdm = counted([["a#n"]])
-        with pytest.raises(MatrixError, match="removed every term"):
-            apply_weighting(tdm, "raw", min_df=5)
+        with pytest.raises(MatrixError, match="^min-df 5 removed every term$"):
+            counted([["a#n"]], "raw", min_df=5)
+        with pytest.raises(MatrixError, match="^min-df must be at least 1, got 0$"):
+            counted([["a#n"]], "raw", min_df=0)
 
 
 class TestDump:
     def test_header_and_triples(self):
-        tdm = apply_weighting(counted([["a#n", "a#n", "b#n"]]), "normalized")
+        tdm = counted([["a#n", "a#n", "b#n"]], "normalized")
         buf = io.StringIO()
         write_matrix_dump(tdm, buf)
         lines = buf.getvalue().splitlines()
@@ -294,7 +386,7 @@ class TestDump:
 
     @settings(max_examples=100, deadline=None)
     @given(
-        st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=12), min_size=1, max_size=8),
+        st.lists(st.lists(st.integers(0, 9), min_size=1, max_size=12), min_size=1, max_size=7),
         st.sampled_from(["raw", "normalized", "tfidf"]),
         st.one_of(
             st.none(),
@@ -308,23 +400,16 @@ class TestDump:
         st.lists(NAMES.map(lambda lemma: lemma[:38] + "#n"), min_size=10, max_size=10, unique=True),
         st.lists(NAMES, min_size=8, max_size=8, unique=True),
     )
-    @example(  # tf-idf over one document drops every row: the header alone
-        [[0]],
-        "tfidf",
-        None,
-        random.Random(0),
-        [f"w{i}#n" for i in range(10)],
-        [f"d{j}" for j in range(8)],
-    )
     def test_bytes_match_per_entry_writer(self, ids, scheme, pool, rnd, words, doc_ids):
         """The same bytes as formatting each weight on its own, under every
         scheme, for arbitrary positive weights, few of them distinct, and for
-        words and doc ids of 1 to 40 code points of 1 to 4 UTF-8 bytes each."""
-        streams = [[words[i] for i in doc] + ["all#n"] for doc in ids]
+        words and doc ids of 1 to 40 code points of 1 to 4 UTF-8 bytes each.
+        The last document keeps tf-idf from dropping every word."""
+        streams = [[words[i] for i in doc] + ["all#n"] for doc in ids] + [["one#n"]]
         records = corpus_of(
             (doc_id, tokens, {"AFRAID": 1.0}) for doc_id, tokens in zip(doc_ids, streams)
         )
-        tdm = apply_weighting(count_terms(records, records.strings), scheme)
+        tdm = matrix_of(records, records.strings, scheme)
         if pool is not None:
             weights = np.array([rnd.choice(pool) for _ in range(len(tdm.data))])
             tdm = dataclasses.replace(tdm, data=weights)
@@ -332,6 +417,12 @@ class TestDump:
         write_matrix_dump(tdm, got)
         dense_reference.write_matrix_dump_reference(tdm, want)
         assert got.getvalue() == want.getvalue()
+
+    def test_empty_matrix_writes_the_header_alone(self):
+        tdm = TermDocumentMatrix((), ("d0",), np.zeros(1, int), np.zeros(0, np.int32), np.zeros(0), "tfidf")
+        got = io.StringIO()
+        write_matrix_dump(tdm, got)
+        assert got.getvalue() == f"# scheme=tfidf\tn_docs=1\ttfidf_variant={TFIDF_VARIANT}\n"
 
     def test_bytes_match_per_entry_writer_across_blocks(self):
         """Rows longer than a block: blocks end inside rows, each on a line."""
@@ -361,7 +452,7 @@ class TestDump:
             (long_id if j == 0 else f"d{j}", ["a#n", long_key] if j == 1 else ["a#n"], [1.0])
             for j in range(2_000)
         )
-        tdm = apply_weighting(count_terms(records, records.strings), "normalized")
+        tdm = matrix_of(records, records.strings, "normalized")
         got, want = WriteLog(), io.StringIO()
         tracemalloc.start()
         try:

@@ -1,4 +1,5 @@
-"""The numpy CSR matrix path against the same steps done with scipy.sparse.
+"""The chunked count, weight and product against the same steps done with
+scipy.sparse.
 
 moodlex itself does not need scipy; this module is skipped without it. The
 reference below does counting, min-df, weighting and the emotion product
@@ -18,10 +19,9 @@ from hypothesis import strategies as st
 from moodlex import (
     EmotionSet,
     MatrixError,
-    apply_weighting,
-    count_terms,
-    emotion_product,
+    emotion_mass,
 )
+from moodlex import matrix
 
 from corpora import corpus_of
 
@@ -33,7 +33,8 @@ VOTES = {"AFRAID": 1.0}
 
 def scipy_pipeline(streams, raw_lengths, min_df, scheme, nf_length, votes):
     """(words, doc_freq, csr) after counting, min-df and weighting, and the
-    product with ``votes`` (one row per kept document)."""
+    product with ``votes`` (one row per kept document); None when no row is
+    left."""
     kept = [tokens for tokens in streams if tokens]
     words = sorted(set().union(*kept))
     row_of = {word: i for i, word in enumerate(words)}
@@ -62,6 +63,8 @@ def scipy_pipeline(streams, raw_lengths, min_df, scheme, nf_length, votes):
         mat.data = mat.data * np.repeat(idf, np.diff(mat.indptr))
         mat.eliminate_zeros()
         nonzero = np.flatnonzero(np.diff(mat.indptr) > 0)
+        if nonzero.size == 0:
+            return None
         mat = mat[nonzero]
         mat.sort_indices()
         words = [words[i] for i in nonzero]
@@ -86,9 +89,10 @@ corpora = st.lists(
 @example([[0, 1], [], [1, 2]], True, 1, "tfidf", "filtered", 0)  # df = N: w1 and all#n
 @example([[0], [0, 1], [2, 2]], False, 2, "normalized", "raw", 1)  # min-df drops w1, w2
 @example([[0], [1]], False, 2, "raw", "filtered", 2)  # min-df drops every row
+@example([[0, 1], [1, 0]], False, 1, "tfidf", "filtered", 3)  # tf-idf drops every row
 def test_matches_scipy(word_ids, everywhere, min_df, scheme, nf_length, seed):
     """Empty documents are skipped, a word in every document (df = N) is
-    dropped by tf-idf, and min-df may drop rows or every row. Each document
+    dropped by tf-idf, and min-df or tf-idf may drop rows or every row. Each document
     also holds up to three tokens outside the vocabulary."""
     streams = [
         [f"w{i}#n" for i in doc] + (["all#n"] if everywhere and doc else []) for doc in word_ids
@@ -99,46 +103,50 @@ def test_matches_scipy(word_ids, everywhere, min_df, scheme, nf_length, seed):
         (f"d{j}", tokens + ["oov#n"] * (n - len(tokens)), VOTES)
         for j, (tokens, n) in enumerate(zip(streams, raw_lengths))
     )
-    kept_ids = tuple(f"d{j}" for j, tokens in enumerate(streams) if tokens)
-    votes = rng.random((len(kept_ids), len(EMOTIONS)))
+    kept = [bool(tokens) for tokens in streams]
+    votes = rng.random((len(streams), len(EMOTIONS)))
     expected = scipy_pipeline(
         streams,
-        np.array([n for n, tokens in zip(raw_lengths, streams) if tokens], dtype=np.float64),
+        np.array(raw_lengths[kept], dtype=np.float64),
         min_df,
         scheme,
         nf_length,
-        votes,
+        votes[kept],
     )
 
-    counted = count_terms(records, set(records.strings) - {"oov#n"})
-    counted = dataclasses.replace(counted, votes=votes)
+    records = dataclasses.replace(records, votes=votes)
+    vocab = set(records.strings) - {"oov#n"}
     if expected is None:
         with pytest.raises(MatrixError, match="removed every term"):
-            apply_weighting(counted, scheme, min_df=min_df)
+            emotion_mass(records, vocab, scheme, min_df=min_df)
         return
-    tdm = apply_weighting(counted, scheme, nf_length=nf_length, min_df=min_df)
-    words, doc_freq, mat, product = expected
-    assert list(tdm.words) == words
-    assert tdm.doc_ids == kept_ids
-    assert np.array_equal(tdm.doc_freq, doc_freq)
+    words, got, n_docs, tdm = emotion_mass(
+        records, vocab, scheme, nf_length=nf_length, min_df=min_df, keep_matrix=True
+    )
+    want_words, doc_freq, mat, product = expected
+    assert list(words) == list(tdm.words) == want_words
+    assert tdm.doc_ids == tuple(f"d{j}" for j, tokens in enumerate(streams) if tokens)
+    assert n_docs == tdm.n_docs
+    assert np.array_equal(np.diff(tdm.indptr), doc_freq)
     assert np.array_equal(tdm.indptr, mat.indptr)
     assert np.array_equal(tdm.indices, mat.indices)
     assert np.array_equal(tdm.data, mat.data)
-    got = emotion_product(tdm)
     assert np.array_equal(got, product)
 
 
-def test_product_matches_scipy_on_long_rows():
+@pytest.mark.parametrize("chunk_tokens", [1000, matrix.CHUNK_TOKENS])
+def test_product_matches_scipy_on_long_rows(monkeypatch, chunk_tokens):
     """Rows with thousands of entries, where a different summation order
-    would show in the last bits."""
+    would show in the last bits, summed in one chunk or in 90."""
+    monkeypatch.setattr(matrix, "CHUNK_TOKENS", chunk_tokens)
     rng = np.random.default_rng(5)
     n_words, n_docs = 40, 3000
     records = corpus_of(
         (f"d{j}", [f"w{int(i)}#n" for i in rng.integers(0, n_words, size=30)], VOTES)
         for j in range(n_docs)
     )
-    tdm = apply_weighting(count_terms(records, records.strings), "normalized")
     votes = rng.dirichlet(np.full(len(EMOTIONS), 0.4), size=n_docs)
+    records = dataclasses.replace(records, votes=votes)
+    _, got, _, tdm = emotion_mass(records, records.strings, "normalized", keep_matrix=True)
     mat = sparse.csr_matrix((tdm.data, tdm.indices, tdm.indptr), shape=(n_words, n_docs))
-    got = emotion_product(dataclasses.replace(tdm, votes=votes))
     assert np.array_equal(got, np.asarray(mat @ votes))
