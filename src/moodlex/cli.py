@@ -10,7 +10,6 @@ always produce byte-identical outputs. Each subcommand imports only its own modu
 from __future__ import annotations
 
 import argparse
-import hashlib
 import logging
 import os
 import shlex
@@ -24,7 +23,7 @@ from typing import NoReturn
 # numpy is first imported; a value the user set still wins.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
-from . import __version__
+from . import __version__, sink
 from .errors import MoodlexError
 from .sink import (
     first_misfit,
@@ -67,14 +66,6 @@ def _stage(name: str, fn, *args, **kwargs):
         return fn(*args, **kwargs)
 
 
-def _sha256(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(1 << 20), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
 def _flag(attr: str) -> str:
     return "--" + attr.replace("_", "-")
 
@@ -95,14 +86,14 @@ def _config_echo(subcommand: str, args: argparse.Namespace) -> str:
 
 
 def _metadata(subcommand: str, args: argparse.Namespace):
-    """The command echo, the hash of every input file given (in echo order),
-    then the tool version: every output's metadata lines."""
+    """The command echo, the sha256 of every input file given (in echo order),
+    taken as its reader read it, then the tool version: every output's
+    metadata lines."""
     lines = [("command", _config_echo(subcommand, args))]
     for attr in args.echo:
         path = getattr(args, attr)
         if attr in INPUT_FILES and path:
-            name = attr.replace("_", "-")
-            lines.append((f"input-{name}-sha256", _stage(f"hash-{name}", _sha256, path)))
+            lines.append((f"input-{attr.replace('_', '-')}-sha256", sink.input_digests[path]))
     return lines + [("tool-version", f"{PROG} {__version__}")]
 
 
@@ -352,12 +343,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     logging.basicConfig(stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(message)s")
+    sink.input_digests = {}  # this run's inputs, hashed as they are read
     try:
         _stage("configure", _check_args, args)
         return args.func(args)
     except _StageError as exc:
         logger.error("%s", exc)
         return 1
+    finally:
+        sink.input_digests = None
 
 
 def entry() -> NoReturn:

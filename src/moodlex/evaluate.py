@@ -14,7 +14,7 @@ import logging
 import math
 from dataclasses import dataclass, replace
 from itertools import compress, count, repeat
-from operator import is_, is_not, not_
+from operator import is_, is_not, itemgetter, methodcaller, not_
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -22,14 +22,7 @@ import numpy as np
 from . import textpipe
 from .errors import EvaluationError
 from .lexicon import EmotionLexicon, score_texts
-from .sink import (
-    first_misfit,
-    first_repeat,
-    first_true,
-    parse_floats,
-    read_rows,
-    split_cells,
-)
+from .sink import first_misfit, first_repeat, first_true, parse_scores, read_rows, split_cells
 
 logger = logging.getLogger(__name__)
 
@@ -330,19 +323,17 @@ def load_gold(
     # order a line's faults are reported: the last fault found is the first
     # bad line's first fault.
     width = len(emotions)
-    end, fault = first_misfit(rows, width + 2)
-    cells = split_cells(rows[:end])
-    del rows  # cells hold all of the rows' text
-    ids, texts = cells[0 :: width + 2], cells[1 :: width + 2]
-    del cells[0 :: width + 2], cells[0 :: width + 1]
+    gold, end, fault = parse_scores(rows, 2, width)
+    heads = list(map(methodcaller("split", "\t", 2), rows[:end]))
+    del rows
+    ids, texts = list(map(itemgetter(0), heads)), list(map(itemgetter(1), heads))
+    del heads  # freed before the texts are lemmatized
     at = first_repeat(ids, end)
     if at < end:
         end, fault = at, f"duplicate headline id {ids[at]!r}"
-    values, parsed = parse_floats(cells)
-    if parsed < end * width:
-        end, fault = parsed // width, "non-numeric gold score"
-    del cells  # freed before the texts are lemmatized
-    gold = values[: end * width].reshape(end, width)
+    if len(gold) < end:
+        end, fault = len(gold), "non-numeric gold score"
+    gold = gold[:end]
     with np.errstate(invalid="ignore"):
         at = first_true((~((gold >= 0) & (gold <= 100)).all(axis=1)).tolist(), end)
     if at < end:

@@ -17,18 +17,7 @@ import numpy as np
 
 from . import textpipe
 from .errors import LexiconError, TextPipeError
-from .sink import (
-    first_misfit,
-    first_repeat,
-    first_true,
-    format_rows,
-    open_sink,
-    parse_columns,
-    parse_floats,
-    read_rows,
-    row_format,
-    split_cells,
-)
+from .sink import first_repeat, format_rows, open_sink, parse_scores, read_rows, row_format
 
 if TYPE_CHECKING:  # annotations only: reading and scoring never import these
     from .corpus import Corpus
@@ -63,6 +52,8 @@ class EmotionLexicon:
         emotions = tuple(emotions)
         if not emotions:
             raise LexiconError("lexicon needs at least one emotion")
+        if fault := _emotion_fault(emotions):
+            raise LexiconError(fault)
         if not len(words):
             raise LexiconError("empty lexicon")
         try:
@@ -79,6 +70,8 @@ class EmotionLexicon:
         words = tuple(map(words.__getitem__, order))
         if not all(map(lt, words, words[1:])):
             raise LexiconError("duplicate words in lexicon rows")
+        if faults := textpipe.key_faults(words):
+            raise LexiconError(f"bad word key: {faults[min(faults)]}")
         values = values[order]  # fancy indexing copies
         if not np.isfinite(values).all() or (values < 0).any():
             raise LexiconError("lexicon scores must be finite and non-negative")
@@ -114,6 +107,17 @@ class EmotionLexicon:
             return self._scores[self._row_of[word]]
         except KeyError:
             raise LexiconError(f"word {word!r} not in lexicon") from None
+
+
+def _emotion_fault(emotions: Sequence[str]) -> str | None:
+    """What makes ``emotions`` no lexicon header's names, or ``None``: each
+    must be a distinct, non-empty field of one line."""
+    if not all(emotions):
+        return "empty emotion name"
+    if len(set(emotions)) != len(emotions):
+        return "duplicate emotion columns"
+    bad = [name for name in emotions if any(c in name for c in "\t\r\n")]
+    return f"emotion name holds a tab, CR or LF: {bad[0]!r}" if bad else None
 
 
 def _row_sums(owner: np.ndarray, columns: Iterable[np.ndarray], n: int, start=None) -> np.ndarray:
@@ -268,11 +272,10 @@ def write_lexicon(lex: EmotionLexicon, sink) -> None:
 
 def read_lexicon(source) -> EmotionLexicon:
     """Parse a serialized lexicon from a path or a text stream, validating
-    scores and per-row sums.
+    scores and per-row sums; an error names the first bad line and its
+    first fault.
 
-    Sorted rows that pass the one-pass checks are kept as read; any other
-    file is checked a column at a time, to name its first bad line.
-
+    Sorted rows are kept as read; unsorted ones go through the constructor.
     The comment lines above the header are kept in ``provenance``, so that
     reading and re-writing a well-formed file reproduces it byte for byte.
     """
@@ -289,10 +292,8 @@ def read_lexicon(source) -> EmotionLexicon:
             f"{source}:{linenos[0]}: expected header '{HEADER_KEY}<TAB>EMOTION...'"
         )
     emotions = tuple(fields[1:])
-    if not all(emotions):
-        raise LexiconError(f"{source}:{linenos[0]}: empty emotion name")
-    if len(set(emotions)) != len(emotions):
-        raise LexiconError(f"{source}:{linenos[0]}: duplicate emotion columns")
+    if fault := _emotion_fault(emotions):
+        raise LexiconError(f"{source}:{linenos[0]}: {fault}")
     provenance = []
     for line in comments:
         body = line[1:].lstrip()
@@ -302,50 +303,36 @@ def read_lexicon(source) -> EmotionLexicon:
     if not rows:
         raise LexiconError(f"{source}: lexicon has no rows")
     width = len(emotions)
-    scores = parse_columns(rows, 1, width)
-    if scores is not None:
-        words = list(map(itemgetter(0), map(str.partition, rows, repeat("\t"))))
-        with np.errstate(invalid="ignore", over="ignore"):
-            if (  # NaN fails the sign check, and infinity the row sum
-                all(map(lt, words, words[1:]))
-                and (scores >= 0).all()
-                and (np.abs(scores.sum(axis=1) - 1.0) <= READ_ROW_SUM_TOLERANCE).all()
-                and not textpipe.key_faults(words)
-            ):
-                return EmotionLexicon.__new__(EmotionLexicon)._keep(
-                    emotions, words, scores, provenance
-                )
-    # Else the rows are checked a column at a time. Each check reads the rows
-    # before the first bad one found so far, in the order a line's faults are
-    # reported, so the last fault found is the first bad line's first fault.
-    end, fault = first_misfit(rows, width + 1)
-    # The keys are split off first, so that they do not lie strewn among the
-    # score cells in memory, which are freed once parsed.
-    words = list(map(itemgetter(0), map(str.partition, rows[:end], repeat("\t"))))
-    cells = split_cells(rows[:end])
-    del rows, cells[0 :: width + 1]
-    at = first_repeat(words, end)
+    # Each rule reads the rows before the first bad one found so far, in the
+    # order a line's faults are reported, so the last fault found is the
+    # first bad line's first fault.
+    scores, end, fault = parse_scores(rows, 1, width)
+    words = list(map(itemgetter(0), map(str.partition, rows, repeat("\t"))))
+    del rows
+    in_order = all(map(lt, words, words[1:]))
+    at = end if in_order else first_repeat(words, end)
     if at < end:
         end, fault = at, f"duplicate row for {words[at]!r}"
     faults = textpipe.key_faults(words)
     at = min(faults, default=end)
     if at < end:
         end, fault = at, f"bad word key: {faults[at]}"
-    values, parsed = parse_floats(cells[: end * width])
-    if parsed < end * width:
-        end, fault = parsed // width, "non-numeric score"
-    scores = values[: end * width].reshape(end, width)
-    with np.errstate(invalid="ignore", over="ignore"):
-        bad_value = ~np.isfinite(scores).all(axis=1) | (scores < 0).any(axis=1)
+    if len(scores) < end:
+        end, fault = len(scores), "non-numeric score"
+    scores = scores[:end]
+    with np.errstate(invalid="ignore", over="ignore"):  # NaN fails both, infinity the sum
         sums = scores.sum(axis=1)
-        bad = bad_value | (np.abs(sums - 1.0) > READ_ROW_SUM_TOLERANCE)
-    at = first_true(bad.tolist(), end)
+        bad = ~(np.abs(sums - 1.0) <= READ_ROW_SUM_TOLERANCE)
+        bad[np.flatnonzero(~(scores >= 0)) // width] = True  # by cell: faster than by row
+    at = int(bad.argmax()) if bad.any() else end
     if at < end:
         end, fault = at, (
-            "scores must be finite and >= 0"
-            if bad_value[at]
-            else f"row sum {sums[at]:.9g} outside 1 +/- {READ_ROW_SUM_TOLERANCE:g}"
+            f"row sum {sums[at]:.9g} outside 1 +/- {READ_ROW_SUM_TOLERANCE:g}"
+            if np.isfinite(scores[at]).all() and (scores[at] >= 0).all()
+            else "scores must be finite and >= 0"
         )
     if fault is not None:
         raise LexiconError(f"{source}:{linenos[end]}: {fault}")
+    if in_order:
+        return EmotionLexicon.__new__(EmotionLexicon)._keep(emotions, words, scores, provenance)
     return EmotionLexicon(emotions, words, scores, provenance=provenance)

@@ -2,12 +2,15 @@
 
 Every input file is read as UTF-8 text with a leading byte order mark
 ignored, and a byte that does not decode is reported with the file, line and
-column it sits in. Every line-oriented input is read whole by
-:func:`read_rows`, under one rule for line breaks, blank lines, comments and
-fields, and checked a column at a time by the helpers below; each check reads
-only the rows before the first bad row found so far, so an error names the
-first bad line. The lexicon reader first tries one ``np.loadtxt`` pass,
-:func:`parse_columns`, and runs these checks only to locate a fault.
+column it sits in. Its sha256 is taken from the bytes as they are read, so a
+pipe is hashed too, and kept in :data:`input_digests`. Every line-oriented
+input is read whole by :func:`read_rows`, under one rule for line breaks,
+blank lines, comments and fields, and checked a column at a time by the
+helpers below; each check reads only the rows before the first bad row found
+so far, so an error names the first bad line. The score cells of the lexicon
+and the gold headlines are read by :func:`parse_scores`: one ``np.loadtxt``
+call, with the fields counted and the cells read one by one only when it
+declines.
 
 Every output file appears whole or not at all, its ``# key: value`` metadata
 lines first: :func:`open_sink` writes both. A path is written to a
@@ -20,6 +23,8 @@ Every float in an output is written by :data:`format_float`, or in rows by
 
 from __future__ import annotations
 
+import hashlib
+import io
 import os
 import stat
 import sys
@@ -74,25 +79,37 @@ def read_rows(source) -> tuple[list[str], list[int], list[str]]:
     return [lines[n - 1] for n in linenos], linenos, list(filter(str.strip, above))
 
 
-def parse_columns(rows: Sequence[str], skip: int, width: int):
-    """The ``float64`` array of the ``width`` fields after the first ``skip``
-    of every row, by one ``np.loadtxt`` call; ``None`` unless every row has
-    ``skip + width`` fields and every cell parses as ``float`` parses it."""
+def parse_scores(rows: Sequence[str], skip: int, width: int):
+    """The ``float64`` values of the ``width`` fields after the first ``skip``
+    of the rows before the first that has the wrong field count or holds a
+    cell ``float`` rejects, as an ``(n, width)`` array; the index of the first
+    row that has not ``skip + width`` fields (``len(rows)`` if none); and the
+    fault text for that row, or ``None``.
+
+    One ``np.loadtxt`` call reads a well-formed table. Only when it declines
+    are the fields counted row by row and each cell read by ``float``.
+    """
     import numpy as np  # not loaded by the command line before a subcommand needs it
     text = "\t".join(rows)
     # loadtxt refuses a short row, so the total makes every count exact. It
     # strips \x1c-\x1f, which float() refuses, and NUL is declined with them.
-    if text.count("\t") != len(rows) * (skip + width) - 1 or any(
+    exact = text.count("\t") == len(rows) * (skip + width) - 1 and not any(
         map(text.__contains__, "\0\x1c\x1d\x1e\x1f")
-    ):
-        return None
+    )
     del text
-    try:
-        values = np.loadtxt(rows, delimiter="\t", usecols=range(skip, skip + width),
-                            comments=None, quotechar=None, ndmin=2)
-    except ValueError:  # a cell that float() may read, as "1_0", or may not
-        return None
-    return values if len(values) == len(rows) else None  # loadtxt skips an empty row
+    if exact:
+        with suppress(ValueError):  # a cell that float() may read, as "1_0", or may not
+            values = np.loadtxt(rows, delimiter="\t", usecols=range(skip, skip + width),
+                                comments=None, quotechar=None, ndmin=2)
+            if len(values) == len(rows):  # loadtxt skips an empty row
+                return values, len(rows), None
+    end, fault = first_misfit(rows, skip + width)
+    cells = [cell for row in rows[:end] for cell in row.split("\t")[skip:]]
+    parsed: list[float] = []
+    with suppress(ValueError):
+        parsed.extend(map(float, cells))
+    n = len(parsed) // width
+    return np.array(parsed[: n * width], dtype=np.float64).reshape(n, width), end, fault
 
 
 def first_misfit(rows: Sequence[str], fields: int) -> tuple[int, str | None]:
@@ -118,24 +135,34 @@ def split_cells(rows: Sequence[str]) -> list[str]:
     return "\t".join(rows).split("\t") if rows else []
 
 
-def parse_floats(cells: Sequence[str]):
-    """``float`` of the ``cells`` as one ``float64`` array, and how many of
-    them ``float`` accepts before the first it rejects (``len(cells)`` if it
-    rejects none); the array holds the floats of those cells."""
-    import numpy as np  # not loaded by the command line before a subcommand needs it
-    try:
-        return np.fromiter(map(float, cells), np.float64, len(cells)), len(cells)
-    except ValueError:
-        parsed: list[float] = []
-        with suppress(ValueError):
-            parsed.extend(map(float, cells))
-        return np.array(parsed, dtype=np.float64), len(parsed)
-
-
 def first_true(flags: Iterable, stop: int) -> int:
     """The index of the first true one of ``flags``, or ``stop`` if none of
     the first ``stop`` is true."""
     return next(compress(count(), islice(flags, stop)), stop)
+
+
+#: ``None``, or a dict that gets the sha256 of each file :func:`open_source`
+#: reads, by its path as given (the command line sets one per run). Every
+#: byte is hashed as it is read, so a pipe's digest is of what it held.
+input_digests: dict[str, str] | None = None
+
+
+class _HashedFile(io.FileIO):
+    """A file opened for reading whose bytes are hashed as they are read."""
+
+    def __init__(self, path):
+        super().__init__(path)
+        self.sha256 = hashlib.sha256()
+
+    def readinto(self, buffer):
+        n = super().readinto(buffer)
+        self.sha256.update(memoryview(buffer)[:n])
+        return n
+
+    def readall(self):
+        data = super().readall()
+        self.sha256.update(data)
+        return data
 
 
 @contextmanager
@@ -146,12 +173,15 @@ def open_source(path) -> Iterator[IO[str]]:
     Reads are plain text-mode reads. Only when one fails to decode is the
     file read again as bytes, to re-raise the error for the first line that
     does not decode, naming ``path``, the 1-based line number and the 1-based
-    byte column in that line.
+    byte column in that line. Once the block ends without an error, the
+    file's sha256 goes to :data:`input_digests`, if that is a dict.
     """
     if hasattr(path, "read"):
         yield path
         return
-    with open(path, encoding="utf-8-sig") as fh:
+    hashed = None if input_digests is None else _HashedFile(path)
+    binary = open(path, "rb") if hashed is None else io.BufferedReader(hashed)
+    with io.TextIOWrapper(binary, encoding="utf-8-sig") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
@@ -159,6 +189,9 @@ def open_source(path) -> Iterator[IO[str]]:
             if located is None:
                 raise
             raise located from exc
+        if hashed is not None:
+            hashed.readall()  # what the reader left unread, so the digest is the whole file's
+            input_digests[os.fspath(path)] = hashed.sha256.hexdigest()
 
 
 def _locate_decode_error(path) -> UnicodeDecodeError | None:

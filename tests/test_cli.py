@@ -1178,6 +1178,23 @@ class TestCommandExit:
         assert lines[1:] == expected[1:]
         assert sorted(built.iterdir()) == before
 
+    # 2,500 headlines are more than a pipe holds at once: the input is hashed
+    # across many reads, and none of it is read a second time.
+    @pytest.mark.parametrize("n_headlines", [2, 2500])
+    def test_input_piped_to_stdin_is_hashed_as_read(self, built, n_headlines):
+        proc = self.command([*self.SCORE, "--output", "scores.tsv"], built, n_headlines)
+        proc.communicate(timeout=120)
+        assert proc.returncode == 0
+        piped = ["score", "--lexicon", "lex.tsv", "--input", "/dev/stdin", "--output", "piped.tsv"]
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        data = (built / "many.tsv").read_bytes()
+        subprocess.run([sys.executable, "-m", "moodlex.cli", *piped], cwd=built, env=env,
+                       input=data, check=True, timeout=120)
+        lines = (built / "piped.tsv").read_text(encoding="utf-8").splitlines()
+        expected = (built / "scores.tsv").read_text(encoding="utf-8").splitlines()
+        assert f"# input-input-sha256: {hashlib.sha256(data).hexdigest()}" in lines
+        assert lines[1:] == expected[1:]
+
     def test_usage_error_exits_two(self, workdir):
         proc = self.command(["score", "--input", "many.tsv"], workdir)
         _, err = proc.communicate(timeout=120)

@@ -29,6 +29,7 @@ from moodlex import (
     validate_votes,
     write_lexicon,
 )
+from moodlex import textpipe
 from moodlex.lexicon import EmotionLexicon
 
 import dense_reference
@@ -346,6 +347,28 @@ class TestEmotionLexicon:
     def test_duplicate_words(self, words):
         with pytest.raises(LexiconError, match="duplicate words"):
             EmotionLexicon(["A"], words, [[1.0], [1.0], [1.0]])
+
+    @pytest.mark.parametrize(
+        "emotions, message",
+        [
+            (["A", "A"], "duplicate emotion columns"),
+            (["A", ""], "empty emotion name"),
+            (["A\tB"], "emotion name holds a tab, CR or LF: 'A\\tB'"),
+            (["A", "B\r"], "emotion name holds a tab, CR or LF: 'B\\r'"),
+            (["A\n", "B"], "emotion name holds a tab, CR or LF: 'A\\n'"),
+        ],
+    )
+    def test_emotion_names_must_make_a_header_line(self, emotions, message):
+        """Names that read_lexicon would refuse or split never make a lexicon."""
+        with pytest.raises(LexiconError) as caught:
+            EmotionLexicon(emotions, ["w#n"], [[1.0 / len(emotions)] * len(emotions)])
+        assert str(caught.value) == message
+
+    @pytest.mark.parametrize("word", ["Not a key", "war", "war#x", "War#n", "w#n\n"])
+    def test_words_must_be_lemma_pos_keys(self, word):
+        with pytest.raises(LexiconError) as caught:
+            EmotionLexicon(["A"], ["awe#n", word], [[1.0], [1.0]])
+        assert str(caught.value) == f"bad word key: {textpipe.key_faults([word])[0]}"
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, -0.25])
     def test_scores_finite_and_non_negative(self, bad):

@@ -27,6 +27,7 @@ from moodlex import (
     write_matrix_dump,
 )
 from moodlex import matrix
+from moodlex.corpus import Corpus
 from moodlex.matrix import DUMP_BLOCK_BYTES, TFIDF_VARIANT, TermDocumentMatrix
 
 import dense_reference
@@ -171,6 +172,30 @@ def test_chunk_bound_changes_no_byte(generated, monkeypatch, kind):
             )
     assert len(outputs) == 12
     assert all(len(kept) == 1 for kept in outputs.values())
+
+
+def test_int64_keys_give_the_int32_keys_bits(monkeypatch):
+    """A chunk of 2**18 one-token documents over 2**13 + 1 words has keys up
+    to 2**31 + 2**18 - 1, so it sorts int64 keys; chunks of 2**12 documents
+    sort int32 ones. Both give the same mass, bit for bit."""
+    n_words, n_docs = (1 << 13) + 1, 1 << 18
+    rng = np.random.default_rng(5)
+    strings = tuple(f"w{i}#n" for i in range(n_words))
+    corpus = Corpus(
+        doc_ids=tuple(map(str, range(n_docs))),
+        votes=rng.dirichlet(np.ones(2), n_docs),
+        emotions=("A", "B"),
+        token_ids=rng.permutation(np.arange(n_docs, dtype=np.int32) % n_words),
+        lengths=np.ones(n_docs, dtype=np.int64),
+        strings=strings,
+    )
+    masses = []
+    for bound in (1 << 18, 1 << 12):
+        monkeypatch.setattr(matrix, "CHUNK_TOKENS", bound)
+        words, mass, _, _ = emotion_mass(corpus, frozenset(strings), "normalized")
+        masses.append(mass.tobytes())
+    assert len(words) == n_words
+    assert masses[0] == masses[1]
 
 
 class TestScalarWeights:

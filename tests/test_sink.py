@@ -3,6 +3,7 @@ reader) and output sinks (atomic path writes, streams and standard output)."""
 
 from __future__ import annotations
 
+import hashlib
 import io
 import os
 import tempfile
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import moodlex.lexicon
+import moodlex.sink
 from moodlex import (
     EmotionMapping,
     GoldSet,
@@ -287,6 +288,20 @@ def test_source_passes_other_errors_through(tmp_path):
         read_all(tmp_path / "absent.tsv")
 
 
+def test_open_source_hashes_every_byte_of_the_file_when_asked(tmp_path, monkeypatch):
+    """The digest is of the bytes as stored, a byte order mark and CRLF line
+    ends included, also when the reader stops before the end."""
+    path = tmp_path / "in.txt"
+    path.write_bytes(b"\xef\xbb\xbf" + b"awe#n\r\n" * 20000)
+    with open_source(path) as fh:
+        assert fh.readline() == "awe#n\n"
+    assert moodlex.sink.input_digests is None
+    monkeypatch.setattr(moodlex.sink, "input_digests", {})
+    with open_source(path) as fh:
+        assert fh.readline() == "awe#n\n"
+    assert moodlex.sink.input_digests == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
+
+
 def test_read_rows_reads_a_stream_by_the_one_rule():
     """A stream's CRLF and CR line ends are line breaks too; blank lines and
     comments are skipped, a #-led line with no whitespace after the # is a
@@ -437,16 +452,31 @@ def hostile_lexicons(draw):
     return "".join(line + "\n" for line in lines)
 
 
-def _outcomes(path):
-    """What ``read_lexicon`` gives for ``path``, bulk read first, and what the
-    column-at-a-time locate step alone gives: each the lexicon's fields, its
-    arrays as bytes, or the error text."""
+#: Gold rows of two scores: on the 0-1 scale, on the 0-100 one, and out of range.
+GOLD_ROWS = [("0.5", "0.25"), ("1", "0"), ("80", "5"), ("100", "-0"), ("101", "0"), ("-1", "0")]
+
+
+@st.composite
+def hostile_golds(draw):
+    lines = ["# source: test", "id\ttext\tFEAR\tJOY"]
+    for _ in range(draw(st.integers(1, 4))):
+        hid = draw(st.sampled_from(["h1", "h2", "#h3"]))
+        text = draw(st.sampled_from(["Awe of war", "", '"war"', "#", "a\x1cb", "a\tb"]))
+        cells = [draw(hostile_cells(value)) for value in draw(st.sampled_from(GOLD_ROWS))]
+        lines.append("\t".join([hid, text, *cells]))
+    return "".join(line + "\n" for line in lines)
+
+
+def _outcomes(read, path):
+    """What ``read(path)`` gives with the scores read by ``np.loadtxt`` where
+    it accepts them, and with every cell read by ``float``: each the fields
+    of what it returns, arrays as bytes, or the error text."""
     outcomes = []
-    bulk_declines = mock.patch.object(moodlex.lexicon, "parse_columns", return_value=None)
-    for patch in (nullcontext(), bulk_declines):
+    loadtxt_declines = mock.patch("numpy.loadtxt", side_effect=ValueError)
+    for patch in (nullcontext(), loadtxt_declines):
         with patch:
             try:
-                got = read_lexicon(path)
+                got = read(path)
             except MoodlexError as exc:
                 outcomes.append(str(exc))
                 continue
@@ -458,8 +488,8 @@ def _outcomes(path):
 
 
 class TestBulkReadMatchesLocateStep:
-    """A lexicon read by one np.loadtxt pass and whole-array checks gives the
-    lexicon, or the error text, that the column-at-a-time checks alone give."""
+    """A lexicon or gold file whose scores one np.loadtxt call reads gives
+    the result, or the error text, that reading each cell by float() gives."""
 
     @settings(max_examples=400, deadline=None)
     @given(content=hostile_lexicons())
@@ -470,12 +500,29 @@ class TestBulkReadMatchesLocateStep:
     def test_lexicon(self, tmp_path_factory, content):
         path = tmp_path_factory.getbasetemp() / "hostile-lexicon.tsv"
         path.write_text(content, encoding="utf-8")
-        bulk, located = _outcomes(path)
+        bulk, located = _outcomes(read_lexicon, path)
         assert bulk == located
 
-    def test_the_golden_lexicon_skips_the_locate_step(self):
-        ran = AssertionError("the locate step ran")
-        with mock.patch.object(moodlex.lexicon, "first_misfit", side_effect=ran):
-            read_lexicon(GOLDEN)
-        bulk, located = _outcomes(GOLDEN)
+    @settings(max_examples=200, deadline=None)
+    @given(content=hostile_golds())
+    @example(content="id\ttext\tFEAR\tJOY\nh1\tAwe\t1_0\t0\n")
+    @example(content="id\ttext\tFEAR\tJOY\nh1\ta\x1cb\t1\t0\n")
+    @example(content="id\ttext\tFEAR\tJOY\nh1\tAwe\t1\t0\nh1\tWar\tx\t0\n")
+    @example(content="id\ttext\tFEAR\tJOY\nh1\tAwe\tx\t0\nh2\tWar\n")
+    def test_gold(self, tmp_path_factory, content):
+        path = tmp_path_factory.getbasetemp() / "hostile-gold.tsv"
+        path.write_text(content, encoding="utf-8")
+        lex = read_lexicon(GOLDEN)
+        bulk, located = _outcomes(lambda p: load_gold(p, lex), path)
         assert bulk == located
+
+    def test_well_formed_files_skip_the_locate_step(self, tmp_path):
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("id\ttext\tFEAR\tJOY\n#h1\tAwe of war\t80\t5\nh2\t\t0\t1\n")
+        ran = AssertionError("the locate step ran")
+        with mock.patch.object(moodlex.sink, "first_misfit", side_effect=ran):
+            lex = read_lexicon(GOLDEN)
+            load_gold(gold, lex)
+        for read, path in ((read_lexicon, GOLDEN), (lambda p: load_gold(p, lex), gold)):
+            bulk, located = _outcomes(read, path)
+            assert bulk == located
