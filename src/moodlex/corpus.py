@@ -114,25 +114,24 @@ class Corpus:
         """This corpus with each raw-text document's lemma#pos candidates
         (:func:`textpipe.lemmatize_ids`) as its tokens.
 
-        Candidates are numbered like tokens but not checked: they are only
-        kept where a checked vocabulary holds them.
+        Candidates are numbered like tokens, after the token strings, but
+        not checked: they are only kept where a checked vocabulary holds them.
         """
         if not self.texts:
             return self
         docs = list(self.texts)
-        text_ids, text_lengths, candidates = textpipe.lemmatize_ids(
-            map(textpipe.tokenize, self.texts.values()), table, vocab=vocab, policy=policy
+        streams = map(textpipe.tokenize, self.texts.values())
+        token_ids, text_lengths, strings = textpipe.lemmatize_ids(
+            streams, table, vocab=vocab, policy=policy, strings=self.strings
         )
-        strings = tuple(dict.fromkeys(self.strings + candidates))
-        id_of = dict(zip(strings, count()))
-        renumber = np.fromiter(map(id_of.__getitem__, candidates), np.int32, len(candidates))
         lengths = self.lengths.copy()
         lengths[docs] = text_lengths
-        # In document order, text documents take the candidates, the others their old ids.
-        in_text = np.repeat(np.isin(np.arange(len(self)), docs), lengths)
-        token_ids = np.empty(in_text.size, dtype=np.int32)
-        token_ids[in_text] = renumber[text_ids]
-        token_ids[~in_text] = self.token_ids
+        if self.token_ids.size:
+            # In document order, text documents take the candidates, the others their old ids.
+            in_text = np.repeat(np.isin(np.arange(len(self)), docs), lengths)
+            text_ids, token_ids = token_ids, np.empty(in_text.size, dtype=np.int32)
+            token_ids[in_text] = text_ids
+            token_ids[~in_text] = self.token_ids
         return replace(
             self, token_ids=token_ids, lengths=lengths, strings=strings, texts={}
         )

@@ -64,8 +64,9 @@ def _chunk_entries(corpus: Corpus, row_of: np.ndarray, n_rows: int, end: int):
     """Per chunk of whole documents before document ``end``, holding at most
     :data:`CHUNK_TOKENS` tokens or one document: its first and end document,
     then the row, the document (counted from the first) and the count of
-    each distinct (row, document) pair, in row-major order. ``row_of`` maps
-    a token id to its row, or to -1 for a token that has none."""
+    each distinct (row, document) pair, in row-major order and in the type
+    of the chunk's keys. ``row_of`` maps a token id to its row, or to -1 for
+    a token that has none."""
     ends = np.cumsum(corpus.lengths)
     a = 0
     while a < end:
@@ -81,7 +82,7 @@ def _chunk_entries(corpus: Corpus, row_of: np.ndarray, n_rows: int, end: int):
         keys.sort()
         keys = keys[keys.searchsorted(0) :]
         first = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]][: keys.size])
-        yield a, b, *np.divmod(keys[first], m, dtype=np.intp), np.diff(first, append=keys.size)
+        yield a, b, *np.divmod(keys[first], m), np.diff(first, append=keys.size).astype(keys.dtype)
         a = b
 
 

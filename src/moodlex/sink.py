@@ -28,7 +28,7 @@ import io
 import os
 import stat
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager, nullcontext, suppress
 from itertools import chain, compress, count, islice, repeat
 from operator import ne
 from typing import IO, Iterable, Iterator, Sequence
@@ -147,22 +147,40 @@ def first_true(flags: Iterable, stop: int) -> int:
 input_digests: dict[str, str] | None = None
 
 
-class _HashedFile(io.FileIO):
-    """A file opened for reading whose bytes are hashed as they are read."""
+class _SourceFile(io.FileIO):
+    """A file opened for reading whose bytes are hashed as they are read, if
+    ``hashed``. A file that cannot be read again, such as a pipe, keeps what
+    locating a decode error needs: the number of lines before the last read,
+    the part of its first line read before it, and the last read."""
 
-    def __init__(self, path):
+    def __init__(self, path, hashed):
         super().__init__(path)
-        self.sha256 = hashlib.sha256()
+        self.sha256 = hashlib.sha256() if hashed else None
+        self.passed = None if self.seekable() else (0, bytearray(), b"")
 
     def readinto(self, buffer):
         n = super().readinto(buffer)
-        self.sha256.update(memoryview(buffer)[:n])
+        self._pass(memoryview(buffer)[:n])
         return n
 
     def readall(self):
         data = super().readall()
-        self.sha256.update(data)
+        self._pass(data)
         return data
+
+    def _pass(self, data):
+        if self.sha256 is not None:
+            self.sha256.update(data)
+        if self.passed is not None:
+            lines, head, last = self.passed
+            start = max(len(head) - 1, 0)
+            head += last
+            # A CR at the end may be the first half of a CRLF: its line is kept.
+            cut = max(head.rfind(b"\n", start), head.rfind(b"\r", start, len(head) - 1)) + 1
+            lines += head.count(b"\n", 0, cut) + head.count(b"\r", 0, cut)
+            lines -= head.count(b"\r\n", 0, cut)
+            del head[:cut]
+            self.passed = lines, head, bytes(data)
 
 
 @contextmanager
@@ -171,36 +189,40 @@ def open_source(path) -> Iterator[IO[str]]:
     leading byte order mark; an open stream is used as is, and not closed.
 
     Reads are plain text-mode reads. Only when one fails to decode is the
-    file read again as bytes, to re-raise the error for the first line that
-    does not decode, naming ``path``, the 1-based line number and the 1-based
-    byte column in that line. Once the block ends without an error, the
-    file's sha256 goes to :data:`input_digests`, if that is a dict.
+    error re-raised for the first line that does not decode, naming
+    ``path``, the 1-based line number and the 1-based byte column in that
+    line: a file is read again as bytes, and a pipe's line is found in what
+    it kept. Once the block ends without an error, the file's sha256 goes to
+    :data:`input_digests`, if that is a dict.
     """
     if hasattr(path, "read"):
         yield path
         return
-    hashed = None if input_digests is None else _HashedFile(path)
-    binary = open(path, "rb") if hashed is None else io.BufferedReader(hashed)
-    with io.TextIOWrapper(binary, encoding="utf-8-sig") as fh:
+    raw = _SourceFile(path, input_digests is not None)
+    with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8-sig") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:
-            located = _locate_decode_error(path)
+            located = _locate_decode_error(path, raw.passed)
             if located is None:
                 raise
             raise located from exc
-        if hashed is not None:
-            hashed.readall()  # what the reader left unread, so the digest is the whole file's
-            input_digests[os.fspath(path)] = hashed.sha256.hexdigest()
+        if raw.sha256 is not None:
+            raw.readall()  # what the reader left unread, so the digest is the whole file's
+            input_digests[os.fspath(path)] = raw.sha256.hexdigest()
 
 
-def _locate_decode_error(path) -> UnicodeDecodeError | None:
+def _locate_decode_error(path, passed) -> UnicodeDecodeError | None:
     # Lines are split as text mode splits them (at \n, \r\n and \r), so the
     # line number matches the one the reader would give. A newline byte never
     # occurs inside a UTF-8 sequence, so the first bad line holds the error.
-    with open(path, "rb") as fh:
+    if passed is None:
+        first, chunks = 1, open(path, "rb")
+    else:  # a pipe: the lines from the one its last read starts in
+        first, chunks = passed[0] + 1, nullcontext([bytes(passed[1]) + passed[2]])
+    with chunks as fh:
         lines = (line for chunk in fh for line in chunk.splitlines(keepends=True))
-        for lineno, line in enumerate(lines, start=1):
+        for lineno, line in enumerate(lines, start=first):
             try:
                 line.decode("utf-8")
             except UnicodeDecodeError as exc:

@@ -11,12 +11,11 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
-from itertools import chain, count, repeat
+from itertools import chain, compress, count, repeat
 from operator import ne
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import TextPipeError, VocabularyError
 from .sink import first_misfit, first_true, read_rows
@@ -213,79 +212,72 @@ def tokenize_all(texts: Sequence[str]) -> Iterator[list[str]]:
 
 
 def _tag_hits(
-    surfaces: list[str], row_of: dict[str, int], table: LemmaTable, vocab: Iterable[str]
+    row_of: dict[str, int], table: LemmaTable, vocab: Iterable[str]
 ) -> Iterator[dict[int, str]]:
     """For each tag of POS_TAGS in turn, the candidate string that the table
-    or ``vocab`` licenses for each surface form with one, by its row.
+    or ``vocab`` licenses for each surface form ``row_of`` holds, by its row.
 
-    ``vocab`` is read once, into the lemmas each tag licenses: ``lemma#pos``
-    is a key exactly when ``lemma`` is in ``lemmas[pos]``, as no tag holds a
-    ``#``. The identity forms are then the tag's lemmas that ``row_of``
-    holds, each rule rewrite is one lookup in the tag's lemmas, and a
-    candidate string is made only once it is licensed.
+    ``vocab`` is read once, into each tag's keys by lemma: ``lemma#pos`` is a
+    key exactly when ``keys[pos]`` holds ``lemma``, as no tag holds a ``#``.
+    An identity or rule candidate is the vocabulary's own key; only a table
+    hit is a new string.
     """
-    lemmas = {pos: set() for pos in POS_TAGS}
-    add = {pos: lemmas[pos].add for pos in POS_TAGS}
-    for lemma, sep, pos in map(str.rpartition, vocab, repeat("#")):
-        if sep and pos in add:
-            add[pos](lemma)
-    # The last `width` code points of each form, right-aligned: all a suffix test reads.
-    width = max((len(x) for rules in table._rules.values() for x, _ in rules), default=0)
-    if width:  # else no rule reads it
-        # The forms joined, each after `width` NULs, as code points: each
-        # form's end is the window of `width` code points before its stop.
-        lengths = np.fromiter(map(len, surfaces), np.intp, len(surfaces))
-        pad = "\0" * width
-        codes = np.frombuffer((pad + pad.join(surfaces)).encode("utf-32-le", "surrogatepass"), "<u4")
-        ends = sliding_window_view(codes, width)[np.cumsum(lengths + width) - width]
-    for pos in POS_TAGS:
-        tail = "#" + pos
-        known = lemmas[pos]
+    keys = {pos: {} for pos in POS_TAGS}
+    for key in vocab:
+        lemma, sep, pos = key.rpartition("#")
+        if sep and pos in keys:
+            keys[pos][lemma] = key
+    get = row_of.get
+    for pos, known in keys.items():
         # Identity forms the vocabulary holds, overridden by table hits; then
         # the rules in file order, for the surface forms still without a hit.
-        hits = {row_of[s]: s + tail for s in filter(row_of.__contains__, known)}
+        hits = {row_of[s]: known[s] for s in known.keys() & row_of.keys()}
         entries = table._entries[pos]
-        hits.update((row_of[s], entries[s] + tail) for s in entries.keys() & row_of.keys())
+        hits.update((row_of[s], f"{entries[s]}#{pos}") for s in entries.keys() & row_of.keys())
         for suffix, replacement in table._rules[pos]:
-            # NUL padding may match a suffix: a form shorter than it is left out.
-            matches = np.all([ends[:, -k] == ord(c) for k, c in enumerate(suffix[::-1], 1)], axis=0)
-            rewrites = {
-                i: surfaces[i][: -len(suffix)] + replacement
-                for i in np.flatnonzero(matches & (lengths >= len(suffix))).tolist()
-                if i not in hits
-            }
-            # A rewrite that would empty the surface is skipped.
-            hits.update((i, r + tail) for i, r in rewrites.items() if r and r in known)
+            # Whichever are fewer, the forms or the lemmas, are rewritten and
+            # looked up among the others. No form is rewritten to "".
+            if len(row_of) < len(known):
+                found = {i: known[r] for s, i in row_of.items() if s.endswith(suffix)
+                         and (r := s[: len(s) - len(suffix)] + replacement) and r in known}
+            else:
+                cut = len(replacement)
+                stems = [(lemma[: len(lemma) - cut], key) for lemma, key in known.items()
+                         if lemma and lemma.endswith(replacement)]
+                found = {i: key for stem, key in stems if (i := get(stem + suffix)) is not None}
+            hits = found | hits
         yield hits
 
 
-def _candidate_grid(
-    row_of: dict[str, int], table: LemmaTable, vocab: Iterable[str], first: bool
-) -> tuple[np.ndarray, tuple[str, ...]]:
-    """The distinct surface forms ``row_of`` numbers 0, 1, ..., resolved all
-    together, one tag at a time (:func:`_tag_hits`): a (forms x POS_TAGS)
-    ``int32`` grid of candidate ids, -1 where a tag licenses none, and the
-    candidate strings, numbered row by row."""
+def _candidate_runs(
+    row_of: dict[str, int], table: LemmaTable, vocab: Iterable[str], first: bool, id_of: dict
+) -> tuple[np.ndarray, np.ndarray]:
+    """The candidates of the forms ``row_of`` numbers 0, 1, ... (:func:`_tag_hits`)
+    as one run per form, in POS_TAGS order: each form's number of candidates,
+    as ``int32``, and the ids ``id_of`` gives the runs' candidates, in order."""
     surfaces = list(row_of)
-    grid = np.empty((len(surfaces), len(POS_TAGS)), dtype=object)
-    licensed = np.zeros(grid.shape, dtype=bool)
-    # The lemma sets and form ends are freed when _tag_hits ends, before the
-    # numbering below, where the memory peaks.
-    for col, hits in enumerate(_tag_hits(surfaces, row_of, table, vocab)):
-        grid[list(hits), col] = list(hits.values())
-        licensed[list(hits), col] = True
-    if first:
-        licensed &= np.cumsum(licensed, axis=1) == 1
+    counts = np.zeros(len(surfaces), dtype=np.int32)
+    runs = []
+    # The key dicts are freed when _tag_hits ends.
+    for hits in _tag_hits(row_of, table, vocab):
+        rows, candidates = np.fromiter(hits, np.int32, len(hits)), list(hits.values())
+        if first:  # a form keeps only its first tag's candidate
+            new = counts[rows] == 0
+            rows, candidates = rows[new], list(compress(candidates, new))
+        counts[rows] += 1
+        runs.append((rows, candidates))
     # Unmapped surface forms pass through as nouns; downstream vocabulary
     # filtering decides whether they survive.
-    unmapped = np.flatnonzero(~licensed.any(axis=1))
-    grid[unmapped, POS_TAGS.index("n")] = [surfaces[i] + "#n" for i in unmapped.tolist()]
-    licensed[unmapped, POS_TAGS.index("n")] = True
-    candidates = grid[licensed].tolist()
-    id_of = defaultdict(count().__next__)  # numbered in order of first occurrence
-    ids = np.full(grid.shape, -1, dtype=np.int32)
-    ids[licensed] = np.fromiter(map(id_of.__getitem__, candidates), np.int32, len(candidates))
-    return ids, tuple(id_of)
+    unmapped = np.flatnonzero(counts == 0)
+    counts[unmapped] = 1
+    runs.append((unmapped, [surfaces[i] + "#n" for i in unmapped.tolist()]))
+    # Each tag's candidates go to the next free slot of their forms' runs.
+    fill = np.cumsum(counts, dtype=np.int64) - counts
+    flat = np.empty(int(counts.sum()), dtype=object)
+    for rows, candidates in runs:
+        flat[fill[rows]] = candidates
+        fill[rows] += 1
+    return counts, np.fromiter(map(id_of.__getitem__, flat), np.int32, flat.size)
 
 
 def lemmatize_ids(
@@ -294,6 +286,7 @@ def lemmatize_ids(
     *,
     vocab: Iterable[str],
     policy: str = "all",
+    strings: Sequence[str] = (),
 ) -> tuple[np.ndarray, np.ndarray, tuple[str, ...]]:
     """Map streams of surface tokens to lemma#pos candidate tokens, as ids.
 
@@ -301,14 +294,15 @@ def lemmatize_ids(
     exception ``table`` (``None`` for an empty one) or ``vocab`` (identity
     form first, then suffix-rule rewrites), scanned in POS_TAGS order.
     ``vocab`` is a :class:`VocabularyFilter`, a set of lemma#pos strings, or
-    a lexicon: it is iterated once, into one set of lemmas per pos tag, and
-    each identity form or rewrite is then one set lookup.
+    a lexicon: it is iterated once, into one dict of keys by lemma per pos
+    tag, and each identity form or rewrite is then one dict lookup.
     Under the default ``all`` policy every licensed candidate is emitted;
     ``first`` keeps only the first.
 
     Returns all streams' candidate tokens as one ``int32`` array of ids, the
-    number of them per stream, and the distinct candidate strings the ids
-    index, in order of first occurrence. Candidates are worked out once per
+    number of them per stream, and the strings the ids index: the distinct
+    ``strings`` given, numbered 0, 1, ..., then the other candidate strings
+    in order of first occurrence. Candidates are worked out once per
     distinct surface form in the whole call.
     """
     if policy not in AMBIGUITY_POLICIES:
@@ -323,13 +317,19 @@ def lemmatize_ids(
         np.int32,
     )
     del row_of[_END]
-    grid, strings = _candidate_grid(row_of, table or LemmaTable(), vocab, policy == "first")
-    # Each token takes its surface form's row of the grid, and each end marker
-    # the last row, of -1s; read row by row, the valid ids are the candidate
-    # tokens in order.
-    expanded = np.vstack([grid, np.full(len(POS_TAGS), -1, np.int32)])[rows]
-    licensed = expanded >= 0
-    token_ids = expanded[licensed]
-    del expanded
-    ends = np.cumsum(np.count_nonzero(licensed, axis=1))[rows < 0]
-    return token_ids, np.diff(ends, prepend=0), strings
+    id_of = defaultdict(count(len(strings)).__next__, zip(strings, count()))
+    counts, ids = _candidate_runs(row_of, table or LemmaTable(), vocab, policy == "first", id_of)
+    del row_of  # the surface forms
+    # Form f's run is ids[starts[f]:starts[f] + counts[f]]; the end marker's,
+    # the last, is empty. A token has at most len(POS_TAGS) candidates, so
+    # int32 holds every index below unless tokens x that reaches 2**31.
+    dtype = np.int32 if rows.size * len(POS_TAGS) < 2**31 else np.int64
+    counts = np.append(counts, np.int32(0))
+    starts = np.cumsum(counts, dtype=dtype) - counts
+    # Token t's candidates end at ends[t]: one index that counts up through
+    # each token's run from the run's start gathers them all.
+    per_token = counts[rows]
+    ends = np.cumsum(per_token, dtype=dtype)
+    index = np.repeat(starts[rows] - ends + per_token, per_token)
+    index += np.arange(index.size, dtype=dtype)
+    return ids[index], np.diff(ends[rows < 0], prepend=0), tuple(id_of)

@@ -758,6 +758,31 @@ class TestBadInput:
         assert messages[0].startswith(f"{stage}: 'utf-8' codec can't decode byte 0xe9 ")
         assert messages[0].endswith(f"({name}, line {lineno}, column {column})")
 
+    # A pipe cannot be read a second time, so its bad line is found in what
+    # its reader kept. The score input is read whole; the corpus in chunks,
+    # and 2,000 lines of it (with CRLF line breaks) take many of them.
+    @pytest.mark.parametrize("subcommand", ["score", "build"])
+    def test_decode_error_in_a_pipe_names_line_and_column(self, built, subcommand):
+        if subcommand == "score":
+            lines, lineno, column = [b"id\ttext\n", b"h1\tbad \xff byte\n"], 2, 8
+            argv = ["score", "--lexicon", "lex.tsv", "--input", "/dev/stdin"]
+        else:
+            records = [{**CORPUS_LINES[0], "id": f"d{i}"} for i in range(2000)]
+            lines = [json.dumps(record).encode() + b"\r\n" for record in records]
+            lineno, column = 1999, len(lines[1998]) - 3  # just before the closing brace
+            lines[1998] = lines[1998][: column - 1] + b"\xff" + lines[1998][column - 1 :]
+            argv = ["build", "--corpus", "/dev/stdin", "--vocab", "vocab.txt"]
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "moodlex.cli", *argv, "--output", "never.tsv"],
+            cwd=built, env=env, input=b"".join(lines), capture_output=True, timeout=120,
+        )
+        assert proc.returncode == 1
+        message = proc.stderr.decode().strip()
+        assert "'utf-8' codec can't decode byte 0xff " in message
+        assert message.endswith(f"(/dev/stdin, line {lineno}, column {column})")
+        assert not (built / "never.tsv").exists()
+
 
 @pytest.mark.parametrize(
     "value, echoed", [(0.123456789, None), (0.99999999, None), (1e-7, "1e-07"), (2.0, "2")]

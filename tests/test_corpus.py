@@ -368,6 +368,19 @@ class TestCorpusStats:
         assert corpus_stats(corpus).token_count == 3
 
 
+# Surfaces over "abs", so forms repeat, the rules fire, and a text's
+# candidates (pass-throughs such as "ba#n" too) often equal token strings.
+LEMMA_TABLE = LemmaTable([("ab", "n", "b")], [("v", "s", ""), ("n", "s", ""), ("a", "b", "")])
+LEMMA_VOCAB = VocabularyFilter(["a#v", "a#n", "b#n", "ab#v", "sa#a", "as#n", "a#a"])
+LEMMA_WORDS = st.text(alphabet="abs", min_size=1, max_size=3)
+MIXED_DOCS = st.lists(
+    st.lists(st.sampled_from(sorted(LEMMA_VOCAB) + ["ba#n", "s#n", "bs#n"]), max_size=4)
+    | st.lists(LEMMA_WORDS | LEMMA_WORDS.map(str.upper), max_size=5).map(", ".join),
+    min_size=1,
+    max_size=6,
+)
+
+
 class TestLemmatized:
     def test_text_candidates_share_ids_with_token_strings(self, emotions):
         texts = {"a": "Kill wars, the war!", "d": "", "e": "awe kills"}
@@ -393,6 +406,36 @@ class TestLemmatized:
         assert out.strings[: len(corpus.strings)] == corpus.strings
         assert sorted(out.strings) == sorted({t for doc in expected for t in doc})
         assert out.lengths.tolist() == [len(doc) for doc in expected]
+
+    @settings(max_examples=200, deadline=None)
+    @given(docs=MIXED_DOCS, policy=st.sampled_from(["all", "first"]))
+    def test_matches_per_document_candidates(self, docs, policy):
+        """Token documents (some empty) keep their tokens and text documents
+        take their candidates; the token strings are numbered first, then
+        the new candidates, each by first occurrence."""
+        is_text = [isinstance(body, str) for body in docs]
+        corpus = parse_corpus(
+            line(f"d{i}", {"SAD": 1.0}, tokens=() if text else body, text=body if text else None)
+            for i, (body, text) in enumerate(zip(docs, is_text))
+        )
+        out = corpus.lemmatized(LEMMA_TABLE, LEMMA_VOCAB, policy)
+
+        def candidates(text):
+            return [
+                c for s in tokenize(text)
+                for c in candidates_reference(s, LEMMA_TABLE, LEMMA_VOCAB, policy)
+            ]
+
+        expected = [candidates(body) if text else body for body, text in zip(docs, is_text)]
+        first_seen = [e for e, text in zip(expected, is_text) if not text] + [
+            e for e, text in zip(expected, is_text) if text
+        ]
+        strings = tuple(dict.fromkeys(s for e in first_seen for s in e))
+        assert out.strings == strings
+        assert out.lengths.tolist() == list(map(len, expected))
+        assert out.token_ids.dtype == np.int32
+        assert out.token_ids.tolist() == [strings.index(s) for e in expected for s in e]
+        assert not out.texts
 
 
 class TestCorpusVotes:

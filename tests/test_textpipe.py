@@ -443,7 +443,7 @@ class TestLemmatizeAll:
 
     def test_candidates_run_once_per_distinct_surface(self, monkeypatch):
         calls = []
-        original = textpipe._candidate_grid
+        original = textpipe._candidate_runs
 
         def counting(row_of, *args):
             calls.extend(row_of)
@@ -452,7 +452,7 @@ class TestLemmatizeAll:
         def no_membership_calls(self, token):
             raise AssertionError("membership checked through __contains__")
 
-        monkeypatch.setattr(textpipe, "_candidate_grid", counting)
+        monkeypatch.setattr(textpipe, "_candidate_runs", counting)
         # The vocabulary is read once per call, never checked key by key.
         monkeypatch.setattr(VocabularyFilter, "__contains__", no_membership_calls)
         streams = [["men", "runs", "men"], [], ["runs", "abed", "men"], ["abed"]]
@@ -486,8 +486,8 @@ class TestLemmatizeAll:
         assert list(strings) == list(dict.fromkeys(sum(expected, [])))
 
     def test_nul_characters_belong_to_the_surface(self):
-        # The suffix tests compare NUL-padded form ends: "c" padded to two
-        # code points looks like it ends in "\x00c", which it does not.
+        # Suffix tests on NUL-padded form ends would see "c", padded to two
+        # code points, end in "\x00c", which it does not.
         table = LemmaTable(rules=[("n", "s", ""), ("n", "\x00c", "a")])
         vocab = {"b#n", "bs#n", "a#n"}
         streams = [["bs\x00", "bs", "c"]]
