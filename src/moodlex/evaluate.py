@@ -92,6 +92,10 @@ class EmotionMapping:
         at = first_repeat(targets, end)
         if at < end:
             end, fault = at, f"duplicate target {targets[at]!r}"
+        # A discard, "-", is numbered by its row so that it repeats nothing.
+        at = first_repeat([n if s == "-" else s for n, s in enumerate(sources)], end)
+        if at < end:
+            end, fault = at, f"duplicate source {sources[at]!r}: mapping is not injective"
         if fault is not None:
             raise EvaluationError(f"{path}:{linenos[end]}: {fault}")
         pairs = {t: s for t, s in zip(targets, sources) if s != "-"}

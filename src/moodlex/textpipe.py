@@ -42,6 +42,13 @@ _NOT_A_KEY_RE = re.compile(rf"\n(?!\S+#[{''.join(POS_TAGS)}]$)", re.M)
 # What lemmatize_ids puts after each stream's tokens.
 _END = object()
 
+#: The one candidate of a surface form that no tag licenses. check_lemma_pos
+#: rejects it, so no vocabulary filter or lexicon holds it.
+UNLICENSED = "#n"
+
+#: Surface tokens whose candidates lemmatize_ids gathers at once.
+CHUNK_TOKENS = 1 << 18
+
 
 def check_lemma_pos(token: str) -> None:
     """Raise :class:`TextPipeError` unless ``token`` is ``lemma#pos``.
@@ -146,6 +153,11 @@ class LemmaTable:
 
     def _add_entry(self, surface: str, pos: str, lemma: str) -> None:
         self._check_pos(pos)
+        # No token is empty, and no vocabulary holds a candidate that is not
+        # lemma#pos: such an entry would only hide the form's other candidates.
+        if not surface:
+            raise TextPipeError("lemma table entry with empty surface")
+        check_lemma_pos(f"{lemma}#{pos}")
         if self._entries[pos].setdefault(surface, lemma) != lemma:
             raise TextPipeError(f"conflicting lemma table entries for {surface!r}#{pos}")
 
@@ -255,8 +267,7 @@ def _candidate_runs(
     """The candidates of the forms ``row_of`` numbers 0, 1, ... (:func:`_tag_hits`)
     as one run per form, in POS_TAGS order: each form's number of candidates,
     as ``int32``, and the ids ``id_of`` gives the runs' candidates, in order."""
-    surfaces = list(row_of)
-    counts = np.zeros(len(surfaces), dtype=np.int32)
+    counts = np.zeros(len(row_of), dtype=np.int32)
     runs = []
     # The key dicts are freed when _tag_hits ends.
     for hits in _tag_hits(row_of, table, vocab):
@@ -266,11 +277,10 @@ def _candidate_runs(
             rows, candidates = rows[new], list(compress(candidates, new))
         counts[rows] += 1
         runs.append((rows, candidates))
-    # Unmapped surface forms pass through as nouns; downstream vocabulary
-    # filtering decides whether they survive.
+    # A form without a candidate takes the placeholder, so its tokens still count.
     unmapped = np.flatnonzero(counts == 0)
     counts[unmapped] = 1
-    runs.append((unmapped, [surfaces[i] + "#n" for i in unmapped.tolist()]))
+    runs.append((unmapped, UNLICENSED))
     # Each tag's candidates go to the next free slot of their forms' runs.
     fill = np.cumsum(counts, dtype=np.int64) - counts
     flat = np.empty(int(counts.sum()), dtype=object)
@@ -297,13 +307,14 @@ def lemmatize_ids(
     a lexicon: it is iterated once, into one dict of keys by lemma per pos
     tag, and each identity form or rewrite is then one dict lookup.
     Under the default ``all`` policy every licensed candidate is emitted;
-    ``first`` keeps only the first.
+    ``first`` keeps only the first. A surface form with no licensed candidate
+    yields :data:`UNLICENSED`, one token that no vocabulary or lexicon holds.
 
     Returns all streams' candidate tokens as one ``int32`` array of ids, the
-    number of them per stream, and the strings the ids index: the distinct
-    ``strings`` given, numbered 0, 1, ..., then the other candidate strings
-    in order of first occurrence. Candidates are worked out once per
-    distinct surface form in the whole call.
+    number of them per stream as ``int64``, and the strings the ids index:
+    the distinct ``strings`` given, numbered 0, 1, ..., then the other
+    candidate strings in order of first occurrence. Candidates are worked
+    out once per distinct surface form in the whole call.
     """
     if policy not in AMBIGUITY_POLICIES:
         raise TextPipeError(
@@ -321,15 +332,23 @@ def lemmatize_ids(
     counts, ids = _candidate_runs(row_of, table or LemmaTable(), vocab, policy == "first", id_of)
     del row_of  # the surface forms
     # Form f's run is ids[starts[f]:starts[f] + counts[f]]; the end marker's,
-    # the last, is empty. A token has at most len(POS_TAGS) candidates, so
-    # int32 holds every index below unless tokens x that reaches 2**31.
-    dtype = np.int32 if rows.size * len(POS_TAGS) < 2**31 else np.int64
+    # the last, is empty. int32 holds every index below unless ids reaches 2**31.
+    dtype = np.int32 if ids.size < 2**31 else np.int64
     counts = np.append(counts, np.int32(0))
     starts = np.cumsum(counts, dtype=dtype) - counts
-    # Token t's candidates end at ends[t]: one index that counts up through
-    # each token's run from the run's start gathers them all.
-    per_token = counts[rows]
-    ends = np.cumsum(per_token, dtype=dtype)
-    index = np.repeat(starts[rows] - ends + per_token, per_token)
-    index += np.arange(index.size, dtype=dtype)
-    return ids[index], np.diff(ends[rows < 0], prepend=0), tuple(id_of)
+    # The tokens are expanded CHUNK_TOKENS at a time, so no index is as long
+    # as all of them. A token's candidates end at ends[t] in its chunk: one
+    # index that counts up through each token's run from the run's start
+    # gathers them all.
+    chunks = [slice(a, a + CHUNK_TOKENS) for a in range(0, rows.size, CHUNK_TOKENS)]
+    token_ids = np.empty(sum(int(counts[rows[c]].sum()) for c in chunks), np.int32)
+    done, stream_ends = 0, [np.zeros(1, np.int64)]
+    for chunk in map(rows.__getitem__, chunks):
+        per_token = counts[chunk]
+        ends = np.cumsum(per_token, dtype=dtype)
+        index = np.repeat(starts[chunk] - ends + per_token, per_token)
+        index += np.arange(index.size, dtype=dtype)
+        np.take(ids, index, out=token_ids[done : done + index.size])
+        stream_ends.append(ends[chunk < 0] + np.int64(done))
+        done += index.size
+    return token_ids, np.diff(np.concatenate(stream_ends)), tuple(id_of)

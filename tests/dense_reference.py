@@ -27,7 +27,7 @@ from moodlex.corpus import VOTE_SUM_TOLERANCE, Corpus
 from moodlex.evaluate import GoldSet
 from moodlex.lexicon import HEADER_KEY, READ_ROW_SUM_TOLERANCE, EmotionLexicon, score_ids
 from moodlex.matrix import TFIDF_VARIANT
-from moodlex.textpipe import LemmaTable, lemmatize_ids, tokenize
+from moodlex.textpipe import UNLICENSED, LemmaTable, lemmatize_ids, tokenize
 
 _POS_TAGS = ("v", "n", "a", "r")
 
@@ -218,7 +218,7 @@ def candidates_reference(surface: str, table, vocab, policy: str) -> list[str]:
                 licensed.append(candidate)
                 break
     if not licensed:
-        return [f"{surface}#n"]
+        return [UNLICENSED]
     if policy == "first":
         return licensed[:1]
     return licensed

@@ -237,6 +237,16 @@ class TestEmotionMapping:
         with pytest.raises(EvaluationError, match="duplicate target"):
             EmotionMapping.from_file(path)
 
+    def test_duplicate_source_in_file_names_its_line(self, tmp_path):
+        path = tmp_path / "mapping.tsv"
+        path.write_text(
+            "FEAR\tAFRAID\nSURPRISE\t-\nJOY\tHAPPY\nDISGUST\t-\nANGER\tAFRAID\n",
+            encoding="utf-8",
+        )
+        message = f"{path}:5: duplicate source 'AFRAID': mapping is not injective"
+        with pytest.raises(EvaluationError, match=f"^{re.escape(message)}$"):
+            EmotionMapping.from_file(path)
+
 
 Headline = namedtuple("Headline", "headline_id tokens gold gold_labels")
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -240,8 +241,17 @@ class TestLemmaTable:
                 "# table\nwent\tv\tgo\nwent\tn\twent\nwent\tv\twend\n",
                 "4: conflicting lemma table entries for 'went'#v",
             ),
+            # Entries no vocabulary can license, which would hide "went"'s
+            # other verb candidates.
+            ("went\tv\t\n", "1: lemma must be non-empty"),
+            (
+                "went\tn\twent\nwent\tv\tGo\n",
+                "2: lemma must be lower-case with no whitespace: 'Go'",
+            ),
+            ("went\tv\tgo\n\tn\tgo\n", "2: lemma table entry with empty surface"),
         ],
-        ids=["rule-pos", "entry-pos", "empty-suffix", "conflict"],
+        ids=["rule-pos", "entry-pos", "empty-suffix", "conflict", "empty-lemma", "upper-lemma",
+             "empty-surface"],
     )
     def test_from_file_names_the_bad_line(self, tmp_path, text, message):
         path = tmp_path / "badpos.tsv"
@@ -268,7 +278,8 @@ class TestLemmatize:
 
     def test_unmapped_token_passes_through_as_noun(self):
         vocab = VocabularyFilter(["kill#v"])
-        assert doc_tokens(lemmatize_ids([["xyzzy"]], LemmaTable(), vocab=vocab)) == [("xyzzy#n",)]
+        out = lemmatize_ids([["xyzzy"]], LemmaTable(), vocab=vocab)
+        assert doc_tokens(out) == [(textpipe.UNLICENSED,)]
 
     def test_rule_rewrite_needs_vocabulary_licensing(self):
         table = LemmaTable(rules=[("v", "s", ""), ("n", "s", "")])
@@ -279,7 +290,7 @@ class TestLemmatize:
     def test_without_vocabulary_only_table_hits(self):
         table = LemmaTable(entries=[("went", "v", "go")])
         out = lemmatize_ids([["went", "kill"]], table, vocab=())
-        assert doc_tokens(out) == [("go#v", "kill#n")]
+        assert doc_tokens(out) == [("go#v", textpipe.UNLICENSED)]
 
     def test_bad_policy(self):
         with pytest.raises(TextPipeError):
@@ -323,7 +334,7 @@ class TestLemmatize:
             "car#n",                # rule n: -s
             "fast#a", "fast#r",     # identity licensed for a then r (v/n/a/r order)
             "kill#v", "kill#n",
-            "unknown#n",            # unmapped pass-through
+            textpipe.UNLICENSED,    # unmapped: the placeholder
             "war#n",
             "sad#a",
             "bombing#n",
@@ -333,7 +344,7 @@ class TestLemmatize:
             "fast#a", "fast#r",
             "kill#v", "kill#n",
             "war#n",
-            "xyzzy#n",              # unmapped pass-through
+            textpipe.UNLICENSED,    # unmapped: the placeholder
         ]
         assert doc_tokens(lemmatize_ids([tokens], table, vocab=vocab)) == [tuple(expected)]
 
@@ -441,6 +452,36 @@ class TestLemmatizeAll:
         ]
         assert doc_tokens(lemmatize_ids(streams, table, vocab=vocab, policy=policy)) == expected
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        table=TABLES, vocab=VOCABS, policy=st.sampled_from(["all", "first"]), streams=STREAMS
+    )
+    # Each stream's end counts as a token: with a bound of 1 or 3 the empty
+    # streams fall on chunk edges, and the long stream spans several chunks.
+    @example(
+        table=MEMO_TABLE,
+        vocab=MEMO_VOCAB,
+        policy="all",
+        streams=[[], ["men", "ran", "xyzzy", "runs", "abed", "men", "aber"], [], [], ["ba"], []],
+    )
+    @example(
+        table=MEMO_TABLE,
+        vocab=MEMO_VOCAB,
+        policy="first",
+        streams=[["men"], [], ["runs", "xyzzy", "ran", "men", "ba", "abs", "ran", "men"], []],
+    )
+    def test_chunk_bound_changes_nothing(self, table, vocab, policy, streams):
+        def run(bound):
+            with mock.patch.object(textpipe, "CHUNK_TOKENS", bound):
+                token_ids, lengths, strings = lemmatize_ids(
+                    streams, table, vocab=vocab, policy=policy
+                )
+            return token_ids.dtype, token_ids.tolist(), lengths.dtype, lengths.tolist(), strings
+
+        expected = run(sum(map(len, streams)) + len(streams) + 1)
+        assert run(1) == expected
+        assert run(3) == expected
+
     def test_candidates_run_once_per_distinct_surface(self, monkeypatch):
         calls = []
         original = textpipe._candidate_runs
@@ -492,7 +533,7 @@ class TestLemmatizeAll:
         vocab = {"b#n", "bs#n", "a#n"}
         streams = [["bs\x00", "bs", "c"]]
         expected = [c for s in streams[0] for c in candidates_reference(s, table, vocab, "all")]
-        assert expected == ["bs\x00#n", "bs#n", "c#n"]
+        assert expected == [textpipe.UNLICENSED, "bs#n", textpipe.UNLICENSED]
         assert doc_tokens(lemmatize_ids(streams, table, vocab=vocab)) == [tuple(expected)]
 
     def test_long_surface_form_costs_no_wide_array(self):
