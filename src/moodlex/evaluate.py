@@ -39,9 +39,9 @@ class GoldSet:
     in row ``gold[i]`` and classification gold labels in row ``labels[i]``,
     one column per entry of ``emotions`` (the gold file's order). Its
     predicted scores are row ``scores[i]``, one column per entry of
-    ``sources`` (the lexicon's emotions): the mean lexicon row of the
-    ``covered[i]`` of its ``lengths[i]`` lemma#pos tokens that the lexicon
-    holds.
+    ``sources`` (the lexicon's emotions, stripped and upper-cased): the mean
+    lexicon row of the ``covered[i]`` of its ``lengths[i]`` lemma#pos tokens
+    that the lexicon holds.
     """
 
     emotions: tuple[str, ...]
@@ -309,6 +309,11 @@ def load_gold(
     exceeding 1 and divided by 100); negative values or values above 100 are
     rejected. The headlines come out sorted by id, whatever the line order.
     """
+    sources = tuple(e.strip().upper() for e in lex.emotions)  # as every emotion name is read
+    at = first_repeat(sources, len(sources))
+    if at < len(sources):
+        first = lex.emotions[sources.index(sources[at])]
+        raise EvaluationError(f"lexicon emotions {first!r} and {lex.emotions[at]!r} read alike")
     rows, linenos, _ = read_rows(path)
     if not rows:
         raise EvaluationError(f"{path}: missing gold header")
@@ -356,7 +361,7 @@ def load_gold(
         list(map(texts.__getitem__, order)), lex, lemma_table, ambiguity
     )
     labels = np.zeros(gold.shape, dtype=bool)
-    return GoldSet(emotions, ids, gold, labels, lex.emotions, scores, covered, lengths)
+    return GoldSet(emotions, ids, gold, labels, sources, scores, covered, lengths)
 
 
 def load_labels(path, gold: GoldSet) -> GoldSet:

@@ -24,6 +24,7 @@ from .corpus import Corpus
 from .errors import MatrixError
 from .lexicon import _row_sums
 from .sink import format_float, open_sink
+from .textpipe import CHUNK_TOKENS
 
 logger = logging.getLogger(__name__)
 
@@ -33,9 +34,6 @@ NF_LENGTH_MODES = ("filtered", "raw")
 #: Recorded in dump headers for reproducibility: raw term count times
 #: natural-log inverse document frequency, no smoothing.
 TFIDF_VARIANT = "count*ln(N/df)"
-
-#: Tokens per chunk of whole documents; a longer document is a chunk alone.
-CHUNK_TOKENS = 1 << 18
 
 
 @dataclasses.dataclass(frozen=True, eq=False)

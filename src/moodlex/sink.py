@@ -1,16 +1,17 @@
 """Input sources and output sinks.
 
-Every input file is read as UTF-8 text with a leading byte order mark
-ignored, and a byte that does not decode is reported with the file, line and
-column it sits in. Its sha256 is taken from the bytes as they are read, so a
-pipe is hashed too, and kept in :data:`input_digests`. Every line-oriented
-input is read whole by :func:`read_rows`, under one rule for line breaks,
-blank lines, comments and fields, and checked a column at a time by the
-helpers below; each check reads only the rows before the first bad row found
-so far, so an error names the first bad line. The score cells of the lexicon
-and the gold headlines are read by :func:`parse_scores`: one ``np.loadtxt``
-call, with the fields counted and the cells read one by one only when it
-declines.
+Every input file is read once, as bytes: whole by :func:`read_text`, or a
+line at a time by :func:`open_source`, and hashed into :data:`input_digests`
+as it is read. Both decode it as UTF-8, a leading byte order mark ignored, by
+:func:`_decode`, which is given the number of the line its bytes start on, so
+a byte that does not decode is named by file, line and column, in a file and
+a pipe alike. Every line-oriented input is read whole by :func:`read_rows`,
+under one rule for line breaks, blank lines, comments and fields, and checked
+a column at a time by the helpers below; each check reads only the rows
+before the first bad row found so far, so an error names the first bad line.
+The score cells of the lexicon and the gold headlines are read by
+:func:`parse_scores`: one ``np.loadtxt`` call, with the fields counted and
+the cells read one by one only when it declines.
 
 Every output file appears whole or not at all, its ``# key: value`` metadata
 lines first: :func:`open_sink` writes both. A path is written to a
@@ -24,14 +25,15 @@ Every float in an output is written by :data:`format_float`, or in rows by
 from __future__ import annotations
 
 import hashlib
-import io
 import os
 import stat
 import sys
-from contextlib import contextmanager, nullcontext, suppress
+from contextlib import contextmanager, suppress
 from itertools import chain, compress, count, islice, repeat
 from operator import ne
 from typing import IO, Iterable, Iterator, Sequence
+
+from .errors import MoodlexError
 
 #: Significant digits of every float written to an output file.
 SERIALIZED_DIGITS = 9
@@ -64,12 +66,7 @@ def read_rows(source) -> tuple[list[str], list[int], list[str]]:
     as written. A metadata line is ``# key: value`` and a lemma#pos key holds
     no whitespace, so no key is ever read as a comment.
     """
-    with open_source(source) as fh:
-        text = fh.read()
-    if "\r" in text:  # a stream's line breaks, as text mode reads a file's
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
-    del text
+    lines = read_text(source).split("\n")
     # Only a line that starts with "#" is sliced, to tell a comment from a row.
     linenos = [
         n for n, line in enumerate(lines, 1)
@@ -141,96 +138,75 @@ def first_true(flags: Iterable, stop: int) -> int:
     return next(compress(count(), islice(flags, stop)), stop)
 
 
-#: ``None``, or a dict that gets the sha256 of each file :func:`open_source`
-#: reads, by its path as given (the command line sets one per run). Every
-#: byte is hashed as it is read, so a pipe's digest is of what it held.
+#: ``None``, or a dict that gets the sha256 of each file :func:`read_text` or
+#: :func:`open_source` reads, by its path as given (the command line sets one
+#: per run). The bytes are hashed as they are read, so a pipe is hashed too.
 input_digests: dict[str, str] | None = None
 
 
-class _SourceFile(io.FileIO):
-    """A file opened for reading whose bytes are hashed as they are read, if
-    ``hashed``. A file that cannot be read again, such as a pipe, keeps what
-    locating a decode error needs: the number of lines before the last read,
-    the part of its first line read before it, and the last read."""
-
-    def __init__(self, path, hashed):
-        super().__init__(path)
-        self.sha256 = hashlib.sha256() if hashed else None
-        self.passed = None if self.seekable() else (0, bytearray(), b"")
-
-    def readinto(self, buffer):
-        n = super().readinto(buffer)
-        self._pass(memoryview(buffer)[:n])
-        return n
-
-    def readall(self):
-        data = super().readall()
-        self._pass(data)
-        return data
-
-    def _pass(self, data):
-        if self.sha256 is not None:
-            self.sha256.update(data)
-        if self.passed is not None:
-            lines, head, last = self.passed
-            start = max(len(head) - 1, 0)
-            head += last
-            # A CR at the end may be the first half of a CRLF: its line is kept.
-            cut = max(head.rfind(b"\n", start), head.rfind(b"\r", start, len(head) - 1)) + 1
-            lines += head.count(b"\n", 0, cut) + head.count(b"\r", 0, cut)
-            lines -= head.count(b"\r\n", 0, cut)
-            del head[:cut]
-            self.passed = lines, head, bytes(data)
+def read_text(source) -> str:
+    """The text at ``source``, a path or a text stream, read whole, with its
+    CRLF and CR line breaks turned into LF. A path is read in one binary read,
+    decoded by :func:`_decode` and then hashed into :data:`input_digests`."""
+    if hasattr(source, "read"):
+        text = source.read()
+    else:
+        with open(source, "rb") as fh:
+            data = fh.read()
+        text = _decode(data, source, 1)
+        if input_digests is not None:
+            input_digests[os.fspath(source)] = hashlib.sha256(data).hexdigest()
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    return text
 
 
 @contextmanager
-def open_source(path) -> Iterator[IO[str]]:
-    """Yield a UTF-8 text stream over the file at ``path``, without a
-    leading byte order mark; an open stream is used as is, and not closed.
-
-    Reads are plain text-mode reads. Only when one fails to decode is the
-    error re-raised for the first line that does not decode, naming
-    ``path``, the 1-based line number and the 1-based byte column in that
-    line: a file is read again as bytes, and a pipe's line is found in what
-    it kept. Once the block ends without an error, the file's sha256 goes to
-    :data:`input_digests`, if that is a dict.
-    """
-    if hasattr(path, "read"):
-        yield path
-        return
-    raw = _SourceFile(path, input_digests is not None)
-    with io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8-sig") as fh:
-        try:
-            yield fh
-        except UnicodeDecodeError as exc:
-            located = _locate_decode_error(path, raw.passed)
-            if located is None:
-                raise
-            raise located from exc
-        if raw.sha256 is not None:
-            raw.readall()  # what the reader left unread, so the digest is the whole file's
-            input_digests[os.fspath(path)] = raw.sha256.hexdigest()
+def open_source(path) -> Iterator[Iterator[str]]:
+    """Yield the lines of the file at ``path`` as text mode reads them, each
+    read in binary and decoded by :func:`_decode`. Once the block ends without
+    an error, the sha256 of the lines read and of what the block left unread
+    goes to :data:`input_digests`, if that is a dict."""
+    sha256 = None if input_digests is None else hashlib.sha256()
+    with open(path, "rb", buffering=1 << 16) as fh:
+        yield _lines(fh, path, sha256)
+        if sha256 is not None:
+            sha256.update(fh.read())
+            input_digests[os.fspath(path)] = sha256.hexdigest()
 
 
-def _locate_decode_error(path, passed) -> UnicodeDecodeError | None:
-    # Lines are split as text mode splits them (at \n, \r\n and \r), so the
-    # line number matches the one the reader would give. A newline byte never
-    # occurs inside a UTF-8 sequence, so the first bad line holds the error.
-    if passed is None:
-        first, chunks = 1, open(path, "rb")
-    else:  # a pipe: the lines from the one its last read starts in
-        first, chunks = passed[0] + 1, nullcontext([bytes(passed[1]) + passed[2]])
-    with chunks as fh:
-        lines = (line for chunk in fh for line in chunk.splitlines(keepends=True))
-        for lineno, line in enumerate(lines, start=first):
-            try:
-                line.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                where = f"{path}, line {lineno}, column {exc.start + 1}"
-                return UnicodeDecodeError(
-                    exc.encoding, exc.object, exc.start, exc.end, f"{exc.reason} ({where})"
-                )
-    return None
+def _lines(fh, path, sha256) -> Iterator[str]:
+    lineno = 1
+    for line in fh:
+        if sha256 is not None:
+            sha256.update(line)
+        # Text mode also ends a line at a lone \r, and ends every line in \n.
+        for piece in line.splitlines(keepends=True) if b"\r" in line else (line,):
+            text = _decode(piece, path, lineno)
+            lineno += 1
+            if b"\r" in piece:  # its line break
+                yield text.rstrip("\r\n") + "\n"
+            elif text:  # "" only for a file that holds a byte order mark alone
+                yield text
+
+
+def _decode(data: bytes, path, first_line: int) -> str:
+    """``data``, the bytes of ``path`` from the start of its line
+    ``first_line``, decoded as UTF-8 without the file's leading byte order
+    mark. A byte that does not decode is named by its line and its byte column
+    (a byte order mark counted), lines ended as text mode ends them."""
+    try:
+        return str(data, "utf-8-sig" if first_line == 1 else "utf-8")
+    except UnicodeDecodeError as exc:
+        skip = len(data) - len(exc.object)  # the byte order mark the codec dropped
+        start, end = exc.start + skip, exc.end + skip
+        head = max(data.rfind(b"\n", 0, start), data.rfind(b"\r", 0, start)) + 1
+        breaks = data.count(b"\n", 0, head) + data.count(b"\r", 0, head)
+        lineno = first_line + breaks - data.count(b"\r\n", 0, head)
+        where = f"{path}, line {lineno}, column {start - head + 1}"
+        raise UnicodeDecodeError(
+            exc.encoding, data[head:end], start - head, end - head, f"{exc.reason} ({where})"
+        ) from None
 
 
 def replaced_file(path) -> str | None:
@@ -252,7 +228,8 @@ def replaced_file(path) -> str | None:
 @contextmanager
 def open_sink(target, comments: Iterable[tuple[str, str]] = ()) -> Iterator[IO[str]]:
     """Yield a text stream for ``target``, with a ``# key: value`` line for
-    each pair of ``comments`` already written to it.
+    each pair of ``comments`` already written to it; a key or value holding
+    CR or LF is refused first.
 
     ``None`` means standard output, flushed once the block ends without an
     error, and an open stream is used as is; neither is closed. A path gets
@@ -266,7 +243,11 @@ def open_sink(target, comments: Iterable[tuple[str, str]] = ()) -> Iterator[IO[s
     no name to rename over, is opened and written in place, since renaming
     over it would replace the node itself or write a stray file.
     """
-    comment_lines = "".join(f"# {key}: {value}\n" for key, value in comments)
+    lines = [f"# {key}: {value}" for key, value in comments]
+    broken = [line for line in lines if "\n" in line or "\r" in line]
+    if broken:  # it would read back as more lines, or as rows
+        raise MoodlexError(f"metadata line holds a line break: {broken[0]!r}")
+    comment_lines = "".join(line + "\n" for line in lines)
     if target is None:
         sys.stdout.write(comment_lines)
         yield sys.stdout

@@ -46,7 +46,9 @@ _END = object()
 #: rejects it, so no vocabulary filter or lexicon holds it.
 UNLICENSED = "#n"
 
-#: Surface tokens whose candidates lemmatize_ids gathers at once.
+#: Tokens a chunk's temporaries are sized by: the surface tokens whose
+#: candidates lemmatize_ids gathers at once, and the tokens of a chunk of
+#: whole documents in matrix.emotion_mass (a longer document is a chunk alone).
 CHUNK_TOKENS = 1 << 18
 
 

@@ -318,7 +318,8 @@ def test_serialization_roundtrip_and_golden_file(tmp_path, emotions):
         assert again.words == lex.words
         assert np.max(np.abs(again.scores - lex.scores)) <= 1e-9
 
-        original = open(GOLDEN, "rb").read()
+        with open(GOLDEN, "rb") as fh:
+            original = fh.read()
         golden = read_lexicon(GOLDEN)
         out = tmp_path / "golden_again.tsv"
         write_lexicon(golden, out)

@@ -438,6 +438,21 @@ class TestEval:
         assert not any(r[0] == "discarded" for r in rows)
         assert {r[1] for r in rows if r[0] == "regression"} == {"AFRAID", "HAPPY"}
 
+    def test_lower_case_lexicon_emotions_give_the_same_report(self, built):
+        """Lexicon emotion names are read stripped and upper-cased, as the
+        gold, mapping and label names are."""
+        text = (built / "lex.tsv").read_text(encoding="utf-8")
+        header = next(line for line in text.split("\n") if line.startswith("Lemma#PoS\t"))
+        lower = text.replace(header, "Lemma#PoS" + header[len("Lemma#PoS"):].lower())
+        (built / "lower.tsv").write_text(lower, encoding="utf-8")
+        labels = str(built / "labels.tsv")
+        assert main(self.eval_args(built, labels=labels)) == 0
+        upper = report_rows(built / "report.tsv")
+        args = self.eval_args(built, labels=labels)
+        args[2] = str(built / "lower.tsv")
+        assert main(args) == 0
+        assert report_rows(built / "report.tsv") == upper
+
     def test_report_rerun_byte_identical(self, built):
         args = self.eval_args(built)
         assert main(args) == 0

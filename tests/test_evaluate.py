@@ -584,6 +584,15 @@ class TestGoldLoading:
         assert gold.covered.tolist() == [2, 0]
         np.testing.assert_array_equal(gold.scores, [(one_hot(0) + one_hot(1)) / 2, np.zeros(8)])
 
+    def test_lexicon_emotions_read_stripped_and_upper_cased(self, tmp_path):
+        path = self.write_gold(tmp_path, ["h1\tafraid\t0.8"], header="id\ttext\tFEAR")
+        lex = EmotionLexicon([" afraid", "Happy"], ["afraid#a"], [[1.0, 0.0]])
+        assert load_gold(path, lex).sources == ("AFRAID", "HAPPY")
+        clash = EmotionLexicon(["Happy", "afraid", "HAPPY "], ["afraid#a"], [[0.0, 1.0, 0.0]])
+        message = "^lexicon emotions 'Happy' and 'HAPPY ' read alike$"
+        with pytest.raises(EvaluationError, match=message):
+            load_gold(path, clash)
+
     def test_scale_autodetection(self, tmp_path, tiny_lexicon):
         path = self.write_gold(tmp_path, ["h1\tafraid words\t80\t10", "h2\tmore text\t0.5\t20"])
         gold = load_gold(path, tiny_lexicon)

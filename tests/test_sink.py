@@ -3,6 +3,7 @@ reader) and output sinks (atomic path writes, streams and standard output)."""
 
 from __future__ import annotations
 
+import codecs
 import hashlib
 import io
 import os
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 import moodlex.sink
 from moodlex import (
+    EmotionLexicon,
     EmotionMapping,
     GoldSet,
     LemmaTable,
@@ -27,10 +29,12 @@ from moodlex import (
     load_gold,
     load_labels,
     read_lexicon,
+    write_lexicon,
 )
 from moodlex.cli import _read_score_input
 from moodlex.sink import (
-    format_float, format_rows, open_sink, open_source, read_rows, replaced_file, row_format
+    format_float, format_rows, open_sink, open_source, read_rows, read_text, replaced_file,
+    row_format,
 )
 
 from corpora import doc_tokens
@@ -221,6 +225,28 @@ def test_failing_comment_block_leaves_no_file(tmp_path):
     assert target.read_text(encoding="utf-8") == "old\n"
 
 
+@pytest.mark.parametrize(
+    "comments",
+    [[("note", "x\nLemma#PoS\tA\tB\ngame#n\t1\t0")], [("a\rb", "c")], [("k", "v\r\n")]],
+    ids=["lf-value", "cr-key", "crlf-value"],
+)
+def test_metadata_line_break_is_refused_before_any_write(tmp_path, comments):
+    """A line break in a key or value would write extra lines, rows even,
+    that the output's reader does not read back as that metadata."""
+    lex = EmotionLexicon(["A", "B"], ["war#n"], [[0.5, 0.5]], provenance=comments)
+    target = tmp_path / "lex.tsv"
+    with pytest.raises(MoodlexError, match="^metadata line holds a line break: "):
+        write_lexicon(lex, target)
+    assert os.listdir(tmp_path) == []
+    buf = io.StringIO()
+    with pytest.raises(MoodlexError):
+        write_lexicon(lex, buf)
+    assert buf.getvalue() == ""
+    with pytest.raises(MoodlexError):
+        with open_sink(None, comments):
+            pytest.fail("the block ran after its comments were refused")
+
+
 @settings(max_examples=300, deadline=None)
 @given(row=st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=9))
 @example(row=[0.0, -0.0, 5e-324, -5e-324, float("inf"), float("-inf"), float("nan")])
@@ -278,6 +304,72 @@ def test_decode_error_names_path_line_and_column(tmp_path, data, line, column):
     assert message.endswith(f"({path}, line {line}, column {column})")
 
 
+def text_mode_decode_error(path, data):
+    """The located message for the first line of ``data`` that does not
+    decode, the lines split at \\n, \\r\\n and a lone \\r as text mode splits
+    them, or ``None`` if every line decodes."""
+    for lineno, line in enumerate(data.splitlines(keepends=True), 1):
+        try:
+            line.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            return f"{exc} ({path}, line {lineno}, column {exc.start + 1})"
+    return None
+
+
+# Text in pieces: ASCII, 2-, 3- and 4-byte characters and every line break.
+PIECES = st.sampled_from(
+    ["ab", "x\t1", " ", "\u00e9", "\u20ac", "\U0001d11e", "\n", "\r\n", "\r"]
+)
+BAD = st.sampled_from([b"", b"\xff", b"\xc3(", b"\xe2\x82"])
+
+
+@st.composite
+def source_bytes(draw):
+    """UTF-8 text with an optional leading BOM and an optional undecodable
+    sequence, which may cut a multi-byte character off at the end."""
+    data = "".join(draw(st.lists(PIECES, max_size=30))).encode("utf-8")
+    bad = draw(BAD)
+    at = draw(st.integers(0, len(data)))
+    if draw(st.booleans()):
+        at = len(data)
+    return draw(st.sampled_from([b"", codecs.BOM_UTF8])) + data[:at] + bad + data[at:]
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=source_bytes())
+@example(data=b"x" * 70000 + "\u00e9\r\n".encode("utf-8") * 2 + b"y" * 70000)
+@example(data=b"\r".join([b"x" * 70000] * 3) + b"z\xc3(\n")
+@example(data=b"a\r\r\nb\r\r\n\r\r\n")
+@example(data=b"a\r\r\nb\r\r\xff\r\n")
+@example(data=b"a\nb\r")
+@example(data=b"a\nb\xe2\x82\r")
+@example(data=codecs.BOM_UTF8 + b"ab\xff\n")
+@example(data=codecs.BOM_UTF8 + b"a\rb\r\n\xef\xbb\xbf\xe2\x82")
+def test_sources_read_as_text_mode_reads(data):
+    """open_source yields the lines, and read_text the text, that a
+    text-mode reader gives, and records the sha256 of the bytes; a byte that
+    does not decode is named as a per-line decode names it."""
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.object(moodlex.sink, "input_digests", {}):
+        path = os.path.join(tmp, "in.txt")
+        with open(path, "wb") as fh:
+            fh.write(data)
+        message = text_mode_decode_error(path, data)
+        digests = {} if message else {path: hashlib.sha256(data).hexdigest()}
+        if message is None:
+            with open(path, encoding="utf-8-sig") as fh:
+                lines = list(fh)
+            assert read_all(path) == lines
+            assert moodlex.sink.input_digests == digests
+            moodlex.sink.input_digests.clear()
+            assert read_text(path) == "".join(lines)
+        else:
+            for read in read_all, read_text:
+                with pytest.raises(UnicodeDecodeError) as caught:
+                    read(path)
+                assert str(caught.value) == message
+        assert moodlex.sink.input_digests == digests
+
+
 def test_source_passes_other_errors_through(tmp_path):
     path = tmp_path / "in.tsv"
     path.write_bytes(b"ok\n")
@@ -294,11 +386,11 @@ def test_open_source_hashes_every_byte_of_the_file_when_asked(tmp_path, monkeypa
     path = tmp_path / "in.txt"
     path.write_bytes(b"\xef\xbb\xbf" + b"awe#n\r\n" * 20000)
     with open_source(path) as fh:
-        assert fh.readline() == "awe#n\n"
+        assert next(fh) == "awe#n\n"
     assert moodlex.sink.input_digests is None
     monkeypatch.setattr(moodlex.sink, "input_digests", {})
     with open_source(path) as fh:
-        assert fh.readline() == "awe#n\n"
+        assert next(fh) == "awe#n\n"
     assert moodlex.sink.input_digests == {str(path): hashlib.sha256(path.read_bytes()).hexdigest()}
 
 
