@@ -326,8 +326,8 @@ def parse_corpus(
 
     Malformed lines are collected and reported together (line numbers plus a
     total count). Duplicate document ids and unknown emotion labels abort
-    immediately. Documents whose raw vote sum is below ``min_votes_sum`` are
-    dropped before validation.
+    immediately, naming their lines. Documents whose raw vote sum is below
+    ``min_votes_sum`` are dropped before validation.
 
     Each record's votes become one row and its tokens ids, as it is read;
     once every line is read, the vote rows are validated as one array and
@@ -374,6 +374,8 @@ def parse_corpus(
                 row = _vote_row(votes_raw, emotions)
             except VoteError as exc:
                 raise _MalformedRecord(str(exc)) from None
+            except CorpusError as exc:  # an unknown emotion label
+                raise CorpusError(f"{source}: {exc} on line {lineno}") from None
             if tokens is None:
                 texts[len(doc_ids)] = text
                 lengths.append(0)

@@ -165,6 +165,8 @@ def parse_corpus_reference(lines, emotions, *, min_votes_sum=None, source="<stre
         except VoteError as exc:
             failures.append(f"line {lineno}: {exc}")
             continue
+        except CorpusError as exc:
+            raise CorpusError(f"{source}: {exc} on line {lineno}") from None
         ids = []
         for token in tokens if tokens is not None else ():
             if not isinstance(token, str):

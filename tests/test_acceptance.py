@@ -6,17 +6,20 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see one
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import os
 import resource
+import sys
 import time
 from contextlib import contextmanager
+from operator import itemgetter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from moodlex import (
-    Corpus,
     EmotionLexicon,
     EmotionMapping,
     VocabularyFilter,
@@ -36,9 +39,13 @@ from moodlex.cli import main
 
 from corpora import corpus_of
 from dense_reference import dense_build, exact_pearson, make_random_corpus
+from launcher import measure
 
+ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = os.path.join(os.path.dirname(__file__), "data", "golden_lexicon.tsv")
+BENCH_GEN = ROOT / "bench" / "gen.py"
 SCHEMES = ("raw", "normalized", "tfidf")
+SCALE_DOCS, SCALE_LENGTH, SCALE_KEYS = 25_000, 500, 8_000
 
 
 @contextmanager
@@ -335,40 +342,99 @@ def test_serialization_roundtrip_and_golden_file(tmp_path, emotions):
         )
 
 
-def test_scale_target(tmp_path, emotions):
+@pytest.fixture(scope="session")
+def scale_corpus(tmp_path_factory, emotions):
+    """The scale target's input, written once per session: 25,000 documents of
+    500 tokens drawn uniformly from 8,000 keys by ``default_rng(1337)``, each
+    vote row divided by its sum before rounding to 6 decimals (167 MB; the
+    corpus is removed at the end of the session)."""
+    root = tmp_path_factory.mktemp("scale")
+    rng = np.random.default_rng(1337)
+    keys = [f"w{i:05d}a#v" for i in range(SCALE_KEYS)]
+    (root / "vocab.txt").write_text("".join(k + "\n" for k in keys), encoding="utf-8")
+    quoted = [f'"{k}"' for k in keys]
+    labels = [f'"{label}": ' for label in emotions.labels]
+    block = 1_000
+    with open(root / "corpus.jsonl", "w", encoding="utf-8") as fh:
+        for start in range(0, SCALE_DOCS, block):
+            ids = rng.integers(0, SCALE_KEYS, size=(block, SCALE_LENGTH)).tolist()
+            votes = rng.random((block, len(labels))) + 0.01
+            votes = np.round(votes / votes.sum(axis=1, keepdims=True), 6).tolist()
+            for j, (row, vote) in enumerate(zip(ids, votes)):
+                tokens = ", ".join(itemgetter(*row)(quoted))
+                scores = ", ".join(map("".join, zip(labels, map(repr, vote))))
+                fh.write(f'{{"id": "d{start + j:05d}", "tokens": [{tokens}], "votes": {{{scores}}}}}\n')
+    yield root
+    (root / "corpus.jsonl").unlink()  # pytest keeps the last three sessions' files
+
+
+@pytest.fixture(scope="session")
+def text_corpus(tmp_path_factory):
+    """``bench/gen.py``'s raw-text corpus of 2,000 documents (seed 7), its
+    vocabulary and lemma table, and the lexicon words it implies under
+    tf-idf with min-df 2."""
+    root = tmp_path_factory.mktemp("text")
+    spec = importlib.util.spec_from_file_location("bench_gen", BENCH_GEN)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    answers = gen.generate_build(str(root), 7, docs=2_000, text=True, min_df=2, tfidf=True)
+    return root, answers["words"]
+
+
+def run_cli(argv, cwd):
+    """Run ``python -m moodlex.cli argv`` in ``cwd`` through the launcher; its
+    report, once it has exited 0."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc, report = measure([sys.executable, "-m", "moodlex.cli", *argv], cwd=cwd, env=env)
+    assert report["status"] == 0, proc.stderr
+    print(f"\n  {argv[0]}: {report['wall_s']:.1f} s, peak {report['peak_mib']:.1f} MiB")
+    return report
+
+
+def test_launcher_reports_the_command_not_pytest():
+    with criterion("launcher: a `python -c pass` child reports under half of pytest's peak"):
+        _, report = measure([sys.executable, "-c", "pass"])
+        own_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        assert report["status"] == 0
+        assert report["peak_mib"] < own_mib / 2, (report, own_mib)
+
+
+def test_scale_gate_token_build(scale_corpus):
     with criterion(
-        "scale target: 25,000 docs x 500 tokens builds in < 60 s and < 2 GB "
-        "peak memory, single worker"
+        "scale gate: `build --weighting nf --dump-matrix` on 25,000 docs x 500 "
+        "tokens, through the CLI, in < 60 s and < 420 MiB peak"
     ):
-        rng = np.random.default_rng(1337)
-        n_docs, doc_len, n_vocab = 25_000, 500, 8_000
-        vocab_words = [f"w{i:05d}#{'nvar'[i % 4]}" for i in range(n_vocab)]
-        ids = rng.integers(0, n_vocab, size=(n_docs, doc_len))
-        votes = rng.random((n_docs, 8)) + 0.01
-        votes = votes / votes.sum(axis=1, keepdims=True)
-        records = Corpus(
-            doc_ids=tuple(f"d{j:05d}" for j in range(n_docs)),
-            votes=votes,
-            emotions=emotions.labels,
-            token_ids=ids.astype(np.int32).ravel(),
-            lengths=np.full(n_docs, doc_len),
-            strings=tuple(vocab_words),
+        report = run_cli(
+            [
+                "build", "--corpus", "corpus.jsonl", "--vocab", "vocab.txt",
+                "--weighting", "nf", "--dump-matrix", os.devnull, "--output", "lex.tsv",
+            ],
+            scale_corpus,
         )
-        del ids
-        vocab = VocabularyFilter(vocab_words)
+        assert report["wall_s"] < 60.0
+        assert report["peak_mib"] < 420.0
+        lex = read_lexicon(scale_corpus / "lex.tsv")
+        assert len(lex) == SCALE_KEYS
+        # Eight scores below 1, each written to 9 significant digits.
+        assert np.max(np.abs(lex.scores.sum(axis=1) - 1.0)) <= 8 * 0.5e-9
 
-        start = time.perf_counter()
-        lex = build_lexicon(records, vocab, "normalized")
-        write_lexicon(lex, tmp_path / "scale.tsv")
-        elapsed = time.perf_counter() - start
 
-        peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-        assert elapsed < 60.0, f"build took {elapsed:.1f}s"
-        assert peak_kb < 2 * 1024 * 1024, f"peak memory {peak_kb / 1024:.0f} MiB"
-        assert len(lex) == n_vocab
-        sums = lex.scores.sum(axis=1)
-        assert np.max(np.abs(sums - 1.0)) <= 1e-9
-        print(f"\n  scale: {elapsed:.1f}s, peak {peak_kb / 1024:.0f} MiB")
+def test_scale_gate_text_build(text_corpus):
+    with criterion(
+        "scale gate: raw-text `build --weighting tfidf --min-df 2` on 2,000 "
+        "generated docs, through the CLI, in < 78 MiB peak"
+    ):
+        root, words = text_corpus
+        report = run_cli(
+            [
+                "build", "--corpus", "corpus.jsonl", "--vocab", "vocab.txt",
+                "--lemma-table", "lemmas.tsv", "--weighting", "tfidf", "--min-df", "2",
+                "--output", "lex.tsv",
+            ],
+            root,
+        )
+        assert report["peak_mib"] < 78.0
+        assert read_lexicon(root / "lex.tsv").words == tuple(words)
 
 
 EXTERNAL_LEXICON = os.environ.get("MOODLEX_EVAL_LEXICON")

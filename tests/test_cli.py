@@ -329,6 +329,43 @@ class TestBuild:
         messages = [r.message for r in caplog.records if r.levelname == "ERROR"]
         assert any("load-corpus" in m and "line 6: non-numeric vote" in m for m in messages)
 
+    @pytest.mark.parametrize("subcommand", ["build", "stats"])
+    def test_unknown_emotion_label_names_its_line(self, workdir, caplog, subcommand):
+        corpus = workdir / "corpus.jsonl"
+        lines = corpus.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[1] = json.dumps({**CORPUS_LINES[1], "votes": {"FEAR": 1.0}}) + "\n"
+        corpus.write_text("".join(lines), encoding="utf-8")
+        before = sorted(p.name for p in workdir.iterdir())
+        argv = build_args(workdir) if subcommand == "build" else [
+            "stats", "--corpus", str(corpus), "--output", str(workdir / "stats.tsv")
+        ]
+        assert main(argv) == 1
+        messages = [r.message for r in caplog.records if r.levelname == "ERROR"]
+        assert messages == [f"load-corpus: {corpus}: unknown emotion label 'FEAR' on line 2"]
+        assert sorted(p.name for p in workdir.iterdir()) == before
+
+    def test_document_the_vocabulary_empties_is_dropped_and_counted(self, workdir):
+        """Token and raw-text documents in one corpus; the one whose every
+        token the vocabulary drops is left out of the dump and counted in the
+        lexicon. A non-ASCII key and doc id reach the dump as UTF-8."""
+        records = [
+            *CORPUS_LINES,
+            {"id": "t6", "text": "Kills: the WAR went on, games.", "votes": {"ANGRY": 0.5, "AMUSED": 0.5}},
+            {"id": "z7", "tokens": ["zzz#n"], "votes": {"SAD": 1.0}},
+            {"id": "dé8", "tokens": ["café#n"], "votes": {"SAD": 1.0}},
+        ]
+        (workdir / "corpus.jsonl").write_text(
+            "".join(json.dumps(r) + "\n" for r in records), encoding="utf-8"
+        )
+        (workdir / "vocab.txt").write_text(VOCAB + "café#n\n", encoding="utf-8")
+        dump = workdir / "dump.tsv"
+        assert main(build_args(workdir, dump_matrix=dump)) == 0
+        assert "# dropped-empty-docs: 1" in metadata_lines(workdir / "lex.tsv")
+        lines = dump.read_text(encoding="utf-8").splitlines()
+        assert any(l.startswith("# scheme=normalized\tn_docs=7\t") for l in lines)
+        assert "café#n\tdé8\t1" in lines
+        assert not any("\tz7\t" in l for l in lines)
+
     @pytest.mark.parametrize("min_df", [0, -3])
     def test_min_df_below_one_exits_one(self, workdir, caplog, min_df):
         assert main(build_args(workdir, min_df=min_df)) == 1
