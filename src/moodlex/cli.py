@@ -98,13 +98,20 @@ def _metadata(subcommand: str, args: argparse.Namespace):
 
 
 def _check_args(args: argparse.Namespace) -> None:
-    """Refuse an option value holding a line break, which would split the
-    ``# command:`` line, and an output that replaces an input file or the
-    other output. An output written in place is not checked."""
+    """Refuse an option value that the ``# command:`` line cannot hold (one
+    holding a line break, or one that cannot be written as UTF-8), and an
+    output that replaces an input file or the other output. An output written
+    in place is not checked."""
     for attr in args.echo:
         value = getattr(args, attr)
-        if isinstance(value, str) and ("\n" in value or "\r" in value):
+        if not isinstance(value, str):
+            continue
+        if "\n" in value or "\r" in value:
             raise MoodlexError(f"{_flag(attr)} {value!r} holds a line break")
+        try:
+            value.encode()
+        except UnicodeEncodeError:
+            raise MoodlexError(f"{_flag(attr)} {value!r} cannot be written as UTF-8") from None
     taken = {
         os.path.realpath(path): _flag(attr)
         for attr in args.echo

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import textpipe
 from .errors import CorpusError, TextPipeError, VoteError
-from .sink import open_source
+from .sink import emotion_fault, open_source
 
 logger = logging.getLogger(__name__)
 
@@ -53,18 +53,13 @@ class EmotionSet:
     """
 
     def __init__(self, labels: Iterable[str]):
-        normalized = tuple(str(label).strip().upper() for label in labels)
-        if not normalized:
+        labels = tuple(map(str, labels))
+        if not labels:
             raise CorpusError("emotion set must not be empty")
-        if any(not label for label in normalized):
-            raise CorpusError("emotion labels must be non-empty")
-        # Labels become fields of tab-separated, line-oriented outputs, as ids do.
-        if bad := [label for label in normalized if any(c in label for c in "\t\r\n")]:
-            raise CorpusError(f"emotion labels must not contain a tab, CR or LF: {bad[0]!r}")
-        if len(set(normalized)) != len(normalized):
-            raise CorpusError(f"duplicate emotion labels in {normalized}")
-        self._labels = normalized
-        self._index = {label: i for i, label in enumerate(normalized)}
+        if fault := emotion_fault(labels):
+            raise CorpusError(fault)
+        self._labels = tuple(label.strip().upper() for label in labels)
+        self._index = {label: i for i, label in enumerate(self._labels)}
 
     @classmethod
     def default(cls) -> "EmotionSet":

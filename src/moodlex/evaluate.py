@@ -22,7 +22,9 @@ import numpy as np
 from . import textpipe
 from .errors import EvaluationError
 from .lexicon import EmotionLexicon, score_texts
-from .sink import first_misfit, first_repeat, first_true, parse_scores, read_rows, split_cells
+from .sink import (
+    emotion_fault, first_misfit, first_repeat, first_true, parse_scores, read_rows, split_cells,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -61,17 +63,11 @@ class EmotionMapping:
     reported as discarded."""
 
     pairs: Mapping[str, str]
-    discarded: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         sources = list(self.pairs.values())
         if len(set(sources)) != len(sources):
             raise EvaluationError("emotion mapping is not injective")
-        overlap = set(self.pairs) & set(self.discarded)
-        if overlap:
-            raise EvaluationError(
-                f"targets both mapped and discarded: {sorted(overlap)}"
-            )
 
     @classmethod
     def identity(cls, targets: Iterable[str]) -> "EmotionMapping":
@@ -98,8 +94,7 @@ class EmotionMapping:
             end, fault = at, f"duplicate source {sources[at]!r}: mapping is not injective"
         if fault is not None:
             raise EvaluationError(f"{path}:{linenos[end]}: {fault}")
-        pairs = {t: s for t, s in zip(targets, sources) if s != "-"}
-        return cls(pairs=pairs, discarded=tuple(t for t in targets if t not in pairs))
+        return cls(pairs={t: s for t, s in zip(targets, sources) if s != "-"})
 
 
 @dataclass(frozen=True)
@@ -309,11 +304,6 @@ def load_gold(
     exceeding 1 and divided by 100); negative values or values above 100 are
     rejected. The headlines come out sorted by id, whatever the line order.
     """
-    sources = tuple(e.strip().upper() for e in lex.emotions)  # as every emotion name is read
-    at = first_repeat(sources, len(sources))
-    if at < len(sources):
-        first = lex.emotions[sources.index(sources[at])]
-        raise EvaluationError(f"lexicon emotions {first!r} and {lex.emotions[at]!r} read alike")
     rows, linenos, _ = read_rows(path)
     if not rows:
         raise EvaluationError(f"{path}: missing gold header")
@@ -322,11 +312,9 @@ def load_gold(
         raise EvaluationError(
             f"{path}:{linenos[0]}: expected header 'id<TAB>text<TAB>EMOTION...'"
         )
+    if fault := emotion_fault(fields[2:]):
+        raise EvaluationError(f"{path}:{linenos[0]}: {fault}")
     emotions = tuple(f.strip().upper() for f in fields[2:])
-    if not all(emotions):
-        raise EvaluationError(f"{path}:{linenos[0]}: empty emotion name")
-    if len(set(emotions)) != len(emotions):
-        raise EvaluationError(f"{path}:{linenos[0]}: duplicate emotion columns")
     del rows[0], linenos[0]
     # Each check reads the rows before the first bad one found so far, in the
     # order a line's faults are reported: the last fault found is the first
@@ -361,6 +349,7 @@ def load_gold(
         list(map(texts.__getitem__, order)), lex, lemma_table, ambiguity
     )
     labels = np.zeros(gold.shape, dtype=bool)
+    sources = tuple(e.strip().upper() for e in lex.emotions)  # as every emotion name is read
     return GoldSet(emotions, ids, gold, labels, sources, scores, covered, lengths)
 
 

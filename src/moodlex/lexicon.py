@@ -17,7 +17,9 @@ import numpy as np
 
 from . import textpipe
 from .errors import LexiconError, TextPipeError
-from .sink import first_repeat, format_rows, open_sink, parse_scores, read_rows, row_format
+from .sink import (
+    emotion_fault, first_repeat, format_rows, open_sink, parse_scores, read_rows, row_format,
+)
 
 if TYPE_CHECKING:  # annotations only: reading and scoring never import these
     from .corpus import Corpus
@@ -35,7 +37,8 @@ class EmotionLexicon:
 
     ``scores`` is a ``(len(words), len(emotions))`` array-like whose row ``i``
     belongs to ``words[i]``. The lexicon keeps its own copy, with the rows
-    sorted by word.
+    sorted by word, and its ``emotions`` as written, once
+    :func:`sink.emotion_fault` has accepted them.
 
     ``provenance`` is an ordered list of (key, value) string pairs written as
     ``#``-prefixed metadata lines in the serialized form and preserved
@@ -52,7 +55,7 @@ class EmotionLexicon:
         emotions = tuple(emotions)
         if not emotions:
             raise LexiconError("lexicon needs at least one emotion")
-        if fault := _emotion_fault(emotions):
+        if fault := emotion_fault(emotions):
             raise LexiconError(fault)
         if not len(words):
             raise LexiconError("empty lexicon")
@@ -107,17 +110,6 @@ class EmotionLexicon:
             return self._scores[self._row_of[word]]
         except KeyError:
             raise LexiconError(f"word {word!r} not in lexicon") from None
-
-
-def _emotion_fault(emotions: Sequence[str]) -> str | None:
-    """What makes ``emotions`` no lexicon header's names, or ``None``: each
-    must be a distinct, non-empty field of one line."""
-    if not all(emotions):
-        return "empty emotion name"
-    if len(set(emotions)) != len(emotions):
-        return "duplicate emotion columns"
-    bad = [name for name in emotions if any(c in name for c in "\t\r\n")]
-    return f"emotion name holds a tab, CR or LF: {bad[0]!r}" if bad else None
 
 
 def _row_sums(owner: np.ndarray, columns: Iterable[np.ndarray], n: int, start=None) -> np.ndarray:
@@ -292,7 +284,7 @@ def read_lexicon(source) -> EmotionLexicon:
             f"{source}:{linenos[0]}: expected header '{HEADER_KEY}<TAB>EMOTION...'"
         )
     emotions = tuple(fields[1:])
-    if fault := _emotion_fault(emotions):
+    if fault := emotion_fault(emotions):
         raise LexiconError(f"{source}:{linenos[0]}: {fault}")
     provenance = []
     for line in comments:

@@ -11,7 +11,8 @@ a column at a time by the helpers below; each check reads only the rows
 before the first bad row found so far, so an error names the first bad line.
 The score cells of the lexicon and the gold headlines are read by
 :func:`parse_scores`: one ``np.loadtxt`` call, with the fields counted and
-the cells read one by one only when it declines.
+the cells read one by one only when it declines. Every list of emotion
+names, corpus labels and file headers alike, is checked by :func:`emotion_fault`.
 
 Every output file appears whole or not at all, its ``# key: value`` metadata
 lines first: :func:`open_sink` writes both. A path is written to a
@@ -136,6 +137,19 @@ def first_true(flags: Iterable, stop: int) -> int:
     """The index of the first true one of ``flags``, or ``stop`` if none of
     the first ``stop`` is true."""
     return next(compress(count(), islice(flags, stop)), stop)
+
+
+def emotion_fault(names: Sequence[str]) -> str | None:
+    """What makes ``names`` no list of emotion names, or ``None``: the one
+    rule for corpus labels, lexicon headers and gold headers. A name is read
+    stripped and upper-cased. No name may read as empty, hold a tab, CR or LF
+    as written (it is a field of one line), or read as another name does."""
+    read = [name.strip().upper() for name in names]
+    if not all(read):
+        return "empty emotion name"
+    if bad := [name for name in names if any(c in name for c in "\t\r\n")]:
+        return f"emotion name holds a tab, CR or LF: {bad[0]!r}"
+    return "duplicate emotion columns" if len(set(read)) != len(read) else None
 
 
 #: ``None``, or a dict that gets the sha256 of each file :func:`read_text` or

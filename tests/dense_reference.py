@@ -283,9 +283,11 @@ def read_lexicon_lines_reference(fh, source: str) -> EmotionLexicon:
                     f"{source}:{lineno}: expected header '{HEADER_KEY}<TAB>EMOTION...'"
                 )
             emotions = tuple(fields[1:])
-            if not all(emotions):
+            # Names are kept as written but checked as read: stripped, upper-cased.
+            read = [name.strip().upper() for name in emotions]
+            if "" in read:
                 raise LexiconError(f"{source}:{lineno}: empty emotion name")
-            if len(set(emotions)) != len(emotions):
+            if len(set(read)) != len(read):
                 raise LexiconError(f"{source}:{lineno}: duplicate emotion columns")
             continue
         if len(fields) != 1 + len(emotions):

@@ -10,6 +10,8 @@ import importlib.util
 import json
 import os
 import resource
+import shutil
+import subprocess
 import sys
 import time
 from contextlib import contextmanager
@@ -56,6 +58,14 @@ def criterion(name):
         print(f"\nACCEPTANCE FAIL: {name}")
         raise
     print(f"\nACCEPTANCE PASS: {name}")
+
+
+def bench_gen():
+    """``bench/gen.py``, the generator of the benchmark's inputs."""
+    spec = importlib.util.spec_from_file_location("bench_gen", BENCH_GEN)
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    return gen
 
 
 def to_records(triples):
@@ -309,6 +319,53 @@ def test_determinism(cli_workdir, emotions):
         assert np.max(np.abs(base.scores - shuffled.scores)) <= 1e-12
 
 
+def test_outputs_do_not_depend_on_the_hash_seed(tmp_path):
+    with criterion(
+        "determinism: build (raw text, lemma table, tf-idf, matrix dump), score "
+        "and eval write the same bytes under PYTHONHASHSEED 0 and 1"
+    ):
+        gen = bench_gen()
+        inputs = tmp_path / "inputs"
+        (inputs / "build").mkdir(parents=True)
+        (inputs / "headlines").mkdir()
+        gen.generate_build(str(inputs / "build"), 31, docs=300, text=True, min_df=2, tfidf=True)
+        gen.generate_headlines(str(inputs / "headlines"), 31, headlines=300)
+        commands = [
+            ("build", [
+                "build", "--corpus", "corpus.jsonl", "--vocab", "vocab.txt",
+                "--lemma-table", "lemmas.tsv", "--weighting", "tfidf", "--min-df", "2",
+                "--dump-matrix", "dump.tsv", "--output", "lex.tsv",
+            ]),
+            ("headlines", [
+                "score", "--lexicon", "lexicon.tsv", "--input", "score.tsv",
+                "--lemma-table", "lemmas.tsv", "--output", "scores.tsv",
+            ]),
+            ("headlines", [
+                "eval", "--lexicon", "lexicon.tsv", "--gold", "gold.tsv", "--labels",
+                "labels.tsv", "--mapping", "mapping.tsv", "--lemma-table", "lemmas.tsv",
+                "--output", "report.tsv",
+            ]),
+        ]
+        outputs = []
+        for seed in ("0", "1"):
+            # The same relative paths in each copy, so the metadata lines match.
+            workdir = shutil.copytree(inputs, tmp_path / f"seed{seed}")
+            env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), PYTHONHASHSEED=seed)
+            for where, argv in commands:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "moodlex.cli", *argv], cwd=workdir / where,
+                    env=env, capture_output=True, text=True, timeout=300,
+                )
+                assert proc.returncode == 0, proc.stderr
+            outputs.append({
+                path.relative_to(workdir): path.read_bytes()
+                for name in ("lex.tsv", "dump.tsv", "scores.tsv", "report.tsv")
+                for path in workdir.glob(f"*/{name}")
+            })
+        assert len(outputs[0]) == 4
+        assert outputs[0] == outputs[1]
+
+
 def test_serialization_roundtrip_and_golden_file(tmp_path, emotions):
     with criterion(
         "serialization: 1000 random rows round-trip within 1e-9; golden excerpt "
@@ -374,10 +431,7 @@ def text_corpus(tmp_path_factory):
     vocabulary and lemma table, and the lexicon words it implies under
     tf-idf with min-df 2."""
     root = tmp_path_factory.mktemp("text")
-    spec = importlib.util.spec_from_file_location("bench_gen", BENCH_GEN)
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    answers = gen.generate_build(str(root), 7, docs=2_000, text=True, min_df=2, tfidf=True)
+    answers = bench_gen().generate_build(str(root), 7, docs=2_000, text=True, min_df=2, tfidf=True)
     return root, answers["words"]
 
 
@@ -465,7 +519,6 @@ def test_conditional_published_lexicon_regression():
                     "SADNESS": "SAD",
                     "SURPRISE": "INSPIRED",
                 },
-                discarded=("DISGUST",),
             )
         result = evaluate_regression(gold, mapping)
         expected = {

@@ -238,8 +238,24 @@ class TestBuild:
         assert main(build_args(workdir, emotions="A\tB,C")) == 1
         messages = [r.message for r in caplog.records if r.levelname == "ERROR"]
         assert messages == [
-            "configure: emotion labels must not contain a tab, CR or LF: 'A\\tB'"
+            "configure: emotion name holds a tab, CR or LF: 'A\\tB'"
         ]
+        assert {p.name: p.read_bytes() for p in workdir.iterdir()} == before
+
+    @pytest.mark.parametrize("flag", ["corpus", "emotions"])
+    def test_option_value_that_is_not_utf8_exits_one(self, workdir, monkeypatch, caplog, flag):
+        """A byte that does not decode, as a Linux file name may hold, reaches
+        the arguments as a lone surrogate: the command echo cannot hold it, so
+        it is refused before any input is read."""
+        monkeypatch.chdir(workdir)
+        value = os.fsdecode(b"c\xe9.jsonl" if flag == "corpus" else b"AFRAID,SAD\xe9")
+        if flag == "corpus":
+            os.rename("corpus.jsonl", os.fsencode(value))
+        before = {p.name: p.read_bytes() for p in workdir.iterdir()}
+        args = build_args(Path(), **{flag: value})
+        assert main(args) == 1
+        messages = [r.message for r in caplog.records if r.levelname == "ERROR"]
+        assert messages == [f"configure: --{flag} {value!r} cannot be written as UTF-8"]
         assert {p.name: p.read_bytes() for p in workdir.iterdir()} == before
 
     def test_output_that_is_a_directory_exits_one(self, workdir, caplog):
@@ -783,6 +799,31 @@ class TestBadInput:
         assert main(self.COMMANDS[subcommand]) == 1
         messages = [r.message for r in caplog.records if r.levelname == "ERROR"]
         assert messages == [f"{where}: empty emotion name"]
+        assert not Path("out.tsv").exists()
+
+    @pytest.mark.parametrize("subcommand", ["score", "eval"])
+    @pytest.mark.parametrize(
+        "old, new, fault",
+        [
+            ("\tSAD\n", "\tSAD\t \n", "empty emotion name"),
+            ("\tAFRAID\t", "\thappy\t", "duplicate emotion columns"),
+        ],
+        ids=["blank-name", "names-read-alike"],
+    )
+    def test_lexicon_emotion_names_refused_by_score_and_eval_alike(
+        self, built, monkeypatch, caplog, subcommand, old, new, fault
+    ):
+        """A lexicon header name that reads as empty, or as another name
+        reads, is refused by the one lexicon reader, whatever reads it next."""
+        monkeypatch.chdir(built)
+        Path("lemmas.tsv").write_text("killed\tv\tkill\n", encoding="utf-8")
+        Path("headlines.tsv").write_text("h1\tawe\n", encoding="utf-8")
+        text = Path("lex.tsv").read_text(encoding="utf-8")
+        assert text.count(old) == 1
+        Path("lex.tsv").write_text(text.replace(old, new), encoding="utf-8")
+        assert main(self.COMMANDS[subcommand]) == 1
+        messages = [r.message for r in caplog.records if r.levelname == "ERROR"]
+        assert messages == [f"read-lexicon: lex.tsv:13: {fault}"]
         assert not Path("out.tsv").exists()
 
     @pytest.mark.parametrize(

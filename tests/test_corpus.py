@@ -62,7 +62,7 @@ class TestEmotionSet:
     @pytest.mark.parametrize("label", ["A\tB", "A\rB", "A\nB"])
     def test_label_with_tab_or_line_break_is_refused(self, label):
         # A label is a field of the lexicon, scores and stats outputs.
-        with pytest.raises(CorpusError, match="must not contain a tab, CR or LF: 'A"):
+        with pytest.raises(CorpusError, match="^emotion name holds a tab, CR or LF: 'A"):
             EmotionSet([label, "C"])
 
     def test_unknown_label(self, emotions):

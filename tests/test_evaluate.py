@@ -15,6 +15,7 @@ from moodlex import (
     EmotionMapping,
     EvaluationError,
     GoldSet,
+    LexiconError,
     coverage_stats,
     evaluate_all,
     evaluate_classification,
@@ -214,7 +215,6 @@ class TestEmotionMapping:
     def test_identity(self):
         mapping = EmotionMapping.identity(["FEAR", "JOY"])
         assert mapping.pairs == {"FEAR": "FEAR", "JOY": "JOY"}
-        assert mapping.discarded == ()
 
     def test_from_file_with_discard(self, tmp_path):
         path = tmp_path / "mapping.tsv"
@@ -225,7 +225,7 @@ class TestEmotionMapping:
         )
         mapping = EmotionMapping.from_file(path)
         assert mapping.pairs["FEAR"] == "AFRAID"
-        assert mapping.discarded == ("DISGUST",)
+        assert "DISGUST" not in mapping.pairs
 
     def test_injectivity_enforced(self):
         with pytest.raises(EvaluationError, match="injective"):
@@ -506,9 +506,7 @@ class TestCoverageStats:
 
 class TestEvaluateAll:
     def test_discarded_targets_reported(self, tiny_lexicon):
-        mapping = EmotionMapping(
-            pairs={"FEAR": "AFRAID", "JOY": "AMUSED"}, discarded=("DISGUST",)
-        )
+        mapping = EmotionMapping(pairs={"FEAR": "AFRAID", "JOY": "AMUSED"})
         headlines = [
             headline("h1", ["afraid#a"], {"FEAR": 1.0, "JOY": 0.0, "DISGUST": 0.5}),
             headline("h2", ["amused#a"], {"FEAR": 0.0, "JOY": 1.0, "DISGUST": 0.2}),
@@ -588,10 +586,9 @@ class TestGoldLoading:
         path = self.write_gold(tmp_path, ["h1\tafraid\t0.8"], header="id\ttext\tFEAR")
         lex = EmotionLexicon([" afraid", "Happy"], ["afraid#a"], [[1.0, 0.0]])
         assert load_gold(path, lex).sources == ("AFRAID", "HAPPY")
-        clash = EmotionLexicon(["Happy", "afraid", "HAPPY "], ["afraid#a"], [[0.0, 1.0, 0.0]])
-        message = "^lexicon emotions 'Happy' and 'HAPPY ' read alike$"
-        with pytest.raises(EvaluationError, match=message):
-            load_gold(path, clash)
+        # Names that read alike never make a lexicon (sink.emotion_fault).
+        with pytest.raises(LexiconError, match="^duplicate emotion columns$"):
+            EmotionLexicon(["Happy", "afraid", "HAPPY "], ["afraid#a"], [[0.0, 1.0, 0.0]])
 
     def test_scale_autodetection(self, tmp_path, tiny_lexicon):
         path = self.write_gold(tmp_path, ["h1\tafraid words\t80\t10", "h2\tmore text\t0.5\t20"])

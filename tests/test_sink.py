@@ -21,6 +21,7 @@ import moodlex.sink
 from moodlex import (
     EmotionLexicon,
     EmotionMapping,
+    EmotionSet,
     GoldSet,
     LemmaTable,
     MoodlexError,
@@ -439,7 +440,7 @@ READERS = {
     "lexicon": (
         GOLDEN.read_text(encoding="utf-8"), _lexicon_summary, "#tag#n" + "\t0.125" * 8
     ),
-    "mapping": ("FEAR\tAFRAID\nJOY\t-\n", EmotionMapping.from_file, "#SAD\t-"),
+    "mapping": ("FEAR\tAFRAID\nJOY\t-\n", EmotionMapping.from_file, "#SAD\tSAD"),
     "gold": (
         "id\ttext\tFEAR\nh1\tAwe of war\t0.5\n",
         lambda p: _gold_summary(load_gold(p, read_lexicon(GOLDEN))),
@@ -618,3 +619,53 @@ class TestBulkReadMatchesLocateStep:
         for read, path in ((read_lexicon, GOLDEN), (lambda p: load_gold(p, lex), gold)):
             bulk, located = _outcomes(read, path)
             assert bulk == located
+
+
+#: Emotion names from case variants, padding, blanks, tabs, CR and LF; lists
+#: of up to four of them repeat names often.
+PADDING = st.sampled_from(["", " ", "\t", "\r", "\n"])
+EMOTION_NAMES = st.lists(
+    st.builds(
+        "{}{}{}".format,
+        PADDING,
+        st.sampled_from(["", "joy", "JOY", "Joy", "fear", "a\tb", "a\rb", "a\nb"]),
+        PADDING,
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(names=EMOTION_NAMES)
+@example(names=["happy", "HAPPY"])
+@example(names=["HAPPY", " "])
+@example(names=["joy\t", "fear"])
+def test_one_emotion_name_rule_in_every_reader(tmp_path_factory, names):
+    """EmotionSet and the EmotionLexicon constructor accept and refuse the
+    same name lists, with the same text; so do read_lexicon and load_gold
+    on a header that holds them. Accepted names read alike in all four."""
+    def outcome(read, prefix=""):
+        try:
+            return tuple(name.strip().upper() for name in read())
+        except MoodlexError as exc:
+            assert str(exc).startswith(prefix)
+            return str(exc)[len(prefix):]
+
+    width = len(names)
+    unit_row = [[1.0] + [0.0] * (width - 1)]
+    expected = outcome(lambda: EmotionSet(names).labels)
+    assert outcome(lambda: EmotionLexicon(names, ["joy#n"], unit_row).emotions) == expected
+    if any(c in name for name in names for c in "\t\r\n"):
+        return  # no header line holds them
+    base = tmp_path_factory.getbasetemp()
+    lexicon, gold = base / "names-lexicon.tsv", base / "names-gold.tsv"
+    lexicon.write_text(
+        "Lemma#PoS\t" + "\t".join(names) + "\njoy#n\t1" + "\t0" * (width - 1) + "\n",
+        encoding="utf-8",
+    )
+    gold.write_text("id\ttext\t" + "\t".join(names) + "\nh1\tjoy" + "\t0" * width + "\n",
+                    encoding="utf-8")
+    assert outcome(lambda: read_lexicon(lexicon).emotions, f"{lexicon}:1: ") == expected
+    lex = EmotionLexicon(["JOY"], ["joy#n"], [[1.0]])
+    assert outcome(lambda: load_gold(gold, lex).emotions, f"{gold}:1: ") == expected

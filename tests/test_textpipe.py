@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import random
 import re
+import string
 import tracemalloc
 from unittest import mock
 
@@ -549,6 +551,28 @@ class TestLemmatizeAll:
         assert peak < 4_000_000
         expected = [candidates_reference(s, MEMO_TABLE, MEMO_VOCAB, "all") for s in streams[0]]
         assert out == [tuple(c for candidates in expected for c in candidates)]
+
+    def test_many_forms_keep_no_string_per_form(self):
+        # 60,000 distinct forms, 50 per stream, the first 500 licensed as
+        # nouns: the traced peak is 6.85 MiB (CPython 3.11, numpy 2.4). A
+        # string kept per form until the call returns (form + "#n") lifts it
+        # to 10.76 MiB; the bound is today's peak plus 1.65 MiB.
+        rng = random.Random(5)
+        forms = {}
+        while len(forms) < 60_000:
+            forms["".join(rng.choices(string.ascii_lowercase, k=rng.randint(6, 12)))] = None
+        forms = list(forms)
+        streams = [forms[i : i + 50] for i in range(0, len(forms), 50)]
+        vocab = {form + "#n" for form in forms[:500]}
+        tracemalloc.start()
+        try:
+            token_ids, lengths, strings = lemmatize_ids(streams, None, vocab=vocab)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8.5 * 2**20, peak / 2**20
+        assert strings == (*[form + "#n" for form in forms[:500]], textpipe.UNLICENSED)
+        assert token_ids.size == len(forms) and lengths.tolist() == [50] * len(streams)
 
     def test_bad_policy_raised_before_reading_streams(self):
         def streams():
