@@ -135,7 +135,7 @@ def _emotion_set(labels_csv: str | None):
     from .corpus import EmotionSet
     if labels_csv is None:
         return EmotionSet.default()
-    return EmotionSet(label for label in labels_csv.split(",") if label.strip())
+    return EmotionSet(labels_csv.split(","))
 
 
 def cmd_build(args: argparse.Namespace) -> int:

@@ -115,9 +115,9 @@ class Corpus:
         if not self.texts:
             return self
         docs = list(self.texts)
-        streams = map(textpipe.tokenize, self.texts.values())
         token_ids, text_lengths, strings = textpipe.lemmatize_ids(
-            streams, table, vocab=vocab, policy=policy, strings=self.strings
+            textpipe.tokenize_all(self.texts.values()), table, vocab=vocab, policy=policy,
+            strings=self.strings,
         )
         lengths = self.lengths.copy()
         lengths[docs] = text_lengths

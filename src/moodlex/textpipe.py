@@ -10,6 +10,7 @@ immutable after load.
 from __future__ import annotations
 
 import re
+from array import array
 from collections import defaultdict
 from itertools import chain, compress, count, repeat
 from operator import ne
@@ -39,17 +40,16 @@ _SPACE_RE = re.compile(r"\s")
 # A line break not followed by a whole lemma#pos key line. The literal \n
 # lets the search jump from line to line.
 _NOT_A_KEY_RE = re.compile(rf"\n(?!\S+#[{''.join(POS_TAGS)}]$)", re.M)
-# What lemmatize_ids puts after each stream's tokens.
-_END = object()
 
 #: The one candidate of a surface form that no tag licenses. check_lemma_pos
 #: rejects it, so no vocabulary filter or lexicon holds it.
 UNLICENSED = "#n"
 
-#: Tokens a chunk's temporaries are sized by: the surface tokens whose
-#: candidates lemmatize_ids gathers at once, and the tokens of a chunk of
-#: whole documents in matrix.emotion_mass (a longer document is a chunk alone).
-CHUNK_TOKENS = 1 << 18
+#: Tokens a chunk's temporaries are sized by: the tokens of a chunk of whole
+#: streams in lemmatize_ids and of whole documents in matrix.emotion_mass (a
+#: longer stream or document is a chunk alone). A 300-document raw-text build
+#: (about 150k tokens) spans five chunks.
+CHUNK_TOKENS = 1 << 15
 
 
 def check_lemma_pos(token: str) -> None:
@@ -215,21 +215,62 @@ def tokenize(text: str) -> list[str]:
     return [t.lower() for t in _TOKEN_RE.findall(text)]
 
 
-def tokenize_all(texts: Sequence[str]) -> Iterator[list[str]]:
-    """``map(tokenize, texts)``: an ASCII batch free of line breaks is
-    joined, one text per line, and translated and split at the line breaks
-    at once; each text's tokens are only made when they are read."""
+def tokenize_all(texts: Iterable[str]) -> Iterator[list[str]]:
+    """``map(tokenize, texts)``, taken in batches of whole texts that end
+    once a batch holds :data:`CHUNK_TOKENS` characters: an ASCII batch free
+    of line breaks is joined, one text per line, and translated and split at
+    the line breaks at once; each text's tokens are only made when they are
+    read, and a batch only once the one before it is read."""
+    batch, size = [], 0
+    for text in texts:
+        batch.append(text)
+        size += len(text)
+        if size >= CHUNK_TOKENS:
+            yield from _tokenize_batch(batch)
+            batch, size = [], 0
+    yield from _tokenize_batch(batch)
+
+
+def _tokenize_batch(texts: list[str]) -> Iterator[list[str]]:
     joined = "\n".join(texts)
     if joined.isascii() and joined.count("\n") == len(texts) - 1:
         return map(str.split, joined.translate(_ASCII_LETTERS).split("\n"))
     return map(tokenize, texts)
 
 
-def _tag_hits(
-    row_of: dict[str, int], table: LemmaTable, vocab: Iterable[str]
-) -> Iterator[dict[int, str]]:
-    """For each tag of POS_TAGS in turn, the candidate string that the table
-    or ``vocab`` licenses for each surface form ``row_of`` holds, by its row.
+def _tag_forms(table: LemmaTable, pos: str, known: dict[str, str]) -> dict[str, str]:
+    """The candidate that ``table`` or the tag's keys by lemma ``known``
+    license for each surface form, by the form, for the tag ``pos``.
+
+    A rule's forms are found from the lemma side: each lemma that ends in the
+    rule's replacement, with the suffix in its place, is a form the rule
+    licenses, so the cost grows with the vocabulary and the rules, never with
+    the text. A table hit overrides the identity form, which overrides the
+    rules, each of which overrides the ones after it in file order.
+    """
+    # No rule rewrites a form to "", the lemma of a key "#pos".
+    lemmas = {lemma: key for lemma, key in known.items() if lemma} if "" in known else known
+    licensed = {}
+    for suffix, replacement in reversed(table._rules[pos]):
+        cut = len(replacement)
+        stems = lemmas if not cut else {
+            lemma[: len(lemma) - cut]: key for lemma, key in lemmas.items()
+            if lemma.endswith(replacement)
+        }
+        licensed.update(zip(map(str.__add__, stems, repeat(suffix)), stems.values()))
+    licensed.update(known)
+    licensed.update((s, f"{lemma}#{pos}") for s, lemma in table._entries[pos].items())
+    return licensed
+
+
+def _runs(
+    table: LemmaTable, vocab: Iterable[str], first: bool
+) -> tuple[dict[str, int], np.ndarray, np.ndarray]:
+    """Every surface form that ``table`` or ``vocab`` licenses
+    (:func:`_tag_forms`), with its candidates as one run per form, in
+    POS_TAGS order: each form's run, numbered from 1, each run's number of
+    candidates, as ``int32``, and the runs' candidate strings, run after run.
+    Run 0 holds the placeholder, for every other form.
 
     ``vocab`` is read once, into each tag's keys by lemma: ``lemma#pos`` is a
     key exactly when ``keys[pos]`` holds ``lemma``, as no tag holds a ``#``.
@@ -241,55 +282,60 @@ def _tag_hits(
         lemma, sep, pos = key.rpartition("#")
         if sep and pos in keys:
             keys[pos][lemma] = key
-    get = row_of.get
-    for pos, known in keys.items():
-        # Identity forms the vocabulary holds, overridden by table hits; then
-        # the rules in file order, for the surface forms still without a hit.
-        hits = {row_of[s]: known[s] for s in known.keys() & row_of.keys()}
-        entries = table._entries[pos]
-        hits.update((row_of[s], f"{entries[s]}#{pos}") for s in entries.keys() & row_of.keys())
-        for suffix, replacement in table._rules[pos]:
-            # Whichever are fewer, the forms or the lemmas, are rewritten and
-            # looked up among the others. No form is rewritten to "".
-            if len(row_of) < len(known):
-                found = {i: known[r] for s, i in row_of.items() if s.endswith(suffix)
-                         and (r := s[: len(s) - len(suffix)] + replacement) and r in known}
-            else:
-                cut = len(replacement)
-                stems = [(lemma[: len(lemma) - cut], key) for lemma, key in known.items()
-                         if lemma and lemma.endswith(replacement)]
-                found = {i: key for stem, key in stems if (i := get(stem + suffix)) is not None}
-            hits = found | hits
-        yield hits
-
-
-def _candidate_runs(
-    row_of: dict[str, int], table: LemmaTable, vocab: Iterable[str], first: bool, id_of: dict
-) -> tuple[np.ndarray, np.ndarray]:
-    """The candidates of the forms ``row_of`` numbers 0, 1, ... (:func:`_tag_hits`)
-    as one run per form, in POS_TAGS order: each form's number of candidates,
-    as ``int32``, and the ids ``id_of`` gives the runs' candidates, in order."""
-    counts = np.zeros(len(row_of), dtype=np.int32)
-    runs = []
-    # The key dicts are freed when _tag_hits ends.
-    for hits in _tag_hits(row_of, table, vocab):
-        rows, candidates = np.fromiter(hits, np.int32, len(hits)), list(hits.values())
+    tags = [_tag_forms(table, pos, keys.pop(pos)) for pos in POS_TAGS]
+    # A form is numbered once per tag that licenses it: the last number is
+    # its run, and the runs of the others stay empty.
+    run_of = dict(zip(chain.from_iterable(tags), count(1)))
+    counts = np.zeros(sum(map(len, tags)) + 1, dtype=np.int32)
+    counts[0] = 1
+    runs = []  # per tag, the runs of the forms it licenses and their candidates
+    for licensed in tags:
+        rows = np.fromiter(map(run_of.__getitem__, licensed), np.int32, len(licensed))
+        candidates = list(licensed.values())
         if first:  # a form keeps only its first tag's candidate
             new = counts[rows] == 0
             rows, candidates = rows[new], list(compress(candidates, new))
         counts[rows] += 1
         runs.append((rows, candidates))
-    # A form without a candidate takes the placeholder, so its tokens still count.
-    unmapped = np.flatnonzero(counts == 0)
-    counts[unmapped] = 1
-    runs.append((unmapped, UNLICENSED))
+    del tags
     # Each tag's candidates go to the next free slot of their forms' runs.
     fill = np.cumsum(counts, dtype=np.int64) - counts
     flat = np.empty(int(counts.sum()), dtype=object)
+    flat[0] = UNLICENSED
     for rows, candidates in runs:
         flat[fill[rows]] = candidates
         fill[rows] += 1
-    return counts, np.fromiter(map(id_of.__getitem__, flat), np.int32, flat.size)
+    return run_of, counts, flat
+
+
+def _run_chunks(
+    streams: Iterable[Iterable[str]], run_of: dict[str, int]
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """``streams`` in chunks of whole streams that hold at most
+    :data:`CHUNK_TOKENS` tokens (a longer stream is a chunk alone), each as
+    its tokens' runs (``run_of``'s numbers, 0 for a form it lacks), as
+    ``int32``, and each stream's number of tokens. A stream's tokens are
+    dropped once they are looked up."""
+    rows, sizes = array("i"), []
+    for stream in streams:
+        tokens = stream if isinstance(stream, list) else list(stream)
+        if sizes and len(rows) + len(tokens) > CHUNK_TOKENS:
+            yield np.frombuffer(rows, np.int32), np.array(sizes, np.int64)
+            rows, sizes = array("i"), []
+        rows.fromlist(list(map(run_of.get, tokens, repeat(0))))
+        sizes.append(len(tokens))
+    if sizes:
+        yield np.frombuffer(rows, np.int32), np.array(sizes, np.int64)
+
+
+def _spans(starts: np.ndarray, counts: np.ndarray, dtype: type) -> np.ndarray:
+    """The indices of runs that start at ``starts`` and hold ``counts``
+    entries each, run after run, in ``dtype`` or wider: one index that counts
+    up through each run from the run's start."""
+    ends = np.cumsum(counts, dtype=dtype)
+    index = np.repeat(starts - ends + counts, counts)
+    index += np.arange(index.size, dtype=dtype)
+    return index
 
 
 def lemmatize_ids(
@@ -306,8 +352,8 @@ def lemmatize_ids(
     exception ``table`` (``None`` for an empty one) or ``vocab`` (identity
     form first, then suffix-rule rewrites), scanned in POS_TAGS order.
     ``vocab`` is a :class:`VocabularyFilter`, a set of lemma#pos strings, or
-    a lexicon: it is iterated once, into one dict of keys by lemma per pos
-    tag, and each identity form or rewrite is then one dict lookup.
+    a lexicon: it is iterated once, and every form it or the table licenses
+    is given its run of candidates before any stream is read.
     Under the default ``all`` policy every licensed candidate is emitted;
     ``first`` keeps only the first. A surface form with no licensed candidate
     yields :data:`UNLICENSED`, one token that no vocabulary or lexicon holds.
@@ -315,42 +361,35 @@ def lemmatize_ids(
     Returns all streams' candidate tokens as one ``int32`` array of ids, the
     number of them per stream as ``int64``, and the strings the ids index:
     the distinct ``strings`` given, numbered 0, 1, ..., then the other
-    candidate strings in order of first occurrence. Candidates are worked
-    out once per distinct surface form in the whole call.
+    candidate strings in order of first occurrence. The streams are read in
+    chunks of whole streams of at most :data:`CHUNK_TOKENS` tokens; nothing
+    but the output grows with the text.
     """
     if policy not in AMBIGUITY_POLICIES:
         raise TextPipeError(
             f"unknown ambiguity policy {policy!r}: expected one of {AMBIGUITY_POLICIES}"
         )
-    # One lookup numbers every surface form 0, 1, ... by its first occurrence;
-    # a marker after each stream, numbered -1, shows where the stream ends.
-    row_of = defaultdict(count().__next__, {_END: -1})
-    rows = np.fromiter(
-        map(row_of.__getitem__, chain.from_iterable(map(chain, streams, repeat((_END,))))),
-        np.int32,
-    )
-    del row_of[_END]
+    run_of, counts, candidates = _runs(table or LemmaTable(), vocab, policy == "first")
+    # A run holds at most one candidate per tag, so int32 holds every index
+    # unless the runs, or a chunk's candidates, reach 2**31.
+    starts = (np.cumsum(counts) - counts).astype(np.int32 if candidates.size < 2**31 else np.int64)
     id_of = defaultdict(count(len(strings)).__next__, zip(strings, count()))
-    counts, ids = _candidate_runs(row_of, table or LemmaTable(), vocab, policy == "first", id_of)
-    del row_of  # the surface forms
-    # Form f's run is ids[starts[f]:starts[f] + counts[f]]; the end marker's,
-    # the last, is empty. int32 holds every index below unless ids reaches 2**31.
-    dtype = np.int32 if ids.size < 2**31 else np.int64
-    counts = np.append(counts, np.int32(0))
-    starts = np.cumsum(counts, dtype=dtype) - counts
-    # The tokens are expanded CHUNK_TOKENS at a time, so no index is as long
-    # as all of them. A token's candidates end at ends[t] in its chunk: one
-    # index that counts up through each token's run from the run's start
-    # gathers them all.
-    chunks = [slice(a, a + CHUNK_TOKENS) for a in range(0, rows.size, CHUNK_TOKENS)]
-    token_ids = np.empty(sum(int(counts[rows[c]].sum()) for c in chunks), np.int32)
-    done, stream_ends = 0, [np.zeros(1, np.int64)]
-    for chunk in map(rows.__getitem__, chunks):
-        per_token = counts[chunk]
-        ends = np.cumsum(per_token, dtype=dtype)
-        index = np.repeat(starts[chunk] - ends + per_token, per_token)
-        index += np.arange(index.size, dtype=dtype)
-        np.take(ids, index, out=token_ids[done : done + index.size])
-        stream_ends.append(ends[chunk < 0] + np.int64(done))
-        done += index.size
-    return token_ids, np.diff(np.concatenate(stream_ends)), tuple(id_of)
+    # Each run's candidate ids, from the chunk that first meets the run on.
+    ids, met = np.empty(candidates.size, np.int32), np.zeros(counts.size, bool)
+    # The output grows in place, chunk by chunk, so it is never copied whole.
+    token_ids, stream_lengths = array("i"), [np.zeros(0, np.int64)]
+    for rows, sizes in _run_chunks(streams, run_of):
+        dtype = np.int32 if candidates.size + len(POS_TAGS) * rows.size < 2**31 else np.int64
+        # The chunk's new runs, in order of first occurrence, number their
+        # candidates in that order.
+        unmet = rows[~met[rows]]
+        fresh, at = np.unique(unmet, return_index=True)
+        fresh = fresh[np.argsort(at)]
+        met[fresh] = True
+        slots = _spans(starts[fresh], counts[fresh], dtype)
+        ids[slots] = np.fromiter(map(id_of.__getitem__, candidates[slots]), np.int32, slots.size)
+        per_token = counts[rows]
+        token_ids.frombytes(ids[_spans(starts[rows], per_token, dtype)].tobytes())
+        ends = np.concatenate(([0], np.cumsum(per_token)))[np.cumsum(sizes)]
+        stream_lengths.append(np.diff(ends, prepend=0))
+    return np.frombuffer(token_ids, np.int32), np.concatenate(stream_lengths), tuple(id_of)

@@ -474,9 +474,12 @@ def test_scale_gate_token_build(scale_corpus):
 
 
 def test_scale_gate_text_build(text_corpus):
+    # The peak is 54.0 MiB (CPython 3.11, numpy 2.4); the bound is that plus
+    # 6 MiB. A lemmatizer that numbers every surface form of the corpus in
+    # one map reads 65.4 MiB and fails.
     with criterion(
         "scale gate: raw-text `build --weighting tfidf --min-df 2` on 2,000 "
-        "generated docs, through the CLI, in < 78 MiB peak"
+        "generated docs, through the CLI, in < 60 MiB peak"
     ):
         root, words = text_corpus
         report = run_cli(
@@ -487,7 +490,7 @@ def test_scale_gate_text_build(text_corpus):
             ],
             root,
         )
-        assert report["peak_mib"] < 78.0
+        assert report["peak_mib"] < 60.0
         assert read_lexicon(root / "lex.tsv").words == tuple(words)
 
 

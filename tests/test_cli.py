@@ -242,6 +242,16 @@ class TestBuild:
         ]
         assert {p.name: p.read_bytes() for p in workdir.iterdir()} == before
 
+    @pytest.mark.parametrize("emotions", ["AFRAID, ,SAD", "AFRAID,,SAD", "AFRAID,SAD,"])
+    def test_blank_emotion_label_exits_one(self, workdir, caplog, emotions):
+        """Every comma-separated piece is a name: a blank one is refused, as
+        it is in a lexicon or gold header, rather than dropped."""
+        before = {p.name: p.read_bytes() for p in workdir.iterdir()}
+        assert main(build_args(workdir, emotions=emotions)) == 1
+        messages = [r.message for r in caplog.records if r.levelname == "ERROR"]
+        assert messages == ["configure: empty emotion name"]
+        assert {p.name: p.read_bytes() for p in workdir.iterdir()} == before
+
     @pytest.mark.parametrize("flag", ["corpus", "emotions"])
     def test_option_value_that_is_not_utf8_exits_one(self, workdir, monkeypatch, caplog, flag):
         """A byte that does not decode, as a Linux file name may hold, reaches

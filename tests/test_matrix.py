@@ -157,7 +157,7 @@ def test_chunk_bound_changes_no_byte(generated, monkeypatch, kind):
     each chunk continues every word's sum."""
     corpus, vocab = generated[kind]
     outputs = {}
-    for bound in (1, 997, 1 << 18, 1 << 30):
+    for bound in (1, 997, 1 << 15, 1 << 18, 1 << 30):
         monkeypatch.setattr(matrix, "CHUNK_TOKENS", bound)
         for scheme, min_df, nf_length in itertools.product(
             matrix.SCHEMES, (1, 2), matrix.NF_LENGTH_MODES

@@ -458,8 +458,8 @@ class TestLemmatizeAll:
     @given(
         table=TABLES, vocab=VOCABS, policy=st.sampled_from(["all", "first"]), streams=STREAMS
     )
-    # Each stream's end counts as a token: with a bound of 1 or 3 the empty
-    # streams fall on chunk edges, and the long stream spans several chunks.
+    # With a bound of 1 or 3 the empty streams join the chunks around them,
+    # and the long stream is a chunk alone.
     @example(
         table=MEMO_TABLE,
         vocab=MEMO_VOCAB,
@@ -471,6 +471,21 @@ class TestLemmatizeAll:
         vocab=MEMO_VOCAB,
         policy="first",
         streams=[["men"], [], ["runs", "xyzzy", "ran", "men", "ba", "abs", "ran", "men"], []],
+    )
+    # "abed" and "ran" are first met in a later chunk, "run" and "men" (two
+    # candidates each) recur across chunk edges, and the third stream is
+    # longer than a bound of 3, so it is a chunk alone.
+    @example(
+        table=MEMO_TABLE,
+        vocab=MEMO_VOCAB,
+        policy="all",
+        streams=[["run", "men"], ["xyzzy", "abed"], ["run", "ran", "men", "run"], ["men"]],
+    )
+    @example(
+        table=MEMO_TABLE,
+        vocab=MEMO_VOCAB,
+        policy="first",
+        streams=[["run", "men"], ["xyzzy", "abed"], ["run", "ran", "men", "run"], ["men"]],
     )
     def test_chunk_bound_changes_nothing(self, table, vocab, policy, streams):
         def run(bound):
@@ -485,22 +500,29 @@ class TestLemmatizeAll:
         assert run(3) == expected
 
     def test_candidates_run_once_per_distinct_surface(self, monkeypatch):
+        # Every form the table or the vocabulary licenses takes its run once
+        # per call, before any stream is read; a chunk only looks its forms up.
         calls = []
-        original = textpipe._candidate_runs
+        original = textpipe._runs
 
-        def counting(row_of, *args):
-            calls.extend(row_of)
-            return original(row_of, *args)
+        def counting(*args):
+            calls.append(args)
+            return original(*args)
+
+        def streams():
+            for stream in [["men", "runs", "men"], [], ["runs", "abed", "men"], ["abed"]]:
+                assert len(calls) == 1
+                yield stream
 
         def no_membership_calls(self, token):
             raise AssertionError("membership checked through __contains__")
 
-        monkeypatch.setattr(textpipe, "_candidate_runs", counting)
+        monkeypatch.setattr(textpipe, "_runs", counting)
+        monkeypatch.setattr(textpipe, "CHUNK_TOKENS", 2)
         # The vocabulary is read once per call, never checked key by key.
         monkeypatch.setattr(VocabularyFilter, "__contains__", no_membership_calls)
-        streams = [["men", "runs", "men"], [], ["runs", "abed", "men"], ["abed"]]
-        out = doc_tokens(lemmatize_ids(iter(streams), MEMO_TABLE, vocab=MEMO_VOCAB))
-        assert sorted(calls) == ["abed", "men", "runs"]
+        out = doc_tokens(lemmatize_ids(streams(), MEMO_TABLE, vocab=MEMO_VOCAB))
+        assert len(calls) == 1
         # men: table man#n, then identity men#a; runs: rule n -s.
         assert out[0] == ("man#n", "men#a", "run#n", "man#n", "men#a")
         assert out[1] == ()
@@ -554,9 +576,9 @@ class TestLemmatizeAll:
 
     def test_many_forms_keep_no_string_per_form(self):
         # 60,000 distinct forms, 50 per stream, the first 500 licensed as
-        # nouns: the traced peak is 6.85 MiB (CPython 3.11, numpy 2.4). A
+        # nouns: the traced peak is 1.23 MiB (CPython 3.11, numpy 2.4). A
         # string kept per form until the call returns (form + "#n") lifts it
-        # to 10.76 MiB; the bound is today's peak plus 1.65 MiB.
+        # to 4.99 MiB; the bound is today's peak plus 1.65 MiB.
         rng = random.Random(5)
         forms = {}
         while len(forms) < 60_000:
@@ -570,7 +592,7 @@ class TestLemmatizeAll:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 8.5 * 2**20, peak / 2**20
+        assert peak < 2.9 * 2**20, peak / 2**20
         assert strings == (*[form + "#n" for form in forms[:500]], textpipe.UNLICENSED)
         assert token_ids.size == len(forms) and lengths.tolist() == [50] * len(streams)
 
